@@ -26,7 +26,7 @@ from .paths import (
     weight_exponents,
     x_length,
 )
-from .enumeration import Constraints, class_count, generate, weight_sum
+from .enumeration import Constraints, generate, weight_sum
 from .bijection import (
     FixedPointCounts,
     classify_fixed,
@@ -48,6 +48,6 @@ from .formulas import (
     relation_checks,
     schroder_weight,
 )
-from .series import KINDS, expand, verify_against
+from .series import KINDS, expand
 
 __version__ = "0.1.0"

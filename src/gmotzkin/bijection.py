@@ -55,8 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NoReturn
 
-from .enumeration import Constraints, generate
+from .enumeration import AVOID_UVV, generate
 from .paths import (
     BASE,
     BASE_INV,
@@ -71,23 +72,34 @@ from .paths import (
     CASE_III,
     CASE_IV,
     CASE_V,
+    RISE,
     PathError,
     decompose_forward,
     decompose_inverse,
     is_primitive,
 )
 
-AVOID_UVV = Constraints(avoid=("uvv",))
+_STEPS = frozenset(RISE)
 
 
 def sigma(word: str) -> str:
     """Image of a uvv-avoiding path; raises PathError if the input has a uvv."""
+    if not _STEPS.issuperset(word):
+        _reject_step(word)
     return _sigma(word)
 
 
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
+    if not _STEPS.issuperset(word):
+        _reject_step(word)
     return _sigma_inv(word)
+
+
+def _reject_step(word: str) -> NoReturn:
+    """Raise PathError naming the first character of ``word`` outside udhv."""
+    pos = next(i for i, ch in enumerate(word) if ch not in _STEPS)
+    raise PathError(f"illegal character {word[pos]!r} at position {pos}")
 
 
 @lru_cache(maxsize=1 << 18)
@@ -245,7 +257,7 @@ def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
     found: list[str] = []
     for word in generate(n, AVOID_UVV):
-        if _sigma(word) == word:
+        if is_fixed_point(word):
             counts[_classify(word)] += 1
             if include_paths:
                 found.append(word)

@@ -20,8 +20,8 @@ from typing import Sequence
 
 from . import bijection, formulas, render, verify
 from .enumeration import Constraints, generate, weight_sum
-from .paths import PathError, parse_pattern, parse_word
-from .polyring import Polynomial
+from .paths import STEP_ORDER, PathError, parse_pattern, parse_word
+from .polyring import VAR_B, ZERO, Polynomial
 from .series import KINDS, expand
 
 _OEIS_ROWS = [
@@ -71,36 +71,45 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-h-on-axis", action="store_true", dest="no_h_on_axis")
 
     p = sub.add_parser("count", help="weight-sum polynomial or its integer value")
+    p.set_defaults(run=_cmd_count)
     add_class_flags(p)
     p.add_argument("--eval", dest="eval_point", help="a,b,c integers (use --eval=-3,4,16)")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("enumerate", help="list all paths of one length")
+    p.set_defaults(run=_cmd_enumerate)
     add_class_flags(p)
 
     p = sub.add_parser("sigma", help="apply the bijection to one uvv-avoiding path")
+    p.set_defaults(run=_cmd_sigma, inverse=False)
     p.add_argument("--path", required=True)
 
     p = sub.add_parser("sigma-inv", help="apply the inverse to one uvu-avoiding path")
+    p.set_defaults(run=_cmd_sigma, inverse=True)
     p.add_argument("--path", required=True)
 
     p = sub.add_parser("fixed-points", help="count (and list) fixed points of sigma")
+    p.set_defaults(run=_cmd_fixed_points)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--list", action="store_true", dest="list_paths")
 
     p = sub.add_parser("series", help="expand a generating function")
+    p.set_defaults(run=_cmd_series)
     p.add_argument("--gf", required=True, choices=KINDS)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--eval", dest="eval_point", help="a,b,c integers")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("tables", help="reproduce the specialization and fixed-point tables")
+    p.set_defaults(run=_cmd_tables)
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
 
     p = sub.add_parser("verify", help="run the self-verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
 
     p = sub.add_parser("render", help="draw one path as ASCII art or SVG")
+    p.set_defaults(run=_cmd_render)
     p.add_argument("--path", required=True)
     p.add_argument("--format", choices=("text", "svg"), default="text")
     return parser
@@ -121,9 +130,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sigma(args: argparse.Namespace, inverse: bool) -> int:
+def _cmd_sigma(args: argparse.Namespace) -> int:
     word = parse_word(args.path)
-    print(bijection.sigma_inv(word) if inverse else bijection.sigma(word))
+    print(bijection.sigma_inv(word) if args.inverse else bijection.sigma(word))
     return 0
 
 
@@ -131,8 +140,6 @@ def _cmd_fixed_points(args: argparse.Namespace) -> int:
     counts = bijection.fixed_points(args.n, include_paths=args.list_paths)
     print(f"F={counts.f} a={counts.a} b={counts.b} c={counts.c}")
     if args.list_paths and counts.paths is not None:
-        from .paths import STEP_ORDER
-
         for word in sorted(counts.paths, key=lambda w: [STEP_ORDER[ch] for ch in w]):
             print(word)
     return 0
@@ -160,8 +167,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for label, point, oeis in _OEIS_ROWS:
         values = " ".join(str(p.eval(*point)) for p in polys)
         print(f"  {label:<10} {oeis}: {values}")
-    from .polyring import VAR_B, ZERO
-
     motzkin_ok = all(
         polys[n].substitute("b", ZERO).substitute("c", VAR_B)
         == formulas.motzkin_weight(n)
@@ -204,29 +209,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "sigma":
-            return _cmd_sigma(args, inverse=False)
-        if args.command == "sigma-inv":
-            return _cmd_sigma(args, inverse=True)
-        if args.command == "fixed-points":
-            return _cmd_fixed_points(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "tables":
-            return _cmd_tables(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except PathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return args.run(args)
+    except ValueError as exc:  # PathError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,9 @@ class Constraints:
 
 
 NO_CONSTRAINTS = Constraints()
+AVOID_UVV = Constraints(avoid=("uvv",))
+AVOID_UVU = Constraints(avoid=("uvu",))
+BAR_UVV = Constraints(avoid=("uvv",), forbid_h_on_axis=True)
 
 
 def generate(n: int, constraints: Constraints | None = None) -> Iterator[str]:
@@ -96,10 +99,3 @@ def weight_sum(n: int, constraints: Constraints | None = None) -> Polynomial:
         key = (word.count("h"), word.count("v"), word.count("d"))
         sums[key] = sums.get(key, 0) + 1
     return Polynomial(sums)
-
-
-def class_count(
-    n: int, constraints: Constraints | None, va: int, vb: int, vc: int
-) -> int:
-    """The weight sum evaluated at integers (a, b, c); negatives allowed."""
-    return weight_sum(n, constraints).eval(va, vb, vc)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
+from .enumeration import AVOID_UVU, weight_sum
 from .polyring import ONE, VAR_A, VAR_B, VAR_C, Monomial, Polynomial
 
 
@@ -52,10 +53,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return comb(2 * n, n) // (n + 1)
-
-
-def _poly(acc: dict[Monomial, int]) -> Polynomial:
-    return Polynomial(acc)
 
 
 def _add_term(acc: dict[Monomial, int], ea: int, eb: int, ec: int, coeff: int) -> None:
@@ -85,7 +82,7 @@ def dyck_weight(n: int) -> Polynomial:
         narayana, rem = divmod(comb(n, k - 1) * comb(n, k), n)
         assert rem == 0
         _add_term(acc, k, n - k, 0, narayana)
-    return _poly(acc)
+    return Polynomial(acc)
 
 
 def motzkin_weight(n: int) -> Polynomial:
@@ -93,7 +90,7 @@ def motzkin_weight(n: int) -> Polynomial:
     acc: dict[Monomial, int] = {}
     for k in range(n // 2 + 1):
         _add_term(acc, n - 2 * k, k, 0, comb(n, 2 * k) * catalan(k))
-    return _poly(acc)
+    return Polynomial(acc)
 
 
 def schroder_weight(n: int) -> Polynomial:
@@ -101,7 +98,7 @@ def schroder_weight(n: int) -> Polynomial:
     acc: dict[Monomial, int] = {}
     for k in range(n + 1):
         _add_term(acc, n - k, k, 0, comb(n + k, 2 * k) * catalan(k))
-    return _poly(acc)
+    return Polynomial(acc)
 
 
 def g_uvv_closed(n: int, form: int) -> Polynomial:
@@ -133,7 +130,7 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                             acc, ea, k + j - 2 * i, i,
                             coeff * comb(j, i) * (-1) ** (j - i),
                         )
-        return _poly(acc)
+        return Polynomial(acc)
     if form == 3:
         acc = {}
         for k in range(n // 2 + 1):
@@ -144,7 +141,7 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     * binom(2 * n - 2 * k - j, n - 2 * k - j)
                 )
                 _add_cmb2_power(acc, j, n - 2 * k - j, k, coeff)
-        return _poly(acc).div_exact(n + 1)
+        return Polynomial(acc).div_exact(n + 1)
     if form == 4:
         acc = {}
         for k in range(n + 1):
@@ -155,7 +152,7 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     * binom(2 * n - k - 2 * j, n - k - 2 * j)
                 )
                 _add_cmb2_power(acc, k, n - k - 2 * j, j, coeff)
-        return _poly(acc).div_exact(n + 1)
+        return Polynomial(acc).div_exact(n + 1)
     if form == 5:
         acc = {}
         for k in range(n + 1):
@@ -166,7 +163,7 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     * binom(2 * n - k - j, n - k - j)
                 )
                 _add_cmb2_power(acc, k - j, n - k - j, j, coeff)
-        return _poly(acc).div_exact(n + 1)
+        return Polynomial(acc).div_exact(n + 1)
     raise ValueError(f"unknown form {form!r}, expected 1..5")
 
 
@@ -222,7 +219,7 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
                         * binom(2 * n - i - k - j, m)
                     )
                     _add_cmb2_power(acc, i + k - j, m, j, coeff)
-    return _poly(acc).div_exact(n + 1)
+    return Polynomial(acc).div_exact(n + 1)
 
 
 def relation_checks(n: int) -> dict[str, bool]:
@@ -234,8 +231,6 @@ def relation_checks(n: int) -> dict[str, bool]:
     go through the unused variable c so only single-variable substitution
     is ever needed.
     """
-    from .enumeration import Constraints, weight_sum
-
     if n < 1:
         raise ValueError("relations hold for n >= 1")
     s = schroder_weight(n)
@@ -244,7 +239,7 @@ def relation_checks(n: int) -> dict[str, bool]:
     m = m.substitute("a", VAR_A + VAR_B.scaled(2))
     m = m.substitute("c", (VAR_A + VAR_B) * VAR_B)
     m = (VAR_A + VAR_B) * m
-    g_uvu = weight_sum(n, Constraints(avoid=("uvu",))).substitute("c", VAR_B * VAR_B)
+    g_uvu = weight_sum(n, AVOID_UVU).substitute("c", VAR_B * VAR_B)
     return {
         "schroder_eq_shifted_dyck": s == c_shift,
         "schroder_eq_shifted_motzkin": s == m,

@@ -126,16 +126,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            s = out.get(mono, 0) - coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Polynomial.__new__(Polynomial)
-        res._terms = out
-        return res
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         res = Polynomial.__new__(Polynomial)

@@ -25,7 +25,7 @@ exact series inversion.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .polyring import (
     ONE,
@@ -44,36 +44,19 @@ _B2 = VAR_B * VAR_B
 _C_MINUS_B2 = VAR_C - _B2
 
 
-class SeriesMismatchError(ValueError):
-    """A series coefficient disagreed with its reference value."""
+def _quadratic_update(
+    linear: Sequence[Polynomial], kernel: Sequence[Polynomial]
+) -> Callable[[PowerSeries], PowerSeries]:
+    """The update S -> 1 + L S + K S^2, with L and K given by their low-order
+    coefficients; K S is formed first, since K has few nonzero terms."""
 
-    def __init__(self, kind: str, n: int, expected: Polynomial, actual: Polynomial):
-        self.kind = kind
-        self.n = n
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"{kind}: coefficient of x^{n} is {actual}, expected {expected}"
-        )
+    def update(s: PowerSeries) -> PowerSeries:
+        n = s.order
+        lin = PowerSeries.from_polys(linear, n)
+        ker = PowerSeries.from_polys(kernel, n)
+        return PowerSeries.one(n) + lin * s + ker * s * s
 
-
-def _update_catalan(s: PowerSeries) -> PowerSeries:
-    n = s.order
-    return PowerSeries.one(n) + PowerSeries.x(n) * s * s
-
-
-def _update_g(s: PowerSeries) -> PowerSeries:
-    n = s.order
-    ax = PowerSeries.from_polys([ZERO, VAR_A], n)
-    kernel = PowerSeries.from_polys([ZERO, VAR_B, VAR_C], n)  # x(b + cx)
-    return PowerSeries.one(n) + ax * s + kernel * (s * s)
-
-
-def _update_g_uvv(s: PowerSeries) -> PowerSeries:
-    n = s.order
-    ax = PowerSeries.from_polys([ZERO, VAR_A], n)
-    kernel = PowerSeries.from_polys([ZERO, VAR_B, _C_MINUS_B2], n)
-    return PowerSeries.one(n) + ax * s + kernel * (s * s)
+    return update
 
 
 def _update_g_uvu(s: PowerSeries) -> PowerSeries:
@@ -100,9 +83,9 @@ def _update_f(s: PowerSeries) -> PowerSeries:
 
 
 _UPDATES: dict[str, Callable[[PowerSeries], PowerSeries]] = {
-    "C": _update_catalan,
-    "G": _update_g,
-    "G_uvv": _update_g_uvv,
+    "C": _quadratic_update([], [ZERO, ONE]),
+    "G": _quadratic_update([ZERO, VAR_A], [ZERO, VAR_B, VAR_C]),  # x(b + cx)
+    "G_uvv": _quadratic_update([ZERO, VAR_A], [ZERO, VAR_B, _C_MINUS_B2]),
     "G_uvu": _update_g_uvu,
     "T": _update_t,
     "F": _update_f,
@@ -130,19 +113,3 @@ def expand(kind: str, order: int) -> PowerSeries:
         return numer * PowerSeries.from_ints([1, 2, 1], order).invert()
     raise ValueError(f"unknown generating function kind {kind!r}")
 
-
-def verify_against(
-    kind: str, order: int, reference: Callable[[int], Polynomial]
-) -> int:
-    """Check every coefficient of ``expand(kind, order)`` against a reference.
-
-    ``reference(n)`` must supply the expected coefficient of x^n for
-    n = 0..order.  Returns the number of coefficients checked; raises
-    SeriesMismatchError at the first disagreement.
-    """
-    s = expand(kind, order)
-    for n in range(order + 1):
-        expected = reference(n)
-        if s.coefficient(n) != expected:
-            raise SeriesMismatchError(kind, n, expected, s.coefficient(n))
-    return order + 1

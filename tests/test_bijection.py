@@ -8,12 +8,9 @@ from gmotzkin.bijection import (
     sigma,
     sigma_inv,
 )
-from gmotzkin.enumeration import Constraints, generate
+from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, generate
 from gmotzkin.paths import PathError, is_primitive
 from gmotzkin.samples import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT
-
-AVOID_UVV = Constraints(avoid=("uvv",))
-AVOID_UVU = Constraints(avoid=("uvu",))
 
 
 class TestSigma:
@@ -43,6 +40,20 @@ class TestSigma:
     def test_inverse_rejects_uvu(self):
         with pytest.raises(PathError):
             sigma_inv("uvuv")
+
+    @pytest.mark.parametrize("fn", [sigma, sigma_inv])
+    @pytest.mark.parametrize(
+        "word,message",
+        [
+            ("x", "illegal character 'x' at position 0"),
+            ("uv h", "illegal character ' ' at position 2"),
+            ("huvX", "illegal character 'X' at position 3"),
+        ],
+    )
+    def test_rejects_illegal_characters(self, fn, word, message):
+        with pytest.raises(PathError) as err:
+            fn(word)
+        assert str(err.value) == message
 
     def test_non_primitive_interior_can_map_to_primitive(self):
         # The interior handed to a recursive call may change primitivity

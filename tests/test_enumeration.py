@@ -1,11 +1,10 @@
 import pytest
 
-from gmotzkin.enumeration import Constraints, class_count, generate, weight_sum
+from gmotzkin.enumeration import AVOID_UVV, Constraints, generate, weight_sum
 from gmotzkin.paths import STEP_ORDER, contains_pattern, has_h_on_axis
 from gmotzkin.polyring import VAR_A, VAR_B, VAR_C
 
 A, B, C = VAR_A, VAR_B, VAR_C
-AVOID_UVV = Constraints(avoid=("uvv",))
 
 
 class TestGenerate:
@@ -61,15 +60,6 @@ class TestWeightSum:
 
     def test_no_h_on_axis_length_one(self):
         assert weight_sum(1, Constraints(avoid=("uvv",), forbid_h_on_axis=True)) == B
-
-    def test_class_count(self):
-        assert class_count(2, AVOID_UVV, 1, 1, 1) == 6
-        assert class_count(2, AVOID_UVV, 0, 1, 1) == 2
-        assert class_count(2, AVOID_UVV, 1, 0, 1) == 2
-
-    def test_class_count_negative_point(self):
-        poly = weight_sum(3, AVOID_UVV)
-        assert class_count(3, AVOID_UVV, -3, 4, 16) == poly.eval(-3, 4, 16)
 
 
 class TestIdentities:

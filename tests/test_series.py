@@ -1,9 +1,9 @@
 import pytest
 
 from gmotzkin.enumeration import Constraints, weight_sum
-from gmotzkin.formulas import catalan, schroder_weight
+from gmotzkin.formulas import schroder_weight
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, PowerSeries
-from gmotzkin.series import KINDS, SeriesMismatchError, expand, verify_against
+from gmotzkin.series import KINDS, expand
 
 A, B, C = VAR_A, VAR_B, VAR_C
 B2 = B * B
@@ -109,13 +109,3 @@ class TestIdentities:
         one = PowerSeries.one(order + 1)
         assert gbar.shift_up() * (one + t.scaled(A)) == t
 
-
-class TestVerifyAgainst:
-    def test_passes_with_true_reference(self):
-        assert verify_against("C", 6, lambda n: ONE.scaled(catalan(n))) == 7
-
-    def test_fails_loudly(self):
-        with pytest.raises(SeriesMismatchError) as err:
-            verify_against("C", 6, lambda n: ONE.scaled(1))
-        assert err.value.n == 2
-        assert err.value.actual == ONE.scaled(2)

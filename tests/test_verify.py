@@ -1,0 +1,72 @@
+"""Every way ``Harness.sweep`` can reject sigma, reached by patching the bijection.
+
+The sweep is the exhaustive proof that sigma is a bijection onto the
+uvu-avoiding class; each test breaks one property that proof relies on and
+checks that the sweep names it.
+"""
+
+import pytest
+
+from gmotzkin import bijection, verify
+from gmotzkin.enumeration import AVOID_UVV
+from gmotzkin.verify import Harness
+
+real_sigma = bijection.sigma
+real_sigma_inv = bijection.sigma_inv
+real_generate = verify.generate
+
+
+def test_sweep_passes_on_the_real_bijection():
+    rec = Harness(max_n=3).sweep(3)
+    assert rec.error is None
+    assert (rec.size, rec.f, rec.a, rec.b, rec.c) == (22, 13, 7, 4, 2)
+
+
+def test_image_with_uvu(monkeypatch):
+    monkeypatch.setattr(bijection, "sigma", lambda q: "uvuv")
+    assert Harness().sweep(1).error == "sigma(uv) = uvuv contains uvu"
+
+
+def test_weight_change(monkeypatch):
+    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q) + "h")
+    assert Harness().sweep(1).error == "sigma(uv) = uvh changes the weight"
+
+
+def test_round_trip_failure(monkeypatch):
+    monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p) + "h")
+    assert Harness().sweep(1).error == "sigma_inv(sigma(uv)) = uvh"
+
+
+def test_image_outside_the_class(monkeypatch):
+    # "u" + image keeps the weight and round-trips, but is not a path.
+    monkeypatch.setattr(bijection, "sigma", lambda q: "u" + real_sigma(q))
+    monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p[1:]))
+    error = Harness().sweep(1).error
+    assert error == "sigma(uv) = uuv outside the uvu-avoiding class"
+
+
+def test_structural_fixed_point_test_disagrees(monkeypatch):
+    monkeypatch.setattr(bijection, "is_fixed_by_structure", lambda q: False)
+    error = Harness().sweep(1).error
+    assert error == "structural fixed-point test disagrees at uv"
+
+
+@pytest.mark.parametrize(
+    "change,count", [(lambda words: words[:-1], 5), (lambda words: words + words[-1:], 7)]
+)
+def test_image_count_differs_from_class_size(monkeypatch, change, count):
+    # A uvv class that misses or repeats a path: every single image is
+    # valid, but the images do not cover the uvu-avoiding class exactly.
+    def generate(n, constraints=None):
+        words = list(real_generate(n, constraints))
+        return iter(change(words) if constraints == AVOID_UVV else words)
+
+    monkeypatch.setattr(verify, "generate", generate)
+    assert Harness().sweep(2).error == f"image has {count} paths, class has 6"
+
+
+def test_criterion_4_reports_the_sweep_error(monkeypatch):
+    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q) + "h")
+    result = Harness(max_n=2).criterion_4()
+    assert not result.ok
+    assert result.detail == "n=0: sigma() = h changes the weight"
