@@ -77,6 +77,7 @@ from .paths import (
     decompose_forward,
     decompose_inverse,
     is_primitive,
+    parse_word,
 )
 
 _STEPS = frozenset(RISE)
@@ -86,14 +87,22 @@ def sigma(word: str) -> str:
     """Image of a uvv-avoiding path; raises PathError if the input has a uvv."""
     if not _STEPS.issuperset(word):
         _reject_step(word)
-    return _sigma(word)
+    try:
+        return _sigma(word)
+    except PathError:
+        parse_word(word)  # a word that is no path fails with its step named
+        raise
 
 
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
     if not _STEPS.issuperset(word):
         _reject_step(word)
-    return _sigma_inv(word)
+    try:
+        return _sigma_inv(word)
+    except PathError:
+        parse_word(word)
+        raise
 
 
 def _reject_step(word: str) -> NoReturn:

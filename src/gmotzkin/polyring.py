@@ -19,14 +19,15 @@ survive JSON readers with fixed-width integers.
 
 The series variable x is structural (the position in the coefficient
 list), not a fourth ring variable.  Series arithmetic never reads or
-writes beyond the truncation order.  Unique series roots of contractive
-equations S = update(S) are computed by ``fixed_point``, which iterates
-from the zero series and verifies the equation afterwards.
+writes beyond the truncation order.  Products are formed by ``dot``, which
+sums a run of polynomial products into one term map.  Generating functions
+are not solved here: ``series.solve`` computes the root of D S = P + Q S^2
+one coefficient at a time and checks it with the arithmetic of this module.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, int, int]
 
@@ -37,12 +38,8 @@ class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
 
 
-class NonUnitError(ValueError):
-    """Series inversion was asked for a series whose constant term is not a unit."""
-
-
 class DivergenceError(ArithmeticError):
-    """Fixed-point iteration failed to stabilize; the update map is not contractive."""
+    """A series equation is not contractive, or its solution fails the check."""
 
 
 class Polynomial:
@@ -138,18 +135,7 @@ class Polynomial:
             return self.scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for (a1, b1, c1), k1 in self._terms.items():
-            for (a2, b2, c2), k2 in other._terms.items():
-                mono = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(mono, 0) + k1 * k2
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        res = Polynomial.__new__(Polynomial)
-        res._terms = out
-        return res
+        return dot(((self, other),))
 
     def __rmul__(self, other: int) -> "Polynomial":
         if isinstance(other, int):
@@ -258,6 +244,21 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of p * q over ``pairs``, accumulated in a single term map."""
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for p, q in pairs:
+        right = q._terms.items()
+        for (a1, b1, c1), k1 in p._terms.items():
+            for (a2, b2, c2), k2 in right:
+                mono = (a1 + a2, b1 + b2, c1 + c2)
+                out[mono] = get(mono, 0) + k1 * k2
+    res = Polynomial.__new__(Polynomial)
+    res._terms = {mono: coeff for mono, coeff in out.items() if coeff}
+    return res
+
+
 ZERO = Polynomial.zero()
 ONE = Polynomial.const(1)
 VAR_A = Polynomial.variable("a")
@@ -317,13 +318,8 @@ class PowerSeries:
 
     def truncated(self, order: int) -> "PowerSeries":
         if order > self.order:
-            raise ValueError("cannot truncate upwards; use extended()")
+            raise ValueError("cannot truncate upwards")
         return PowerSeries(self._coeffs[: order + 1])
-
-    def extended(self, order: int) -> "PowerSeries":
-        if order < self.order:
-            raise ValueError("cannot extend downwards; use truncated()")
-        return PowerSeries(self._coeffs + (ZERO,) * (order - self.order))
 
     def shift_up(self) -> "PowerSeries":
         """Multiply by x, growing the order by one."""
@@ -371,35 +367,16 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._require_same_order(other)
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for i, p in enumerate(self._coeffs):
-            if not p:
-                continue
-            for j in range(n + 1 - i):
-                q = other._coeffs[j]
-                if q:
-                    out[i + j] = out[i + j] + p * q
-        return PowerSeries(out)
+        left = [(i, p) for i, p in enumerate(self._coeffs) if p]
+        right = other._coeffs
+        return PowerSeries(
+            [dot((p, right[n - i]) for i, p in left if i <= n) for n in range(len(right))]
+        )
 
     def scaled(self, factor: Polynomial | int) -> "PowerSeries":
         if isinstance(factor, int):
             factor = Polynomial.const(factor)
         return PowerSeries([p * factor for p in self._coeffs])
-
-    def invert(self) -> "PowerSeries":
-        """Multiplicative inverse; the constant term must be 1 or -1."""
-        c0 = self._coeffs[0]
-        if c0 != ONE and c0 != Polynomial.const(-1):
-            raise NonUnitError(f"constant term {c0} is not a unit in Z[a,b,c]")
-        inv: list[Polynomial] = [c0]  # 1/1 = 1 and 1/(-1) = -1
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                if self._coeffs[k]:
-                    acc = acc + self._coeffs[k] * inv[n - k]
-            inv.append(-(c0 * acc))
-        return PowerSeries(inv)
 
     # -- output --------------------------------------------------------------
 
@@ -410,29 +387,3 @@ class PowerSeries:
     def __repr__(self) -> str:
         inner = ", ".join(str(p) for p in self._coeffs)
         return f"PowerSeries([{inner}])"
-
-
-def fixed_point(update: Callable[[PowerSeries], PowerSeries], order: int) -> PowerSeries:
-    """Solve S = update(S) for the unique truncated series root.
-
-    ``update`` must be contractive in the x-adic sense: whenever two series
-    agree through x^k, their images agree through x^(k+1).  Every defining
-    equation used in this package has an explicit x factor on its
-    self-referential term, which guarantees this.
-
-    Iterates order+1 times starting from the zero series, growing the
-    working truncation with the iteration count (coefficients below the
-    iteration number are already exact, so early rounds stay cheap), then
-    verifies S == update(S) at full order and raises DivergenceError if the
-    equation does not hold.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    s = PowerSeries.zero(0)
-    for k in range(order + 1):
-        s = update(s.extended(k))
-        if s.order != k:
-            raise ValueError("update changed the truncation order")
-    if s != update(s):
-        raise DivergenceError("iteration did not reach a fixed point; update is not contractive")
-    return s

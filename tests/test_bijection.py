@@ -55,6 +55,35 @@ class TestSigma:
             fn(word)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("fn", [sigma, sigma_inv])
+    @pytest.mark.parametrize(
+        "word,message",
+        [
+            ("d", "height -1 after step 1"),
+            ("hv", "height -1 after step 2"),
+            ("uu", "final height 2 is not 0 after step 2"),
+            ("uvu", "final height 1 is not 0 after step 3"),
+            ("uvv", "height -1 after step 3"),
+            ("uvvu", "height -1 after step 3"),
+        ],
+    )
+    def test_rejects_words_that_are_not_paths(self, fn, word, message):
+        with pytest.raises(PathError) as err:
+            fn(word)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "fn,word,message",
+        [
+            (sigma, "uuvvh", "path contains the pattern uvv"),
+            (sigma_inv, "uvuv", "path contains the pattern uvu"),
+        ],
+    )
+    def test_pattern_in_valid_path_keeps_its_message(self, fn, word, message):
+        with pytest.raises(PathError) as err:
+            fn(word)
+        assert str(err.value) == message
+
     def test_non_primitive_interior_can_map_to_primitive(self):
         # The interior handed to a recursive call may change primitivity
         # status: uvud is not primitive, yet its image uudv is.  The inverse

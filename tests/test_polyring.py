@@ -9,12 +9,11 @@ from gmotzkin.polyring import (
     VAR_C,
     ZERO,
     DivergenceError,
-    NonUnitError,
     OrderMismatchError,
     Polynomial,
     PowerSeries,
-    fixed_point,
 )
+from gmotzkin.series import solve
 
 A, B, C = VAR_A, VAR_B, VAR_C
 
@@ -123,25 +122,29 @@ class TestPowerSeries:
 
     def test_invert_geometric(self):
         s = PowerSeries.from_ints([1, -1], 3)
-        assert s.invert() == PowerSeries.from_ints([1, 1, 1, 1], 3)
+        assert inverse(s) == PowerSeries.from_ints([1, 1, 1, 1], 3)
 
     def test_invert_one(self):
-        assert PowerSeries.one(4).invert() == PowerSeries.one(4)
+        assert inverse(PowerSeries.one(4)) == PowerSeries.one(4)
 
     def test_invert_alternating(self):
         s = PowerSeries.from_polys([ONE, B], 2)
-        assert s.invert() == PowerSeries.from_polys([ONE, -B, B * B], 2)
+        assert inverse(s) == PowerSeries.from_polys([ONE, -B, B * B], 2)
 
     def test_invert_non_unit(self):
-        with pytest.raises(NonUnitError):
-            PowerSeries.from_ints([2, 1], 2).invert()
-        with pytest.raises(NonUnitError):
-            PowerSeries.from_polys([B, ONE], 2).invert()
+        with pytest.raises(DivergenceError):
+            inverse(PowerSeries.from_ints([2, 1], 2))
+        with pytest.raises(DivergenceError):
+            inverse(PowerSeries.from_polys([B, ONE], 2))
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6), st.sampled_from([1, -1]))
     def test_invert_property(self, tail, lead):
         s = PowerSeries.from_ints([lead] + tail, len(tail))
-        assert s * s.invert() == PowerSeries.one(len(tail))
+        if lead == 1:
+            assert s * inverse(s) == PowerSeries.one(len(tail))
+        else:  # the solver assumes D_0 = 1
+            with pytest.raises(DivergenceError):
+                inverse(s)
 
     def test_shift_roundtrip(self):
         s = PowerSeries.from_polys([ZERO, A, B], 2)
@@ -152,6 +155,11 @@ class TestPowerSeries:
             PowerSeries.one(2).shift_down()
 
 
+def inverse(s):
+    """1/s, by solving s S = 1."""
+    return solve([ONE], [], s.coeffs, s.order)
+
+
 def catalan_by_convolution(n):
     vals = [1]
     for _ in range(n):
@@ -160,30 +168,36 @@ def catalan_by_convolution(n):
 
 
 class TestFixedPoint:
+    """The online solver's root of D S = P + Q S^2, the equation's unique
+    series fixed point."""
+
     def test_geometric(self):
-        s = fixed_point(lambda t: PowerSeries.one(t.order) + PowerSeries.x(t.order) * t, 3)
+        s = solve([ONE], [], [ONE, -ONE], 3)
         assert s == PowerSeries.from_ints([1, 1, 1, 1], 3)
 
     def test_catalan_equation_matches_convolution_oracle(self):
-        s = fixed_point(
-            lambda t: PowerSeries.one(t.order) + PowerSeries.x(t.order) * t * t, 8
-        )
+        s = solve([ONE], [ZERO, ONE], [ONE], 8)
         expected = [catalan_by_convolution(n) for n in range(9)]
         assert s == PowerSeries.from_ints(expected, 8)
 
     def test_weighted_path_equation(self):
         # independently derived by listing the paths of length 0, 1 and 2
-        def upd(t):
-            n = t.order
-            ax = PowerSeries.from_polys([ZERO, A], n)
-            kern = PowerSeries.from_polys([ZERO, B, C], n)
-            return PowerSeries.one(n) + ax * t + kern * (t * t)
-
-        s = fixed_point(upd, 2)
+        s = solve([ONE], [ZERO, B, C], [ONE, -A], 2)
         assert s.coefficient(0) == ONE
         assert s.coefficient(1) == A + B
         assert s.coefficient(2) == A * A + (A * B).scaled(3) + (B * B).scaled(2) + C
 
+    def test_constant_square_term_with_zero_constant_root(self):
+        # S = x + S^2 is x C(x): Q_0 != 0 is contractive because s_0 = 0
+        s = solve([ZERO, ONE], [ONE], [ONE], 6)
+        assert s == PowerSeries.from_ints([0, 1, 1, 2, 5, 14, 42], 6)
+
     def test_divergence(self):
-        with pytest.raises(DivergenceError):
-            fixed_point(lambda t: t + PowerSeries.one(t.order), 3)
+        # S = 1 + S^2: s_n would need (S^2)_n, which contains 2 s_0 s_n
+        with pytest.raises(DivergenceError, match="not contractive"):
+            solve([ONE], [ONE], [ONE], 3)
+
+    def test_failed_full_order_check(self):
+        # D_0 = 2 breaks the recurrence, which assumes D_0 = 1
+        with pytest.raises(DivergenceError, match="fails D S = P"):
+            solve([ONE], [ZERO, ONE], [ONE + ONE], 3)

@@ -1,7 +1,7 @@
 import pytest
 
 from gmotzkin.enumeration import Constraints, weight_sum
-from gmotzkin.formulas import schroder_weight
+from gmotzkin.formulas import catalan, fixed_point_sequences, g_uvv_closed, schroder_weight
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, PowerSeries
 from gmotzkin.series import KINDS, expand
 
@@ -62,6 +62,22 @@ class TestExpand:
     def test_gbar_matches_oracle(self, n):
         cons = Constraints(avoid=("uvv",), forbid_h_on_axis=True)
         assert expand("Gbar_uvv", n).coefficient(n) == weight_sum(n, cons)
+
+
+class TestHighOrder:
+    def test_g_uvv_matches_closed_form_at_order_40(self):
+        s = expand("G_uvv", 40)
+        for n in range(36, 41):
+            assert s.coefficient(n) == g_uvv_closed(n, 3)
+
+    def test_catalan_at_order_200(self):
+        s = expand("C", 200)
+        assert [p.eval(0, 0, 0) for p in s.coeffs] == [catalan(n) for n in range(201)]
+
+    def test_fixed_point_classes_at_order_200(self):
+        f, a, _, _ = fixed_point_sequences(200)
+        assert expand("F", 200).evaluate(0, 0, 0) == f
+        assert expand("A", 200).evaluate(0, 0, 0) == a
 
 
 class TestIdentities:
