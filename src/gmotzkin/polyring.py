@@ -86,9 +86,6 @@ class Polynomial:
         for mono in sorted(self._terms, reverse=True):
             yield mono, self._terms[mono]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -148,18 +145,6 @@ class Polynomial:
         res = Polynomial.__new__(Polynomial)
         res._terms = {mono: coeff * k for mono, coeff in self._terms.items()}
         return res
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined in Z[a,b,c]")
-        result = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def div_exact(self, k: int) -> "Polynomial":
         """Divide every coefficient by k, requiring exact divisibility."""

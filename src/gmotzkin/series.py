@@ -7,15 +7,27 @@ Every generating function here is the power-series root S of one equation
 over exact integer polynomials, with P, Q and D given by a few low-order
 coefficients (k = c - b^2):
 
-  kind      P            Q           D                             counts
-  C         1            x           1                             Catalan numbers
-  G         1            x(b + cx)   1 - ax                        all G-Motzkin paths
-  G_uvv     1            x(b + kx)   1 - ax                        uvv-avoiding paths
-  G_uvu     1 + bx       x(b + cx)   1 + (b-a)x - abx^2            uvu-avoiding paths
-  T         x            b + kx      1 - ax                        T = x G_uvv
-  F         (1+x)^3      x           1 + 2x - 2x^2 - 4x^3 - x^4    fixed points
-  Gbar_uvv  T/x          0           1 + aT                        no h on the axis
-  A         F + x - x^3  0           (1+x)^2                       class-A counts
+  kind      P                          Q              D                           counts
+  C         1                          x              1                           Catalan numbers
+  G         1                          x(b + cx)      1 - ax                      all G-Motzkin paths
+  G_uvv     1                          x(b + kx)      1 - ax                      uvv-avoiding paths
+  G_uvu     1 + bx                     x(b + cx)      1 + (b-a)x - abx^2          uvu-avoiding paths
+  T         x                          b + kx         1 - ax                      T = x G_uvv
+  F         (1+x)^3                    x              1 + 2x - 2x^2 - 4x^3 - x^4  fixed points
+  Gbar_uvv  1                          x(a + b + kx)  1 + ax                      no h on the axis
+  A         1 + x - x^2 - 2x^3 + 2x^4  x(1 + x)       1 + x - x^2 - 3x^3          class-A counts
+
+The last two rows are derived as follows, so that no expansion is built
+from another:
+
+  Gbar_uvv  put G_uvv = H/(1 - axH) into G = 1 + axG + x(b + kx)G^2 and
+            multiply by (1 - axH)^2; H = Gbar_uvv is the root with H_0 = 1.
+  A         put F = (1+x)^2 A + x^3 - x into
+            (1 + 2x - 2x^2 - 4x^3 - x^4) F = (1+x)^3 + x F^2 and divide
+            by (1+x)^3.
+
+So ``verify``'s Gbar relation x Gbar (1 + aT) = T and its F-vs-A relation
+F = (1+x)^2 A + x^3 - x check this solver's output independently.
 
 ``solve`` computes the root online, one coefficient at a time (the
 "relaxed" method of van der Hoeven, *Relax, but don't be too lazy*, 2002):
@@ -69,6 +81,8 @@ _EQUATIONS: dict[str, tuple[list[Polynomial], ...]] = {
     "G_uvu": ([ONE, VAR_B], [ZERO, VAR_B, VAR_C], [ONE, VAR_B - VAR_A, -(VAR_A * VAR_B)]),
     "T": ([ZERO, ONE], [VAR_B, _K], _ONE_MINUS_AX),
     "F": (_ints(1, 3, 3, 1), [ZERO, ONE], _ints(1, 2, -2, -4, -1)),
+    "Gbar_uvv": ([ONE], [ZERO, VAR_A + VAR_B, _K], [ONE, VAR_A]),
+    "A": (_ints(1, 1, -1, -2, 2), _ints(0, 1, 1), _ints(1, 1, -1, -3)),
 }
 
 
@@ -107,12 +121,6 @@ def expand(kind: str, order: int) -> PowerSeries:
     """Expand one generating function through x^order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if kind in _EQUATIONS:
-        return solve(*_EQUATIONS[kind], order)
-    if kind == "Gbar_uvv":
-        t = expand("T", order + 1).coeffs[1:]
-        return solve(t, [], [ONE] + [VAR_A * c for c in t], order)
-    if kind == "A":
-        f = expand("F", order) + PowerSeries.from_ints([0, 1, 0, -1], order)
-        return solve(f.coeffs, [], _ints(1, 2, 1), order)
-    raise ValueError(f"unknown generating function kind {kind!r}")
+    if kind not in _EQUATIONS:
+        raise ValueError(f"unknown generating function kind {kind!r}")
+    return solve(*_EQUATIONS[kind], order)

@@ -5,10 +5,14 @@ routes (exhaustive enumeration, closed formulas, generating-function
 expansion, and the bijection) against one another and against frozen
 known values.  All comparisons are exact; there are no tolerances.
 
-``Harness`` caches oracle weight sums, series expansions and the per-length
-bijection sweeps so that one ``run_all`` never enumerates a path class
-twice.  ``max_n`` clamps the enumeration bounds for quicker runs; the
-stated full bounds are length 10 for avoidance classes, 8 for the
+``Harness`` caches oracle weight sums by (class, n), series expansions by
+(kind, order) and the bijection sweep by n, so one ``run_all`` computes each
+of these once however many checks read it.  The caches do not share walks
+between jobs: the weight sum, the sweep and the structural suite each
+enumerate the uvv- and the uvu-avoiding class on their own, so at full
+bounds each of the two classes is walked three times for n <= 8 and twice
+for n = 9, 10.  ``max_n`` clamps the enumeration bounds for quicker runs;
+the stated full bounds are length 10 for avoidance classes, 8 for the
 unconstrained class and structural checks, and series order 30.
 """
 
@@ -332,6 +336,8 @@ class Harness:
         """Classical weight-family relations, including the uvu-class identity."""
         for n in range(1, self.avoid_nmax + 1):
             report = formulas.relation_checks(n)
+            g_uvu = self.sums("uvu", n).substitute("c", _B2)
+            report["uvu_class_eq_schroder"] = g_uvu == formulas.schroder_weight(n)
             for label, ok in report.items():
                 if not ok:
                     return CheckResult("weight relations", False, f"n={n}: {label}")

@@ -1,7 +1,16 @@
+from collections import Counter
+
 import pytest
 
+from gmotzkin import series, verify
 from gmotzkin.enumeration import Constraints, weight_sum
-from gmotzkin.formulas import catalan, fixed_point_sequences, g_uvv_closed, schroder_weight
+from gmotzkin.formulas import (
+    catalan,
+    fixed_point_sequences,
+    g_uvv_closed,
+    gbar_uvv_closed,
+    schroder_weight,
+)
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, PowerSeries
 from gmotzkin.series import KINDS, expand
 
@@ -63,12 +72,30 @@ class TestExpand:
         cons = Constraints(avoid=("uvv",), forbid_h_on_axis=True)
         assert expand("Gbar_uvv", n).coefficient(n) == weight_sum(n, cons)
 
+    def test_verify_expands_each_series_once(self, monkeypatch):
+        calls = Counter()
+        real_expand = series.expand
+
+        def counted(kind, order):
+            calls[kind, order] += 1
+            return real_expand(kind, order)
+
+        monkeypatch.setattr(series, "expand", counted)
+        monkeypatch.setattr(verify, "expand", counted)
+        assert all(r.ok for r in verify.Harness(max_n=3, series_order=8).run_all())
+        assert calls and max(calls.values()) == 1, calls
+
 
 class TestHighOrder:
     def test_g_uvv_matches_closed_form_at_order_40(self):
         s = expand("G_uvv", 40)
         for n in range(36, 41):
             assert s.coefficient(n) == g_uvv_closed(n, 3)
+
+    def test_gbar_uvv_matches_closed_form_at_order_36(self):
+        s = expand("Gbar_uvv", 36)
+        for n in range(32, 37):
+            assert s.coefficient(n) == gbar_uvv_closed(n, 1)
 
     def test_catalan_at_order_200(self):
         s = expand("C", 200)
