@@ -72,7 +72,7 @@ from .paths import (
     CASE_III,
     CASE_IV,
     CASE_V,
-    RISE,
+    STEPS,
     PathError,
     decompose_forward,
     decompose_inverse,
@@ -80,12 +80,10 @@ from .paths import (
     parse_word,
 )
 
-_STEPS = frozenset(RISE)
-
 
 def sigma(word: str) -> str:
     """Image of a uvv-avoiding path; raises PathError if the input has a uvv."""
-    if not _STEPS.issuperset(word):
+    if not STEPS.issuperset(word):
         _reject_step(word)
     try:
         return _sigma(word)
@@ -96,7 +94,7 @@ def sigma(word: str) -> str:
 
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
-    if not _STEPS.issuperset(word):
+    if not STEPS.issuperset(word):
         _reject_step(word)
     try:
         return _sigma_inv(word)
@@ -107,7 +105,7 @@ def sigma_inv(word: str) -> str:
 
 def _reject_step(word: str) -> NoReturn:
     """Raise PathError naming the first character of ``word`` outside udhv."""
-    pos = next(i for i, ch in enumerate(word) if ch not in _STEPS)
+    pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
     raise PathError(f"illegal character {word[pos]!r} at position {pos}")
 
 
@@ -219,6 +217,7 @@ def _classify(word: str) -> str:
     return CLASS_A
 
 
+@lru_cache(maxsize=1 << 18)
 def is_fixed_by_structure(word: str) -> bool:
     """Fixed-point test by shape instead of by applying sigma.
 
@@ -226,7 +225,9 @@ def is_fixed_by_structure(word: str) -> bool:
     Case2, Case4 with no peeled layer, or Case6 with a single peeled layer,
     with all constituent parts recursively fixed (the Case6 interior then
     lies in class A: non-primitive and not ending in uv).  Used to
-    cross-validate the direct sigma(q) == q test.
+    cross-validate the direct sigma(q) == q test.  It has its own cache,
+    sized as sigma's, and never calls sigma, so the two tests stay
+    independent.
     """
     dec = decompose_forward(word)
     if dec.case == BASE:

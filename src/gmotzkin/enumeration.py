@@ -5,10 +5,23 @@ and bijection in the package is checked against plain enumeration.  No
 counting shortcuts are taken on purpose; the value of this module is that
 its correctness is obvious.
 
+It stays obvious because the walk is the definition of a path, one step at
+a time.  ``generate`` walks the tree of step words depth first from the
+empty word, in one generator frame with an explicit stack.  A word grows by
+u, d, h or v exactly when the step is legal: u and h while length remains
+(h not on the axis if the constraints say so), d and v only above the axis.
+A child ending in a forbidden pattern is dropped, and with it every word
+extending it, since all of them contain the pattern.  A word is emitted
+when no length remains and it is back on the axis.  So every emitted word
+is a path satisfying the constraints, and every such path is reached along
+its own steps, once.
+
 Paths of length n are emitted in lexicographic order of their step words
-under the step order u < d < h < v, each exactly once.  Since v steps do
-not consume length, a path word may be longer than n; termination is still
-guaranteed because consecutive v steps are bounded by the current height.
+under the step order u < d < h < v, each exactly once: a node's children
+are pushed in the order v, h, d, u, so the u subtree is popped and emptied
+first.  Since v steps do not consume length, a path word may be longer than
+n; termination is still guaranteed because consecutive v steps are bounded
+by the current height.
 """
 
 from __future__ import annotations
@@ -49,47 +62,36 @@ def generate(n: int, constraints: Constraints | None = None) -> Iterator[str]:
     if n < 0:
         raise ValueError("length must be nonnegative")
     cons = (constraints or NO_CONSTRAINTS).normalized()
-    avoid = cons.avoid
-    forbid_h = cons.forbid_h_on_axis
-    buf: list[str] = []
+    return _walk(n, cons.avoid, cons.forbid_h_on_axis)
 
-    def banned_suffix() -> bool:
-        for pat in avoid:
-            plen = len(pat)
-            if len(buf) >= plen:
-                for k in range(1, plen + 1):
-                    if buf[-k] != pat[-k]:
-                        break
-                else:
-                    return True
-        return False
 
-    def rec(rem: int, height: int) -> Iterator[str]:
+def _walk(n: int, avoid: tuple[str, ...], forbid_h: bool) -> Iterator[str]:
+    """The depth-first walk of ``generate``; a stack entry is
+    (word, length left, height)."""
+    stack = [("", n, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        word, rem, height = pop()
         if rem == 0 and height == 0:
-            yield "".join(buf)
-            return
-        if rem:
-            buf.append("u")
-            if not banned_suffix():
-                yield from rec(rem - 1, height + 1)
-            buf.pop()
-            if height:
-                buf.append("d")
-                if not banned_suffix():
-                    yield from rec(rem - 1, height - 1)
-                buf.pop()
-            if not (forbid_h and height == 0):
-                buf.append("h")
-                if not banned_suffix():
-                    yield from rec(rem - 1, height)
-                buf.pop()
+            yield word
+            continue
         if height:
-            buf.append("v")
-            if not banned_suffix():
-                yield from rec(rem, height - 1)
-            buf.pop()
-
-    return rec(n, 0)
+            child = word + "v"
+            if not child.endswith(avoid):
+                push((child, rem, height - 1))
+        if rem:
+            if height or not forbid_h:
+                child = word + "h"
+                if not child.endswith(avoid):
+                    push((child, rem - 1, height))
+            if height:
+                child = word + "d"
+                if not child.endswith(avoid):
+                    push((child, rem - 1, height - 1))
+            child = word + "u"
+            if not child.endswith(avoid):
+                push((child, rem - 1, height + 1))
 
 
 def weight_sum(n: int, constraints: Constraints | None = None) -> Polynomial:

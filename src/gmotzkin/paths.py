@@ -32,6 +32,9 @@ from dataclasses import dataclass
 # Vertical displacement of each step kind.
 RISE = {"u": 1, "d": -1, "h": 0, "v": -1}
 
+# The step alphabet, for C-speed ``STEPS.issuperset(word)`` tests.
+STEPS = frozenset(RISE)
+
 # Horizontal displacement; only v stands still.
 RUN = {"u": 1, "d": 1, "h": 1, "v": 0}
 
@@ -143,34 +146,28 @@ def first_return_split(word: str) -> tuple[str, str]:
     raise PathError("path never returns to height 0")  # unreachable for valid words
 
 
-def _run_length(word: str, ch: str, from_end: bool) -> int:
-    n = 0
-    it = reversed(word) if from_end else word
-    for c in it:
-        if c != ch:
-            break
-        n += 1
-    return n
-
-
 def _max_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]:
     """Largest i with word == "u"*i + core + close*i, core valid at elevation i.
 
-    The core must start and end at elevation i and never dip below it.
-    Validity is downward-closed in i, so the scan from the run-length bound
-    downward stops at the true maximum.
+    The core must start and end at elevation i and never dip below it.  No
+    i can exceed the run-length bound: the length of the leading u run, of
+    the closing run, and (for a nonempty core) (len(word) - 1) // 2.  Up to
+    that bound the two runs fix the heights: the height is p at position p
+    and at position len(word) - p for every p <= bound, since the word
+    starts and ends at height 0.  For i <= bound the core therefore starts
+    and ends at elevation i, and its heights within the two runs are at
+    least i.  Only the heights from position bound to len(word) - bound,
+    between the runs, can cap i, so the largest valid i is the least of
+    them; it is at most hs[bound], which is bound.
     """
     hs = heights(word)
-    bound = min(_run_length(word, "u", False), _run_length(word, close, True))
+    u_run = len(word) - len(word.lstrip("u"))
+    close_run = len(word) - len(word.rstrip(close))
+    bound = min(u_run, close_run)
     if not allow_empty_core:
         bound = min(bound, (len(word) - 1) // 2)
-    for i in range(bound, -1, -1):
-        lo, hi = i, len(word) - i
-        if hs[lo] != i or hs[hi] != i:
-            continue
-        if all(hs[p] >= i for p in range(lo, hi + 1)):
-            return i, word[lo:hi]
-    raise PathError("no valid strip; path is malformed")  # unreachable for primitive input
+    i = min(hs[bound : len(word) - bound + 1])
+    return i, word[i : len(word) - i]
 
 
 def max_elevation_strip(word: str) -> tuple[int, str]:

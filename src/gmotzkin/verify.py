@@ -7,13 +7,15 @@ known values.  All comparisons are exact; there are no tolerances.
 
 ``Harness`` caches oracle weight sums by (class, n), series expansions by
 (kind, order) and the bijection sweep by n, so one ``run_all`` computes each
-of these once however many checks read it.  The caches do not share walks
-between jobs: the weight sum, the sweep and the structural suite each
-enumerate the uvv- and the uvu-avoiding class on their own, so at full
-bounds each of the two classes is walked three times for n <= 8 and twice
-for n = 9, 10.  ``max_n`` clamps the enumeration bounds for quicker runs;
-the stated full bounds are length 10 for avoidance classes, 8 for the
-unconstrained class and structural checks, and series order 30.
+of these once however many checks read it.  The sweep takes the size of the
+uvu-avoiding class from the weight-sum cache and walks only the uvv-avoiding
+class; the structural suite walks both classes again.  So at full bounds the
+uvv-avoiding class is walked three times for n <= 8 and twice for n = 9, 10
+(weight sum, sweep, structural suite), and the uvu-avoiding class twice for
+n <= 8 and once for n = 9, 10 (weight sum, structural suite).  ``max_n``
+clamps the enumeration bounds for quicker runs; the stated full bounds are
+length 10 for avoidance classes, 8 for the unconstrained class and
+structural checks, and series order 30.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ from .paths import (
     CASE_III,
     CASE_IV,
     CASE_V,
+    STEPS,
     decompose_forward,
     decompose_inverse,
+    heights,
     is_primitive,
+    x_length,
 )
 from .polyring import VAR_A, VAR_B, VAR_C, ZERO, Polynomial, PowerSeries
 from .series import expand
@@ -113,14 +118,20 @@ class Harness:
         class; for n <= 9 also cross-checks the structural fixed-point test.
 
         Together these prove that sigma is a bijection between the two
-        classes without a set of images.  ``generate`` yields each path
-        once, and sigma_inv(sigma(q)) == q makes sigma injective, so the
-        images are ``count`` distinct members of the uvu-avoiding class; if
-        ``count`` equals the class size, they are the whole class.
+        classes without holding either class as a set.  ``generate`` yields
+        each path once, and sigma_inv(sigma(q)) == q makes sigma injective,
+        so the images are ``count`` distinct words.  Each is tested for
+        membership directly: a word over udhv that never dips below the
+        axis, ends on it, has x-length n and contains no uvu is exactly a
+        member of the uvu-avoiding class of length n.  The class size is
+        the oracle's weight sum at (1, 1, 1), in which each generated path
+        counts once; it comes from the ``sums`` cache, so the sweep walks
+        the class no more often than the weight sums do.  If ``count``
+        equals the class size, the images are the whole class.
         """
         if n in self._sweeps:
             return self._sweeps[n]
-        uvu_class = set(generate(n, AVOID_UVU))
+        size = self.sums("uvu", n).eval(1, 1, 1)
         count = f = a = b = c = 0
         error: str | None = None
         check_structure = n <= 9
@@ -137,7 +148,7 @@ class Harness:
             if bijection.sigma_inv(p) != q:
                 error = f"sigma_inv(sigma({q})) = {bijection.sigma_inv(p)}"
                 break
-            if p not in uvu_class:
+            if not _in_uvu_class(p, n):
                 error = f"sigma({q}) = {p} outside the uvu-avoiding class"
                 break
             count += 1
@@ -154,9 +165,9 @@ class Harness:
                     b += 1
                 else:
                     c += 1
-        if error is None and count != len(uvu_class):
-            error = f"image has {count} paths, class has {len(uvu_class)}"
-        rec = _Sweep(size=len(uvu_class), f=f, a=a, b=b, c=c, error=error)
+        if error is None and count != size:
+            error = f"image has {count} paths, class has {size}"
+        rec = _Sweep(size=size, f=f, a=a, b=b, c=c, error=error)
         self._sweeps[n] = rec
         return rec
 
@@ -417,6 +428,14 @@ class Harness:
             self.criterion_9,
         ]
         return [check() for check in checks]
+
+
+def _in_uvu_class(word: str, n: int) -> bool:
+    """True iff ``word`` is a uvu-avoiding path of x-length n."""
+    if not STEPS.issuperset(word) or "uvu" in word or x_length(word) != n:
+        return False
+    hs = heights(word)
+    return min(hs) == 0 == hs[-1]
 
 
 def _check_forward_decomposition(word: str) -> str | None:

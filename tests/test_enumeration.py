@@ -1,10 +1,76 @@
+"""The enumeration oracle, against golden digests and a brute-force search.
+
+``data/enumeration_golden.json`` pins, for n <= 8 and the four classes the
+package checks (no constraints, uvv-avoiding, uvu-avoiding, Gbar), the
+SHA-256 of the generated words joined by newlines.  It was generated with the
+earlier recursive generator, before the one-frame walk replaced it.  After
+an intended change of output, regenerate it with
+
+    PYTHONPATH=src python tests/test_enumeration.py
+
+and review the diff.
+"""
+
+import hashlib
+import itertools
+import json
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
-from gmotzkin.enumeration import AVOID_UVV, Constraints, generate, weight_sum
-from gmotzkin.paths import STEP_ORDER, contains_pattern, has_h_on_axis
+from gmotzkin.enumeration import (
+    AVOID_UVU,
+    AVOID_UVV,
+    BAR_UVV,
+    NO_CONSTRAINTS,
+    Constraints,
+    generate,
+    weight_sum,
+)
+from gmotzkin.paths import (
+    STEP_ORDER,
+    PathError,
+    contains_pattern,
+    has_h_on_axis,
+    parse_word,
+    x_length,
+)
 from gmotzkin.polyring import VAR_A, VAR_B, VAR_C
 
 A, B, C = VAR_A, VAR_B, VAR_C
+
+GOLDEN = Path(__file__).parent / "data" / "enumeration_golden.json"
+GOLDEN_CLASSES = {"all": NO_CONSTRAINTS, "uvv": AVOID_UVV, "uvu": AVOID_UVU, "gbar": BAR_UVV}
+GOLDEN_MAX_N = 8
+BRUTE_MAX_N = 4
+PATTERNS = ["".join(p) for k in (1, 2, 3) for p in itertools.product("udhv", repeat=k)]
+
+
+def golden_entry(n: int, constraints: Constraints) -> dict:
+    words = list(generate(n, constraints))
+    digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
+    return {"count": len(words), "sha256": digest}
+
+
+@lru_cache(maxsize=None)
+def brute_force_paths() -> dict[int, list[str]]:
+    """Every path of x-length <= BRUTE_MAX_N, by filtering all words over udhv.
+
+    A path of x-length n has at most n u steps and as many v steps, so no
+    word longer than 2n can be one.
+    """
+    by_length: dict[int, list[str]] = {n: [] for n in range(BRUTE_MAX_N + 1)}
+    for size in range(2 * BRUTE_MAX_N + 1):
+        for steps in itertools.product("udhv", repeat=size):
+            word = "".join(steps)
+            try:
+                parse_word(word)
+            except PathError:
+                continue
+            if x_length(word) <= BRUTE_MAX_N:
+                by_length[x_length(word)].append(word)
+    return by_length
 
 
 class TestGenerate:
@@ -46,6 +112,27 @@ class TestGenerate:
         stream = generate(6)
         assert next(stream).startswith("u")
 
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_CLASSES))
+    def test_matches_golden_digests(self, tag):
+        golden = json.loads(GOLDEN.read_text())[tag]
+        for n in range(GOLDEN_MAX_N + 1):
+            assert golden_entry(n, GOLDEN_CLASSES[tag]) == golden[str(n)], n
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_single_pattern_equals_brute_force(self, pattern):
+        for forbid_h in (False, True):
+            cons = Constraints(avoid=(pattern,), forbid_h_on_axis=forbid_h)
+            for n, paths in brute_force_paths().items():
+                expected = sorted(
+                    (
+                        w
+                        for w in paths
+                        if pattern not in w and not (forbid_h and has_h_on_axis(w))
+                    ),
+                    key=lambda w: [STEP_ORDER[ch] for ch in w],
+                )
+                assert list(generate(n, cons)) == expected, (n, forbid_h)
+
 
 class TestWeightSum:
     def test_unconstrained_length_two(self):
@@ -75,3 +162,11 @@ class TestIdentities:
         lhs = weight_sum(n, AVOID_UVV).substitute("c", self.B2)
         rhs = weight_sum(n, Constraints(avoid=("uvu",))).substitute("c", self.B2)
         assert lhs == rhs
+
+
+if __name__ == "__main__":
+    table = {
+        tag: {str(n): golden_entry(n, cons) for n in range(GOLDEN_MAX_N + 1)}
+        for tag, cons in GOLDEN_CLASSES.items()
+    }
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

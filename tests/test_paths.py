@@ -133,6 +133,34 @@ class TestStructure:
         assert not can_peel
 
 
+def reference_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]:
+    """The strip by its definition: the largest i with word ==
+    "u"*i + core + close*i, core a valid path at elevation i, searched
+    downward from the largest i the word's length allows."""
+    for i in range(len(word) // 2, -1, -1):
+        core = word[i : len(word) - i]
+        if word != "u" * i + core + close * i:
+            continue
+        if not core and not allow_empty_core:
+            continue
+        try:
+            parse_word(core)  # a core valid at elevation i is a path on its own
+        except PathError:
+            continue
+        return i, core
+    raise AssertionError(f"no strip of {word}")
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_strips_match_their_definition(n):
+    for word in enumeration.generate(n):
+        if not is_primitive(word):
+            continue
+        assert max_elevation_strip(word) == reference_strip(word, "v", False), word
+        if word.endswith("d"):
+            assert max_ud_strip(word) == reference_strip(word, "d", True), word
+
+
 class TestDecomposeForward:
     def test_examples(self):
         assert decompose_forward("uvh") == Decomposition("Case2", 0, ("",))

@@ -5,10 +5,12 @@ uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.
 """
 
+from collections import Counter
+
 import pytest
 
-from gmotzkin import bijection, verify
-from gmotzkin.enumeration import AVOID_UVV
+from gmotzkin import bijection, enumeration, verify
+from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV
 from gmotzkin.verify import Harness
 
 real_sigma = bijection.sigma
@@ -43,6 +45,40 @@ def test_image_outside_the_class(monkeypatch):
     monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p[1:]))
     error = Harness().sweep(1).error
     assert error == "sigma(uv) = uuv outside the uvu-avoiding class"
+
+
+def test_image_below_the_axis(monkeypatch):
+    # The reversed image keeps its steps, so its weight and x-length, but
+    # "vu" starts with a drop below the axis.
+    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q)[::-1])
+    monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p[::-1]))
+    error = Harness().sweep(1).error
+    assert error == "sigma(uv) = vu outside the uvu-avoiding class"
+
+
+def test_image_with_a_character_outside_the_alphabet(monkeypatch):
+    # "xv" has the weight and the x-length of "uv", but x is no step.
+    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q).replace("u", "x"))
+    monkeypatch.setattr(
+        bijection, "sigma_inv", lambda p: real_sigma_inv(p.replace("x", "u"))
+    )
+    error = Harness().sweep(1).error
+    assert error == "sigma(uv) = xv outside the uvu-avoiding class"
+
+
+def test_sweep_shares_the_uvu_walk_with_the_weight_sums(monkeypatch):
+    walks = Counter()
+
+    def generate(n, constraints=None):
+        walks[constraints, n] += 1
+        return real_generate(n, constraints)
+
+    monkeypatch.setattr(enumeration, "generate", generate)
+    monkeypatch.setattr(verify, "generate", generate)
+    harness = Harness(max_n=4, series_order=4)
+    assert harness.criterion_3().ok
+    assert harness.criterion_4().ok
+    assert [walks[AVOID_UVU, n] for n in range(5)] == [1] * 5
 
 
 def test_structural_fixed_point_test_disagrees(monkeypatch):
