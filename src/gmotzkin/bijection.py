@@ -3,198 +3,181 @@
 ``sigma`` maps uvv-avoiding paths onto uvu-avoiding paths of the same
 length, preserving the number of h steps and the quantity #v + 2*#d, so
 weights are preserved once d is weighted b^2 (each d trades for a pair of
-v drops).  It recurses on the case record from ``decompose_forward``:
+v drops).
 
-  Base            sigma fixes the empty path, "h" and "uv".
-  Case1  h Q'                  -> h sigma(Q')
-  Case2  uvh Q'                -> uvh sigma(Q')
-  Case3  uv Q'' Q'             -> u sigma(Q'') v sigma(Q')
-  Case4  u^i ud v^i Q'         -> u^j uv d^j sigma(Q')        i = 2j-1
-                                  u^(j+1) d^(j+1) sigma(Q')   i = 2j
-  Case5  u^i u Q'' d v^i Q'    -> u^j sigma(Q''uv) d^j sigma(Q')        i = 2j-1
-                                  u^(j+1) sigma(Q''uv) v d^j sigma(Q')  i = 2j
-  Case6  u^i Q'' v^i Q'        -> u^j sigma(Q'') v d^(j-1) sigma(Q')    i = 2j-1
-                                  u^j sigma(Q'') d^j sigma(Q')          i = 2j
+A path is a sequence of first-return blocks, each "h" or primitive
+(``paths.first_return_blocks``).  Every case of the paper's recursion ends
+in sigma(Q') of the first-return remainder Q', and nothing before it reads
+Q'.  So sigma is a homomorphism over units: blocks, with a "uv" block glued
+to a u-block after it (Case3; Case1 and Case2 are the units h and uv
+followed by the rest).  Each unit maps by its ``decompose_forward`` record:
 
-The inverse recurses on ``decompose_inverse``.  Cases I/II mirror 1/2.
-For CaseIII (first-return prefix u P'' v, remainder P') the subcase is
-chosen by suffix first, then primitivity:
+  Base   h, uv                 -> itself
+  Case3  uv Q''                -> u sigma(Q'') v
+  Case4  u^i ud v^i            -> u^j uv d^j                      i = 2j-1
+                                  u^(j+1) d^(j+1)                 i = 2j
+  Case5  u^i u Q'' d v^i       -> u^j sigma(Q''uv) d^j            i = 2j-1
+                                  u^(j+1) sigma(Q''uv) v d^j      i = 2j
+  Case6  u^i Q'' v^i           -> u^j sigma(Q'') v d^(j-1)        i = 2j-1
+                                  u^j sigma(Q'') d^j              i = 2j
 
-  P'' ends in uuvv             -> u inv(P1 uv) d inv(P')   with P1 = P''[:-4]
-  P'' ends in uv, P'' != uv    -> u inv(P2) d inv(P')      with P2 = P''[:-2]
-  otherwise, R = inv(P''):
-      R primitive              -> uv R inv(P')
-      R not primitive          -> u R v inv(P')
+``sigma_inv`` is a homomorphism over plain blocks (in a uvu-avoiding path a
+"uv" block is followed by h or by nothing); each maps by its
+``decompose_inverse`` record.  A u...v block u P'' v (CaseIII):
 
-The last distinction must look at the preimage R, not at P'' itself: the
-forward map can send a non-primitive interior to a primitive image (for
-example sigma(uvud) = uudv), so primitivity of P'' alone would misclassify
-exactly those paths.  Since sigma sends primitive paths to primitive
-paths, a non-primitive P'' always comes from Case6 and the recursive check
-only matters in the primitive-image case.
+  P'' ends in uuvv             -> u inv(P''[:-4] uv) d
+  P'' ends in uv, P'' != uv    -> u inv(P''[:-2]) d
+  otherwise, R = inv(P'')      -> uv R if R is primitive, else u R v
 
-For CaseIV (strip u^j core d^j, remainder P'):
+The test is on the preimage R, not on P'': sigma can send a non-primitive
+interior to a primitive image (sigma(uvud) = uudv).  A u...d block is
+u^j core d^j with j >= 1 (CaseIV; CaseV, whose core is a primitive v-block
+without those suffixes, takes the last row):
 
-  core empty                   -> u^(2j-1) d v^(2j-2) inv(P')
-  core ends in uuvv            -> u^2j inv(core[:-4] uv) d v^(2j-1) inv(P')
-  core ends in uv (even "uv")  -> u^2j inv(core[:-2]) d v^(2j-1) inv(P')
-  otherwise                    -> u^2j inv(core) v^2j inv(P')
+  core empty                   -> u^(2j-1) d v^(2j-2)
+  core ends in uuvv            -> u^2j inv(core[:-4] uv) d v^(2j-1)
+  core ends in uv (even "uv")  -> u^2j inv(core[:-2]) d v^(2j-1)
+  otherwise                    -> u^2j inv(core) v^2j
 
-CaseV (core primitive ending in v without those suffixes) uses the same
-layer formula as CaseIV's last branch; the recursion then re-splits the
-core through CaseIII, which reproduces the peeled subcases exactly.
+Patterns.  A block ends on the axis and the next starts with u or h, so
+uvv never straddles two blocks and each unit's decomposition rejects it.
+uvu does straddle two ("uv" then a u-block, as in uvhuvud) where neither
+contains it, so ``sigma_inv`` tests the whole word.
 
-The recursion terminates because each recursive argument strictly shrinks
-in x-length plus v-count, except the Case5 hop with i = 0 and empty Q',
-whose argument Q''uv gains a trailing uv; that argument can never itself
-be a Case5 hop of the same kind (its word ends in v, not d), so no chain
-of equal-size calls forms.
+Nesting.  A path's units are walked by a loop, so its length costs no
+stack.  An interior (sigma(Q'') above) is shorter in x-length than its
+unit, so the recursion into interiors ends, one stack frame per nesting
+level.  The interior's units go through a plain for loop in that frame: a
+helper or a comprehension would add a frame per level and lower the
+nesting that fits under the recursion limit.  A path nested deeper raises
+PathError naming its maximum height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NoReturn
 
 from .enumeration import AVOID_UVV, generate
 from .paths import (
     BASE,
     BASE_INV,
-    CASE1,
-    CASE2,
     CASE3,
     CASE4,
     CASE5,
     CASE6,
-    CASE_I,
-    CASE_II,
     CASE_III,
     CASE_IV,
     CASE_V,
-    STEPS,
     PathError,
     decompose_forward,
     decompose_inverse,
+    first_return_blocks,
+    heights,
     is_primitive,
-    parse_word,
 )
 
 
 def sigma(word: str) -> str:
     """Image of a uvv-avoiding path; raises PathError if the input has a uvv."""
-    if not STEPS.issuperset(word):
-        _reject_step(word)
     try:
-        return _sigma(word)
-    except PathError:
-        parse_word(word)  # a word that is no path fails with its step named
-        raise
+        return "".join(map(_sigma, _units(word)))
+    except RecursionError:
+        raise _too_deep(word) from None
 
 
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
-    if not STEPS.issuperset(word):
-        _reject_step(word)
+    blocks = first_return_blocks(word)
+    if "uvu" in word:
+        raise PathError("path contains the pattern uvu")
     try:
-        return _sigma_inv(word)
-    except PathError:
-        parse_word(word)
-        raise
+        return "".join(map(_sigma_inv, blocks))
+    except RecursionError:
+        raise _too_deep(word) from None
 
 
-def _reject_step(word: str) -> NoReturn:
-    """Raise PathError naming the first character of ``word`` outside udhv."""
-    pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
-    raise PathError(f"illegal character {word[pos]!r} at position {pos}")
+def _units(word: str) -> list[str]:
+    """The units of a path: its blocks, each "uv" glued to a u-block after it."""
+    units: list[str] = []
+    for block in first_return_blocks(word):
+        if units and units[-1] == "uv" and block[0] == "u":
+            units[-1] += block
+        else:
+            units.append(block)
+    return units
+
+
+def _too_deep(word: str) -> PathError:
+    return PathError(f"path nests too deeply: maximum height {max(heights(word))}")
 
 
 @lru_cache(maxsize=1 << 18)
-def _sigma(word: str) -> str:
-    dec = decompose_forward(word)
-    case = dec.case
+def _sigma(unit: str) -> str:
+    dec = decompose_forward(unit)
+    case, i = dec.case, dec.elevation
     if case == BASE:
-        return word
-    if case == CASE1:
-        return "h" + _sigma(dec.parts[0])
-    if case == CASE2:
-        return "uvh" + _sigma(dec.parts[0])
-    if case == CASE3:
-        mid = _sigma(dec.parts[0])
-        assert is_primitive(mid) and mid != "uuvv"
-        return "u" + mid + "v" + _sigma(dec.parts[1])
-    i = dec.elevation
+        return unit
+    assert not dec.parts[-1]  # a unit leaves no first-return remainder
     if case == CASE4:
-        tail = _sigma(dec.parts[0])
         if i % 2:
             j = (i + 1) // 2
-            return "u" * j + "uv" + "d" * j + tail
+            return "u" * j + "uv" + "d" * j
         j = i // 2
-        return "u" * (j + 1) + "d" * (j + 1) + tail
+        return "u" * (j + 1) + "d" * (j + 1)
+    inner = ""
+    for part in _units(dec.parts[0] + "uv" if case == CASE5 else dec.parts[0]):
+        inner += _sigma(part)
+    if case == CASE3:
+        assert is_primitive(inner) and inner != "uuvv"
+        return "u" + inner + "v"
     if case == CASE5:
-        inner = _sigma(dec.parts[0] + "uv")
-        tail = _sigma(dec.parts[1])
-        assert inner.endswith("uuvv") or inner.endswith("uv")
-        assert not (
-            inner[:-4] if inner.endswith("uuvv") else inner[:-2]
-        ).endswith("uv")
+        assert inner.endswith(("uuvv", "uv"))
+        assert not inner[: -4 if inner.endswith("uuvv") else -2].endswith("uv")
         if i % 2:
             j = (i + 1) // 2
-            return "u" * j + inner + "d" * j + tail
+            return "u" * j + inner + "d" * j
         j = i // 2
-        return "u" * (j + 1) + inner + "v" + "d" * j + tail
+        return "u" * (j + 1) + inner + "v" + "d" * j
     # Case6
-    inner = _sigma(dec.parts[0])
-    tail = _sigma(dec.parts[1])
     assert not inner.endswith("uv") and not inner.endswith("uuvv")
     if i % 2:
         j = (i + 1) // 2
-        return "u" * j + inner + "v" + "d" * (j - 1) + tail
+        return "u" * j + inner + "v" + "d" * (j - 1)
     j = i // 2
-    return "u" * j + inner + "d" * j + tail
+    return "u" * j + inner + "d" * j
 
 
 @lru_cache(maxsize=1 << 18)
-def _sigma_inv(word: str) -> str:
-    dec = decompose_inverse(word)
-    case = dec.case
+def _sigma_inv(block: str) -> str:
+    dec = decompose_inverse(block)
+    case, j, mid = dec.case, dec.elevation, dec.parts[0]
     if case == BASE_INV:
-        return word
-    if case == CASE_I:
-        return "h" + _sigma_inv(dec.parts[0])
-    if case == CASE_II:
-        return "uvh" + _sigma_inv(dec.parts[0])
+        return block
+    assert not dec.parts[-1]  # a block leaves no first-return remainder
+    if case == CASE_IV and not mid:
+        return "u" * (2 * j - 1) + "d" + "v" * (2 * j - 2)
+    if case == CASE_V:
+        mid = "u" + mid + "v"
+    # P'' (CaseIII) or the core (CaseIV) loses a uuvv or uv suffix; P'' = uv stays.
+    peeled = mid.endswith(("uuvv", "uv")) and (mid != "uv" or case != CASE_III)
+    if peeled:
+        mid = mid[:-4] + "uv" if mid.endswith("uuvv") else mid[:-2]
+    inner = ""
+    for part in first_return_blocks(mid):
+        inner += _sigma_inv(part)
     if case == CASE_III:
-        mid, after = dec.parts
-        tail = _sigma_inv(after)
-        if mid.endswith("uuvv"):
-            return "u" + _sigma_inv(mid[:-4] + "uv") + "d" + tail
-        if mid.endswith("uv") and mid != "uv":
-            return "u" + _sigma_inv(mid[:-2]) + "d" + tail
-        inner = _sigma_inv(mid)
-        if is_primitive(inner):
-            return "uv" + inner + tail
-        return "u" + inner + "v" + tail
-    j = dec.elevation
-    if case == CASE_IV:
-        core, after = dec.parts
-        tail = _sigma_inv(after)
-        if not core:
-            return "u" * (2 * j - 1) + "d" + "v" * (2 * j - 2) + tail
-        if core.endswith("uuvv"):
-            return "u" * (2 * j) + _sigma_inv(core[:-4] + "uv") + "d" + "v" * (2 * j - 1) + tail
-        if core.endswith("uv"):
-            return "u" * (2 * j) + _sigma_inv(core[:-2]) + "d" + "v" * (2 * j - 1) + tail
-        return "u" * (2 * j) + _sigma_inv(core) + "v" * (2 * j) + tail
-    assert case == CASE_V
-    core = "u" + dec.parts[0] + "v"
-    tail = _sigma_inv(dec.parts[1])
-    return "u" * (2 * j) + _sigma_inv(core) + "v" * (2 * j) + tail
+        if peeled:
+            return "u" + inner + "d"
+        return "uv" + inner if is_primitive(inner) else "u" + inner + "v"
+    if peeled:
+        return "u" * (2 * j) + inner + "d" + "v" * (2 * j - 1)
+    return "u" * (2 * j) + inner + "v" * (2 * j)
 
 
 def is_fixed_point(word: str) -> bool:
     """True iff sigma fixes the (uvv-avoiding) path."""
-    return _sigma(word) == word
+    return sigma(word) == word
 
 
 CLASS_A = "A"  # not primitive, does not end with uv (the empty path included)
@@ -217,34 +200,35 @@ def _classify(word: str) -> str:
     return CLASS_A
 
 
-@lru_cache(maxsize=1 << 18)
 def is_fixed_by_structure(word: str) -> bool:
     """Fixed-point test by shape instead of by applying sigma.
 
-    A uvv-avoiding path is fixed exactly when its decomposition is Case1,
-    Case2, Case4 with no peeled layer, or Case6 with a single peeled layer,
-    with all constituent parts recursively fixed (the Case6 interior then
-    lies in class A: non-primitive and not ending in uv).  Used to
-    cross-validate the direct sigma(q) == q test.  It has its own cache,
-    sized as sigma's, and never calls sigma, so the two tests stay
-    independent.
+    sigma maps a path unit by unit, so a uvv-avoiding path is fixed exactly
+    when each unit is h, uv, ud, or u K v with K fixed and in class A (not
+    primitive, not ending in uv): Base, Case4 with no peeled layer, or Case6
+    with one.  Used to cross-validate the direct sigma(q) == q test; it has
+    its own unit cache, sized as sigma's, and never calls sigma, so the two
+    tests stay independent.
     """
-    dec = decompose_forward(word)
+    try:
+        return all(map(_fixed_unit, _units(word)))
+    except RecursionError:
+        raise _too_deep(word) from None
+
+
+@lru_cache(maxsize=1 << 18)
+def _fixed_unit(unit: str) -> bool:
+    dec = decompose_forward(unit)
     if dec.case == BASE:
         return True
-    if dec.case in (CASE1, CASE2):
-        return is_fixed_by_structure(dec.parts[0])
     if dec.case == CASE4:
-        return dec.elevation == 0 and is_fixed_by_structure(dec.parts[0])
-    if dec.case == CASE6:
-        core, after = dec.parts
-        return (
-            dec.elevation == 1
-            and not core.endswith("uv")
-            and is_fixed_by_structure(core)
-            and is_fixed_by_structure(after)
-        )
-    return False  # Case3 and Case5 never fix
+        return dec.elevation == 0
+    if dec.case != CASE6 or dec.elevation != 1 or dec.parts[0].endswith("uv"):
+        return False
+    for part in _units(dec.parts[0]):
+        if not _fixed_unit(part):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ x-axis, using four step kinds:
 Paths are handled as their canonical step words: plain strings over
 "udhv" with no separators.  The length of a path is its x-extent, so v
 steps do not count toward length.  ``parse_word`` validates and
-canonicalizes arbitrary input text; every other function in this module
+canonicalizes arbitrary input text, and ``first_return_blocks`` checks a
+word as it cuts it into blocks; every other function in this module
 assumes its argument is already a valid word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
@@ -52,21 +53,35 @@ def parse_word(text: str) -> str:
     Whitespace is ignored.  Raises PathError naming the offending position
     for an illegal character, a negative height, or a nonzero final height.
     """
-    word = []
     for pos, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        if ch not in RISE:
+        if ch not in RISE and not ch.isspace():
             raise PathError(f"illegal character {ch!r} at position {pos}")
-        word.append(ch)
-    height = 0
-    for i, ch in enumerate(word):
+    word = "".join(text.split())
+    first_return_blocks(word)
+    return word
+
+
+def first_return_blocks(word: str) -> list[str]:
+    """Check ``word`` as a path and cut it after every return to the axis.
+
+    The blocks ("h" or primitive) join to ``word``.  A word that is no path,
+    whitespace included, raises ``parse_word``'s PathError.
+    """
+    if not STEPS.issuperset(word):
+        pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
+        raise PathError(f"illegal character {word[pos]!r} at position {pos}")
+    blocks = []
+    start = height = 0
+    for end, ch in enumerate(word, 1):
         height += RISE[ch]
-        if height < 0:
-            raise PathError(f"height -1 after step {i + 1}")
-    if height != 0:
+        if height <= 0:
+            if height:
+                raise PathError(f"height -1 after step {end}")
+            blocks.append(word[start:end])
+            start = end
+    if height:
         raise PathError(f"final height {height} is not 0 after step {len(word)}")
-    return "".join(word)
+    return blocks
 
 
 def parse_pattern(text: str) -> str:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gmotzkin.bijection import (
@@ -8,8 +10,9 @@ from gmotzkin.bijection import (
     sigma,
     sigma_inv,
 )
+from gmotzkin.cli import main
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, generate
-from gmotzkin.paths import PathError, is_primitive
+from gmotzkin.paths import PathError, first_return_blocks, is_primitive
 from gmotzkin.samples import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT
 
 
@@ -77,6 +80,7 @@ class TestSigma:
         [
             (sigma, "uuvvh", "path contains the pattern uvv"),
             (sigma_inv, "uvuv", "path contains the pattern uvu"),
+            (sigma_inv, "uvhuvud", "path contains the pattern uvu"),
         ],
     )
     def test_pattern_in_valid_path_keeps_its_message(self, fn, word, message):
@@ -142,3 +146,83 @@ class TestFixedPoints:
     def test_structural_test_agrees_with_direct_test(self, n):
         for q in generate(n, AVOID_UVV):
             assert is_fixed_by_structure(q) == (sigma(q) == q)
+
+
+def _random_units(steps: int) -> str:
+    """A seeded concatenation of blocks of x-length <= 6 from the uvv class,
+    about ``steps`` steps long; a uv followed by a u-block glues (Case3)."""
+    blocks = [
+        w
+        for n in range(1, 7)
+        for w in generate(n, AVOID_UVV)
+        if first_return_blocks(w) == [w]
+    ]
+    rng = random.Random(2022)
+    out = []
+    while sum(map(len, out)) < steps:
+        out.append(rng.choice(blocks))
+    return "".join(out)
+
+
+LONG_PATHS = {
+    "flat": "h" * 100_000,
+    "uvh": "uvh" * 33_333,
+    "ud": "ud" * 20_000,
+    "uhvh": "uhvh" * 10_000,
+    "units": _random_units(50_000),
+}
+
+
+class TestLongPaths:
+    """sigma walks the units of a path in a loop, so length costs no stack."""
+
+    @pytest.mark.parametrize("name", LONG_PATHS)
+    def test_round_trip(self, name):
+        q = LONG_PATHS[name]
+        p = sigma(q)
+        assert "uvu" not in p
+        assert q.count("h") == p.count("h")
+        assert q.count("v") + 2 * q.count("d") == p.count("v") + 2 * p.count("d")
+        assert sigma_inv(p) == q
+        assert is_fixed_point(q) == is_fixed_by_structure(q) == (p == q)
+
+    @pytest.mark.parametrize("name", LONG_PATHS)
+    def test_cli_round_trip(self, name, capsys):
+        q = LONG_PATHS[name]
+        assert main(["sigma", "--path", q]) == 0
+        p = capsys.readouterr().out.strip()
+        assert p == sigma(q)
+        assert main(["sigma-inv", "--path", p]) == 0
+        assert capsys.readouterr().out.strip() == q
+
+
+class TestNesting:
+    """Interiors still recurse, one level per nesting level."""
+
+    def test_nesting_of_480_levels_maps(self):
+        q = "u" * 480 + "d" * 480
+        assert sigma_inv(sigma(q)) == q
+
+    @pytest.mark.parametrize(
+        "fn,word,height",
+        [
+            (sigma, "u" * 5000 + "d" * 5000, 5000),
+            (sigma_inv, "u" * 5000 + "v" * 5000, 5000),
+            (is_fixed_by_structure, "u" * 1000 + "h" + "vh" * 1000, 1000),
+        ],
+        ids=["sigma", "sigma_inv", "is_fixed_by_structure"],
+    )
+    def test_overflow_is_a_path_error(self, fn, word, height):
+        with pytest.raises(PathError) as err:
+            fn(word)
+        assert str(err.value) == f"path nests too deeply: maximum height {height}"
+
+    @pytest.mark.parametrize(
+        "command,word",
+        [("sigma", "u" * 5000 + "d" * 5000), ("sigma-inv", "u" * 5000 + "v" * 5000)],
+        ids=["sigma", "sigma-inv"],
+    )
+    def test_cli_exits_2_on_overflow(self, command, word, capsys):
+        assert main([command, "--path", word]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: path nests too deeply: maximum height 5000\n"

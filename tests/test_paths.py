@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from gmotzkin.paths import (
     contains_pattern,
     decompose_forward,
     decompose_inverse,
+    first_return_blocks,
     first_return_split,
     has_h_on_axis,
     heights,
@@ -94,6 +97,31 @@ class TestStructure:
         assert first_return_split("uvhh") == ("uv", "hh")
         assert first_return_split("hud") == ("h", "ud")
         assert first_return_split("uudvud") == ("uudv", "ud")
+
+    def test_first_return_blocks(self):
+        assert first_return_blocks("huvuudvudh") == ["h", "uv", "uudv", "ud", "h"]
+        assert first_return_blocks("") == []
+
+    def test_first_return_blocks_repeat_the_first_return_split(self):
+        for word in ALL_SMALL:
+            blocks, rest = [], word
+            while rest:
+                prefix, rest = first_return_split(rest)
+                blocks.append(prefix)
+            assert first_return_blocks(word) == blocks
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_first_return_blocks_checks_as_parse_word_does(self, n):
+        for steps in product("udhvx", repeat=n):
+            word = "".join(steps)
+            try:
+                expected = parse_word(word)
+            except PathError as err:
+                with pytest.raises(PathError) as got:
+                    first_return_blocks(word)
+                assert str(got.value) == str(err)
+            else:
+                assert "".join(first_return_blocks(word)) == expected
 
     @given(st.sampled_from([w for w in ALL_SMALL if w]))
     def test_first_return_prefix_is_primitive_or_h(self, word):
