@@ -59,6 +59,8 @@ def generate(n: int, constraints: Constraints | None = None) -> Iterator[str]:
     Yields canonical words in sorted order (u < d < h < v), duplicate-free.
     The stream supports early termination.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"length n must be an int, not {n!r}")
     if n < 0:
         raise ValueError("length must be nonnegative")
     cons = (constraints or NO_CONSTRAINTS).normalized()

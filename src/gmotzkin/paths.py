@@ -292,7 +292,9 @@ def decompose_forward(word: str) -> Decomposition:
             return Decomposition(CASE3, 0, (mid, after))
         raise PathError("invalid path: descent below the axis after uv")
     prefix, rest = first_return_split(word)
-    i, core = max_elevation_strip(prefix)
+    if prefix[0] != "u":  # a first-return prefix starting with u is primitive
+        raise PathError("elevation strip requires a primitive path")
+    i, core = _max_strip(prefix, "v", allow_empty_core=False)
     if core == "ud":
         return Decomposition(CASE4, i, (rest,))
     if is_primitive(core):
@@ -326,9 +328,11 @@ def decompose_inverse(word: str) -> Decomposition:
             return Decomposition(CASE_II, 0, (rest[1:],))
         raise PathError("invalid path after uv prefix")
     prefix, rest = first_return_split(word)
+    if prefix[0] != "u":  # a first-return prefix starting with u is primitive
+        raise PathError("u/d strip requires a primitive path")
     if prefix.endswith("v"):
         return Decomposition(CASE_III, 0, (prefix[1:-1], rest))
-    j, core = max_ud_strip(prefix)
+    j, core = _max_strip(prefix, "d", allow_empty_core=True)
     if j < 1:
         raise PathError("u/d strip of a d-ending primitive prefix must peel a layer")
     if (

@@ -9,6 +9,8 @@ this module is exact integer arithmetic:
   Polynomial  -- a finite map from Monomial to a nonzero int coefficient.
   PowerSeries -- a truncated series in a formal variable x whose
                  coefficients are Polynomials.
+  KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
+                 product of polynomials is one product of ints.
 
 Monomials are totally ordered lexicographically on (ea, eb, ec),
 descending.  All textual and JSON output lists terms in that order, which
@@ -22,7 +24,10 @@ list), not a fourth ring variable.  Series arithmetic never reads or
 writes beyond the truncation order.  Products are formed by ``dot``, which
 sums a run of polynomial products into one term map.  Generating functions
 are not solved here: ``series.solve`` computes the root of D S = P + Q S^2
-one coefficient at a time and checks it with the arithmetic of this module.
+one coefficient at a time on ints packed by ``KroneckerCodec``, and checks
+it by packing the result anew.  ``dot`` and the ``PowerSeries`` operators
+serve ``formulas`` and ``verify``, which so check the solver with
+arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -162,6 +167,10 @@ class Polynomial:
 
     # -- evaluation and substitution ----------------------------------------
 
+    def norm(self) -> int:
+        """The l1 norm: the sum of the coefficients' absolute values."""
+        return sum(map(abs, self._terms.values()))
+
     def eval(self, va: int, vb: int, vc: int) -> int:
         """Exact value at integer point (a, b, c); negatives allowed."""
         total = 0
@@ -242,6 +251,99 @@ def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     res = Polynomial.__new__(Polynomial)
     res._terms = {mono: coeff for mono, coeff in out.items() if coeff}
     return res
+
+
+def graded_degree(poly: Polynomial) -> int:
+    """The degree of a nonzero homogeneous polynomial, a and b of degree 1
+    and c of degree 2; ValueError if it is zero or not homogeneous."""
+    degrees = {ea + eb + 2 * ec for ea, eb, ec in poly._terms}
+    if len(degrees) != 1:
+        raise ValueError(f"{poly} is not a nonzero homogeneous polynomial")
+    return degrees.pop()
+
+
+class KroneckerCodec:
+    """Homogeneous polynomials packed into single ints (Kronecker substitution).
+
+    Grade a and b by 1 and c by 2.  A polynomial homogeneous of degree e is
+    determined by its value at a = 1, and ``pack`` evaluates that value at
+    b = 2^width, c = 2^(width * stride): the coefficient of b^eb c^ec
+    becomes the signed (balanced) digit in slot eb + stride * ec.  Packing
+    is a ring homomorphism, so sums and products of packed ints are exact.
+    ``unpack`` recovers a polynomial of a given degree from its packed value
+    only if every coefficient lies in [-2^(width-1), 2^(width-1)) and the
+    degree is below the stride; choosing width and stride so is the
+    caller's proof obligation.  Every guard raises ValueError, also under
+    ``python -O``: a coefficient that is not homogeneous of the stated
+    degree or does not fit its slot, a degree that reaches the stride, and
+    a value that leaves its slots or has a monomial with a negative
+    a-exponent.  Digits travel as binary strings, so both directions take
+    time linear in the packed size.
+    """
+
+    __slots__ = ("width", "stride", "_zero", "_format")
+
+    def __init__(self, width: int, stride: int):
+        if width < 1 or stride < 1:
+            raise ValueError("a codec needs width >= 1 and stride >= 1")
+        self.width = width
+        self.stride = stride
+        self._zero = "1" + "0" * (width - 1)  # the digit 0, biased by 2^(width-1)
+        self._format = f"0{width}b"
+
+    def _slots(self, degree: int) -> int:
+        """The number of slots a value of this degree spans."""
+        if degree < 0:
+            return 0
+        if degree >= self.stride:
+            raise ValueError(f"degree {degree} does not fit stride {self.stride}")
+        top_c = degree // 2
+        return max(degree, self.stride * top_c + degree - 2 * top_c) + 1
+
+    def pack(self, poly: Polynomial, degree: int) -> int:
+        """The value of ``poly``, homogeneous of ``degree``, at a = 1,
+        b = 2^width, c = 2^(width * stride)."""
+        if not poly._terms:
+            return 0
+        count = self._slots(degree)
+        half = 1 << (self.width - 1)
+        digits = [self._zero] * count
+        for (ea, eb, ec), coeff in poly._terms.items():
+            if ea + eb + 2 * ec != degree:
+                raise ValueError(f"{poly} is not homogeneous of degree {degree}")
+            if not -half <= coeff < half:
+                raise ValueError(f"coefficient {coeff} does not fit a {self.width}-bit slot")
+            digits[eb + self.stride * ec] = format(coeff + half, self._format)
+        digits.reverse()
+        return int("".join(digits), 2) - int(self._zero * count, 2)
+
+    def unpack(self, value: int, degree: int) -> Polynomial:
+        """The polynomial of ``degree`` whose packed value is ``value``."""
+        count = self._slots(degree)
+        if not count:
+            if value:
+                raise ValueError(f"nonzero value at negative degree {degree}")
+            return Polynomial()
+        w, stride, zero = self.width, self.stride, self._zero
+        biased = value + int(zero * count, 2)
+        if biased < 0 or biased.bit_length() > w * count:
+            raise ValueError(f"value leaves its {count} slots of {w} bits")
+        bits = format(biased, f"0{w * count}b")
+        half = 1 << (w - 1)
+        terms: dict[Monomial, int] = {}
+        end = len(bits)
+        for index in range(count):
+            digit = bits[end - w : end]
+            end -= w
+            if digit != zero:
+                ec, eb = divmod(index, stride)
+                ea = degree - eb - 2 * ec
+                if ea < 0:
+                    raise ValueError(f"b^{eb} c^{ec} in a value of degree {degree}: a^{ea}")
+                terms[ea, eb, ec] = int(digit, 2) - half
+        res = Polynomial.__new__(Polynomial)
+        res._terms = terms
+        return res
 
 
 ZERO = Polynomial.zero()

@@ -88,6 +88,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             list(generate(-1))
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None])
+    def test_length_that_is_not_an_int(self, n):
+        # 1.5 never reaches length 0, so the walk would never end
+        with pytest.raises(ValueError, match="length n must be an int"):
+            generate(n)
+        with pytest.raises(ValueError, match="length n must be an int"):
+            weight_sum(n, AVOID_UVV)
+
     @pytest.mark.parametrize("n", range(7))
     def test_sorted_and_duplicate_free(self, n):
         words = list(generate(n))

@@ -207,6 +207,11 @@ class TestDecomposeForward:
         with pytest.raises(PathError):
             decompose_forward("uuvv")
 
+    @pytest.mark.parametrize("word", ["du", "vu", "dudu", "vhu"])
+    def test_rejects_a_first_block_below_the_axis(self, word):
+        with pytest.raises(PathError, match="elevation strip requires a primitive path"):
+            decompose_forward(word)
+
     @given(st.sampled_from([w for w in ALL_SMALL if "uvv" not in w]))
     def test_reassembly(self, word):
         dec = decompose_forward(word)
@@ -226,6 +231,11 @@ class TestDecomposeInverse:
     def test_rejects_uvu(self):
         with pytest.raises(PathError):
             decompose_inverse("uvuv")
+
+    @pytest.mark.parametrize("word", ["du", "vu", "dudu", "vhu"])
+    def test_rejects_a_first_block_below_the_axis(self, word):
+        with pytest.raises(PathError, match="u/d strip requires a primitive path"):
+            decompose_inverse(word)
 
     @given(st.sampled_from([w for w in ALL_SMALL if "uvu" not in w]))
     def test_reassembly(self, word):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from gmotzkin.polyring import (
     VAR_C,
     ZERO,
     DivergenceError,
+    KroneckerCodec,
     OrderMismatchError,
     Polynomial,
     PowerSeries,
+    graded_degree,
 )
 from gmotzkin.series import solve
 
@@ -201,3 +205,85 @@ class TestFixedPoint:
         # D_0 = 2 breaks the recurrence, which assumes D_0 = 1
         with pytest.raises(DivergenceError, match="fails D S = P"):
             solve([ONE], [ZERO, ONE], [ONE + ONE], 3)
+
+
+def random_homogeneous(rng, degree, bits):
+    """A random polynomial homogeneous of ``degree`` (a, b of degree 1, c of
+    degree 2), with coefficients of both signs below 2^bits in size."""
+    monos = [
+        (degree - eb - 2 * ec, eb, ec)
+        for ec in range(degree // 2 + 1)
+        for eb in range(degree - 2 * ec + 1)
+    ]
+    chosen = rng.sample(monos, rng.randint(1, len(monos)))
+    return Polynomial({m: rng.choice((-1, 1)) * rng.getrandbits(bits) for m in chosen})
+
+
+class TestKroneckerCodec:
+    def test_round_trip(self):
+        rng = random.Random(20090101)
+        for _ in range(300):
+            degree = rng.randrange(12)
+            bits = rng.choice((1, 7, 64, 65, 130))
+            poly = random_homogeneous(rng, degree, bits)
+            codec = KroneckerCodec(bits + 1, degree + 1 + rng.randrange(3))
+            assert codec.unpack(codec.pack(poly, degree), degree) == poly
+
+    def test_slot_extremes(self):
+        codec = KroneckerCodec(65, 5)
+        low, high = -(1 << 64), (1 << 64) - 1
+        poly = Polynomial({(4, 0, 0): low, (3, 1, 0): high, (0, 0, 2): low, (0, 2, 1): high})
+        assert codec.unpack(codec.pack(poly, 4), 4) == poly
+        with pytest.raises(ValueError, match="does not fit"):
+            codec.pack(Polynomial.monomial(4, 0, 0, high + 1), 4)
+        with pytest.raises(ValueError, match="does not fit"):
+            codec.pack(Polynomial.monomial(4, 0, 0, low - 1), 4)
+
+    def test_products_are_single_multiplies(self):
+        rng = random.Random(2009)
+        for _ in range(100):
+            dp, dq = rng.randrange(8), rng.randrange(8)
+            p, q = random_homogeneous(rng, dp, 70), random_homogeneous(rng, dq, 70)
+            codec = KroneckerCodec((p.norm() * q.norm()).bit_length() + 1, dp + dq + 1)
+            product = codec.pack(p, dp) * codec.pack(q, dq)
+            assert codec.unpack(product, dp + dq) == p * q
+
+    def test_zero(self):
+        codec = KroneckerCodec(8, 3)
+        assert codec.pack(ZERO, 2) == codec.pack(ZERO, -1) == 0
+        assert codec.unpack(0, 2) == ZERO
+        assert codec.unpack(0, -1) == ZERO
+
+    def test_non_homogeneous_input_raises(self):
+        codec = KroneckerCodec(8, 4)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            codec.pack(A + C, 1)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            codec.pack(C, 1)  # c has degree 2
+        with pytest.raises(ValueError, match="not homogeneous"):
+            codec.pack(ONE, -1)
+        with pytest.raises(ValueError, match="not a nonzero homogeneous"):
+            graded_degree(A + C)
+
+    def test_degree_must_be_below_the_stride(self):
+        with pytest.raises(ValueError, match="stride"):
+            KroneckerCodec(8, 3).pack(A * A * A, 3)
+
+    def test_negative_a_exponent_raises(self):
+        codec = KroneckerCodec(8, 4)
+        # slot 3 is b^3, which a value of degree 2 cannot hold
+        with pytest.raises(ValueError, match="a\\^-1"):
+            codec.unpack(1 << 24, 2)
+
+    def test_value_outside_its_slots_raises(self):
+        codec = KroneckerCodec(8, 4)
+        with pytest.raises(ValueError, match="leaves its"):
+            codec.unpack(1 << 40, 2)
+        with pytest.raises(ValueError, match="negative degree"):
+            codec.unpack(1, -1)
+
+    def test_graded_degree_and_norm(self):
+        assert graded_degree(A * B + C) == 2
+        assert graded_degree(ONE) == 0
+        assert (A.scaled(3) - (B * B).scaled(-4)).norm() == 7
+        assert ZERO.norm() == 0

@@ -11,8 +11,18 @@ from gmotzkin.formulas import (
     gbar_uvv_closed,
     schroder_weight,
 )
-from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, PowerSeries
-from gmotzkin.series import KINDS, expand
+from gmotzkin.polyring import (
+    ONE,
+    VAR_A,
+    VAR_B,
+    VAR_C,
+    ZERO,
+    DivergenceError,
+    KroneckerCodec,
+    Polynomial,
+    PowerSeries,
+)
+from gmotzkin.series import KINDS, expand, solve
 
 A, B, C = VAR_A, VAR_B, VAR_C
 B2 = B * B
@@ -48,6 +58,11 @@ class TestExpand:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             expand("Q", 4)
+
+    @pytest.mark.parametrize("order", [2.0, "3", None, True])
+    def test_order_that_is_not_an_int(self, order):
+        with pytest.raises(ValueError, match="order must be an int"):
+            expand("G", order)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_all_kinds_expand(self, kind):
@@ -92,6 +107,11 @@ class TestHighOrder:
         for n in range(36, 41):
             assert s.coefficient(n) == g_uvv_closed(n, 3)
 
+    def test_g_uvv_matches_closed_form_at_order_60(self):
+        s = expand("G_uvv", 60)
+        for n in range(56, 61):
+            assert s.coefficient(n) == g_uvv_closed(n, 3)
+
     def test_gbar_uvv_matches_closed_form_at_order_36(self):
         s = expand("Gbar_uvv", 36)
         for n in range(32, 37):
@@ -105,6 +125,60 @@ class TestHighOrder:
         f, a, _, _ = fixed_point_sequences(200)
         assert expand("F", 200).evaluate(0, 0, 0) == f
         assert expand("A", 200).evaluate(0, 0, 0) == a
+
+
+def needed_width(s):
+    """The least balanced slot width holding every coefficient of s."""
+    return 1 + max(k if k >= 0 else ~k for c in s.coeffs for _, k in c.terms()).bit_length()
+
+
+class TestPackedSolver:
+    """The solve's slot width and the full-order check that packs anew."""
+
+    @staticmethod
+    def expand_with_solve_width(monkeypatch, kind, order, width):
+        """expand(kind, order) with the solve's slots forced to ``width``
+        bits; the check's codec, built second, keeps its own width."""
+        built = []
+
+        def codec(w, stride):
+            built.append(w)
+            return KroneckerCodec(width if len(built) == 1 else w, stride)
+
+        monkeypatch.setattr(series, "KroneckerCodec", codec)
+        return expand(kind, order)
+
+    @pytest.mark.parametrize("kind", ["G_uvv", "T", "Gbar_uvv", "F"])
+    def test_slot_one_bit_too_narrow_raises(self, kind, monkeypatch):
+        expected = expand(kind, 20)
+        width = needed_width(expected)
+        assert self.expand_with_solve_width(monkeypatch, kind, 20, width) == expected
+        with pytest.raises(DivergenceError):
+            self.expand_with_solve_width(monkeypatch, kind, 20, width - 1)
+
+    def test_narrow_slot_that_decodes_fails_the_check(self, monkeypatch):
+        expected = expand("G_uvv", 12)
+        with pytest.raises(DivergenceError, match="fails D S = P"):
+            self.expand_with_solve_width(monkeypatch, "G_uvv", 12, needed_width(expected) - 1)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ([ONE], [ZERO, A + C], [ONE]),  # a + c is not homogeneous
+            ([ONE], [ZERO, B], [ONE, C]),  # D_1 sets g = 2, so Q_1 needs degree 2
+            ([ONE, A], [ZERO, ONE], [ONE]),  # P_1 sets g = 1, so Q_1 needs degree 1
+        ],
+    )
+    def test_row_without_grading_raises(self, row):
+        with pytest.raises(ValueError, match="homogeneous"):
+            solve(*row, 6)
+
+    def test_grading_with_g_2(self):
+        # S = 1 + x c S^2 is the Catalan series in x c
+        s = solve([ONE], [ZERO, C], [ONE], 6)
+        assert s.coeffs == tuple(
+            Polynomial.monomial(0, 0, n, catalan(n)) for n in range(7)
+        )
 
 
 class TestIdentities:
