@@ -44,13 +44,17 @@ uvv never straddles two blocks and each unit's decomposition rejects it.
 uvu does straddle two ("uv" then a u-block, as in uvhuvud) where neither
 contains it, so ``sigma_inv`` tests the whole word.
 
-Nesting.  A path's units are walked by a loop, so its length costs no
-stack.  An interior (sigma(Q'') above) is shorter in x-length than its
-unit, so the recursion into interiors ends, one stack frame per nesting
-level.  The interior's units go through a plain for loop in that frame: a
-helper or a comprehension would add a frame per level and lower the
-nesting that fits under the recursion limit.  A path nested deeper raises
-PathError naming its maximum height.
+Nesting.  ``sigma`` and ``sigma_inv`` walk a path's units by a loop, so
+its length costs no stack.  An interior (sigma(Q'') above) is shorter in
+x-length than its unit, so the recursion into interiors ends, one stack
+frame per nesting level.  The interior's units go through a plain for loop
+in that frame: a helper or a comprehension would add a frame per level and
+lower the nesting that fits under the recursion limit.  A path nested
+deeper raises PathError naming its maximum height.
+
+Fixed points.  ``is_fixed_by_structure`` reads sigma's fixed points off
+three conditions on matched steps, in one pass over the word; it neither
+recurses nor decomposes, so no nesting depth limits it.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from .paths import (
     CASE3,
     CASE4,
     CASE5,
-    CASE6,
     CASE_III,
     CASE_IV,
     CASE_V,
@@ -204,30 +207,47 @@ def is_fixed_by_structure(word: str) -> bool:
     """Fixed-point test by shape instead of by applying sigma.
 
     sigma maps a path unit by unit, so a uvv-avoiding path is fixed exactly
-    when each unit is h, uv, ud, or u K v with K fixed and in class A (not
-    primitive, not ending in uv): Base, Case4 with no peeled layer, or Case6
-    with one.  Used to cross-validate the direct sigma(q) == q test; it has
-    its own unit cache, sized as sigma's, and never calls sigma, so the two
-    tests stay independent.
+    when each unit is: h or uv (Base); ud (Case4 with no peeled layer); or
+    u K v with K nonempty, fixed and in class A (Case6 with one peeled
+    layer; K cannot end in uv, as u K v would contain uvv).  Every other
+    unit moves: Case3 (uv glued to a u-block) maps to u sigma(Q'') v, Case4
+    and Case6 with more layers or Case5 change the layer count or the last
+    step.  Read on matched steps (a u and the first later step back to its
+    height), the grammar becomes three local conditions:
+
+      (1) no uvu: a uv glued to a u-block is Case3;
+      (2) every d directly follows the u it closes: a block ending in d
+          is ud, at any depth;
+      (3) no v closes a pair that directly encloses another pair: the K
+          of u K v is not primitive, so the v at q closing the u at p does
+          not follow a step closing the u at p + 1.
+
+    K's units obey the same conditions, so (1)-(3) hold at every depth.
+    One left-to-right pass with a stack of open u positions checks them,
+    at no cost in recursion.  Used to cross-validate the direct
+    sigma(q) == q test; it never calls sigma, so the two tests stay
+    independent.
     """
-    try:
-        return all(map(_fixed_unit, _units(word)))
-    except RecursionError:
-        raise _too_deep(word) from None
-
-
-@lru_cache(maxsize=1 << 18)
-def _fixed_unit(unit: str) -> bool:
-    dec = decompose_forward(unit)
-    if dec.case == BASE:
-        return True
-    if dec.case == CASE4:
-        return dec.elevation == 0
-    if dec.case != CASE6 or dec.elevation != 1 or dec.parts[0].endswith("uv"):
+    first_return_blocks(word)
+    if "uvv" in word:
+        raise PathError("path contains the pattern uvv")
+    if "uvu" in word:  # (1)
         return False
-    for part in _units(dec.parts[0]):
-        if not _fixed_unit(part):
-            return False
+    opened: list[int] = []
+    closed = -1  # the u that the previous step closed, if it closed one
+    for q, step in enumerate(word):
+        if step == "u":
+            opened.append(q)
+            closed = -1
+        elif step == "h":
+            closed = -1
+        else:
+            p = opened.pop()
+            if step == "d" and p != q - 1:  # (2)
+                return False
+            if step == "v" and closed == p + 1:  # (3)
+                return False
+            closed = p
     return True
 
 

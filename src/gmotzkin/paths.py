@@ -12,8 +12,10 @@ Paths are handled as their canonical step words: plain strings over
 "udhv" with no separators.  The length of a path is its x-extent, so v
 steps do not count toward length.  ``parse_word`` validates and
 canonicalizes arbitrary input text, and ``first_return_blocks`` checks a
-word as it cuts it into blocks; every other function in this module
-assumes its argument is already a valid word.
+word as it cuts it into blocks.  The decompositions cut with it and so
+check their input too; ``first_return_split`` checks the characters and
+the first block.  Every other function in this module assumes its argument
+is already a valid word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
 and the weight of a path is the product over its steps, i.e. the monomial
@@ -67,9 +69,7 @@ def first_return_blocks(word: str) -> list[str]:
     The blocks ("h" or primitive) join to ``word``.  A word that is no path,
     whitespace included, raises ``parse_word``'s PathError.
     """
-    if not STEPS.issuperset(word):
-        pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
-        raise PathError(f"illegal character {word[pos]!r} at position {pos}")
+    _check_steps(word)
     blocks = []
     start = height = 0
     for end, ch in enumerate(word, 1):
@@ -82,6 +82,13 @@ def first_return_blocks(word: str) -> list[str]:
     if height:
         raise PathError(f"final height {height} is not 0 after step {len(word)}")
     return blocks
+
+
+def _check_steps(word: str) -> None:
+    """Raise PathError naming the first character of ``word`` outside udhv."""
+    if not STEPS.issuperset(word):
+        pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
+        raise PathError(f"illegal character {word[pos]!r} at position {pos}")
 
 
 def parse_pattern(text: str) -> str:
@@ -148,17 +155,23 @@ def first_return_split(word: str) -> tuple[str, str]:
 
     The prefix is a single "h", or a block starting with u that ends at its
     first return to the axis (any v run finishing the descent included).
+    A character outside udhv anywhere, or a prefix that dips below the axis
+    or never returns to it, raises PathError; the remainder's heights are
+    not checked.  The test reference for ``first_return_blocks``.
     """
     if not word:
         raise PathError("cannot split an empty path")
+    _check_steps(word)
     if word[0] == "h":
         return "h", word[1:]
     h = 0
     for i, ch in enumerate(word):
         h += RISE[ch]
-        if h == 0:
+        if h <= 0:
+            if h:
+                raise PathError(f"height -1 after step {i + 1}")
             return word[: i + 1], word[i + 1 :]
-    raise PathError("path never returns to height 0")  # unreachable for valid words
+    raise PathError("path never returns to height 0")
 
 
 def _max_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]:
@@ -277,23 +290,18 @@ def decompose_forward(word: str) -> Decomposition:
     primitive core ending in v cannot survive a maximal strip of a
     uvv-avoiding path, so the three shapes are exhaustive and disjoint.
     """
+    blocks = first_return_blocks(word)
     if "uvv" in word:
         raise PathError("path contains the pattern uvv")
     if word in _BASE_WORDS:
         return Decomposition(BASE, 0, (word,))
-    if word[0] == "h":
-        return Decomposition(CASE1, 0, (word[1:],))
-    if word.startswith("uv"):
-        rest = word[2:]
+    prefix, rest = blocks[0], word[len(blocks[0]) :]
+    if prefix == "h":
+        return Decomposition(CASE1, 0, (rest,))
+    if prefix == "uv":
         if rest[0] == "h":
             return Decomposition(CASE2, 0, (rest[1:],))
-        if rest[0] == "u":
-            mid, after = first_return_split(rest)
-            return Decomposition(CASE3, 0, (mid, after))
-        raise PathError("invalid path: descent below the axis after uv")
-    prefix, rest = first_return_split(word)
-    if prefix[0] != "u":  # a first-return prefix starting with u is primitive
-        raise PathError("elevation strip requires a primitive path")
+        return Decomposition(CASE3, 0, (blocks[1], rest[len(blocks[1]) :]))
     i, core = _max_strip(prefix, "v", allow_empty_core=False)
     if core == "ud":
         return Decomposition(CASE4, i, (rest,))
@@ -316,20 +324,16 @@ def decompose_inverse(word: str) -> Decomposition:
     CaseV (stored by its interior); every other core, including the empty
     one and those ending in uuvv or uv, is CaseIV.
     """
+    blocks = first_return_blocks(word)
     if "uvu" in word:
         raise PathError("path contains the pattern uvu")
     if word in _BASE_WORDS:
         return Decomposition(BASE_INV, 0, (word,))
-    if word[0] == "h":
-        return Decomposition(CASE_I, 0, (word[1:],))
-    if word.startswith("uv"):
-        rest = word[2:]
-        if rest[0] == "h":
-            return Decomposition(CASE_II, 0, (rest[1:],))
-        raise PathError("invalid path after uv prefix")
-    prefix, rest = first_return_split(word)
-    if prefix[0] != "u":  # a first-return prefix starting with u is primitive
-        raise PathError("u/d strip requires a primitive path")
+    prefix, rest = blocks[0], word[len(blocks[0]) :]
+    if prefix == "h":
+        return Decomposition(CASE_I, 0, (rest,))
+    if prefix == "uv":  # a u after it would form uvu
+        return Decomposition(CASE_II, 0, (rest[1:],))
     if prefix.endswith("v"):
         return Decomposition(CASE_III, 0, (prefix[1:-1], rest))
     j, core = _max_strip(prefix, "d", allow_empty_core=True)

@@ -184,15 +184,15 @@ class Polynomial:
         if idx is None:
             raise ValueError(f"unknown variable {var!r}, expected one of a, b, c")
         powers: list[Polynomial] = [Polynomial.const(1)]
-        result = Polynomial.zero()
+        pairs = []
         for mono, coeff in self._terms.items():
             e = mono[idx]
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
             rest = list(mono)
             rest[idx] = 0
-            result = result + Polynomial.monomial(rest[0], rest[1], rest[2], coeff) * powers[e]
-        return result
+            pairs.append((Polynomial.monomial(rest[0], rest[1], rest[2], coeff), powers[e]))
+        return dot(pairs)
 
     # -- input/output --------------------------------------------------------
 

@@ -4,11 +4,16 @@ Both renderers draw u, d and h as x-advancing segments and v as a vertical
 drop in place, matching the lattice geometry.  The SVG output uses only
 ``line`` and ``circle`` elements (one line per step, one circle per
 visited lattice point) so segment kinds are easy to count and to check.
+A word that is no path raises ``PathError``.
 """
 
 from __future__ import annotations
 
-from .paths import RUN, heights
+from .paths import RUN, first_return_blocks, heights
+
+# SVG scale: pixels per lattice unit, and the blank border around the path.
+_UNIT = 20
+_MARGIN = 10
 
 
 def render_ascii(word: str) -> str:
@@ -17,8 +22,9 @@ def render_ascii(word: str) -> str:
     Every step occupies its own column; rows run from the highest band of
     the path down to the axis.
     """
+    first_return_blocks(word)
     hs = heights(word)
-    top = max(hs) if hs else 0
+    top = max(hs)
     rows = max(top, 1)
     grid = [[" "] * max(len(word), 1) for _ in range(rows)]
     for col, ch in enumerate(word):
@@ -34,21 +40,22 @@ def render_ascii(word: str) -> str:
     return "\n".join("".join(row).rstrip() for row in grid)
 
 
-def render_svg(word: str, unit: int = 20, margin: int = 10) -> str:
+def render_svg(word: str) -> str:
     """SVG 1.1 drawing with one line per step and one circle per vertex."""
+    first_return_blocks(word)
     hs = heights(word)
-    top = max(hs) if hs else 0
+    top = max(hs)
     xs = [0]
     for ch in word:
         xs.append(xs[-1] + RUN[ch])
-    width = xs[-1] * unit + 2 * margin
-    height = max(top, 1) * unit + 2 * margin
+    width = xs[-1] * _UNIT + 2 * _MARGIN
+    height = max(top, 1) * _UNIT + 2 * _MARGIN
 
     def px(x: int) -> int:
-        return margin + x * unit
+        return _MARGIN + x * _UNIT
 
     def py(y: int) -> int:
-        return margin + (max(top, 1) - y) * unit
+        return _MARGIN + (max(top, 1) - y) * _UNIT
 
     lines = []
     for i, ch in enumerate(word):

@@ -9,7 +9,8 @@ known values.  All comparisons are exact; there are no tolerances.
 (kind, order) and the bijection sweep by n, so one ``run_all`` computes each
 of these once however many checks read it.  The sweep takes the size of the
 uvu-avoiding class from the weight-sum cache and walks only the uvv-avoiding
-class; the structural suite walks both classes again.  So at full bounds the
+class; the structural suite reads sigma's invariants off the sweep and
+walks both classes again for the decompositions.  So at full bounds the
 uvv-avoiding class is walked three times for n <= 8 and twice for n = 9, 10
 (weight sum, sweep, structural suite), and the uvu-avoiding class twice for
 n <= 8 and once for n = 9, 10 (weight sum, structural suite).  ``max_n``
@@ -132,7 +133,8 @@ class Harness:
         if n in self._sweeps:
             return self._sweeps[n]
         size = self.sums("uvu", n).eval(1, 1, 1)
-        count = f = a = b = c = 0
+        count = 0
+        classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
         check_structure = n <= 9
         for q in generate(n, AVOID_UVV):
@@ -157,17 +159,11 @@ class Harness:
                 error = f"structural fixed-point test disagrees at {q}"
                 break
             if fixed:
-                f += 1
-                cls = bijection.classify_fixed(q)
-                if cls == bijection.CLASS_A:
-                    a += 1
-                elif cls == bijection.CLASS_B:
-                    b += 1
-                else:
-                    c += 1
+                classes[bijection._classify(q)] += 1
         if error is None and count != size:
             error = f"image has {count} paths, class has {size}"
-        rec = _Sweep(size=size, f=f, a=a, b=b, c=c, error=error)
+        a, b, c = classes.values()
+        rec = _Sweep(size=size, f=a + b + c, a=a, b=b, c=c, error=error)
         self._sweeps[n] = rec
         return rec
 
@@ -361,11 +357,11 @@ class Harness:
                 "structural suite", False, "asserts disabled; recursion invariants unchecked"
             )
         for n in range(self.structural_nmax + 1):
+            self.sweep(n)  # maps every path; sigma assert-checks its recursion invariants
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
                 if err:
                     return CheckResult("structural suite", False, err)
-                bijection.sigma(q)  # recursion invariants are assert-checked inside
             for p in generate(n, AVOID_UVU):
                 err = _check_inverse_decomposition(p)
                 if err:

@@ -44,7 +44,7 @@ class TestSigma:
         with pytest.raises(PathError):
             sigma_inv("uvuv")
 
-    @pytest.mark.parametrize("fn", [sigma, sigma_inv])
+    @pytest.mark.parametrize("fn", [sigma, sigma_inv, is_fixed_by_structure])
     @pytest.mark.parametrize(
         "word,message",
         [
@@ -58,7 +58,7 @@ class TestSigma:
             fn(word)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("fn", [sigma, sigma_inv])
+    @pytest.mark.parametrize("fn", [sigma, sigma_inv, is_fixed_by_structure])
     @pytest.mark.parametrize(
         "word,message",
         [
@@ -79,6 +79,8 @@ class TestSigma:
         "fn,word,message",
         [
             (sigma, "uuvvh", "path contains the pattern uvv"),
+            (is_fixed_by_structure, "uuvvh", "path contains the pattern uvv"),
+            (is_fixed_by_structure, "uudvuuvv", "path contains the pattern uvv"),
             (sigma_inv, "uvuv", "path contains the pattern uvu"),
             (sigma_inv, "uvhuvud", "path contains the pattern uvu"),
         ],
@@ -197,7 +199,8 @@ class TestLongPaths:
 
 
 class TestNesting:
-    """Interiors still recurse, one level per nesting level."""
+    """sigma's interiors still recurse, one level per nesting level; the
+    structural fixed-point test does not recurse."""
 
     def test_nesting_of_480_levels_maps(self):
         q = "u" * 480 + "d" * 480
@@ -208,14 +211,18 @@ class TestNesting:
         [
             (sigma, "u" * 5000 + "d" * 5000, 5000),
             (sigma_inv, "u" * 5000 + "v" * 5000, 5000),
-            (is_fixed_by_structure, "u" * 1000 + "h" + "vh" * 1000, 1000),
         ],
-        ids=["sigma", "sigma_inv", "is_fixed_by_structure"],
+        ids=["sigma", "sigma_inv"],
     )
     def test_overflow_is_a_path_error(self, fn, word, height):
         with pytest.raises(PathError) as err:
             fn(word)
         assert str(err.value) == f"path nests too deeply: maximum height {height}"
+
+    def test_structural_test_has_no_depth_limit(self):
+        assert is_fixed_by_structure("u" * 1000 + "h" + "vh" * 1000)
+        assert not is_fixed_by_structure("u" * 5000 + "ud" + "v" * 5000)
+        assert is_fixed_by_structure("u" * 5000 + "h" + "vh" * 5000)
 
     @pytest.mark.parametrize(
         "command,word",

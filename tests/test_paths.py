@@ -98,6 +98,23 @@ class TestStructure:
         assert first_return_split("hud") == ("h", "ud")
         assert first_return_split("uudvud") == ("uudv", "ud")
 
+    @pytest.mark.parametrize(
+        "word,message",
+        [
+            ("x", "illegal character 'x' at position 0"),
+            ("hx", "illegal character 'x' at position 1"),
+            ("du", "height -1 after step 1"),
+            ("uu", "path never returns to height 0"),
+        ],
+    )
+    def test_first_return_split_rejects(self, word, message):
+        with pytest.raises(PathError) as err:
+            first_return_split(word)
+        assert str(err.value) == message
+
+    def test_first_return_split_leaves_the_remainder_unchecked(self):
+        assert first_return_split("hd") == ("h", "d")
+
     def test_first_return_blocks(self):
         assert first_return_blocks("huvuudvudh") == ["h", "uv", "uudv", "ud", "h"]
         assert first_return_blocks("") == []
@@ -189,6 +206,22 @@ def test_strips_match_their_definition(n):
             assert max_ud_strip(word) == reference_strip(word, "d", True), word
 
 
+@pytest.mark.parametrize("fn", [decompose_forward, decompose_inverse])
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("x", "illegal character 'x' at position 0"),
+        ("hx", "illegal character 'x' at position 1"),
+        ("hd", "height -1 after step 2"),
+        ("uvd", "height -1 after step 3"),
+    ],
+)
+def test_decompositions_reject_words_that_are_not_paths(fn, word, message):
+    with pytest.raises(PathError) as err:
+        fn(word)
+    assert str(err.value) == message
+
+
 class TestDecomposeForward:
     def test_examples(self):
         assert decompose_forward("uvh") == Decomposition("Case2", 0, ("",))
@@ -209,7 +242,7 @@ class TestDecomposeForward:
 
     @pytest.mark.parametrize("word", ["du", "vu", "dudu", "vhu"])
     def test_rejects_a_first_block_below_the_axis(self, word):
-        with pytest.raises(PathError, match="elevation strip requires a primitive path"):
+        with pytest.raises(PathError, match="height -1 after step 1"):
             decompose_forward(word)
 
     @given(st.sampled_from([w for w in ALL_SMALL if "uvv" not in w]))
@@ -234,7 +267,7 @@ class TestDecomposeInverse:
 
     @pytest.mark.parametrize("word", ["du", "vu", "dudu", "vhu"])
     def test_rejects_a_first_block_below_the_axis(self, word):
-        with pytest.raises(PathError, match="u/d strip requires a primitive path"):
+        with pytest.raises(PathError, match="height -1 after step 1"):
             decompose_inverse(word)
 
     @given(st.sampled_from([w for w in ALL_SMALL if "uvu" not in w]))

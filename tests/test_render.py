@@ -1,3 +1,6 @@
+import pytest
+
+from gmotzkin.paths import PathError
 from gmotzkin.render import render_ascii, render_svg
 from gmotzkin.samples import SHOWCASE_PATH
 
@@ -43,3 +46,18 @@ class TestSvg:
 
     def test_deterministic(self):
         assert render_svg("uudv") == render_svg("uudv")
+
+
+@pytest.mark.parametrize("fn", [render_ascii, render_svg])
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("x", "illegal character 'x' at position 0"),
+        ("hx", "illegal character 'x' at position 1"),
+        ("hd", "height -1 after step 2"),
+    ],
+)
+def test_rejects_words_that_are_not_paths(fn, word, message):
+    with pytest.raises(PathError) as err:
+        fn(word)
+    assert str(err.value) == message
