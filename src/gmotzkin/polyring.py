@@ -25,9 +25,12 @@ writes beyond the truncation order.  Products are formed by ``dot``, which
 sums a run of polynomial products into one term map.  Generating functions
 are not solved here: ``series.solve`` computes the root of D S = P + Q S^2
 one coefficient at a time on ints packed by ``KroneckerCodec``, and checks
-it by packing the result anew.  ``dot`` and the ``PowerSeries`` operators
-serve ``formulas`` and ``verify``, which so check the solver with
-arithmetic of their own.
+it by packing the result anew.  Criterion 9 of ``verify`` packs the solved
+series in a, b, c with the codec too, but checks their identities with
+sums and products of its own, not with the solver's recurrence or rows.
+``dot`` serves ``formulas`` and criteria 3 and 7, and the ``PowerSeries``
+operators criterion 9's integer F and A identities, so ``verify`` checks
+the solver with arithmetic of its own.
 """
 
 from __future__ import annotations

@@ -68,8 +68,8 @@ check packs the unpacked s_n again, under a width of its own: the residual
 coefficient larger than the same sums taken over the operands' l1 norms,
 so it packs to 0 only if it is 0.  A slot too narrow in the solve
 therefore shows up as DivergenceError, never as a wrong series.
-``verify``'s substitutions and residuals check the solver again with
-``Polynomial`` and ``PowerSeries`` arithmetic.
+``verify`` checks the solver again with code of its own: substitutions in
+``Polynomial`` arithmetic, and residuals on ints packed by the codec.
 
 No radicals are ever manipulated; closed forms involving square roots are
 certified instead by checking the defining equations' residuals, which

@@ -22,7 +22,7 @@ structural checks, and series order 30.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from . import bijection, formulas, samples
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, generate, weight_sum
@@ -47,7 +47,7 @@ from .paths import (
     is_primitive,
     x_length,
 )
-from .polyring import VAR_A, VAR_B, VAR_C, ZERO, Polynomial, PowerSeries
+from .polyring import VAR_B, VAR_C, ZERO, KroneckerCodec, Polynomial, PowerSeries
 from .series import expand
 
 # First eleven fixed-point counts of sigma, frozen as independent test data.
@@ -376,25 +376,59 @@ class Harness:
         )
 
     def _series_residuals(self) -> str | None:
+        """The series identities of criterion 9: None, or the first that fails.
+
+        The G_uvv first-return equation, the T equation and the relation
+        x Gbar (1 + aT) = T are checked on Kronecker-packed ints (see
+        ``_residual_sides``), the F and A identities on ``PowerSeries``.
+
+        Grade a and b by 1 and c by 2.  ``KroneckerCodec.pack`` sends each
+        coefficient G_n, T_n and Gbar_n, homogeneous of degree n, n - 1 and
+        n, to its value at a = 1, b = 2^w, c = 2^(w s), with stride
+        s = order + 1.  It raises for a coefficient that is not homogeneous
+        of its degree, which fails the first identity it enters: taken in
+        turn, each identity has only homogeneous solutions.  Packing is
+        a ring homomorphism, so the packed n-th coefficient of a side is the
+        value of that side's n-th coefficient L_n, a homogeneous polynomial
+        of degree e <= order.  Its monomial a^ea b^eb c^ec lands in slot
+        eb + s ec; eb <= e < s, so distinct monomials of degree e land in
+        distinct slots.  Every term stands on the side where its sign is
+        positive, and the same sides run on l1 norms bound ||L_n||, since
+        the norm is subadditive and submultiplicative (||b|| = ||c|| = 1);
+        with 2^(w-1) above that bound every coefficient of L_n is a
+        balanced digit in [-2^(w-1), 2^(w-1)), and so is every coefficient
+        of G, T and Gbar, each a term of some side.  Balanced digits are
+        unique, so the two sides' ints are equal exactly when their
+        polynomials are, and nothing is unpacked.
+        """
         order = self.series_order
-        g_uvv = self.series("G_uvv", order)
-        one = PowerSeries.one(order)
+        series = (
+            self.series("G_uvv", order).coeffs,
+            self.series("T", order + 1).coeffs,
+            self.series("Gbar_uvv", order).coeffs,
+        )
+        norms = _residual_sides(*series, lambda coeffs, _: [p.norm() for p in coeffs], 1, 1)
+        bound = max(max(side) for sides in norms for side in sides)
+        codec = KroneckerCodec(bound.bit_length() + 1, order + 1)
+        b, c = 1 << codec.width, 1 << (codec.width * codec.stride)
+
+        def pack(coeffs: Sequence[Polynomial], shift: int) -> list[int]:
+            return [codec.pack(p, n + shift) for n, p in enumerate(coeffs)]
+
+        packed = _residual_sides(*series, pack, b, c)
+        for message in (
+            "first-return equation residual is nonzero",
+            "T equation residual is nonzero",
+            "Gbar relation fails",
+        ):
+            try:
+                lhs, rhs = next(packed)
+            except ValueError:  # a coefficient not homogeneous of its degree
+                return message
+            if lhs != rhs:
+                return message
         x = PowerSeries.x(order)
         zero = PowerSeries.zero(order)
-        ax = PowerSeries.from_polys([ZERO, VAR_A], order)
-        kern = PowerSeries.from_polys([ZERO, VAR_B, VAR_C - _B2], order)
-        if g_uvv - one - ax * g_uvv - kern * (g_uvv * g_uvv) != zero:
-            return "first-return equation residual is nonzero"
-        t = self.series("T", order + 1)
-        one1 = PowerSeries.one(order + 1)
-        x1 = PowerSeries.x(order + 1)
-        lhs = t * (one1 - t.scaled(VAR_B))
-        rhs = x1 * (one1 + t.scaled(VAR_A) + (t * t).scaled(VAR_C - _B2))
-        if lhs != rhs:
-            return "T equation residual is nonzero"
-        gbar = self.series("Gbar_uvv", order)
-        if gbar.shift_up() * (one1 + t.scaled(VAR_A)) != t:
-            return "Gbar relation fails"
         f = self.series("F", order)
         a = self.series("A", order)
         quad = PowerSeries.from_ints([1, 2, -2, -4, -1], order)
@@ -432,6 +466,67 @@ def _in_uvu_class(word: str, n: int) -> bool:
         return False
     hs = heights(word)
     return min(hs) == 0 == hs[-1]
+
+
+def _residual_sides(
+    g: Sequence[Polynomial],
+    t: Sequence[Polynomial],
+    gbar: Sequence[Polynomial],
+    value: Callable[[Sequence[Polynomial], int], list[int]],
+    b: int,
+    c: int,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The two sides of three series identities at a = 1, one pair at a time:
+
+        G + b^2 x^2 G^2 = 1 + a x G + b x G^2 + c x^2 G^2    (G = G_uvv)
+        T + b^2 x T^2 = x + a x T + b T^2 + c x T^2
+        x Gbar + a x Gbar T = T                              (Gbar = Gbar_uvv)
+
+    ``value(coeffs, shift)`` turns a series, its x^n coefficient of degree
+    n + shift, into ints, and is called for each series just before its
+    first identity.  On l1 norms, with b = c = 1, the sides bound the l1
+    norms of the true sides; on packed values, with b and c packed, they are
+    the true sides packed.
+    """
+    g = value(g, 0)
+    xgg = _shift(_convolve(g, g), 1)
+    xxgg = _shift(xgg, 1)
+    yield (
+        [s + b * b * u for s, u in zip(g, xxgg)],
+        [
+            int(n == 0) + s + b * u + c * v
+            for n, (s, u, v) in enumerate(zip(_shift(g, 1), xgg, xxgg))
+        ],
+    )
+    t = value(t, -1)
+    tt = _convolve(t, t)
+    xtt = _shift(tt, 1)
+    yield (
+        [s + b * b * u for s, u in zip(t, xtt)],
+        [
+            int(n == 1) + s + b * u + c * v
+            for n, (s, u, v) in enumerate(zip(_shift(t, 1), tt, xtt))
+        ],
+    )
+    xgbar = [0] + value(gbar, 0)
+    yield [s + u for s, u in zip(xgbar, _convolve(xgbar, t))], t
+
+
+def _shift(s: list[int], k: int) -> list[int]:
+    """x^k S, truncated to the length of S."""
+    return ([0] * k + s)[: len(s)]
+
+
+def _convolve(s: list[int], t: list[int]) -> list[int]:
+    """(S T)_n for n < len(s), over ints; t is at least as long as s.  A
+    square (t is s) multiplies each pair of coefficients once."""
+    if t is s:
+        return [
+            2 * sum(s[i] * s[n - i] for i in range((n + 1) // 2))
+            + (s[n // 2] * s[n // 2] if n % 2 == 0 else 0)
+            for n in range(len(s))
+        ]
+    return [sum(s[i] * t[n - i] for i in range(n + 1)) for n in range(len(s))]
 
 
 def _check_forward_decomposition(word: str) -> str | None:

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gmotzkin
 from gmotzkin.bijection import (
     classify_fixed,
     fixed_points,
@@ -203,8 +207,21 @@ class TestNesting:
     structural fixed-point test does not recurse."""
 
     def test_nesting_of_480_levels_maps(self):
-        q = "u" * 480 + "d" * 480
-        assert sigma_inv(sigma(q)) == q
+        # A fresh interpreter: here pytest's frames and whatever units earlier
+        # tests left in the caches would decide how many levels are left.
+        code = (
+            "from gmotzkin.bijection import sigma, sigma_inv\n"
+            "q = 'u' * 480 + 'd' * 480\n"
+            "print(sigma_inv(sigma(q)) == q)\n"
+        )
+        flags = ["-O"] if sys.flags.optimize else []
+        src = os.path.dirname(os.path.dirname(gmotzkin.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "")
 
     @pytest.mark.parametrize(
         "fn,word,height",

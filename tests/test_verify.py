@@ -2,7 +2,8 @@
 
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
-checks that the sweep names it.
+checks that the sweep names it.  The packed series residuals of criterion 9
+are broken the same way, by patching one coefficient of an expansion.
 """
 
 from collections import Counter
@@ -11,11 +12,13 @@ import pytest
 
 from gmotzkin import bijection, enumeration, verify
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV
+from gmotzkin.polyring import Polynomial, PowerSeries
 from gmotzkin.verify import Harness
 
 real_sigma = bijection.sigma
 real_sigma_inv = bijection.sigma_inv
 real_generate = verify.generate
+real_expand = verify.expand
 
 
 def test_sweep_passes_on_the_real_bijection():
@@ -106,3 +109,57 @@ def test_criterion_4_reports_the_sweep_error(monkeypatch):
     result = Harness(max_n=2).criterion_4()
     assert not result.ok
     assert result.detail == "n=0: sigma() = h changes the weight"
+
+
+A, B, C = (Polynomial.variable(name) for name in "abc")
+
+
+def perturbed_expand(kind, n, term):
+    """``expand`` with ``term`` added to coefficient n of ``kind``."""
+
+    def expand(k, order):
+        s = real_expand(k, order)
+        if k != kind:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[n] = coeffs[n] + term
+        return PowerSeries(coeffs)
+
+    return expand
+
+
+@pytest.mark.parametrize(
+    "kind,n,term,message",
+    [
+        ("G_uvv", 5, A * B * B * C, "first-return equation residual is nonzero"),
+        ("T", 7, Polynomial.monomial(0, 6, 0), "T equation residual is nonzero"),
+        ("Gbar_uvv", 3, Polynomial.monomial(3, 0, 0), "Gbar relation fails"),
+        ("T", 0, Polynomial.const(1), "T equation residual is nonzero"),
+        ("Gbar_uvv", 8, -C * C * C * C, "Gbar relation fails"),
+    ],
+    ids=["G_uvv_5 + ab^2c", "T_7 + b^6", "Gbar_3 + a^3", "T_0 + 1", "Gbar_8 - c^4"],
+)
+def test_series_residuals_name_the_failing_identity(monkeypatch, kind, n, term, message):
+    monkeypatch.setattr(verify, "expand", perturbed_expand(kind, n, term))
+    assert Harness(series_order=8)._series_residuals() == message
+
+
+@pytest.mark.parametrize(
+    "kind,n,message",
+    [
+        ("G_uvv", 5, "first-return equation residual is nonzero"),
+        ("T", 7, "T equation residual is nonzero"),
+        ("Gbar_uvv", 3, "Gbar relation fails"),
+    ],
+)
+def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, n, message):
+    # a - 1 is 0 at a = 1, where the residuals are packed; the codec's
+    # homogeneity guard must catch it, without a traceback.
+    a_minus_1 = A - Polynomial.const(1)
+    monkeypatch.setattr(verify, "expand", perturbed_expand(kind, n, a_minus_1))
+    assert Harness(series_order=8)._series_residuals() == message
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 8])
+def test_series_residuals_pass(order):
+    assert Harness(series_order=order)._series_residuals() is None
