@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import bijection, formulas, render, verify
 from .enumeration import Constraints, generate, weight_sum
-from .paths import STEP_ORDER, PathError, parse_pattern, parse_word
+from .paths import PathError, parse_pattern, parse_word
 from .polyring import VAR_B, ZERO, Polynomial
 from .series import KINDS, expand
 
@@ -140,7 +140,7 @@ def _cmd_fixed_points(args: argparse.Namespace) -> int:
     counts = bijection.fixed_points(args.n, include_paths=args.list_paths)
     print(f"F={counts.f} a={counts.a} b={counts.b} c={counts.c}")
     if args.list_paths and counts.paths is not None:
-        for word in sorted(counts.paths, key=lambda w: [STEP_ORDER[ch] for ch in w]):
+        for word in counts.paths:
             print(word)
     return 0
 

@@ -93,10 +93,8 @@ def _check_steps(word: str) -> None:
 
 def parse_pattern(text: str) -> str:
     """Validate a nonempty pattern word over the step alphabet."""
-    word = "".join(ch for ch in text if not ch.isspace())
-    for pos, ch in enumerate(word):
-        if ch not in RISE:
-            raise PathError(f"illegal character {ch!r} at position {pos}")
+    word = "".join(text.split())
+    _check_steps(word)
     if not word:
         raise PathError("empty pattern")
     return word

@@ -17,6 +17,11 @@ n <= 8 and once for n = 9, 10 (weight sum, structural suite).  ``max_n``
 clamps the enumeration bounds for quicker runs; the stated full bounds are
 length 10 for avoidance classes, 8 for the unconstrained class and
 structural checks, and series order 30.
+
+The structural suite holds each path's decomposition record to one rule:
+it must reassemble to the path and carry the single case that the path's
+shape allows, read off its first steps and, past the peeled layers, off
+the kind of its core.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .paths import (
     CASE_IV,
     CASE_V,
     STEPS,
+    Decomposition,
     decompose_forward,
     decompose_inverse,
     heights,
@@ -114,9 +120,9 @@ class Harness:
     def sweep(self, n: int) -> _Sweep:
         """One pass of sigma over the uvv-avoiding class of length n.
 
-        Checks that each image avoids uvu, keeps the weight, maps back under
-        sigma_inv and lies in the uvu-avoiding class; counts fixed points by
-        class; for n <= 9 also cross-checks the structural fixed-point test.
+        Checks that each image avoids uvu, keeps the weight, lies in the
+        uvu-avoiding class and maps back under sigma_inv; counts fixed points
+        by class and cross-checks the structural fixed-point test.
 
         Together these prove that sigma is a bijection between the two
         classes without holding either class as a set.  ``generate`` yields
@@ -136,7 +142,6 @@ class Harness:
         count = 0
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
-        check_structure = n <= 9
         for q in generate(n, AVOID_UVV):
             p = bijection.sigma(q)
             if "uvu" in p:
@@ -147,15 +152,15 @@ class Harness:
             ):
                 error = f"sigma({q}) = {p} changes the weight"
                 break
-            if bijection.sigma_inv(p) != q:
-                error = f"sigma_inv(sigma({q})) = {bijection.sigma_inv(p)}"
-                break
             if not _in_uvu_class(p, n):
                 error = f"sigma({q}) = {p} outside the uvu-avoiding class"
                 break
+            if bijection.sigma_inv(p) != q:
+                error = f"sigma_inv(sigma({q})) = {bijection.sigma_inv(p)}"
+                break
             count += 1
             fixed = p == q
-            if check_structure and bijection.is_fixed_by_structure(q) != fixed:
+            if bijection.is_fixed_by_structure(q) != fixed:
                 error = f"structural fixed-point test disagrees at {q}"
                 break
             if fixed:
@@ -530,89 +535,62 @@ def _convolve(s: list[int], t: list[int]) -> list[int]:
 
 
 def _check_forward_decomposition(word: str) -> str | None:
-    """Totality, reassembly and single-case checks for one uvv-avoiding path."""
+    """None, or what is wrong with the forward record of a uvv-avoiding path.
+
+    The first steps decide Base and Cases 1-3, which peel no layer; Case3's
+    part is primitive.  Past them the case is the kind of the core ("ud",
+    "u" + part + "d" or part): Case4 for "ud", Case5 for another primitive
+    core ending in d, Case6 (peeling a layer) for a non-primitive path.
+    """
     dec = decompose_forward(word)
-    if dec.reassemble() != word:
-        return f"forward reassembly fails for {word}"
-    shapes = {
-        BASE: word in ("", "h", "uv"),
-        CASE1: word[:1] == "h" and word != "h",
-        CASE2: word.startswith("uvh"),
-        CASE3: word.startswith("uvu"),
-    }
-    if dec.case in shapes:
-        if not shapes[dec.case]:
-            return f"{dec.case} shape mismatch for {word}"
-        if sum(shapes.values()) != 1:
-            return f"forward dispatch not exclusive for {word}"
-        if dec.case == CASE3 and not is_primitive(dec.parts[0]):
-            return f"Case3 part not primitive for {word}"
-        return None
-    if any(shapes.values()):
-        return f"forward dispatch not exclusive for {word}"
-    core = {
-        CASE4: "ud",
-        CASE5: "u" + dec.parts[0] + "d",
-        CASE6: dec.parts[0],
-    }[dec.case]
-    kinds = [
-        core == "ud",
-        core != "ud" and is_primitive(core) and core.endswith("d"),
-        not is_primitive(core),
-    ]
-    if sum(kinds) != 1:
-        return f"strip trichotomy not exclusive for {word} (core {core})"
-    if dec.case == CASE5 and not dec.parts[0]:
-        return f"Case5 with empty interior for {word}"
-    if dec.case == CASE6:
-        if dec.elevation < 1:
-            return f"Case6 without a peeled layer for {word}"
-        if core.endswith("uv"):
-            return f"Case6 core ends with uv for {word}"
-    return None
+    part = dec.parts[0]
+    allowed = _first_steps_case(word, BASE, CASE1, CASE2, CASE3)
+    if allowed is None:
+        core = {CASE4: "ud", CASE5: "u" + part + "d"}.get(dec.case, part)
+        if not is_primitive(core):
+            allowed = CASE6 if dec.elevation and is_primitive("u" + core + "v") else None
+        elif core.endswith("d"):
+            allowed = CASE4 if core == "ud" else CASE5
+    elif dec.elevation or dec.case == CASE3 and not is_primitive(part):
+        allowed = None
+    return _record_error("forward", word, dec, allowed)
 
 
 def _check_inverse_decomposition(word: str) -> str | None:
-    """Totality, reassembly and single-case checks for one uvu-avoiding path."""
+    """None, or what is wrong with the inverse record of a uvu-avoiding path.
+
+    The first steps decide BaseInv, CaseI and CaseII; CaseIII has u + part +
+    v primitive; none peels a layer.  CaseIV and CaseV peel one or more, and
+    their core (part, or u + part + v for CaseV) is a path but no primitive
+    block ending in d; CaseV iff it is primitive and ends in none of d, uv, uuvv.
+    """
     dec = decompose_inverse(word)
+    part = dec.parts[0]
+    allowed = _first_steps_case(word, BASE_INV, CASE_I, CASE_II, None)
+    if allowed is None and dec.elevation:
+        core = "u" + part + "v" if dec.case == CASE_V else part
+        if not is_primitive(core):
+            allowed = CASE_IV if is_primitive("u" + core + "d") else None
+        elif not core.endswith("d"):
+            allowed = CASE_IV if core.endswith(("uv", "uuvv")) else CASE_V
+    elif allowed is None and dec.case == CASE_III and is_primitive("u" + part + "v"):
+        allowed = CASE_III
+    elif dec.elevation:
+        allowed = None
+    return _record_error("inverse", word, dec, allowed)
+
+
+def _first_steps_case(word: str, base: str, h: str, uvh: str, uvu: str | None) -> str | None:
+    """The case that the first steps of a path decide, or None."""
+    if word in ("", "h", "uv"):
+        return base
+    return h if word[0] == "h" else {"uvh": uvh, "uvu": uvu}.get(word[:3])
+
+
+def _record_error(direction: str, word: str, dec: Decomposition, allowed: str | None) -> str | None:
+    """None if ``dec`` reassembles to ``word`` and carries the allowed case."""
     if dec.reassemble() != word:
-        return f"inverse reassembly fails for {word}"
-    shapes = {
-        BASE_INV: word in ("", "h", "uv"),
-        CASE_I: word[:1] == "h" and word != "h",
-        CASE_II: word.startswith("uvh"),
-    }
-    if dec.case in shapes:
-        if not shapes[dec.case] or sum(shapes.values()) != 1:
-            return f"{dec.case} shape mismatch for {word}"
-        return None
-    if any(shapes.values()):
-        return f"inverse dispatch not exclusive for {word}"
-    if dec.case == CASE_III:
-        prefix = "u" + dec.parts[0] + "v"
-        if not (is_primitive(prefix) and prefix.endswith("v")):
-            return f"CaseIII prefix shape mismatch for {word}"
-        return None
-    if dec.elevation < 1:
-        return f"{dec.case} without a peeled u/d layer for {word}"
-    core = dec.parts[0] if dec.case == CASE_IV else "u" + dec.parts[0] + "v"
-    variants = [
-        core == "",
-        core != "" and core.endswith("uuvv"),
-        core != "" and core.endswith("uv") and not core.endswith("uuvv"),
-        core != ""
-        and not core.endswith("uv")
-        and not core.endswith("uuvv")
-        and is_primitive(core),
-        core != ""
-        and not core.endswith("uv")
-        and not core.endswith("uuvv")
-        and not is_primitive(core),
-    ]
-    if sum(variants) != 1:
-        return f"inverse core variants not exclusive for {word}"
-    if dec.case == CASE_V and not variants[3]:
-        return f"CaseV core not a bare primitive v-block for {word}"
-    if dec.case == CASE_IV and variants[3]:
-        return f"CaseIV holds a bare primitive v-block for {word}"
+        return f"{direction} record {dec} does not reassemble to {word}"
+    if dec.case != allowed:
+        return f"{direction} record {dec} of {word}: its shape allows {allowed}"
     return None

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from gmotzkin.cli import main
+from gmotzkin.paths import STEP_ORDER
+from gmotzkin.verify import FIXED_POINT_COUNTS
 
 
 def run(capsys, *argv):
@@ -58,6 +60,14 @@ class TestCompute:
         assert code == 0
         assert lines[0] == "F=5 a=2 b=1 c=2"
         assert lines[1:] == ["ud", "uhv", "uvh", "huv", "hh"]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_fixed_point_list_is_in_step_order(self, capsys, n):
+        # The list comes in generation order, which is already sorted.
+        code, out, _ = run(capsys, "fixed-points", "--n", str(n), "--list")
+        words = out.splitlines()[1:]
+        assert code == 0 and len(words) == FIXED_POINT_COUNTS[n]
+        assert words == sorted(words, key=lambda w: [STEP_ORDER[ch] for ch in w])
 
     def test_series_eval(self, capsys):
         code, out, _ = run(capsys, "series", "--gf", "F", "--order", "5", "--eval", "0,0,0")

@@ -62,6 +62,10 @@ class TestParse:
             parse_pattern("")
         with pytest.raises(PathError):
             parse_pattern("uq")
+        with pytest.raises(PathError, match=r"^illegal character 'q' at position 1$"):
+            parse_pattern("u q")
+        with pytest.raises(PathError, match=r"^empty pattern$"):
+            parse_pattern(" \t")
 
     @given(st.sampled_from(ALL_SMALL))
     def test_parse_is_identity_on_valid_words(self, word):

@@ -3,15 +3,33 @@
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.  The packed series residuals of criterion 9
-are broken the same way, by patching one coefficient of an expansion.
+are broken the same way, by patching one coefficient of an expansion, and its
+decomposition checks by patching the records that the decompositions return.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from gmotzkin import bijection, enumeration, verify
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV
+from gmotzkin.paths import (
+    BASE,
+    BASE_INV,
+    CASE1,
+    CASE2,
+    CASE3,
+    CASE4,
+    CASE5,
+    CASE6,
+    CASE_I,
+    CASE_II,
+    CASE_III,
+    CASE_IV,
+    CASE_V,
+    Decomposition,
+)
 from gmotzkin.polyring import Polynomial, PowerSeries
 from gmotzkin.verify import Harness
 
@@ -52,9 +70,9 @@ def test_image_outside_the_class(monkeypatch):
 
 def test_image_below_the_axis(monkeypatch):
     # The reversed image keeps its steps, so its weight and x-length, but
-    # "vu" starts with a drop below the axis.
+    # "vu" starts with a drop below the axis; sigma_inv would raise on it,
+    # so the sweep must test membership before the round trip.
     monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q)[::-1])
-    monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p[::-1]))
     error = Harness().sweep(1).error
     assert error == "sigma(uv) = vu outside the uvu-avoiding class"
 
@@ -163,3 +181,151 @@ def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, 
 @pytest.mark.parametrize("order", [0, 1, 2, 8])
 def test_series_residuals_pass(order):
     assert Harness(series_order=order)._series_residuals() is None
+
+
+real_decompose_forward = verify.decompose_forward
+real_decompose_inverse = verify.decompose_inverse
+
+
+def mutated(real, case, change):
+    """``real`` with each record of ``case`` that peels a layer replaced by
+    ``change(record)``."""
+
+    def decompose(word):
+        dec = real(word)
+        return change(dec) if dec.case == case and dec.elevation else dec
+
+    return decompose
+
+
+def one_layer_fewer(close):
+    """The record with its outer layer, closed by ``close``, in the core."""
+
+    def change(dec):
+        i, (core, rest) = dec.elevation, dec.parts
+        return Decomposition(dec.case, i - 1, ("u" + core + close, rest))
+
+    return change
+
+
+# (patched name, replacement, smallest max_n that shows it, checked word, record)
+MUTATIONS = {
+    "Case5 as Case6": (
+        "decompose_forward",
+        mutated(
+            real_decompose_forward,
+            CASE5,
+            lambda d: Decomposition(CASE6, d.elevation, ("u" + d.parts[0] + "d", d.parts[1])),
+        ),
+        4,
+        "uuhdv",
+        Decomposition(CASE6, 1, ("uhd", "")),
+    ),
+    "Case4 as Case6": (
+        "decompose_forward",
+        mutated(
+            real_decompose_forward,
+            CASE4,
+            lambda d: Decomposition(CASE6, d.elevation, ("ud", d.parts[0])),
+        ),
+        3,
+        "uudvh",
+        Decomposition(CASE6, 1, ("ud", "h")),
+    ),
+    "Case6 one layer fewer": (
+        "decompose_forward",
+        mutated(real_decompose_forward, CASE6, one_layer_fewer("v")),
+        2,
+        "uuvhvh",
+        Decomposition(CASE6, 0, ("uuvhv", "h")),
+    ),
+    "Case6 at elevation 0": (
+        "decompose_forward",
+        mutated(
+            real_decompose_forward,
+            CASE6,
+            lambda d: Decomposition(CASE6, 0, (d.reassemble(), "")),
+        ),
+        2,
+        "uhvh",
+        Decomposition(CASE6, 0, ("uhvh", "")),
+    ),
+    "CaseV as CaseIV": (
+        "decompose_inverse",
+        mutated(
+            real_decompose_inverse,
+            CASE_V,
+            lambda d: Decomposition(CASE_IV, d.elevation, ("u" + d.parts[0] + "v", d.parts[1])),
+        ),
+        4,
+        "uuhvd",
+        Decomposition(CASE_IV, 1, ("uhv", "")),
+    ),
+    "CaseIV one layer fewer": (
+        "decompose_inverse",
+        mutated(real_decompose_inverse, CASE_IV, one_layer_fewer("d")),
+        2,
+        "uudd",
+        Decomposition(CASE_IV, 1, ("ud", "")),
+    ),
+}
+
+CHECKERS = {
+    "decompose_forward": verify._check_forward_decomposition,
+    "decompose_inverse": verify._check_inverse_decomposition,
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_decomposition_checker_names_the_word(monkeypatch, name):
+    target, decompose, _, word, record = MUTATIONS[name]
+    monkeypatch.setattr(verify, target, decompose)
+    assert decompose(word) == record
+    error = CHECKERS[target](word)
+    assert error is not None and f"{record} of {word}:" in error
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_criterion_9_fails_on_a_mislabelled_decomposition(monkeypatch, name):
+    target, decompose, max_n, _, _ = MUTATIONS[name]
+    assert Harness(max_n=max_n - 1, series_order=2).criterion_9().ok == __debug__
+    monkeypatch.setattr(verify, target, decompose)
+    result = Harness(max_n=max_n, series_order=2).criterion_9()
+    assert not result.ok
+    if __debug__:
+        assert "record Decomposition(" in result.detail
+
+
+# The number of parts of each case's record.
+FORWARD_PARTS = {BASE: 1, CASE1: 1, CASE2: 1, CASE3: 2, CASE4: 1, CASE5: 2, CASE6: 2}
+INVERSE_PARTS = {BASE_INV: 1, CASE_I: 1, CASE_II: 1, CASE_III: 2, CASE_IV: 2, CASE_V: 2}
+
+
+@pytest.mark.parametrize(
+    "target,constraints,parts_of",
+    [
+        ("decompose_forward", AVOID_UVV, FORWARD_PARTS),
+        ("decompose_inverse", AVOID_UVU, INVERSE_PARTS),
+    ],
+)
+def test_the_rule_admits_only_the_real_record(monkeypatch, target, constraints, parts_of):
+    # Among all records that reassemble to the word (every elevation up to
+    # half its length, a suffix as last part and a substring as the first of
+    # two), the checker accepts the real one and no other.
+    real = getattr(verify, target)
+    for n in range(5):
+        for word in real_generate(n, constraints):
+            size = len(word) + 1
+            subs = {word[s:e] for s in range(size) for e in range(s, size)}
+            suffixes = {word[t:] for t in range(size)}
+            accepted = []
+            for case, count in parts_of.items():
+                shapes = [(s,) for s in suffixes] if count == 1 else [*itertools.product(subs, suffixes)]
+                for i, parts in itertools.product(range(size // 2 + 1), shapes):
+                    record = Decomposition(case, i, parts)
+                    if record.reassemble() != word:
+                        continue
+                    monkeypatch.setattr(verify, target, lambda w: record)
+                    if CHECKERS[target](word) is None:
+                        accepted.append(record)
+            assert accepted == [real(word)], word
