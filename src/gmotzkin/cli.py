@@ -3,7 +3,8 @@
 Subcommands: count, enumerate, sigma, sigma-inv, fixed-points, series,
 tables, verify, render.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error.
+error.  ``main`` parses with one parser per process, built on its first
+call.
 
 Polynomials print either as canonical text (``--format text``) or as the
 JSON term-record list (``--format json``).  ``render`` additionally
@@ -14,6 +15,7 @@ when the first coordinate is negative.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -59,6 +61,7 @@ def _constraints(args: argparse.Namespace) -> Constraints:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the command line."""
     parser = argparse.ArgumentParser(
         prog="gmotzkin",
         description="Exact computations on weighted G-Motzkin paths.",
@@ -205,9 +208,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first one.  Reuse
+    carries no state between calls: each ``parse_args`` fills a fresh
+    ``Namespace``, subparser defaults included."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:  # PathError included

@@ -235,6 +235,12 @@ CASE_III = "CaseIII"
 CASE_IV = "CaseIV"
 CASE_V = "CaseV"
 
+# The number of parts each case's record holds.
+CASE_PARTS = {
+    BASE: 1, CASE1: 1, CASE2: 1, CASE3: 2, CASE4: 1, CASE5: 2, CASE6: 2,
+    BASE_INV: 1, CASE_I: 1, CASE_II: 1, CASE_III: 2, CASE_IV: 2, CASE_V: 2,
+}
+
 _BASE_WORDS = ("", "h", "uv")
 
 
@@ -244,7 +250,8 @@ class Decomposition:
 
     ``elevation`` is the number of peeled u...v layers (Case4-Case6) or
     u...d layers (CaseIV, CaseV); it is 0 for the other cases.  ``parts``
-    holds the constituent subwords in template order.
+    holds the constituent subwords in template order, ``CASE_PARTS[case]``
+    of them.
     """
 
     case: str
@@ -253,6 +260,10 @@ class Decomposition:
 
     def reassemble(self) -> str:
         c, i, p = self.case, self.elevation, self.parts
+        if len(p) != CASE_PARTS.get(c):
+            if c not in CASE_PARTS:
+                raise ValueError(f"unknown case {c!r}")
+            raise ValueError(f"case {c} takes {CASE_PARTS[c]} part(s), got {len(p)}")
         if c in (BASE, BASE_INV):
             return p[0]
         if c in (CASE1, CASE_I):
@@ -271,9 +282,7 @@ class Decomposition:
             return "u" + p[0] + "v" + p[1]
         if c == CASE_IV:
             return "u" * i + p[0] + "d" * i + p[1]
-        if c == CASE_V:
-            return "u" * i + "u" + p[0] + "v" + "d" * i + p[1]
-        raise ValueError(f"unknown case {c!r}")
+        return "u" * i + "u" + p[0] + "v" + "d" * i + p[1]  # CASE_V
 
 
 def decompose_forward(word: str) -> Decomposition:

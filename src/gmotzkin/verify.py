@@ -44,6 +44,7 @@ from .paths import (
     CASE_II,
     CASE_III,
     CASE_IV,
+    CASE_PARTS,
     CASE_V,
     STEPS,
     Decomposition,
@@ -543,6 +544,8 @@ def _check_forward_decomposition(word: str) -> str | None:
     core ending in d, Case6 (peeling a layer) for a non-primitive path.
     """
     dec = decompose_forward(word)
+    if len(dec.parts) != CASE_PARTS.get(dec.case):
+        return _parts_error("forward", word, dec)
     part = dec.parts[0]
     allowed = _first_steps_case(word, BASE, CASE1, CASE2, CASE3)
     if allowed is None:
@@ -565,6 +568,8 @@ def _check_inverse_decomposition(word: str) -> str | None:
     block ending in d; CaseV iff it is primitive and ends in none of d, uv, uuvv.
     """
     dec = decompose_inverse(word)
+    if len(dec.parts) != CASE_PARTS.get(dec.case):
+        return _parts_error("inverse", word, dec)
     part = dec.parts[0]
     allowed = _first_steps_case(word, BASE_INV, CASE_I, CASE_II, None)
     if allowed is None and dec.elevation:
@@ -585,6 +590,15 @@ def _first_steps_case(word: str, base: str, h: str, uvh: str, uvu: str | None) -
     if word in ("", "h", "uv"):
         return base
     return h if word[0] == "h" else {"uvh": uvh, "uvu": uvu}.get(word[:3])
+
+
+def _parts_error(direction: str, word: str, dec: Decomposition) -> str:
+    """What is wrong with a record of an unknown case or with another number
+    of parts than its case takes.  The checkers test this first, since their
+    shape rules read the first part and ``reassemble`` refuses the record."""
+    if dec.case not in CASE_PARTS:
+        return f"{direction} record {dec} of {word}: unknown case"
+    return f"{direction} record {dec} of {word}: {dec.case} takes {CASE_PARTS[dec.case]} part(s)"
 
 
 def _record_error(direction: str, word: str, dec: Decomposition, allowed: str | None) -> str | None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gmotzkin
+from gmotzkin import cli
 from gmotzkin.cli import main
 from gmotzkin.paths import STEP_ORDER
 from gmotzkin.verify import FIXED_POINT_COUNTS
@@ -123,3 +128,80 @@ class TestErrorsAndDeterminism:
         first = run(capsys, "tables", "--max-n", "6")
         second = run(capsys, "tables", "--max-n", "6")
         assert first == second
+
+
+# One in-process sequence of main calls: a sigma and a sigma-inv call on the
+# same word back to back, a usage error and a bad path between valid calls,
+# --help, and sigma again, with the exit code each must give.  The calls must
+# print what fresh parsers print and build one parser between them.
+SEQUENCE = [
+    (["sigma", "--path", "uudv"], 0),
+    (["sigma-inv", "--path", "uudv"], 0),
+    (["sigma", "--path"], 2),
+    (["sigma", "--path", "uudv"], 0),
+    (["sigma-inv", "--path", "uxdv"], 2),
+    (["sigma-inv", "--path", "uudv"], 0),
+    (["--help"], 0),
+    (["sigma", "--path", "uudv"], 0),
+]
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, usage errors and
+    --help included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The calls of ``build_parser``, starting from no parser built."""
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    yield calls
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_sequence_prints_what_fresh_parsers_print(self, capsys, monkeypatch, parser_builds):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            fresh = [outcome(capsys, argv) for argv, _ in SEQUENCE]
+        parser_builds.clear()
+        shared = [outcome(capsys, argv) for argv, _ in SEQUENCE]
+        assert len(parser_builds) == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [code for _, code in SEQUENCE]
+        assert shared[0][1] == "uuvd\n" and shared[1][1] == "uvud\n"
+        assert "illegal character 'x'" in shared[4][2]
+        assert shared[6][1].startswith("usage: gmotzkin")
+
+    def test_import_builds_no_parser(self):
+        # A fresh interpreter, as this one has imported the package already.
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import gmotzkin, gmotzkin.cli\n"
+            "print(len(built), gmotzkin.cli._parser.cache_info().currsize)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gmotzkin.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0 0\n", "")

@@ -255,6 +255,20 @@ class TestDecomposeForward:
         assert dec.reassemble() == word
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (Decomposition("Case4", 1, ("", "junk")), "case Case4 takes 1 part(s), got 2"),
+        (Decomposition("CaseV", 1, ("ud",)), "case CaseV takes 2 part(s), got 1"),
+        (Decomposition("Case7", 0, ("",)), "unknown case 'Case7'"),
+    ],
+)
+def test_reassemble_refuses_a_record_its_case_does_not_take(record, message):
+    with pytest.raises(ValueError) as err:
+        record.reassemble()
+    assert str(err.value) == message
+
+
 class TestDecomposeInverse:
     def test_examples(self):
         assert decompose_inverse("uudv") == Decomposition("CaseIII", 0, ("ud", ""))

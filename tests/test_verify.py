@@ -285,6 +285,22 @@ def test_decomposition_checker_names_the_word(monkeypatch, name):
     assert error is not None and f"{record} of {word}:" in error
 
 
+# Records with one part more or fewer than their case takes.
+WRONG_PART_COUNTS = {
+    "Case1 with a surplus part": ("decompose_forward", "huv", Decomposition(CASE1, 0, ("uv", "hh"))),
+    "CaseIV with a surplus part": ("decompose_inverse", "ud", Decomposition(CASE_IV, 1, ("", "", "x"))),
+    "Case3 with a part missing": ("decompose_forward", "uvud", Decomposition(CASE3, 0, ("ud",))),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_PART_COUNTS)
+def test_decomposition_checker_refuses_a_wrong_part_count(monkeypatch, name):
+    target, word, record = WRONG_PART_COUNTS[name]
+    monkeypatch.setattr(verify, target, lambda w: record)
+    error = CHECKERS[target](word)
+    assert error is not None and f"{record} of {word}: {record.case} takes" in error
+
+
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_criterion_9_fails_on_a_mislabelled_decomposition(monkeypatch, name):
     target, decompose, max_n, _, _ = MUTATIONS[name]
