@@ -22,6 +22,14 @@ Several alternative summation forms are provided for the same quantity
 (``g_uvv_closed`` has five, ``gbar_uvv_closed`` three); they arise from
 expanding the same coefficient extraction in different orders and must
 agree exactly.
+
+Each closed-form sum except ``g_uvv_closed`` form 2 is taken in the basis
+a, b, k with k = c - b^2: its terms accumulate in a dict keyed (ea, eb, j),
+which stands for a^ea b^eb k^j, and ``_from_k_basis`` then expands each
+distinct power k^j into Z[a, b, c] once.  Form 2 still expands every
+(c - b^2)^j term by term, so forms 1 and 2 stay two different computations
+of the same sum.  Every entry point raises ``ValueError`` for a length n
+that is a bool, not an int, or negative, and for an unknown form.
 """
 
 from __future__ import annotations
@@ -64,16 +72,39 @@ def _add_term(acc: dict[Monomial, int], ea: int, eb: int, ec: int, coeff: int) -
             del acc[key]
 
 
-def _add_cmb2_power(
-    acc: dict[Monomial, int], ea: int, eb: int, j: int, coeff: int
-) -> None:
-    """Add coeff * a^ea * b^eb * (c - b^2)^j expanded into the ring."""
-    for i in range(j + 1):
-        _add_term(acc, ea, eb + 2 * (j - i), i, coeff * comb(j, i) * (-1) ** (j - i))
+def _from_k_basis(sums: dict[Monomial, int]) -> Polynomial:
+    """The sum of coeff * a^ea * b^eb * k^j over the (ea, eb, j) keys of sums,
+    with k = c - b^2 expanded into the ring once for each distinct j."""
+    acc: dict[Monomial, int] = {}
+    rows: dict[int, list[int]] = {}
+    for (ea, eb, j), coeff in sums.items():
+        if not coeff:
+            continue
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = [(-1) ** (j - i) * comb(j, i) for i in range(j + 1)]
+        eb += 2 * j
+        for i, r in enumerate(row):
+            key = (ea, eb - 2 * i, i)
+            acc[key] = acc.get(key, 0) + coeff * r
+    return Polynomial(acc)
+
+
+def _check_length(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"length n must be an int, not {n!r}")
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+
+
+def _check_form(form: int, count: int) -> None:
+    if isinstance(form, bool) or not isinstance(form, int) or not 1 <= form <= count:
+        raise ValueError(f"unknown form {form!r}, expected 1..{count}")
 
 
 def dyck_weight(n: int) -> Polynomial:
     """C_n(a,b) as a polynomial (Narayana refinement of the Catalan numbers)."""
+    _check_length(n)
     if n == 0:
         return ONE
     acc: dict[Monomial, int] = {}
@@ -86,6 +117,7 @@ def dyck_weight(n: int) -> Polynomial:
 
 def motzkin_weight(n: int) -> Polynomial:
     """M_n(a,b) = sum binom(n, 2k) C_k a^(n-2k) b^k."""
+    _check_length(n)
     acc: dict[Monomial, int] = {}
     for k in range(n // 2 + 1):
         _add_term(acc, n - 2 * k, k, 0, comb(n, 2 * k) * catalan(k))
@@ -94,6 +126,7 @@ def motzkin_weight(n: int) -> Polynomial:
 
 def schroder_weight(n: int) -> Polynomial:
     """S_n(a,b) = sum binom(n+k, 2k) C_k a^(n-k) b^k."""
+    _check_length(n)
     acc: dict[Monomial, int] = {}
     for k in range(n + 1):
         _add_term(acc, n - k, k, 0, comb(n + k, 2 * k) * catalan(k))
@@ -110,6 +143,9 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
     the product (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) in three
     different expansion orders, each divided by n + 1.
     """
+    _check_length(n)
+    _check_form(form, 5)
+    sums: dict[Monomial, int] = {}
     if form in (1, 2):
         acc: dict[Monomial, int] = {}
         for k in range(n + 1):
@@ -122,16 +158,16 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                 if not coeff:
                     continue
                 if form == 1:
-                    _add_cmb2_power(acc, ea, k - j, j, coeff)
+                    key = (ea, k - j, j)
+                    sums[key] = sums.get(key, 0) + coeff
                 else:
                     for i in range(j + 1):
                         _add_term(
                             acc, ea, k + j - 2 * i, i,
                             coeff * comb(j, i) * (-1) ** (j - i),
                         )
-        return Polynomial(acc)
+        return _from_k_basis(sums) if form == 1 else Polynomial(acc)
     if form == 3:
-        acc = {}
         for k in range(n // 2 + 1):
             for j in range(n - 2 * k + 1):
                 coeff = (
@@ -139,10 +175,9 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     * comb(n + 1 - k, j)
                     * binom(2 * n - 2 * k - j, n - 2 * k - j)
                 )
-                _add_cmb2_power(acc, j, n - 2 * k - j, k, coeff)
-        return Polynomial(acc).div_exact(n + 1)
-    if form == 4:
-        acc = {}
+                key = (j, n - 2 * k - j, k)
+                sums[key] = sums.get(key, 0) + coeff
+    elif form == 4:
         for k in range(n + 1):
             for j in range((n - k) // 2 + 1):
                 coeff = (
@@ -150,10 +185,9 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     * comb(n + 1 - k, j)
                     * binom(2 * n - k - 2 * j, n - k - 2 * j)
                 )
-                _add_cmb2_power(acc, k, n - k - 2 * j, j, coeff)
-        return Polynomial(acc).div_exact(n + 1)
-    if form == 5:
-        acc = {}
+                key = (k, n - k - 2 * j, j)
+                sums[key] = sums.get(key, 0) + coeff
+    else:
         for k in range(n + 1):
             for j in range(min(k, n - k) + 1):
                 coeff = (
@@ -161,9 +195,9 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     * comb(k, j)
                     * binom(2 * n - k - j, n - k - j)
                 )
-                _add_cmb2_power(acc, k - j, n - k - j, j, coeff)
-        return Polynomial(acc).div_exact(n + 1)
-    raise ValueError(f"unknown form {form!r}, expected 1..5")
+                key = (k - j, n - k - j, j)
+                sums[key] = sums.get(key, 0) + coeff
+    return _from_k_basis(sums).div_exact(n + 1)
 
 
 def gbar_uvv_closed(n: int, form: int) -> Polynomial:
@@ -174,9 +208,9 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
     (-1)^i (i + 1), shifting the remaining coefficient extraction down by
     i.  The whole sum is divided by n + 1 at the end.
     """
-    if form not in (1, 2, 3):
-        raise ValueError(f"unknown form {form!r}, expected 1..3")
-    acc: dict[Monomial, int] = {}
+    _check_length(n)
+    _check_form(form, 3)
+    sums: dict[Monomial, int] = {}
     for i in range(n + 2):
         sign = (-1) ** i * (i + 1)
         if form == 1:
@@ -191,7 +225,8 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
                         * comb(n + 1 - k, j)
                         * binom(2 * n - i - 2 * k - j, m)
                     )
-                    _add_cmb2_power(acc, i + j, m, k, coeff)
+                    key = (i + j, m, k)
+                    sums[key] = sums.get(key, 0) + coeff
         elif form == 2:
             for k in range(n + 1):
                 for j in range((n - k) // 2 + 1):
@@ -204,7 +239,8 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
                         * comb(n + 1 - k, j)
                         * binom(2 * n - i - k - 2 * j, m)
                     )
-                    _add_cmb2_power(acc, i + k, m, j, coeff)
+                    key = (i + k, m, j)
+                    sums[key] = sums.get(key, 0) + coeff
         else:
             for k in range(n + 1):
                 for j in range(k + 1):
@@ -217,8 +253,9 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
                         * comb(k, j)
                         * binom(2 * n - i - k - j, m)
                     )
-                    _add_cmb2_power(acc, i + k - j, m, j, coeff)
-    return Polynomial(acc).div_exact(n + 1)
+                    key = (i + k - j, m, j)
+                    sums[key] = sums.get(key, 0) + coeff
+    return _from_k_basis(sums).div_exact(n + 1)
 
 
 def relation_checks(n: int) -> dict[str, bool]:
@@ -247,6 +284,7 @@ def relation_checks(n: int) -> dict[str, bool]:
 
 def f_closed(n: int) -> int:
     """Number of fixed points of sigma, by the explicit triple sum."""
+    _check_length(n)
     total = 0
     for k in range(n + 1):
         ck = catalan(k)
@@ -295,4 +333,5 @@ def fixed_point_sequences(nmax: int) -> tuple[list[int], list[int], list[int], l
 
 def f_recurrence(n: int) -> int:
     """Number of fixed points of sigma, by unrolling the recurrences."""
+    _check_length(n)
     return fixed_point_sequences(n)[0][n]

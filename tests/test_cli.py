@@ -12,6 +12,14 @@ from gmotzkin.paths import STEP_ORDER
 from gmotzkin.verify import FIXED_POINT_COUNTS
 
 
+def fresh_interpreter(*args):
+    """Run this Python on args with the package's source directory on the path."""
+    src = os.path.dirname(os.path.dirname(gmotzkin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -200,8 +208,16 @@ class TestParserReuse:
             "import gmotzkin, gmotzkin.cli\n"
             "print(len(built), gmotzkin.cli._parser.cache_info().currsize)\n"
         )
-        src = os.path.dirname(os.path.dirname(gmotzkin.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        run = fresh_interpreter("-c", code)
         assert (run.returncode, run.stdout, run.stderr) == (0, "0 0\n", "")
+
+
+class TestRunAsModule:
+    def test_count(self):
+        run = fresh_interpreter("-m", "gmotzkin", "count", "--n", "4", "--avoid", "uvv", "--eval=1,1,1")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "90\n", "")
+
+    def test_bad_path_exits_2(self):
+        run = fresh_interpreter("-m", "gmotzkin", "sigma", "--path", "uxd")
+        assert run.returncode == 2 and run.stdout == ""
+        assert "illegal character 'x'" in run.stderr

@@ -2,6 +2,7 @@ import pytest
 
 from gmotzkin.enumeration import Constraints, weight_sum
 from gmotzkin.formulas import (
+    _from_k_basis,
     binom,
     catalan,
     dyck_weight,
@@ -17,6 +18,16 @@ from gmotzkin.formulas import (
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C
 
 A, B = VAR_A, VAR_B
+
+LENGTH_ENTRY_POINTS = [
+    lambda n: g_uvv_closed(n, 1),
+    lambda n: gbar_uvv_closed(n, 1),
+    f_closed,
+    f_recurrence,
+    dyck_weight,
+    motzkin_weight,
+    schroder_weight,
+]
 
 FIXED_POINT_COUNTS = [1, 2, 5, 13, 39, 125, 421, 1478, 5329, 19658, 73783]
 
@@ -98,8 +109,9 @@ class TestClosedForms:
         assert g_uvv_closed(5, 3).eval(1, 1, 1) == 394
 
     def test_g_uvv_unknown_form(self):
-        with pytest.raises(ValueError):
-            g_uvv_closed(3, 6)
+        for form in (6, 0, True, 1.0, "1"):
+            with pytest.raises(ValueError, match="unknown form"):
+                g_uvv_closed(3, form)
 
     @pytest.mark.parametrize("form", [1, 2, 3])
     @pytest.mark.parametrize("n", range(7))
@@ -113,8 +125,45 @@ class TestClosedForms:
         assert gbar_uvv_closed(2, 3) == A * B + B * B + VAR_C
 
     def test_gbar_unknown_form(self):
-        with pytest.raises(ValueError):
-            gbar_uvv_closed(3, 4)
+        for form in (4, 0, True, 1.0, "1"):
+            with pytest.raises(ValueError, match="unknown form"):
+                gbar_uvv_closed(3, form)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry", LENGTH_ENTRY_POINTS)
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_length_must_be_an_int(self, entry, n):
+        with pytest.raises(ValueError, match="length n must be an int"):
+            entry(n)
+
+    @pytest.mark.parametrize("entry", LENGTH_ENTRY_POINTS)
+    def test_length_must_be_nonnegative(self, entry):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            entry(-1)
+
+
+class TestKBasis:
+    """``_from_k_basis`` reads a key (ea, eb, j) as a^ea b^eb (c - b^2)^j."""
+
+    @pytest.mark.parametrize("j", range(13))
+    def test_power_of_k(self, j):
+        power = ONE
+        for _ in range(j):
+            power = power * (VAR_C - B * B)
+        assert _from_k_basis({(0, 0, j): 1}) == power
+
+    def test_shifted_and_scaled_keys_add(self):
+        k = VAR_C - B * B
+        expected = (A * A * B * k * k).scaled(3) + (B * k).scaled(-5)
+        assert _from_k_basis({(2, 1, 2): 3, (0, 1, 1): -5}) == expected
+
+    def test_cancelling_terms_leave_no_zero_coefficient(self):
+        # b^2 + (c - b^2) = c, and a key whose sum is 0 adds nothing
+        p = _from_k_basis({(0, 2, 0): 1, (0, 0, 1): 1, (1, 0, 3): 0})
+        assert p == VAR_C
+        assert [mono for mono, _ in p.terms()] == [(0, 0, 1)]
+        assert _from_k_basis({(0, 2, 0): -1, (0, 0, 1): -1, (0, 0, 0): 0}) == -VAR_C
 
 
 class TestRelations:
