@@ -12,24 +12,17 @@ from .polyring import Monomial, Polynomial, PowerSeries
 from .paths import (
     Decomposition,
     PathError,
-    contains_pattern,
     decompose_forward,
     decompose_inverse,
-    first_return_split,
-    has_h_on_axis,
     heights,
     is_primitive,
-    max_elevation_strip,
-    max_ud_strip,
     parse_pattern,
     parse_word,
-    weight_exponents,
     x_length,
 )
 from .enumeration import Constraints, generate, weight_sum
 from .bijection import (
     FixedPointCounts,
-    classify_fixed,
     fixed_points,
     is_fixed_point,
     sigma,

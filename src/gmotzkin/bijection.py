@@ -188,14 +188,8 @@ CLASS_B = "B"  # ends with uv
 CLASS_C = "C"  # primitive, does not end with uv
 
 
-def classify_fixed(word: str) -> str:
-    """Class A/B/C of a fixed point of sigma."""
-    if not is_fixed_point(word):
-        raise PathError(f"{word!r} is not a fixed point")
-    return _classify(word)
-
-
 def _classify(word: str) -> str:
+    """Class A/B/C of a fixed point of sigma."""
     if word.endswith("uv"):
         return CLASS_B
     if is_primitive(word):

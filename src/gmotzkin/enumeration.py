@@ -41,6 +41,10 @@ class Constraints:
     forbid_h_on_axis: bool = False
 
     def normalized(self) -> "Constraints":
+        if isinstance(self.avoid, str):
+            raise ValueError(
+                f"avoid must be a tuple of patterns, not the str {self.avoid!r}"
+            )
         return Constraints(
             avoid=tuple(parse_pattern(p) for p in self.avoid),
             forbid_h_on_axis=self.forbid_h_on_axis,

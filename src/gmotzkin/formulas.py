@@ -34,7 +34,6 @@ that is a bool, not an int, or negative, and for an unknown form.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 
 from .polyring import ONE, VAR_A, VAR_B, VAR_C, Monomial, Polynomial
@@ -54,11 +53,9 @@ def binom(m: int, r: int) -> int:
     return num // factorial(r)
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n)/(n + 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_length(n)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -312,8 +309,7 @@ def fixed_point_sequences(nmax: int) -> tuple[list[int], list[int], list[int], l
     b_n = a_{n-1} + c_{n-1} (n >= 1, b_0 = 0) and c_n = a_{n-1} (n >= 3,
     c_0 = c_1 = 0, c_2 = 2).
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+    _check_length(nmax)
     f = [1, 2]
     a = [1, 1, 2, 7, 23]
     for m in range(1, nmax):

@@ -13,9 +13,9 @@ Paths are handled as their canonical step words: plain strings over
 steps do not count toward length.  ``parse_word`` validates and
 canonicalizes arbitrary input text, and ``first_return_blocks`` checks a
 word as it cuts it into blocks.  The decompositions cut with it and so
-check their input too; ``first_return_split`` checks the characters and
-the first block.  Every other function in this module assumes its argument
-is already a valid word.
+check their input too, and ``parse_pattern`` checks a pattern word.  Every
+other function in this module assumes its argument is already a valid
+word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
 and the weight of a path is the product over its steps, i.e. the monomial
@@ -40,10 +40,6 @@ STEPS = frozenset(RISE)
 
 # Horizontal displacement; only v stands still.
 RUN = {"u": 1, "d": 1, "h": 1, "v": 0}
-
-# Canonical step order used for generation and sorted listings: u < d < h < v.
-STEP_ORDER = {"u": 0, "d": 1, "h": 2, "v": 3}
-
 
 class PathError(ValueError):
     """Input text is not a valid G-Motzkin path or pattern word."""
@@ -115,26 +111,6 @@ def heights(word: str) -> list[int]:
     return out
 
 
-def weight_exponents(word: str) -> tuple[int, int, int]:
-    """Exponent triple (#h, #v, #d) of the path's weight monomial."""
-    return word.count("h"), word.count("v"), word.count("d")
-
-
-def contains_pattern(word: str, pattern: str) -> bool:
-    """True iff ``pattern`` occurs as a contiguous block of steps."""
-    return pattern in word
-
-
-def has_h_on_axis(word: str) -> bool:
-    """True iff some h step starts at height 0."""
-    h = 0
-    for ch in word:
-        if ch == "h" and h == 0:
-            return True
-        h += RISE[ch]
-    return False
-
-
 def is_primitive(word: str) -> bool:
     """Nonempty, starts with u, and touches height 0 only at the end."""
     if not word or word[0] != "u":
@@ -146,30 +122,6 @@ def is_primitive(word: str) -> bool:
         if h == 0:
             return i == last
     return False  # unreachable for valid words
-
-
-def first_return_split(word: str) -> tuple[str, str]:
-    """Split off the shortest nonempty leading block that ends at height 0.
-
-    The prefix is a single "h", or a block starting with u that ends at its
-    first return to the axis (any v run finishing the descent included).
-    A character outside udhv anywhere, or a prefix that dips below the axis
-    or never returns to it, raises PathError; the remainder's heights are
-    not checked.  The test reference for ``first_return_blocks``.
-    """
-    if not word:
-        raise PathError("cannot split an empty path")
-    _check_steps(word)
-    if word[0] == "h":
-        return "h", word[1:]
-    h = 0
-    for i, ch in enumerate(word):
-        h += RISE[ch]
-        if h <= 0:
-            if h:
-                raise PathError(f"height -1 after step {i + 1}")
-            return word[: i + 1], word[i + 1 :]
-    raise PathError("path never returns to height 0")
 
 
 def _max_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]:
@@ -194,28 +146,6 @@ def _max_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]
         bound = min(bound, (len(word) - 1) // 2)
     i = min(hs[bound : len(word) - bound + 1])
     return i, word[i : len(word) - i]
-
-
-def max_elevation_strip(word: str) -> tuple[int, str]:
-    """Peel the maximal matching u...v layers off a primitive path.
-
-    Returns (i, core) with word == "u"*i + core + "v"*i, where core is a
-    nonempty valid path at elevation i.
-    """
-    if not is_primitive(word):
-        raise PathError("elevation strip requires a primitive path")
-    return _max_strip(word, "v", allow_empty_core=False)
-
-
-def max_ud_strip(word: str) -> tuple[int, str]:
-    """Peel the maximal matching u...d layers off a primitive path.
-
-    Returns (j, core) with word == "u"*j + core + "d"*j, where core is a
-    possibly empty valid path at elevation j.
-    """
-    if not is_primitive(word):
-        raise PathError("u/d strip requires a primitive path")
-    return _max_strip(word, "d", allow_empty_core=True)
 
 
 # Case tags for the forward decomposition of uvv-avoiding paths.

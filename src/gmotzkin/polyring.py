@@ -375,6 +375,9 @@ class PowerSeries:
         return self._coeffs
 
     def coefficient(self, n: int) -> Polynomial:
+        """The coefficient of x^n; ValueError unless n is an int in 0..order."""
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= self.order:
+            raise ValueError(f"no coefficient {n!r} in a series of order {self.order}")
         return self._coeffs[n]
 
     # -- constructors ------------------------------------------------------
@@ -382,10 +385,6 @@ class PowerSeries:
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
         return cls([ZERO] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([ONE] + [ZERO] * order)
 
     @classmethod
     def x(cls, order: int) -> "PowerSeries":
@@ -404,24 +403,7 @@ class PowerSeries:
     def from_ints(cls, values: Sequence[int], order: int) -> "PowerSeries":
         return cls.from_polys([Polynomial.const(v) for v in values], order)
 
-    # -- structure ---------------------------------------------------------
-
-    def truncated(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError("cannot truncate upwards")
-        return PowerSeries(self._coeffs[: order + 1])
-
-    def shift_up(self) -> "PowerSeries":
-        """Multiply by x, growing the order by one."""
-        return PowerSeries((ZERO,) + self._coeffs)
-
-    def shift_down(self) -> "PowerSeries":
-        """Divide by x; the constant coefficient must be zero."""
-        if self._coeffs[0]:
-            raise ValueError("cannot divide by x: nonzero constant term")
-        if self.order == 0:
-            raise ValueError("cannot divide by x: order 0")
-        return PowerSeries(self._coeffs[1:])
+    # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSeries):
@@ -462,11 +444,6 @@ class PowerSeries:
         return PowerSeries(
             [dot((p, right[n - i]) for i, p in left if i <= n) for n in range(len(right))]
         )
-
-    def scaled(self, factor: Polynomial | int) -> "PowerSeries":
-        if isinstance(factor, int):
-            factor = Polynomial.const(factor)
-        return PowerSeries([p * factor for p in self._coeffs])
 
     # -- output --------------------------------------------------------------
 

@@ -7,7 +7,7 @@ import pytest
 
 import gmotzkin
 from gmotzkin.bijection import (
-    classify_fixed,
+    _classify,
     fixed_points,
     is_fixed_by_structure,
     is_fixed_point,
@@ -126,14 +126,9 @@ class TestFixedPoints:
         assert not is_fixed_point("uudv")
 
     def test_classification(self):
-        assert classify_fixed("huv") == "B"
-        assert classify_fixed("ud") == "C"
-        assert classify_fixed("uvh") == "A"
-        assert classify_fixed("") == "A"
-
-    def test_classify_rejects_moved_paths(self):
-        with pytest.raises(PathError):
-            classify_fixed("uudv")
+        for word, cls in (("huv", "B"), ("ud", "C"), ("uvh", "A"), ("", "A")):
+            assert is_fixed_point(word)
+            assert _classify(word) == cls
 
     def test_counts_small(self):
         counts = fixed_points(2, include_paths=True)

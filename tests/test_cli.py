@@ -8,7 +8,6 @@ import pytest
 import gmotzkin
 from gmotzkin import cli
 from gmotzkin.cli import main
-from gmotzkin.paths import STEP_ORDER
 from gmotzkin.verify import FIXED_POINT_COUNTS
 
 
@@ -80,7 +79,7 @@ class TestCompute:
         code, out, _ = run(capsys, "fixed-points", "--n", str(n), "--list")
         words = out.splitlines()[1:]
         assert code == 0 and len(words) == FIXED_POINT_COUNTS[n]
-        assert words == sorted(words, key=lambda w: [STEP_ORDER[ch] for ch in w])
+        assert words == sorted(words, key=lambda w: ["udhv".index(ch) for ch in w])
 
     def test_series_eval(self, capsys):
         code, out, _ = run(capsys, "series", "--gf", "F", "--order", "5", "--eval", "0,0,0")

@@ -28,14 +28,7 @@ from gmotzkin.enumeration import (
     generate,
     weight_sum,
 )
-from gmotzkin.paths import (
-    STEP_ORDER,
-    PathError,
-    contains_pattern,
-    has_h_on_axis,
-    parse_word,
-    x_length,
-)
+from gmotzkin.paths import RISE, PathError, parse_word, x_length
 from gmotzkin.polyring import VAR_A, VAR_B, VAR_C
 
 A, B, C = VAR_A, VAR_B, VAR_C
@@ -45,6 +38,22 @@ GOLDEN_CLASSES = {"all": NO_CONSTRAINTS, "uvv": AVOID_UVV, "uvu": AVOID_UVU, "gb
 GOLDEN_MAX_N = 8
 BRUTE_MAX_N = 4
 PATTERNS = ["".join(p) for k in (1, 2, 3) for p in itertools.product("udhv", repeat=k)]
+
+
+def step_order(word: str) -> list[int]:
+    """Sort key of the generation order u < d < h < v."""
+    return ["udhv".index(ch) for ch in word]
+
+
+def has_h_on_axis(word: str) -> bool:
+    """True iff some h step starts at height 0: the reference for
+    ``Constraints.forbid_h_on_axis``."""
+    h = 0
+    for ch in word:
+        if ch == "h" and h == 0:
+            return True
+        h += RISE[ch]
+    return False
 
 
 def golden_entry(n: int, constraints: Constraints) -> dict:
@@ -96,10 +105,19 @@ class TestGenerate:
         with pytest.raises(ValueError, match="length n must be an int"):
             weight_sum(n, AVOID_UVV)
 
+    def test_avoid_that_is_a_str(self):
+        # a str would be read as the one-step patterns u, v, v
+        for avoid in ("uvv", "u"):
+            with pytest.raises(ValueError, match=f"not the str '{avoid}'"):
+                generate(2, Constraints(avoid=avoid))
+            with pytest.raises(ValueError, match=f"not the str '{avoid}'"):
+                weight_sum(2, Constraints(avoid=avoid))
+        assert list(generate(2, Constraints(avoid=["uvv"]))) == list(generate(2, AVOID_UVV))
+
     @pytest.mark.parametrize("n", range(7))
     def test_sorted_and_duplicate_free(self, n):
         words = list(generate(n))
-        keys = [[STEP_ORDER[ch] for ch in w] for w in words]
+        keys = [step_order(w) for w in words]
         assert keys == sorted(keys)
         assert len(set(words)) == len(words)
 
@@ -110,11 +128,14 @@ class TestGenerate:
         filtered = [
             w
             for w in generate(n)
-            if not contains_pattern(w, "uvv")
-            and not contains_pattern(w, "uvu")
-            and not has_h_on_axis(w)
+            if "uvv" not in w and "uvu" not in w and not has_h_on_axis(w)
         ]
         assert direct == filtered
+
+    def test_h_on_axis(self):
+        assert has_h_on_axis("h")
+        assert not has_h_on_axis("uhv")
+        assert has_h_on_axis("uvh")
 
     def test_early_termination(self):
         stream = generate(6)
@@ -137,7 +158,7 @@ class TestGenerate:
                         for w in paths
                         if pattern not in w and not (forbid_h and has_h_on_axis(w))
                     ),
-                    key=lambda w: [STEP_ORDER[ch] for ch in w],
+                    key=step_order,
                 )
                 assert list(generate(n, cons)) == expected, (n, forbid_h)
 

@@ -27,6 +27,8 @@ LENGTH_ENTRY_POINTS = [
     dyck_weight,
     motzkin_weight,
     schroder_weight,
+    catalan,
+    fixed_point_sequences,
 ]
 
 FIXED_POINT_COUNTS = [1, 2, 5, 13, 39, 125, 421, 1478, 5329, 19658, 73783]
@@ -141,6 +143,12 @@ class TestInputChecks:
     def test_length_must_be_nonnegative(self, entry):
         with pytest.raises(ValueError, match="length must be nonnegative"):
             entry(-1)
+
+    def test_catalan_checks_a_bool_after_the_equal_int(self):
+        # True == 1, so a cache keyed on the value would answer it unchecked
+        assert catalan(1) == 1
+        with pytest.raises(ValueError, match="length n must be an int"):
+            catalan(True)
 
 
 class TestKBasis:

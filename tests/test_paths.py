@@ -6,27 +6,48 @@ from hypothesis import strategies as st
 
 from gmotzkin import enumeration
 from gmotzkin.paths import (
+    RISE,
     Decomposition,
     PathError,
-    contains_pattern,
+    _check_steps,
+    _max_strip,
     decompose_forward,
     decompose_inverse,
     first_return_blocks,
-    first_return_split,
-    has_h_on_axis,
     heights,
     is_primitive,
-    max_elevation_strip,
-    max_ud_strip,
     parse_pattern,
     parse_word,
-    weight_exponents,
     x_length,
 )
 from gmotzkin.samples import SHOWCASE_PATH
 
 # every valid path of length at most 5, reused as a sample pool
 ALL_SMALL = [w for n in range(6) for w in enumeration.generate(n)]
+
+
+def first_return_split(word: str) -> tuple[str, str]:
+    """Split off the shortest nonempty leading block that ends at height 0.
+
+    The prefix is a single "h", or a block starting with u that ends at its
+    first return to the axis (any v run finishing the descent included).
+    A character outside udhv anywhere, or a prefix that dips below the axis
+    or never returns to it, raises PathError; the remainder's heights are
+    not checked.  The reference for ``first_return_blocks``.
+    """
+    if not word:
+        raise PathError("cannot split an empty path")
+    _check_steps(word)
+    if word[0] == "h":
+        return "h", word[1:]
+    h = 0
+    for i, ch in enumerate(word):
+        h += RISE[ch]
+        if h <= 0:
+            if h:
+                raise PathError(f"height -1 after step {i + 1}")
+            return word[: i + 1], word[i + 1 :]
+    raise PathError("path never returns to height 0")
 
 
 class TestParse:
@@ -53,8 +74,8 @@ class TestParse:
         word = parse_word(SHOWCASE_PATH)
         assert word == SHOWCASE_PATH
         assert x_length(word) == 25
-        assert not contains_pattern(word, "uvv")
-        assert contains_pattern(word, "uvu")
+        assert "uvv" not in word
+        assert "uvu" in word
 
     def test_pattern_words(self):
         assert parse_pattern("uvv") == "uvv"
@@ -75,18 +96,6 @@ class TestParse:
     def test_step_balance(self, word):
         assert x_length(word) == word.count("u") + word.count("d") + word.count("h")
         assert word.count("u") == word.count("d") + word.count("v")
-
-
-class TestWeights:
-    def test_weight_exponents(self):
-        assert weight_exponents("uhuduuvvdhh") == (3, 2, 2)
-        assert weight_exponents("") == (0, 0, 0)
-        assert weight_exponents("ud") == (0, 0, 1)
-
-    def test_h_on_axis(self):
-        assert has_h_on_axis("h")
-        assert not has_h_on_axis("uhv")
-        assert has_h_on_axis("uvh")
 
 
 class TestStructure:
@@ -151,24 +160,18 @@ class TestStructure:
         assert prefix == "h" or is_primitive(prefix)
 
     def test_max_elevation_strip(self):
-        assert max_elevation_strip("uudv") == (1, "ud")
-        assert max_elevation_strip("uuvuudvv") == (1, "uvuudv")
-        assert max_elevation_strip("uv") == (0, "uv")
+        assert _max_strip("uudv", "v", allow_empty_core=False) == (1, "ud")
+        assert _max_strip("uuvuudvv", "v", allow_empty_core=False) == (1, "uvuudv")
+        assert _max_strip("uv", "v", allow_empty_core=False) == (0, "uv")
 
     def test_max_ud_strip(self):
-        assert max_ud_strip("uuvd") == (1, "uv")
-        assert max_ud_strip("ud") == (1, "")
-        assert max_ud_strip("uhv") == (0, "uhv")
-
-    def test_strips_require_primitive(self):
-        with pytest.raises(PathError):
-            max_elevation_strip("h")
-        with pytest.raises(PathError):
-            max_ud_strip("uvuv")
+        assert _max_strip("uuvd", "d", allow_empty_core=True) == (1, "uv")
+        assert _max_strip("ud", "d", allow_empty_core=True) == (1, "")
+        assert _max_strip("uhv", "d", allow_empty_core=True) == (0, "uhv")
 
     @given(st.sampled_from([w for w in ALL_SMALL if is_primitive(w)]))
     def test_strip_maximality(self, word):
-        i, core = max_elevation_strip(word)
+        i, core = _max_strip(word, "v", allow_empty_core=False)
         assert "u" * i + core + "v" * i == word
         # one more layer is impossible: a run is exhausted or the core dips
         deeper = i + 1
@@ -205,9 +208,11 @@ def test_strips_match_their_definition(n):
     for word in enumeration.generate(n):
         if not is_primitive(word):
             continue
-        assert max_elevation_strip(word) == reference_strip(word, "v", False), word
+        strip = _max_strip(word, "v", allow_empty_core=False)
+        assert strip == reference_strip(word, "v", False), word
         if word.endswith("d"):
-            assert max_ud_strip(word) == reference_strip(word, "d", True), word
+            strip = _max_strip(word, "d", allow_empty_core=True)
+            assert strip == reference_strip(word, "d", True), word
 
 
 @pytest.mark.parametrize("fn", [decompose_forward, decompose_inverse])

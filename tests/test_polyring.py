@@ -114,7 +114,7 @@ class TestPowerSeries:
 
     def test_mul_identity(self):
         s = PowerSeries.from_polys([ONE, A, B * C], 2)
-        assert s * PowerSeries.one(2) == s
+        assert s * PowerSeries.from_ints([1], 2) == s
 
     def test_mul_with_poly_coeffs(self):
         s = PowerSeries.from_polys([ONE, B], 2)
@@ -122,14 +122,15 @@ class TestPowerSeries:
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
-            PowerSeries.one(2) * PowerSeries.one(3)
+            PowerSeries.from_ints([1], 2) * PowerSeries.from_ints([1], 3)
 
     def test_invert_geometric(self):
         s = PowerSeries.from_ints([1, -1], 3)
         assert inverse(s) == PowerSeries.from_ints([1, 1, 1, 1], 3)
 
     def test_invert_one(self):
-        assert inverse(PowerSeries.one(4)) == PowerSeries.one(4)
+        one = PowerSeries.from_ints([1], 4)
+        assert inverse(one) == one
 
     def test_invert_alternating(self):
         s = PowerSeries.from_polys([ONE, B], 2)
@@ -145,18 +146,18 @@ class TestPowerSeries:
     def test_invert_property(self, tail, lead):
         s = PowerSeries.from_ints([lead] + tail, len(tail))
         if lead == 1:
-            assert s * inverse(s) == PowerSeries.one(len(tail))
+            assert s * inverse(s) == PowerSeries.from_ints([1], len(tail))
         else:  # the solver assumes D_0 = 1
             with pytest.raises(DivergenceError):
                 inverse(s)
 
-    def test_shift_roundtrip(self):
-        s = PowerSeries.from_polys([ZERO, A, B], 2)
-        assert s.shift_down().shift_up().truncated(2) == s
-
-    def test_shift_down_rejects_constant(self):
-        with pytest.raises(ValueError):
-            PowerSeries.one(2).shift_down()
+    @pytest.mark.parametrize("n", [-1, 3, True, 1.0, "1", None])
+    def test_coefficient_outside_the_order(self, n):
+        s = PowerSeries.from_ints([1, 2, 5], 2)
+        with pytest.raises(ValueError) as err:
+            s.coefficient(n)
+        assert str(err.value) == f"no coefficient {n!r} in a series of order 2"
+        assert [s.coefficient(k) for k in range(3)] == list(s.coeffs)
 
 
 def inverse(s):

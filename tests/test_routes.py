@@ -5,6 +5,10 @@ generating-function series and the bijection against one another; a route
 that got its answer through another route would make that cross-check
 vacuous.  ``bijection`` is not checked: its ``fixed_points`` lists the
 uvv-avoiding class with ``enumeration.generate`` before testing each path.
+
+The package exports only what it uses: every name ``gmotzkin/__init__.py``
+imports has a caller in the package or the benchmark, so no helper lives on
+for the tests alone.
 """
 
 import ast
@@ -16,6 +20,7 @@ import gmotzkin
 
 ROUTES = ("enumeration", "formulas", "series", "bijection")
 PACKAGE = Path(gmotzkin.__file__).parent
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -36,3 +41,44 @@ def imported_modules(path: Path) -> set[str]:
 def test_route_imports_no_other_route(route):
     others = set(ROUTES) - {route}
     assert imported_modules(PACKAGE / f"{route}.py") & others == set()
+
+
+def exported_names() -> set[str]:
+    """Every name that ``gmotzkin/__init__.py`` imports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a file reads, as a variable or as an attribute, outside the
+    def or class of that name; import lines, definitions and docstrings read
+    none."""
+    names = set()
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        name = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name is not None and name not in inside:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    assert BENCH / "run.py" in files
+    used = set().union(*map(referenced_names, files))
+    assert sorted(exported_names() - used) == []
