@@ -10,7 +10,8 @@ A path is a sequence of first-return blocks, each "h" or primitive
 in sigma(Q') of the first-return remainder Q', and nothing before it reads
 Q'.  So sigma is a homomorphism over units: blocks, with a "uv" block glued
 to a u-block after it (Case3; Case1 and Case2 are the units h and uv
-followed by the rest).  Each unit maps by its ``decompose_forward`` record:
+followed by the rest).  Each unit maps by its case of the paper's
+decomposition (``paths.decompose_forward``):
 
   Base   h, uv                 -> itself
   Case3  uv Q''                -> u sigma(Q'') v
@@ -21,9 +22,12 @@ followed by the rest).  Each unit maps by its ``decompose_forward`` record:
   Case6  u^i Q'' v^i           -> u^j sigma(Q'') v d^(j-1)        i = 2j-1
                                   u^j sigma(Q'') d^j              i = 2j
 
+So a Case5 unit with i layers maps as a Case6 unit with i + 1 layers over
+Q''uv would, and two core shapes remain: ud and the rest.
+
 ``sigma_inv`` is a homomorphism over plain blocks (in a uvu-avoiding path a
-"uv" block is followed by h or by nothing); each maps by its
-``decompose_inverse`` record.  A u...v block u P'' v (CaseIII):
+"uv" block is followed by h or by nothing); each maps by its case of
+``paths.decompose_inverse``.  A u...v block u P'' v (CaseIII):
 
   P'' ends in uuvv             -> u inv(P''[:-4] uv) d
   P'' ends in uv, P'' != uv    -> u inv(P''[:-2]) d
@@ -40,142 +44,138 @@ without those suffixes, takes the last row):
   otherwise                    -> u^2j inv(core) v^2j
 
 Patterns.  A block ends on the axis and the next starts with u or h, so
-uvv never straddles two blocks and each unit's decomposition rejects it.
-uvu does straddle two ("uv" then a u-block, as in uvhuvud) where neither
-contains it, so ``sigma_inv`` tests the whole word.
+uvv never straddles two blocks.  uvu does straddle two ("uv" then a
+u-block, as in uvhuvud), and ``sigma_inv`` tests the whole word.
 
-Nesting.  ``sigma`` and ``sigma_inv`` walk a path's units by a loop, so
-its length costs no stack.  An interior (sigma(Q'') above) is shorter in
-x-length than its unit, so the recursion into interiors ends, one stack
-frame per nesting level.  The interior's units go through a plain for loop
-in that frame: a helper or a comprehension would add a frame per level and
-lower the nesting that fits under the recursion limit.  A path nested
-deeper raises PathError naming its maximum height.
+One pass.  Both maps read the word once with a stack of levels, one per
+open u.  A d or v closing the u maps the block it ends into the parent
+level, so nesting costs no recursion.  A level holding one block keeps its
+peeled layers and core and, in ``sigma_inv``, whether its image is
+primitive.  A ``sigma`` level flags a last lone uv (Case3); a ``sigma_inv``
+level reads a last uv or uuvv block off its image, uv or uvuv.
 
-Fixed points.  ``is_fixed_by_structure`` reads sigma's fixed points off
-three conditions on matched steps, in one pass over the word; it neither
-recurses nor decomposes, so no nesting depth limits it.
+Fixed points.  ``is_fixed_by_structure`` reads them off matched steps in
+one pass; it never calls sigma, so the two tests stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .enumeration import AVOID_UVV, generate
-from .paths import (
-    BASE,
-    BASE_INV,
-    CASE3,
-    CASE4,
-    CASE5,
-    CASE_III,
-    CASE_IV,
-    CASE_V,
-    PathError,
-    decompose_forward,
-    decompose_inverse,
-    first_return_blocks,
-    heights,
-    is_primitive,
-)
+from .paths import PathError, _check_steps, first_return_blocks, is_primitive
 
 
 def sigma(word: str) -> str:
     """Image of a uvv-avoiding path; raises PathError if the input has a uvv."""
+    _check(word, "uvv")
+    # The open level: its unit images, a last lone "uv" block, its single block.
+    units, lone_uv, only = [], False, None
+    stack = []  # the levels around it
     try:
-        return "".join(map(_sigma, _units(word)))
-    except RecursionError:
-        raise _too_deep(word) from None
+        for step in word:
+            if step == "u":
+                stack.append((units, lone_uv, only))
+                units, lone_uv, only = [], False, None
+                continue
+            if step == "h":
+                units.append("uvh" if lone_uv else "h")
+                lone_uv, only = False, None
+                continue
+            parent = stack.pop()
+            if not (units or lone_uv):  # ud (Case4), or uv
+                block, image = ((0, None), "ud") if step == "d" else (None, "uv")
+            elif only and step == "v":  # one more peeled layer
+                block = (only[0] + 1, only[1])
+                image = _image(*block)
+            else:  # Case5 as Case6 one layer up over Q''uv, or Case6 with one layer
+                inner = "".join(units)
+                if step == "d":
+                    assert not inner.endswith("uv")
+                    inner += "uuvv" if lone_uv else "uv"
+                else:
+                    assert not inner.endswith(("uv", "uuvv"))
+                block, image = (1, inner), "u" + inner + "v"
+            units, lone_uv, only = parent
+            if lone_uv:  # Case3
+                units.append("u" + image + "v")
+                lone_uv = False
+            elif block:
+                only = None if units else block
+                units.append(image)
+            else:
+                lone_uv, only = True, None
+    except IndexError:  # a step dips below the axis
+        first_return_blocks(word)  # raises parse_word's message
+        raise
+    if stack:  # a u is left open
+        first_return_blocks(word)  # raises parse_word's message
+    return "".join(units) + ("uv" if lone_uv else "")
+
+
+def _image(layers: int, core: str | None) -> str:
+    """Image of ``layers`` u...v layers around ud (core None) or around Q'' -> ``core``."""
+    j = (layers + 1) // 2
+    if core is None:
+        return "u" * j + "uv" + "d" * j if layers % 2 else "u" * (j + 1) + "d" * (j + 1)
+    return "u" * j + core + ("v" + "d" * (j - 1) if layers % 2 else "d" * j)
 
 
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
-    blocks = first_return_blocks(word)
-    if "uvu" in word:
-        raise PathError("path contains the pattern uvu")
+    _check(word, "uvu")
+    # The open level: block images; its single block's u...d layers, primitive image.
+    images, layers, primitive = [], None, False
+    stack = []  # the levels around it
     try:
-        return "".join(map(_sigma_inv, blocks))
-    except RecursionError:
-        raise _too_deep(word) from None
+        for step in word:
+            if step == "u":
+                stack.append((images, layers, primitive))
+                images, layers, primitive = [], None, False
+                continue
+            if step == "h":
+                images.append("h")
+                layers, primitive = None, False
+                continue
+            parent = stack.pop()
+            if not images:  # ud (CaseIV), or uv
+                block, image = ((1, "d", 0), "ud") if step == "d" else (None, "uv")
+            else:
+                inner, tail, last = "".join(images), "v", images[-1]
+                # P'' or the core loses a uuvv or uv suffix; P'' = uv stays.
+                if last == "uvuv":
+                    inner, tail = inner[:-4] + "uv", "d"
+                elif last == "uv" and (step == "d" or len(images) > 1):
+                    inner, tail = inner[:-2], "d"
+                if step == "v":  # CaseIII
+                    block = None
+                    image = "uv" + inner if primitive and tail == "v" else "u" + inner + tail
+                else:  # CaseIV, CaseV
+                    if layers:  # one more u...d layer
+                        block = (layers[0] + 2, layers[1], layers[2] + 2)
+                    else:
+                        block = (2, inner + tail, 1)
+                    image = "u" * block[0] + block[1] + "v" * block[2]
+            images, layers, primitive = parent
+            if images:
+                layers, primitive = None, False
+            else:  # only uv R is not primitive
+                layers, primitive = block, image == "uv" or image[1] != "v"
+            images.append(image)
+    except IndexError:  # a step dips below the axis
+        first_return_blocks(word)  # raises parse_word's message
+        raise
+    if stack:  # a u is left open
+        first_return_blocks(word)  # raises parse_word's message
+    return "".join(images)
 
 
-def _units(word: str) -> list[str]:
-    """The units of a path: its blocks, each "uv" glued to a u-block after it."""
-    units: list[str] = []
-    for block in first_return_blocks(word):
-        if units and units[-1] == "uv" and block[0] == "u":
-            units[-1] += block
-        else:
-            units.append(block)
-    return units
-
-
-def _too_deep(word: str) -> PathError:
-    return PathError(f"path nests too deeply: maximum height {max(heights(word))}")
-
-
-@lru_cache(maxsize=1 << 18)
-def _sigma(unit: str) -> str:
-    dec = decompose_forward(unit)
-    case, i = dec.case, dec.elevation
-    if case == BASE:
-        return unit
-    assert not dec.parts[-1]  # a unit leaves no first-return remainder
-    if case == CASE4:
-        if i % 2:
-            j = (i + 1) // 2
-            return "u" * j + "uv" + "d" * j
-        j = i // 2
-        return "u" * (j + 1) + "d" * (j + 1)
-    inner = ""
-    for part in _units(dec.parts[0] + "uv" if case == CASE5 else dec.parts[0]):
-        inner += _sigma(part)
-    if case == CASE3:
-        assert is_primitive(inner) and inner != "uuvv"
-        return "u" + inner + "v"
-    if case == CASE5:
-        assert inner.endswith(("uuvv", "uv"))
-        assert not inner[: -4 if inner.endswith("uuvv") else -2].endswith("uv")
-        if i % 2:
-            j = (i + 1) // 2
-            return "u" * j + inner + "d" * j
-        j = i // 2
-        return "u" * (j + 1) + inner + "v" + "d" * j
-    # Case6
-    assert not inner.endswith("uv") and not inner.endswith("uuvv")
-    if i % 2:
-        j = (i + 1) // 2
-        return "u" * j + inner + "v" + "d" * (j - 1)
-    j = i // 2
-    return "u" * j + inner + "d" * j
-
-
-@lru_cache(maxsize=1 << 18)
-def _sigma_inv(block: str) -> str:
-    dec = decompose_inverse(block)
-    case, j, mid = dec.case, dec.elevation, dec.parts[0]
-    if case == BASE_INV:
-        return block
-    assert not dec.parts[-1]  # a block leaves no first-return remainder
-    if case == CASE_IV and not mid:
-        return "u" * (2 * j - 1) + "d" + "v" * (2 * j - 2)
-    if case == CASE_V:
-        mid = "u" + mid + "v"
-    # P'' (CaseIII) or the core (CaseIV) loses a uuvv or uv suffix; P'' = uv stays.
-    peeled = mid.endswith(("uuvv", "uv")) and (mid != "uv" or case != CASE_III)
-    if peeled:
-        mid = mid[:-4] + "uv" if mid.endswith("uuvv") else mid[:-2]
-    inner = ""
-    for part in first_return_blocks(mid):
-        inner += _sigma_inv(part)
-    if case == CASE_III:
-        if peeled:
-            return "u" + inner + "d"
-        return "uv" + inner if is_primitive(inner) else "u" + inner + "v"
-    if peeled:
-        return "u" * (2 * j) + inner + "d" + "v" * (2 * j - 1)
-    return "u" * (2 * j) + inner + "v" * (2 * j)
+def _check(word: str, pattern: str) -> None:
+    """PathError for a non-str or a step outside udhv, then for ``pattern``."""
+    _check_steps(word)
+    if pattern in word:
+        first_return_blocks(word)
+        raise PathError(f"path contains the pattern {pattern}")
 
 
 def is_fixed_point(word: str) -> bool:

@@ -51,6 +51,7 @@ def parse_word(text: str) -> str:
     Whitespace is ignored.  Raises PathError naming the offending position
     for an illegal character, a negative height, or a nonzero final height.
     """
+    _check_str(text)
     for pos, ch in enumerate(text):
         if ch not in RISE and not ch.isspace():
             raise PathError(f"illegal character {ch!r} at position {pos}")
@@ -82,13 +83,21 @@ def first_return_blocks(word: str) -> list[str]:
 
 def _check_steps(word: str) -> None:
     """Raise PathError naming the first character of ``word`` outside udhv."""
+    _check_str(word)
     if not STEPS.issuperset(word):
         pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
         raise PathError(f"illegal character {word[pos]!r} at position {pos}")
 
 
+def _check_str(text: object) -> None:
+    """Raise PathError naming the type of ``text`` unless it is a str."""
+    if not isinstance(text, str):
+        raise PathError(f"a word must be a str, not {type(text).__name__}")
+
+
 def parse_pattern(text: str) -> str:
     """Validate a nonempty pattern word over the step alphabet."""
+    _check_str(text)
     word = "".join(text.split())
     _check_steps(word)
     if not word:

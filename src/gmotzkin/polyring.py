@@ -388,9 +388,7 @@ class PowerSeries:
 
     @classmethod
     def x(cls, order: int) -> "PowerSeries":
-        if order == 0:
-            return cls([ZERO])
-        return cls([ZERO, ONE] + [ZERO] * (order - 1))
+        return cls.from_polys([ZERO, ONE], order)
 
     @classmethod
     def from_polys(cls, polys: Sequence[Polynomial], order: int) -> "PowerSeries":

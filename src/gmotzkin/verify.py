@@ -357,13 +357,13 @@ class Harness:
         return CheckResult("weight relations", True, f"n = 1..{self.avoid_nmax}")
 
     def criterion_9(self) -> CheckResult:
-        """Decomposition totality, recursion invariants and series residuals."""
+        """Decomposition totality, sigma's Case5/Case6 invariants and series residuals."""
         if not __debug__:  # pragma: no cover
             return CheckResult(
                 "structural suite", False, "asserts disabled; recursion invariants unchecked"
             )
         for n in range(self.structural_nmax + 1):
-            self.sweep(n)  # maps every path; sigma assert-checks its recursion invariants
+            self.sweep(n)  # maps every path; sigma assert-checks its Case5/Case6 invariants
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
                 if err:

@@ -1,11 +1,10 @@
-import os
 import random
-import subprocess
-import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import gmotzkin
 from gmotzkin.bijection import (
     _classify,
     fixed_points,
@@ -16,8 +15,131 @@ from gmotzkin.bijection import (
 )
 from gmotzkin.cli import main
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, generate
-from gmotzkin.paths import PathError, first_return_blocks, is_primitive
+from gmotzkin.paths import (
+    BASE,
+    BASE_INV,
+    CASE3,
+    CASE4,
+    CASE5,
+    CASE_III,
+    CASE_IV,
+    CASE_V,
+    PathError,
+    decompose_forward,
+    decompose_inverse,
+    first_return_blocks,
+    is_primitive,
+)
 from gmotzkin.samples import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT
+
+
+def reference_sigma(word: str) -> str:
+    """sigma by the paper's recursion: each unit maps by its
+    ``decompose_forward`` record.  The reference for ``sigma``."""
+    return "".join(map(_reference_unit, _units(word)))
+
+
+def reference_sigma_inv(word: str) -> str:
+    """sigma_inv block by block, each by its ``decompose_inverse`` record.
+    The reference for ``sigma_inv``."""
+    return "".join(map(_reference_block, first_return_blocks(word)))
+
+
+def _units(word: str) -> list[str]:
+    """The units of a path: its blocks, each "uv" glued to a u-block after it."""
+    units: list[str] = []
+    for block in first_return_blocks(word):
+        if units and units[-1] == "uv" and block[0] == "u":
+            units[-1] += block
+        else:
+            units.append(block)
+    return units
+
+
+@lru_cache(maxsize=None)
+def _reference_unit(unit: str) -> str:
+    dec = decompose_forward(unit)
+    case, i = dec.case, dec.elevation
+    if case == BASE:
+        return unit
+    assert not dec.parts[-1]  # a unit leaves no first-return remainder
+    if case == CASE4:
+        if i % 2:
+            j = (i + 1) // 2
+            return "u" * j + "uv" + "d" * j
+        j = i // 2
+        return "u" * (j + 1) + "d" * (j + 1)
+    inner = reference_sigma(dec.parts[0] + "uv" if case == CASE5 else dec.parts[0])
+    if case == CASE3:
+        return "u" + inner + "v"
+    if case == CASE5:
+        if i % 2:
+            j = (i + 1) // 2
+            return "u" * j + inner + "d" * j
+        j = i // 2
+        return "u" * (j + 1) + inner + "v" + "d" * j
+    # Case6
+    if i % 2:
+        j = (i + 1) // 2
+        return "u" * j + inner + "v" + "d" * (j - 1)
+    j = i // 2
+    return "u" * j + inner + "d" * j
+
+
+@lru_cache(maxsize=None)
+def _reference_block(block: str) -> str:
+    dec = decompose_inverse(block)
+    case, j, mid = dec.case, dec.elevation, dec.parts[0]
+    if case == BASE_INV:
+        return block
+    assert not dec.parts[-1]  # a block leaves no first-return remainder
+    if case == CASE_IV and not mid:
+        return "u" * (2 * j - 1) + "d" + "v" * (2 * j - 2)
+    if case == CASE_V:
+        mid = "u" + mid + "v"
+    # P'' (CaseIII) or the core loses a uuvv or uv suffix; P'' = uv stays.
+    peeled = mid.endswith(("uuvv", "uv")) and (mid != "uv" or case != CASE_III)
+    if peeled:
+        mid = mid[:-4] + "uv" if mid.endswith("uuvv") else mid[:-2]
+    inner = reference_sigma_inv(mid)
+    if case == CASE_III:
+        if peeled:
+            return "u" + inner + "d"
+        return "uv" + inner if is_primitive(inner) else "u" + inner + "v"
+    if peeled:
+        return "u" * (2 * j) + inner + "d" + "v" * (2 * j - 1)
+    return "u" * (2 * j) + inner + "v" * (2 * j)
+
+
+@st.composite
+def random_paths(draw, avoid: str, max_n: int = 60) -> str:
+    """A path of x-length at most ``max_n`` that avoids ``avoid`` (uvv or
+    uvu), built block by block so that every draw is valid."""
+    return _blocks(draw, draw(st.integers(0, max_n)), avoid)
+
+
+def _blocks(draw, n: int, avoid: str) -> str:
+    out = []
+    while n:
+        kind = draw(st.sampled_from(["h", "uv", "uPd", "uPv"] if n > 1 else ["h", "uv"]))
+        if kind == "h":
+            out.append("h")
+            n -= 1
+        elif kind == "uv" and avoid == "uvu" and n > 1:
+            out.append("uvh")  # a u-block after uv would hold uvu
+            n -= 2
+        elif kind == "uv":
+            out.append("uv")
+            n -= 1
+        else:
+            close = kind[-1]
+            m = draw(st.integers(0, n - 2) if close == "d" else st.integers(1, n - 1))
+            inner = _blocks(draw, m, avoid)
+            if close == "v" and avoid == "uvv" and inner.endswith("uv"):
+                inner = inner[:-2] + "h"  # u...uv v would hold uvv
+            out.append("u" + inner + close)
+            n -= m + 1 + (close == "d")
+    return "".join(out)
 
 
 class TestSigma:
@@ -105,6 +227,24 @@ class TestSigma:
         assert sigma_inv("uuudvd") == "uuuvudvv"
         assert sigma("uuuvudvv") == "uuudvd"
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_equals_the_recursive_reference(self, n):
+        # every node maps by its decomposition's case, exhaustively
+        for q in generate(n, AVOID_UVV):
+            assert sigma(q) == reference_sigma(q)
+        for p in generate(n, AVOID_UVU):
+            assert sigma_inv(p) == reference_sigma_inv(p)
+
+    @settings(max_examples=50)
+    @given(random_paths("uvv"))
+    def test_sigma_equals_the_reference_beyond_exhaustive_reach(self, q):
+        assert sigma(q) == reference_sigma(q)
+
+    @settings(max_examples=50)
+    @given(random_paths("uvu"))
+    def test_sigma_inv_equals_the_reference_beyond_exhaustive_reach(self, p):
+        assert sigma_inv(p) == reference_sigma_inv(p)
+
     @pytest.mark.parametrize("n", range(8))
     def test_bijection_exhaustively(self, n):
         uvu_class = set(generate(n, AVOID_UVU))
@@ -175,7 +315,7 @@ LONG_PATHS = {
 
 
 class TestLongPaths:
-    """sigma walks the units of a path in a loop, so length costs no stack."""
+    """sigma and sigma_inv read a path in one loop, so length costs no stack."""
 
     @pytest.mark.parametrize("name", LONG_PATHS)
     def test_round_trip(self, name):
@@ -197,51 +337,35 @@ class TestLongPaths:
         assert capsys.readouterr().out.strip() == q
 
 
+DEEP = 5000
+DEEP_PATHS = {
+    "ud": ("u" * DEEP + "d" * DEEP, "sigma"),
+    "uv": ("u" * DEEP + "v" * DEEP, "sigma-inv"),
+    "case3": ("uvu" * DEEP + "h" + "v" * DEEP, "sigma"),
+}
+
+
 class TestNesting:
-    """sigma's interiors still recurse, one level per nesting level; the
-    structural fixed-point test does not recurse."""
+    """sigma and sigma_inv map nested levels in one loop, and the structural
+    fixed-point test reads matched steps in one pass: nesting costs no stack."""
 
     def test_nesting_of_480_levels_maps(self):
-        # A fresh interpreter: here pytest's frames and whatever units earlier
-        # tests left in the caches would decide how many levels are left.
-        code = (
-            "from gmotzkin.bijection import sigma, sigma_inv\n"
-            "q = 'u' * 480 + 'd' * 480\n"
-            "print(sigma_inv(sigma(q)) == q)\n"
-        )
-        flags = ["-O"] if sys.flags.optimize else []
-        src = os.path.dirname(os.path.dirname(gmotzkin.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        run = subprocess.run(
-            [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert (run.returncode, run.stdout, run.stderr) == (0, "True\n", "")
+        q = "u" * 480 + "d" * 480
+        assert sigma_inv(sigma(q)) == q
 
-    @pytest.mark.parametrize(
-        "fn,word,height",
-        [
-            (sigma, "u" * 5000 + "d" * 5000, 5000),
-            (sigma_inv, "u" * 5000 + "v" * 5000, 5000),
-        ],
-        ids=["sigma", "sigma_inv"],
-    )
-    def test_overflow_is_a_path_error(self, fn, word, height):
-        with pytest.raises(PathError) as err:
-            fn(word)
-        assert str(err.value) == f"path nests too deeply: maximum height {height}"
+    @pytest.mark.parametrize("name", DEEP_PATHS)
+    def test_deep_round_trip(self, name, capsys):
+        word, command = DEEP_PATHS[name]
+        there, back = (sigma, sigma_inv) if command == "sigma" else (sigma_inv, sigma)
+        image = there(word)
+        assert back(image) == word
+        assert main([command, "--path", word]) == 0
+        assert capsys.readouterr().out == image + "\n"
+        other = "sigma-inv" if command == "sigma" else "sigma"
+        assert main([other, "--path", image]) == 0
+        assert capsys.readouterr().out == word + "\n"
 
     def test_structural_test_has_no_depth_limit(self):
         assert is_fixed_by_structure("u" * 1000 + "h" + "vh" * 1000)
         assert not is_fixed_by_structure("u" * 5000 + "ud" + "v" * 5000)
         assert is_fixed_by_structure("u" * 5000 + "h" + "vh" * 5000)
-
-    @pytest.mark.parametrize(
-        "command,word",
-        [("sigma", "u" * 5000 + "d" * 5000), ("sigma-inv", "u" * 5000 + "v" * 5000)],
-        ids=["sigma", "sigma-inv"],
-    )
-    def test_cli_exits_2_on_overflow(self, command, word, capsys):
-        assert main([command, "--path", word]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: path nests too deeply: maximum height 5000\n"

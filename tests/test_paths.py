@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gmotzkin import enumeration
+from gmotzkin.bijection import is_fixed_by_structure, sigma, sigma_inv
 from gmotzkin.paths import (
     RISE,
     Decomposition,
@@ -87,6 +88,28 @@ class TestParse:
             parse_pattern("u q")
         with pytest.raises(PathError, match=r"^empty pattern$"):
             parse_pattern(" \t")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            parse_word,
+            parse_pattern,
+            first_return_blocks,
+            sigma,
+            sigma_inv,
+            is_fixed_by_structure,
+            lambda w: list(enumeration.generate(2, enumeration.Constraints(avoid=(w,)))),
+        ],
+        ids=[
+            "parse_word", "parse_pattern", "first_return_blocks", "sigma", "sigma_inv",
+            "is_fixed_by_structure", "Constraints",
+        ],
+    )
+    @pytest.mark.parametrize("word", [None, 123, ["u", "d"], b"ud"], ids=repr)
+    def test_rejects_a_word_that_is_not_a_str(self, entry, word):
+        with pytest.raises(PathError) as err:
+            entry(word)
+        assert str(err.value) == f"a word must be a str, not {type(word).__name__}"
 
     @given(st.sampled_from(ALL_SMALL))
     def test_parse_is_identity_on_valid_words(self, word):

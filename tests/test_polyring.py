@@ -151,6 +151,17 @@ class TestPowerSeries:
             with pytest.raises(DivergenceError):
                 inverse(s)
 
+    @pytest.mark.parametrize(
+        "make",
+        [PowerSeries.zero, PowerSeries.x, lambda order: PowerSeries.from_ints([1, 2], order)],
+        ids=["zero", "x", "from_ints"],
+    )
+    def test_constructors_need_the_constant_coefficient(self, make):
+        assert make(0).order == 0
+        with pytest.raises(ValueError) as err:
+            make(-1)
+        assert str(err.value) == "a series needs at least the constant coefficient"
+
     @pytest.mark.parametrize("n", [-1, 3, True, 1.0, "1", None])
     def test_coefficient_outside_the_order(self, n):
         s = PowerSeries.from_ints([1, 2, 5], 2)
