@@ -52,7 +52,9 @@ open u.  A d or v closing the u maps the block it ends into the parent
 level, so nesting costs no recursion.  A level holding one block keeps its
 peeled layers and core and, in ``sigma_inv``, whether its image is
 primitive.  A ``sigma`` level flags a last lone uv (Case3); a ``sigma_inv``
-level reads a last uv or uuvv block off its image, uv or uvuv.
+level reads a last uv or uuvv block off its image, uv or uvuv.  ``sigma``
+checks that no Case5 Q'' ends in uv and no Case6 Q'' in uv or uuvv, and
+raises AssertionError otherwise, also under ``python -O``.
 
 Fixed points.  ``is_fixed_by_structure`` reads them off matched steps in
 one pass; it never calls sigma, so the two tests stay independent.
@@ -91,10 +93,11 @@ def sigma(word: str) -> str:
             else:  # Case5 as Case6 one layer up over Q''uv, or Case6 with one layer
                 inner = "".join(units)
                 if step == "d":
-                    assert not inner.endswith("uv")
+                    if inner.endswith("uv"):
+                        raise AssertionError(f"a Case5 Q'' ends in uv in {word}")
                     inner += "uuvv" if lone_uv else "uv"
-                else:
-                    assert not inner.endswith(("uv", "uuvv"))
+                elif inner.endswith(("uv", "uuvv")):
+                    raise AssertionError(f"a Case6 Q'' ends in uv or uuvv in {word}")
                 block, image = (1, inner), "u" + inner + "v"
             units, lone_uv, only = parent
             if lone_uv:  # Case3

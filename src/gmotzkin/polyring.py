@@ -7,8 +7,8 @@ this module is exact integer arithmetic:
 
   Monomial    -- an exponent triple (ea, eb, ec) standing for a^ea b^eb c^ec.
   Polynomial  -- a finite map from Monomial to a nonzero int coefficient.
-  PowerSeries -- a truncated series in a formal variable x whose
-                 coefficients are Polynomials.
+  PowerSeries -- the Polynomial coefficients of a truncated series in a
+                 formal variable x, read-only and without arithmetic.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 
@@ -20,17 +20,14 @@ the coefficient travels as a decimal string so arbitrarily large values
 survive JSON readers with fixed-width integers.
 
 The series variable x is structural (the position in the coefficient
-list), not a fourth ring variable.  Series arithmetic never reads or
-writes beyond the truncation order.  Products are formed by ``dot``, which
-sums a run of polynomial products into one term map.  Generating functions
-are not solved here: ``series.solve`` computes the root of D S = P + Q S^2
-one coefficient at a time on ints packed by ``KroneckerCodec``, and checks
-it by packing the result anew.  Criterion 9 of ``verify`` packs the solved
-series in a, b, c with the codec too, but checks their identities with
-sums and products of its own, not with the solver's recurrence or rows.
-``dot`` serves ``formulas`` and criteria 3 and 7, and the ``PowerSeries``
-operators criterion 9's integer F and A identities, so ``verify`` checks
-the solver with arithmetic of its own.
+list), not a fourth ring variable.  Products of polynomials are formed by
+``dot``, which sums a run of polynomial products into one term map; it
+serves ``formulas`` and criteria 3 and 7 of ``verify``.  Generating
+functions are not solved here: ``series.solve`` computes the root of
+D S = P + Q S^2 one coefficient at a time on ints packed by
+``KroneckerCodec``, and checks it by packing the result anew.  Criterion 9
+of ``verify`` checks the solved series' identities on ints too, with sums
+and products of its own, not with the solver's recurrence or rows.
 """
 
 from __future__ import annotations
@@ -40,10 +37,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 Monomial = tuple[int, int, int]
 
 _VAR_INDEX = {"a": 0, "b": 1, "c": 2}
-
-
-class OrderMismatchError(ValueError):
-    """Two series of different truncation orders were combined."""
 
 
 class DivergenceError(ArithmeticError):
@@ -63,10 +56,6 @@ class Polynomial:
                     self._terms[mono] = coeff
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def const(cls, value: int) -> "Polynomial":
@@ -349,7 +338,7 @@ class KroneckerCodec:
         return res
 
 
-ZERO = Polynomial.zero()
+ZERO = Polynomial()
 ONE = Polynomial.const(1)
 VAR_A = Polynomial.variable("a")
 VAR_B = Polynomial.variable("b")
@@ -380,27 +369,6 @@ class PowerSeries:
             raise ValueError(f"no coefficient {n!r} in a series of order {self.order}")
         return self._coeffs[n]
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([ZERO] * (order + 1))
-
-    @classmethod
-    def x(cls, order: int) -> "PowerSeries":
-        return cls.from_polys([ZERO, ONE], order)
-
-    @classmethod
-    def from_polys(cls, polys: Sequence[Polynomial], order: int) -> "PowerSeries":
-        """Low-order coefficients from ``polys``, zero-padded or truncated to ``order``."""
-        coeffs = list(polys[: order + 1])
-        coeffs += [ZERO] * (order + 1 - len(coeffs))
-        return cls(coeffs)
-
-    @classmethod
-    def from_ints(cls, values: Sequence[int], order: int) -> "PowerSeries":
-        return cls.from_polys([Polynomial.const(v) for v in values], order)
-
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -409,39 +377,6 @@ class PowerSeries:
         return self._coeffs == other._coeffs
 
     __hash__ = None  # type: ignore[assignment]
-
-    def _require_same_order(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"series orders differ: {self.order} vs {other.order}"
-            )
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return PowerSeries([p + q for p, q in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return PowerSeries([p - q for p, q in zip(self._coeffs, other._coeffs)])
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-p for p in self._coeffs])
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        left = [(i, p) for i, p in enumerate(self._coeffs) if p]
-        right = other._coeffs
-        return PowerSeries(
-            [dot((p, right[n - i]) for i, p in left if i <= n) for n in range(len(right))]
-        )
 
     # -- output --------------------------------------------------------------
 

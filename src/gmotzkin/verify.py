@@ -358,12 +358,8 @@ class Harness:
 
     def criterion_9(self) -> CheckResult:
         """Decomposition totality, sigma's Case5/Case6 invariants and series residuals."""
-        if not __debug__:  # pragma: no cover
-            return CheckResult(
-                "structural suite", False, "asserts disabled; recursion invariants unchecked"
-            )
         for n in range(self.structural_nmax + 1):
-            self.sweep(n)  # maps every path; sigma assert-checks its Case5/Case6 invariants
+            self.sweep(n)  # maps every path; sigma checks its Case5/Case6 invariants
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
                 if err:
@@ -384,9 +380,18 @@ class Harness:
     def _series_residuals(self) -> str | None:
         """The series identities of criterion 9: None, or the first that fails.
 
-        The G_uvv first-return equation, the T equation and the relation
-        x Gbar (1 + aT) = T are checked on Kronecker-packed ints (see
-        ``_residual_sides``), the F and A identities on ``PowerSeries``.
+        Every identity is checked on ints, with ``_convolve`` and
+        ``_shift``.  The G_uvv first-return equation, the T equation and the
+        relation x Gbar (1 + aT) = T run on Kronecker-packed coefficients
+        (see ``_residual_sides``).  The identities of the fixed-point count
+        F and its class-A part,
+
+            x F^2 - (1 + 2x - 2x^2 - 4x^3 - x^4) F + (1 + x)^3 = 0
+            F = (1 + x)^2 A + x^3 - x
+            F = 1 + x + 2x^2 F + x A F,
+
+        run on their coefficients as ints; a coefficient that is not an
+        integer constant fails the first of them it enters.
 
         Grade a and b by 1 and c by 2.  ``KroneckerCodec.pack`` sends each
         coefficient G_n, T_n and Gbar_n, homogeneous of degree n, n - 1 and
@@ -433,21 +438,26 @@ class Harness:
                 return message
             if lhs != rhs:
                 return message
-        x = PowerSeries.x(order)
-        zero = PowerSeries.zero(order)
-        f = self.series("F", order)
-        a = self.series("A", order)
-        quad = PowerSeries.from_ints([1, 2, -2, -4, -1], order)
-        cube = PowerSeries.from_ints([1, 3, 3, 1], order)
-        if x * f * f - quad * f + cube != zero:
+        length = order + 1
+
+        def poly(*values: int) -> list[int]:
+            """A polynomial in x, by its coefficients, as a series."""
+            return (list(values) + [0] * length)[:length]
+
+        f = _constants(self.series("F", order).coeffs)
+        if f is None or [
+            s + u for s, u in zip(_shift(_convolve(f, f), 1), poly(1, 3, 3, 1))
+        ] != _convolve(poly(1, 2, -2, -4, -1), f):
             return "F quadratic residual is nonzero"
-        if f != PowerSeries.from_ints([1, 2, 1], order) * a + PowerSeries.from_ints(
-            [0, -1, 0, 1], order
-        ):
+        a = _constants(self.series("A", order).coeffs)
+        if a is None or f != [
+            s + u for s, u in zip(_convolve(poly(1, 2, 1), a), poly(0, -1, 0, 1))
+        ]:
             return "F vs A relation fails"
-        if f - PowerSeries.from_ints([1, 1], order) - PowerSeries.from_ints(
-            [0, 0, 2], order
-        ) * f - x * a * f != zero:
+        if f != [
+            s + 2 * u + v
+            for s, u, v in zip(poly(1, 1), _shift(f, 2), _shift(_convolve(a, f), 1))
+        ]:
             return "F convolution residual is nonzero"
         return None
 
@@ -516,6 +526,12 @@ def _residual_sides(
     )
     xgbar = [0] + value(gbar, 0)
     yield [s + u for s, u in zip(xgbar, _convolve(xgbar, t))], t
+
+
+def _constants(coeffs: Sequence[Polynomial]) -> list[int] | None:
+    """The coefficients as ints, or None if one is not an integer constant."""
+    values = [p.eval(0, 0, 0) for p in coeffs]
+    return values if all(p == v for p, v in zip(coeffs, values)) else None
 
 
 def _shift(s: list[int], k: int) -> list[int]:

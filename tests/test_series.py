@@ -21,6 +21,7 @@ from gmotzkin.polyring import (
     KroneckerCodec,
     Polynomial,
     PowerSeries,
+    dot,
 )
 from gmotzkin.series import KINDS, expand, solve
 
@@ -206,28 +207,46 @@ class TestIdentities:
             assert g_uvu.coefficient(n).substitute("c", B2) == schroder_weight(n)
 
     def test_first_return_residual(self):
-        order = self.ORDER
-        s = expand("G_uvv", order)
-        one = PowerSeries.from_ints([1], order)
-        ax = PowerSeries.from_polys([ZERO, A], order)
-        kern = PowerSeries.from_polys([ZERO, B, C - B2], order)
-        assert s - one - ax * s - kern * (s * s) == PowerSeries.zero(order)
+        # G = 1 + a x G + (b x + (c - b^2) x^2) G^2
+        g = list(expand("G_uvv", self.ORDER).coeffs)
+        n = len(g)
+        rhs = add(
+            padded([ONE], n),
+            product(padded([ZERO, A], n), g),
+            product(padded([ZERO, B, C - B2], n), product(g, g)),
+        )
+        assert g == rhs
 
     def test_f_quadratic_residual(self):
-        order = self.ORDER
-        f = expand("F", order)
-        x = PowerSeries.x(order)
-        quad = PowerSeries.from_ints([1, 2, -2, -4, -1], order)
-        cube = PowerSeries.from_ints([1, 3, 3, 1], order)
-        assert x * f * f - quad * f + cube == PowerSeries.zero(order)
+        # x F^2 + (1 + x)^3 = (1 + 2x - 2x^2 - 4x^3 - x^4) F
+        f = list(expand("F", self.ORDER).coeffs)
+        n = len(f)
+        lhs = add(product(padded([ZERO, ONE], n), product(f, f)), padded(consts(1, 3, 3, 1), n))
+        assert lhs == product(padded(consts(1, 2, -2, -4, -1), n), f)
 
     def test_gbar_relation(self):
         # x Gbar (1 + a T) = T through x^(order + 1)
-        order = self.ORDER
-        t = expand("T", order + 1)
-        gbar = PowerSeries.from_polys(expand("Gbar_uvv", order).coeffs, order + 1)
-        x = PowerSeries.x(order + 1)
-        one = PowerSeries.from_ints([1], order + 1)
-        a = PowerSeries.from_polys([A], order + 1)
-        assert x * gbar * (one + a * t) == t
+        n = self.ORDER + 2
+        t = list(expand("T", n - 1).coeffs)
+        x_gbar = padded([ZERO, *expand("Gbar_uvv", self.ORDER).coeffs], n)
+        assert product(x_gbar, add(padded([ONE], n), [A * p for p in t])) == t
 
+
+def consts(*values):
+    """Series coefficients, the integer constants ``values``."""
+    return [Polynomial.const(v) for v in values]
+
+
+def padded(coeffs, length):
+    """A polynomial in x, by its coefficients, as a series of ``length`` terms."""
+    return list(coeffs) + [ZERO] * (length - len(coeffs))
+
+
+def add(*series):
+    """The coefficientwise sum of series of equal length."""
+    return [sum(terms, ZERO) for terms in zip(*series)]
+
+
+def product(s, t):
+    """The coefficients of S T through the length of s; t is at least as long."""
+    return [dot((s[i], t[n - i]) for i in range(n + 1)) for n in range(len(s))]

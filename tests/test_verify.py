@@ -154,8 +154,23 @@ def perturbed_expand(kind, n, term):
         ("Gbar_uvv", 3, Polynomial.monomial(3, 0, 0), "Gbar relation fails"),
         ("T", 0, Polynomial.const(1), "T equation residual is nonzero"),
         ("Gbar_uvv", 8, -C * C * C * C, "Gbar relation fails"),
+        ("F", 4, Polynomial.const(1), "F quadratic residual is nonzero"),
+        ("A", 6, Polynomial.const(1), "F vs A relation fails"),
+        # F_3 + a and A_3 + a are not constants, but equal F_3 and A_3 at a = 0
+        ("F", 3, A, "F quadratic residual is nonzero"),
+        ("A", 3, A, "F vs A relation fails"),
     ],
-    ids=["G_uvv_5 + ab^2c", "T_7 + b^6", "Gbar_3 + a^3", "T_0 + 1", "Gbar_8 - c^4"],
+    ids=[
+        "G_uvv_5 + ab^2c",
+        "T_7 + b^6",
+        "Gbar_3 + a^3",
+        "T_0 + 1",
+        "Gbar_8 - c^4",
+        "F_4 + 1",
+        "A_6 + 1",
+        "F_3 + a",
+        "A_3 + a",
+    ],
 )
 def test_series_residuals_name_the_failing_identity(monkeypatch, kind, n, term, message):
     monkeypatch.setattr(verify, "expand", perturbed_expand(kind, n, term))
@@ -304,12 +319,11 @@ def test_decomposition_checker_refuses_a_wrong_part_count(monkeypatch, name):
 @pytest.mark.parametrize("name", MUTATIONS)
 def test_criterion_9_fails_on_a_mislabelled_decomposition(monkeypatch, name):
     target, decompose, max_n, _, _ = MUTATIONS[name]
-    assert Harness(max_n=max_n - 1, series_order=2).criterion_9().ok == __debug__
+    assert Harness(max_n=max_n - 1, series_order=2).criterion_9().ok
     monkeypatch.setattr(verify, target, decompose)
     result = Harness(max_n=max_n, series_order=2).criterion_9()
     assert not result.ok
-    if __debug__:
-        assert "record Decomposition(" in result.detail
+    assert "record Decomposition(" in result.detail
 
 
 # The number of parts of each case's record.
