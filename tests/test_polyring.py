@@ -138,6 +138,15 @@ class TestPowerSeries:
             PowerSeries([])
         assert str(err.value) == "a series needs at least the constant coefficient"
 
+    def test_equality_needs_the_same_order(self):
+        s = PowerSeries(consts(1, 2))
+        assert s == PowerSeries(tuple(consts(1, 2)))
+        assert s != PowerSeries(consts(1, 2, 0))
+        assert s != PowerSeries(consts(1))
+        assert s != consts(1, 2)
+        with pytest.raises(TypeError):
+            hash(s)
+
     @pytest.mark.parametrize("n", [-1, 3, True, 1.0, "1", None])
     def test_coefficient_outside_the_order(self, n):
         s = PowerSeries(consts(1, 2, 5))

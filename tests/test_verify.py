@@ -193,6 +193,26 @@ def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, 
     assert Harness(series_order=8)._series_residuals() == message
 
 
+def test_constants_read_integer_constants_only():
+    consts = [Polynomial.const(2), Polynomial(), Polynomial.const(-3)]
+    assert verify._constants(consts) == [2, 0, -3]
+    # a term in a, b or c makes the whole list None, even where it is 0 at 0
+    for term in (A, B * C, A - Polynomial.const(1)):
+        assert verify._constants(consts[:1] + [term] + consts[2:]) is None
+
+
+@pytest.mark.parametrize("s", [[1], [1, -2], [0, 3, -1, 4], [2, 0, 0, 5, -7, 1]])
+def test_convolve_squares_like_a_product(s):
+    # the square of s pairs each two coefficients once; a copy takes the
+    # general sum over every pair
+    square = verify._convolve(s, s)
+    assert square == verify._convolve(s, list(s))
+    assert square == [
+        sum(s[i] * s[j] for i in range(len(s)) for j in range(len(s)) if i + j == n)
+        for n in range(len(s))
+    ]
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 8])
 def test_series_residuals_pass(order):
     assert Harness(series_order=order)._series_residuals() is None
