@@ -56,15 +56,21 @@ level reads a last uv or uuvv block off its image, uv or uvuv.  ``sigma``
 checks that no Case5 Q'' ends in uv and no Case6 Q'' in uv or uuvv, and
 raises AssertionError otherwise, also under ``python -O``.
 
-Fixed points.  ``is_fixed_by_structure`` reads them off matched steps in
-one pass; it never calls sigma, so the two tests stay independent.
+Fixed points.  sigma maps the uvv-avoiding class into the uvu-avoiding
+class, so a fixed point w = sigma(w) lies in both: its domain and its
+codomain.  ``fixed_points`` walks only the paths that avoid both uvv and
+uvu and still tests each with ``is_fixed_point``; the codomain claim is
+what ``verify``'s criterion 4 checks on every path for n <= 10, and
+criterion 6 counts the fixed points by its own sweep over the whole uvv
+class.  ``is_fixed_by_structure`` reads them off matched steps in one pass;
+it never calls sigma, so the two tests stay independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import AVOID_UVV, generate
+from .enumeration import Constraints, generate
 from .paths import PathError, _check_steps, first_return_blocks, is_primitive
 
 
@@ -263,11 +269,23 @@ class FixedPointCounts:
             raise ValueError("class counts do not add up")
 
 
+# sigma's domain (no uvv) intersected with its codomain (no uvu)
+_DOMAIN_AND_CODOMAIN = Constraints(avoid=("uvv", "uvu"))
+
+
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
-    """Brute-force count (and optionally list) the fixed points of length n."""
+    """Brute-force count (and optionally list) the fixed points of length n.
+
+    A fixed point w = sigma(w) avoids uvv (sigma's domain) and uvu (its
+    codomain; ``verify``'s criterion 4 checks that on every path for
+    n <= 10), so only paths that avoid both are walked, each still tested
+    with ``is_fixed_point``.  They come in ``generate``'s order.
+    """
+    if not isinstance(include_paths, bool):
+        raise ValueError(f"include_paths must be a bool, not {include_paths!r}")
     counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
     found: list[str] = []
-    for word in generate(n, AVOID_UVV):
+    for word in generate(n, _DOMAIN_AND_CODOMAIN):
         if is_fixed_point(word):
             counts[_classify(word)] += 1
             if include_paths:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmotzkin import bijection
 from gmotzkin.bijection import (
     _classify,
     fixed_points,
@@ -282,6 +283,35 @@ class TestFixedPoints:
 
     def test_counts_five(self):
         assert fixed_points(5).f == 125
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_counts_equal_the_sweep_over_the_uvv_class(self, n):
+        """Walking paths that avoid uvv and uvu finds what testing every
+        uvv-avoiding path finds, in the same order and classes."""
+        old = tuple(w for w in generate(n, AVOID_UVV) if sigma(w) == w)
+        counts = fixed_points(n, include_paths=True)
+        assert counts.paths == old
+        classes = [_classify(w) for w in old]
+        assert (counts.f, counts.a, counts.b, counts.c) == (
+            len(old), classes.count("A"), classes.count("B"), classes.count("C")
+        )
+
+    def test_sigma_runs_only_on_paths_avoiding_uvv_and_uvu(self, monkeypatch):
+        calls = []
+
+        def counting_sigma(word):
+            calls.append(word)
+            return sigma(word)
+
+        monkeypatch.setattr(bijection, "sigma", counting_sigma)
+        assert fixed_points(7).f == 1478
+        assert len(calls) == 4334  # not the 8,558 uvv-avoiding paths
+        assert not any("uvu" in w for w in calls)
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_include_paths_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="include_paths must be a bool"):
+            fixed_points(3, include_paths=flag)
 
     @pytest.mark.parametrize("n", range(8))
     def test_structural_test_agrees_with_direct_test(self, n):
