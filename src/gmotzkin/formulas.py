@@ -265,6 +265,7 @@ def relation_checks(n: int) -> dict[str, bool]:
     G_n^uvu(a,b,b^2) = S_n(a,b), which needs the enumeration oracle, is
     checked by ``verify``'s weight-relations criterion.
     """
+    _check_length(n)
     if n < 1:
         raise ValueError("relations hold for n >= 1")
     s = schroder_weight(n)

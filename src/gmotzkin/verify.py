@@ -5,15 +5,20 @@ routes (exhaustive enumeration, closed formulas, generating-function
 expansion, and the bijection) against one another and against frozen
 known values.  All comparisons are exact; there are no tolerances.
 
+Each check returns None or what failed, and ``_criterion`` makes it into
+the criterion's PASS or FAIL ``CheckResult``; an exception the check
+raises is its FAIL, so every criterion of ``run_all`` reports.
+
 ``Harness`` caches oracle weight sums by (class, n), series expansions by
 (kind, order) and the bijection sweep by n, so one ``run_all`` computes each
 of these once however many checks read it.  The sweep takes the size of the
 uvu-avoiding class from the weight-sum cache and walks only the uvv-avoiding
-class; the structural suite reads sigma's invariants off the sweep and
-walks both classes again for the decompositions.  So at full bounds the
-uvv-avoiding class is walked three times for n <= 8 and twice for n = 9, 10
-(weight sum, sweep, structural suite), and the uvu-avoiding class twice for
-n <= 8 and once for n = 9, 10 (weight sum, structural suite).  ``max_n``
+class, mapping every path, so sigma's own Case5/Case6 invariants are
+checked there; the structural suite does not sweep, and walks both classes
+again for the decompositions.  So at full bounds the uvv-avoiding class is
+walked three times for n <= 8 and twice for n = 9, 10 (weight sum, sweep,
+structural suite), and the uvu-avoiding class twice for n <= 8 and once for
+n = 9, 10 (weight sum, structural suite).  ``max_n``
 clamps the enumeration bounds for quicker runs; the stated full bounds are
 length 10 for avoidance classes, 8 for the unconstrained class and
 structural checks, and series order 30.
@@ -26,11 +31,13 @@ the kind of its core.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import bijection, formulas, samples
-from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, generate, weight_sum
+from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
+from .enumeration import generate, weight_sum
 from .paths import (
     BASE,
     BASE_INV,
@@ -85,31 +92,58 @@ class _Sweep:
     error: str | None
 
 
+def _criterion(name: str, passed: str):
+    """Make a check, which returns None or what failed, into the criterion
+    ``name``: PASS with ``passed`` formatted with the harness's bounds, or
+    FAIL with what failed.  An exception the check raises is what failed,
+    named by its type and message."""
+
+    def wrap(check: Callable[[Harness], str | None]) -> Callable[[Harness], CheckResult]:
+        @functools.wraps(check)
+        def criterion(self: Harness) -> CheckResult:
+            try:
+                failure = check(self)
+            except Exception as err:
+                failure = f"{type(err).__name__}: {err}"
+            if failure is None:
+                return CheckResult(name, True, passed.format_map(vars(self)))
+            return CheckResult(name, False, failure)
+
+        return criterion
+
+    return wrap
+
+
+# Criterion 1's rows: each closed form, its number of forms and its class.
+_CLOSED_FORMS = (
+    ("g_uvv", formulas.g_uvv_closed, 5, AVOID_UVV),
+    ("gbar_uvv", formulas.gbar_uvv_closed, 3, BAR_UVV),
+)
+
+
 class Harness:
     """Runs the verification checks with shared caches."""
 
     def __init__(self, max_n: int | None = None, series_order: int = 30):
+        bounds = {"max_n": 0 if max_n is None else max_n, "series_order": series_order}
+        for name, value in bounds.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative int, not {value!r}")
         full = 10**9 if max_n is None else max_n
         self.avoid_nmax = min(10, full)
         self.all_nmax = min(8, full)
         self.structural_nmax = min(8, full)
         self.series_order = series_order
-        self._sums: dict[tuple[str, int], Polynomial] = {}
+        self._sums: dict[tuple[Constraints, int], Polynomial] = {}
         self._series: dict[tuple[str, int], PowerSeries] = {}
         self._sweeps: dict[int, _Sweep] = {}
 
     # -- shared computations -------------------------------------------------
 
-    def sums(self, tag: str, n: int) -> Polynomial:
-        key = (tag, n)
+    def sums(self, constraints: Constraints, n: int) -> Polynomial:
+        key = (constraints, n)
         if key not in self._sums:
-            cons = {
-                "uvv": AVOID_UVV,
-                "uvu": AVOID_UVU,
-                "all": None,
-                "gbar": BAR_UVV,
-            }[tag]
-            self._sums[key] = weight_sum(n, cons)
+            self._sums[key] = weight_sum(n, constraints)
         return self._sums[key]
 
     def series(self, kind: str, order: int) -> PowerSeries:
@@ -139,7 +173,7 @@ class Harness:
         """
         if n in self._sweeps:
             return self._sweeps[n]
-        size = self.sums("uvu", n).eval(1, 1, 1)
+        size = self.sums(AVOID_UVU, n).eval(1, 1, 1)
         count = 0
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
@@ -175,105 +209,73 @@ class Harness:
 
     # -- criteria ------------------------------------------------------------
 
-    def criterion_1(self) -> CheckResult:
+    @_criterion("closed forms vs oracle", "5 + 3 forms, n = 0..{avoid_nmax}")
+    def criterion_1(self) -> str | None:
         """Closed forms for both restricted classes equal the oracle."""
         for n in range(self.avoid_nmax + 1):
-            oracle = self.sums("uvv", n)
-            for form in (1, 2, 3, 4, 5):
-                got = formulas.g_uvv_closed(n, form)
-                if got != oracle:
-                    return CheckResult(
-                        "closed forms vs oracle", False,
-                        f"g_uvv form {form} at n={n}: {got} != {oracle}",
-                    )
-            bar_oracle = self.sums("gbar", n)
-            for form in (1, 2, 3):
-                got = formulas.gbar_uvv_closed(n, form)
-                if got != bar_oracle:
-                    return CheckResult(
-                        "closed forms vs oracle", False,
-                        f"gbar_uvv form {form} at n={n}: {got} != {bar_oracle}",
-                    )
-        return CheckResult(
-            "closed forms vs oracle",
-            True,
-            f"5 + 3 forms, n = 0..{self.avoid_nmax}",
-        )
+            for label, closed, forms, constraints in _CLOSED_FORMS:
+                oracle = self.sums(constraints, n)
+                for form in range(1, forms + 1):
+                    got = closed(n, form)
+                    if got != oracle:
+                        return f"{label} form {form} at n={n}: {got} != {oracle}"
+        return None
 
-    def criterion_2(self) -> CheckResult:
+    @_criterion("series vs oracle", "4 kinds, n = 0..{all_nmax}")
+    def criterion_2(self) -> str | None:
         """Series coefficients of all four classes equal the oracle."""
         order = self.all_nmax
-        pairs = [("G_uvv", "uvv"), ("Gbar_uvv", "gbar"), ("G", "all"), ("G_uvu", "uvu")]
-        for kind, tag in pairs:
+        pairs = [("G_uvv", AVOID_UVV), ("Gbar_uvv", BAR_UVV), ("G", NO_CONSTRAINTS), ("G_uvu", AVOID_UVU)]
+        for kind, constraints in pairs:
             s = self.series(kind, order)
             for n in range(order + 1):
-                if s.coefficient(n) != self.sums(tag, n):
-                    return CheckResult(
-                        "series vs oracle", False,
-                        f"{kind} coefficient {n} != oracle",
-                    )
-        return CheckResult("series vs oracle", True, f"4 kinds, n = 0..{order}")
+                if s.coefficient(n) != self.sums(constraints, n):
+                    return f"{kind} coefficient {n} != oracle"
+        return None
 
-    def criterion_3(self) -> CheckResult:
-        """The two substitution identities, by oracle and by series."""
-        for n in range(self.all_nmax + 1):
-            lhs = self.sums("uvv", n).substitute("c", _B2 + VAR_C)
-            if lhs != self.sums("all", n):
-                return CheckResult(
-                    "substitution identities", False, f"oracle c->b^2+c fails at n={n}"
-                )
-            if self.sums("uvv", n).substitute("c", _B2) != self.sums(
-                "uvu", n
-            ).substitute("c", _B2):
-                return CheckResult(
-                    "substitution identities", False, f"oracle c=b^2 fails at n={n}"
-                )
+    @_criterion("substitution identities", "oracle n = 0..{all_nmax}, series order {series_order}")
+    def criterion_3(self) -> str | None:
+        """The two substitution identities, on oracle rows and on series coefficients."""
         order = self.series_order
-        g_uvv = self.series("G_uvv", order)
-        g_all = self.series("G", order)
-        g_uvu = self.series("G_uvu", order)
-        for n in range(order + 1):
-            if g_uvv.coefficient(n).substitute("c", _B2 + VAR_C) != g_all.coefficient(n):
-                return CheckResult(
-                    "substitution identities", False, f"series c->b^2+c fails at n={n}"
-                )
-            if g_uvv.coefficient(n).substitute("c", _B2) != g_uvu.coefficient(
-                n
-            ).substitute("c", _B2):
-                return CheckResult(
-                    "substitution identities", False, f"series c=b^2 fails at n={n}"
-                )
-        return CheckResult(
-            "substitution identities",
-            True,
-            f"oracle n = 0..{self.all_nmax}, series order {order}",
-        )
+        sources = {
+            "oracle": [[self.sums(c, n) for c in (AVOID_UVV, NO_CONSTRAINTS, AVOID_UVU)]
+                       for n in range(self.all_nmax + 1)],
+            "series": zip(*(self.series(k, order).coeffs for k in ("G_uvv", "G", "G_uvu"))),
+        }
+        for source, rows in sources.items():
+            for n, (g_uvv, g_all, g_uvu) in enumerate(rows):
+                if g_uvv.substitute("c", _B2 + VAR_C) != g_all:
+                    return f"{source} c->b^2+c fails at n={n}"
+                if g_uvv.substitute("c", _B2) != g_uvu.substitute("c", _B2):
+                    return f"{source} c=b^2 fails at n={n}"
+        return None
 
-    def criterion_4(self) -> CheckResult:
-        """sigma is a weight-preserving bijection onto the uvu-avoiding class."""
+    @_criterion("bijection suite", "n = 0..{avoid_nmax}")
+    def criterion_4(self) -> str | None:
+        """sigma is a weight-preserving bijection onto the uvu-avoiding class;
+        the sweep maps every path, so sigma's Case5/Case6 invariants hold too."""
         for n in range(self.avoid_nmax + 1):
             rec = self.sweep(n)
             if rec.error:
-                return CheckResult("bijection suite", False, f"n={n}: {rec.error}")
+                return f"n={n}: {rec.error}"
             schroder = formulas.schroder_weight(n).eval(1, 1, 0)
             if rec.size != schroder:
-                return CheckResult(
-                    "bijection suite", False,
-                    f"n={n}: class size {rec.size} != Schroeder {schroder}",
-                )
-        return CheckResult("bijection suite", True, f"n = 0..{self.avoid_nmax}")
+                return f"n={n}: class size {rec.size} != Schroeder {schroder}"
+        return None
 
-    def criterion_5(self) -> CheckResult:
+    @_criterion("sample bijection pair", "28-step input and image")
+    def criterion_5(self) -> str | None:
         """The frozen 28-step worked example maps and inverts exactly."""
         got = bijection.sigma(samples.BIJECTION_SAMPLE_INPUT)
         if got != samples.BIJECTION_SAMPLE_OUTPUT:
-            return CheckResult("sample bijection pair", False, f"sigma gave {got}")
+            return f"sigma gave {got}"
         back = bijection.sigma_inv(samples.BIJECTION_SAMPLE_OUTPUT)
         if back != samples.BIJECTION_SAMPLE_INPUT:
-            return CheckResult("sample bijection pair", False, f"sigma_inv gave {back}")
-        return CheckResult("sample bijection pair", True, "28-step input and image")
+            return f"sigma_inv gave {back}"
+        return None
 
-    def criterion_6(self) -> CheckResult:
+    @_criterion("fixed points", "four-way agreement, n = 0..{avoid_nmax}")
+    def criterion_6(self) -> str | None:
         """Fixed-point counts agree four ways and satisfy the class recurrences."""
         nmax = self.avoid_nmax
         f_series = self.series("F", nmax)
@@ -290,29 +292,29 @@ class Harness:
             if n < len(FIXED_POINT_COUNTS):
                 values["frozen table"] = FIXED_POINT_COUNTS[n]
             if len(set(values.values())) != 1:
-                return CheckResult("fixed points", False, f"n={n}: {values}")
+                return f"n={n}: {values}"
             if rec.f != rec.a + rec.b + rec.c:
-                return CheckResult("fixed points", False, f"n={n}: classes do not sum")
+                return f"n={n}: classes do not sum"
             if (rec.a, rec.b, rec.c) != (a_seq[n], b_seq[n], c_seq[n]):
-                return CheckResult(
-                    "fixed points", False,
+                return (
                     f"n={n}: classes {(rec.a, rec.b, rec.c)} != recurrence "
-                    f"{(a_seq[n], b_seq[n], c_seq[n])}",
+                    f"{(a_seq[n], b_seq[n], c_seq[n])}"
                 )
         for n in range(3, nmax + 1):
             if sweeps[n].c != sweeps[n - 1].a:
-                return CheckResult("fixed points", False, f"c_{n} != a_{n-1}")
+                return f"c_{n} != a_{n-1}"
         if nmax >= 2 and sweeps[2].c != 2:
-            return CheckResult("fixed points", False, "c_2 != 2")
+            return "c_2 != 2"
         for n in range(1, nmax + 1):
             if sweeps[n].b != sweeps[n - 1].a + sweeps[n - 1].c:
-                return CheckResult("fixed points", False, f"b_{n} != a_{n-1} + c_{n-1}")
+                return f"b_{n} != a_{n-1} + c_{n-1}"
         seeds = [rec.a for rec in sweeps[: min(5, nmax + 1)]]
         if seeds != [1, 1, 2, 7, 23][: len(seeds)]:
-            return CheckResult("fixed points", False, f"class-A seeds {seeds}")
-        return CheckResult("fixed points", True, f"four-way agreement, n = 0..{nmax}")
+            return f"class-A seeds {seeds}"
+        return None
 
-    def criterion_7(self) -> CheckResult:
+    @_criterion("specialization table", "7 rows, n = 0..{avoid_nmax}")
+    def criterion_7(self) -> str | None:
         """Specializations of the closed form reproduce the classical families."""
         order = self.avoid_nmax
         g_series = self.series("G_uvv", order)
@@ -335,47 +337,46 @@ class Harness:
             for point in ((1, 0, 2), (-3, 4, 16)):
                 val = g.eval(*point)
                 checks.append(
-                    (f"{point} oracle", val == self.sums("uvv", n).eval(*point))
+                    (f"{point} oracle", val == self.sums(AVOID_UVV, n).eval(*point))
                 )
                 checks.append(
                     (f"{point} series", val == g_series.coefficient(n).eval(*point))
                 )
             for label, ok in checks:
                 if not ok:
-                    return CheckResult("specialization table", False, f"n={n}: {label}")
-        return CheckResult("specialization table", True, f"7 rows, n = 0..{order}")
+                    return f"n={n}: {label}"
+        return None
 
-    def criterion_8(self) -> CheckResult:
+    @_criterion("weight relations", "n = 1..{avoid_nmax}")
+    def criterion_8(self) -> str | None:
         """Classical weight-family relations, including the uvu-class identity."""
         for n in range(1, self.avoid_nmax + 1):
             report = formulas.relation_checks(n)
-            g_uvu = self.sums("uvu", n).substitute("c", _B2)
+            g_uvu = self.sums(AVOID_UVU, n).substitute("c", _B2)
             report["uvu_class_eq_schroder"] = g_uvu == formulas.schroder_weight(n)
             for label, ok in report.items():
                 if not ok:
-                    return CheckResult("weight relations", False, f"n={n}: {label}")
-        return CheckResult("weight relations", True, f"n = 1..{self.avoid_nmax}")
+                    return f"n={n}: {label}"
+        return None
 
-    def criterion_9(self) -> CheckResult:
-        """Decomposition totality, sigma's Case5/Case6 invariants and series residuals."""
+    @_criterion(
+        "structural suite",
+        "decompositions n <= {structural_nmax}, residuals order {series_order}",
+    )
+    def criterion_9(self) -> str | None:
+        """Decomposition records of both classes, and the series residuals.
+        sigma's Case5/Case6 invariants are criterion 4's: its sweep maps every
+        uvv-avoiding path with n <= avoid_nmax, which covers structural_nmax."""
         for n in range(self.structural_nmax + 1):
-            self.sweep(n)  # maps every path; sigma checks its Case5/Case6 invariants
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
                 if err:
-                    return CheckResult("structural suite", False, err)
+                    return err
             for p in generate(n, AVOID_UVU):
                 err = _check_inverse_decomposition(p)
                 if err:
-                    return CheckResult("structural suite", False, err)
-        err = self._series_residuals()
-        if err:
-            return CheckResult("structural suite", False, err)
-        return CheckResult(
-            "structural suite",
-            True,
-            f"decompositions n <= {self.structural_nmax}, residuals order {self.series_order}",
-        )
+                    return err
+        return self._series_residuals()
 
     def _series_residuals(self) -> str | None:
         """The series identities of criterion 9: None, or the first that fails.
@@ -462,18 +463,7 @@ class Harness:
         return None
 
     def run_all(self) -> list[CheckResult]:
-        checks: list[Callable[[], CheckResult]] = [
-            self.criterion_1,
-            self.criterion_2,
-            self.criterion_3,
-            self.criterion_4,
-            self.criterion_5,
-            self.criterion_6,
-            self.criterion_7,
-            self.criterion_8,
-            self.criterion_9,
-        ]
-        return [check() for check in checks]
+        return [getattr(self, f"criterion_{k}")() for k in range(1, 10)]
 
 
 def _in_uvu_class(word: str, n: int) -> bool:

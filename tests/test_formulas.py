@@ -180,8 +180,15 @@ class TestRelations:
         assert all(relation_checks(n).values())
 
     def test_requires_positive_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="relations hold for n >= 1"):
             relation_checks(0)
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            relation_checks(-1)
+
+    @pytest.mark.parametrize("n", ["3", 2.0, None, True])
+    def test_rejects_a_length_that_is_no_int(self, n):
+        with pytest.raises(ValueError, match="length n must be an int"):
+            relation_checks(n)
 
 
 class TestFixedPointCounts:

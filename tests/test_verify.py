@@ -5,6 +5,8 @@ uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.  The packed series residuals of criterion 9
 are broken the same way, by patching one coefficient of an expansion, and its
 decomposition checks by patching the records that the decompositions return.
+A check that raises must fail its own criterion and leave the others to run,
+and the harness must refuse bounds that are no nonnegative int.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from gmotzkin import bijection, enumeration, verify
+from gmotzkin import bijection, cli, enumeration, verify
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV
 from gmotzkin.paths import (
     BASE,
@@ -30,7 +32,7 @@ from gmotzkin.paths import (
     CASE_V,
     Decomposition,
 )
-from gmotzkin.polyring import Polynomial, PowerSeries
+from gmotzkin.polyring import DivergenceError, Polynomial, PowerSeries
 from gmotzkin.verify import Harness
 
 real_sigma = bijection.sigma
@@ -379,3 +381,103 @@ def test_the_rule_admits_only_the_real_record(monkeypatch, target, constraints, 
                     if CHECKERS[target](word) is None:
                         accepted.append(record)
             assert accepted == [real(word)], word
+
+
+# The detail of each criterion of a passing Harness(max_n=3, series_order=8).
+PASS_DETAILS = [
+    ("closed forms vs oracle", "5 + 3 forms, n = 0..3"),
+    ("series vs oracle", "4 kinds, n = 0..3"),
+    ("substitution identities", "oracle n = 0..3, series order 8"),
+    ("bijection suite", "n = 0..3"),
+    ("sample bijection pair", "28-step input and image"),
+    ("fixed points", "four-way agreement, n = 0..3"),
+    ("specialization table", "7 rows, n = 0..3"),
+    ("weight relations", "n = 1..3"),
+    ("structural suite", "decompositions n <= 3, residuals order 8"),
+]
+
+
+def test_passing_criteria_give_their_names_and_details():
+    results = Harness(max_n=3, series_order=8).run_all()
+    assert all(r.ok for r in results)
+    assert [(r.name, r.detail) for r in results] == PASS_DETAILS
+
+
+def test_smallest_bounds_pass():
+    assert all(r.ok for r in Harness(max_n=0, series_order=0).run_all())
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"max_n": -1}, "max_n"),
+        ({"max_n": "3"}, "max_n"),
+        ({"max_n": True}, "max_n"),
+        ({"max_n": 2.0}, "max_n"),
+        ({"series_order": -1}, "series_order"),
+        ({"series_order": "8"}, "series_order"),
+        ({"series_order": False}, "series_order"),
+        ({"series_order": None}, "series_order"),
+    ],
+)
+def test_harness_rejects_a_bad_bound(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a nonnegative int"):
+        Harness(**kwargs)
+
+
+def raising_sigma(q):
+    raise AssertionError(f"a Case6 Q'' ends in uv in {q}")
+
+
+def diverging_expand(kind, order):
+    raise DivergenceError(f"{kind} diverges")
+
+
+def test_a_check_that_raises_fails_its_criterion(monkeypatch):
+    monkeypatch.setattr(bijection, "sigma", raising_sigma)
+    result = Harness(max_n=2).criterion_4()
+    assert (result.name, result.ok) == ("bijection suite", False)
+    assert result.detail == "AssertionError: a Case6 Q'' ends in uv in "
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "expand", diverging_expand)
+    result = Harness(max_n=2).criterion_3()
+    assert (result.name, result.ok) == ("substitution identities", False)
+    assert result.detail == "DivergenceError: G_uvv diverges"
+
+
+@pytest.mark.parametrize(
+    "target,name,replacement,failed",
+    [
+        (bijection, "sigma", raising_sigma, ["bijection suite", "sample bijection pair", "fixed points"]),
+        (
+            verify,
+            "expand",
+            diverging_expand,
+            [
+                "series vs oracle",
+                "substitution identities",
+                "fixed points",
+                "specialization table",
+                "structural suite",
+            ],
+        ),
+    ],
+)
+def test_verify_reports_a_raising_check_and_runs_the_rest(
+    monkeypatch, capsys, target, name, replacement, failed
+):
+    monkeypatch.setattr(target, name, replacement)
+    assert cli.main(["verify", "--max-n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert [line.split("  ")[1] for line in lines[:9]] == [name for name, _ in PASS_DETAILS]
+    assert [line.split("  ")[1] for line in lines if line.startswith("FAIL")] == failed
+    assert lines[-1] == f"{9 - len(failed)}/9 checks passed"
+
+
+def test_criterion_9_does_not_sweep(monkeypatch):
+    def sweep(self, n):
+        raise AssertionError("criterion 9 swept")
+
+    monkeypatch.setattr(Harness, "sweep", sweep)
+    assert Harness(max_n=3, series_order=4).criterion_9().ok
