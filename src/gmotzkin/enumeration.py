@@ -45,6 +45,10 @@ class Constraints:
             raise ValueError(
                 f"avoid must be a tuple of patterns, not the str {self.avoid!r}"
             )
+        if not isinstance(self.forbid_h_on_axis, bool):
+            raise ValueError(
+                f"forbid_h_on_axis must be a bool, not {self.forbid_h_on_axis!r}"
+            )
         return Constraints(
             avoid=tuple(parse_pattern(p) for p in self.avoid),
             forbid_h_on_axis=self.forbid_h_on_axis,
@@ -67,6 +71,8 @@ def generate(n: int, constraints: Constraints | None = None) -> Iterator[str]:
         raise ValueError(f"length n must be an int, not {n!r}")
     if n < 0:
         raise ValueError("length must be nonnegative")
+    if constraints is not None and not isinstance(constraints, Constraints):
+        raise ValueError(f"constraints must be a Constraints or None, not {constraints!r}")
     cons = (constraints or NO_CONSTRAINTS).normalized()
     return _walk(n, cons.avoid, cons.forbid_h_on_axis)
 

@@ -28,8 +28,16 @@ a, b, k with k = c - b^2: its terms accumulate in a dict keyed (ea, eb, j),
 which stands for a^ea b^eb k^j, and ``_from_k_basis`` then expands each
 distinct power k^j into Z[a, b, c] once.  Form 2 still expands every
 (c - b^2)^j term by term, so forms 1 and 2 stay two different computations
-of the same sum.  Every entry point raises ``ValueError`` for a length n
-that is a bool, not an int, or negative, and for an unknown form.
+of the same sum.
+
+``g_uvv_closed`` forms 3-5 and ``gbar_uvv_closed`` forms 1-3 share
+``_t_extraction``, a weighted sum of [t^(n-i)] (1 + at + kt^2)^(n+1)
+(1 - bt)^(-(n+1)); each of its three expansion orders is its own loop nest,
+so the forms stay three summations (g form 3 and gbar form 1 share code but
+meet different oracles).  Its last factor binom(n+m, m) has m >= 0, so
+``math.comb`` serves; forms 1-2 and ``f_closed`` keep ``binom``.  Every
+entry point raises ``ValueError`` for a length n that is a bool, not an
+int, or negative, and for an unknown form.
 """
 
 from __future__ import annotations
@@ -40,7 +48,11 @@ from .polyring import ONE, VAR_A, VAR_B, VAR_C, Monomial, Polynomial
 
 
 def binom(m: int, r: int) -> int:
-    """Generalized binomial: m(m-1)...(m-r+1)/r! for r > 0, 1 at r = 0, 0 for r < 0."""
+    """Generalized binomial: m(m-1)...(m-r+1)/r! for r > 0, 1 at r = 0, 0 for r < 0.
+
+    Raises ``ValueError`` unless m and r are ints that are no bools."""
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (m, r)):
+        raise ValueError(f"binom takes two ints, not {m!r} and {r!r}")
     if r < 0:
         return 0
     if r == 0:
@@ -57,16 +69,6 @@ def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n)/(n + 1)."""
     _check_length(n)
     return comb(2 * n, n) // (n + 1)
-
-
-def _add_term(acc: dict[Monomial, int], ea: int, eb: int, ec: int, coeff: int) -> None:
-    if coeff:
-        key = (ea, eb, ec)
-        s = acc.get(key, 0) + coeff
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
 
 
 def _from_k_basis(sums: dict[Monomial, int]) -> Polynomial:
@@ -87,6 +89,30 @@ def _from_k_basis(sums: dict[Monomial, int]) -> Polynomial:
     return Polynomial(acc)
 
 
+def _t_extraction(n: int, order: int, shifts: list[tuple[int, int]]) -> dict[Monomial, int]:
+    """The sum over (i, w) in shifts of w a^i [t^(n-i)] (1 + at + kt^2)^(n+1)
+    (1 - bt)^(-(n+1)), keyed (ea, eb, j) for a^ea b^eb k^j; expansion order
+    1, 2 or 3 expands the first factor into terms (e, j, coeff) standing for
+    coeff a^e k^j t^(e+2j), once per call."""
+    if order == 1:
+        terms = [(e, j, comb(n + 1, j) * comb(n + 1 - j, e))
+                 for j in range(n // 2 + 1) for e in range(n - 2 * j + 1)]
+    elif order == 2:
+        terms = [(e, j, comb(n + 1, e) * comb(n + 1 - e, j))
+                 for e in range(n + 1) for j in range((n - e) // 2 + 1)]
+    else:
+        terms = [(p - j, j, comb(n + 1, p) * comb(p, j))
+                 for p in range(n + 1) for j in range(min(p, n - p) + 1)]
+    sums: dict[Monomial, int] = {}
+    for i, w in shifts:
+        for e, j, coeff in terms:
+            m = n - i - e - 2 * j
+            if m >= 0:
+                key = (i + e, m, j)
+                sums[key] = sums.get(key, 0) + w * coeff * comb(n + m, m)
+    return sums
+
+
 def _check_length(n: int) -> None:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"length n must be an int, not {n!r}")
@@ -102,32 +128,24 @@ def _check_form(form: int, count: int) -> None:
 def dyck_weight(n: int) -> Polynomial:
     """C_n(a,b) as a polynomial (Narayana refinement of the Catalan numbers)."""
     _check_length(n)
-    if n == 0:
-        return ONE
-    acc: dict[Monomial, int] = {}
-    for k in range(1, n + 1):
-        narayana, rem = divmod(comb(n, k - 1) * comb(n, k), n)
-        assert rem == 0
-        _add_term(acc, k, n - k, 0, narayana)
-    return Polynomial(acc)
+    terms = {(k, n - k, 0): comb(n, k - 1) * comb(n, k) for k in range(1, n + 1)}
+    return Polynomial(terms).div_exact(n) if n else ONE
 
 
 def motzkin_weight(n: int) -> Polynomial:
     """M_n(a,b) = sum binom(n, 2k) C_k a^(n-2k) b^k."""
     _check_length(n)
-    acc: dict[Monomial, int] = {}
-    for k in range(n // 2 + 1):
-        _add_term(acc, n - 2 * k, k, 0, comb(n, 2 * k) * catalan(k))
-    return Polynomial(acc)
+    return Polynomial(
+        {(n - 2 * k, k, 0): comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1)}
+    )
 
 
 def schroder_weight(n: int) -> Polynomial:
     """S_n(a,b) = sum binom(n+k, 2k) C_k a^(n-k) b^k."""
     _check_length(n)
-    acc: dict[Monomial, int] = {}
-    for k in range(n + 1):
-        _add_term(acc, n - k, k, 0, comb(n + k, 2 * k) * catalan(k))
-    return Polynomial(acc)
+    return Polynomial(
+        {(n - k, k, 0): comb(n + k, 2 * k) * catalan(k) for k in range(n + 1)}
+    )
 
 
 def g_uvv_closed(n: int, form: int) -> Polynomial:
@@ -137,122 +155,45 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
     form 2 additionally expands the (c - b^2) powers term by term.  Forms
     3 to 5 come from coefficient extraction in the series T = x G^uvv via
     its defining equation T (1 - bT) = x (1 + aT + (c - b^2) T^2), reading
-    the product (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) in three
-    different expansion orders, each divided by n + 1.
+    [t^n] (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) in the three
+    expansion orders of ``_t_extraction``, each divided by n + 1.
     """
     _check_length(n)
     _check_form(form, 5)
+    if form >= 3:
+        return _from_k_basis(_t_extraction(n, form - 2, [(0, 1)])).div_exact(n + 1)
     sums: dict[Monomial, int] = {}
-    if form in (1, 2):
-        acc: dict[Monomial, int] = {}
-        for k in range(n + 1):
-            ck = catalan(k)
-            for j in range(k + 1):
-                ea = n - k - j
-                if ea < 0:
-                    continue
-                coeff = ck * comb(k, j) * binom(n + k - j, 2 * k)
-                if not coeff:
-                    continue
-                if form == 1:
-                    key = (ea, k - j, j)
-                    sums[key] = sums.get(key, 0) + coeff
-                else:
-                    for i in range(j + 1):
-                        _add_term(
-                            acc, ea, k + j - 2 * i, i,
-                            coeff * comb(j, i) * (-1) ** (j - i),
-                        )
-        return _from_k_basis(sums) if form == 1 else Polynomial(acc)
-    if form == 3:
-        for k in range(n // 2 + 1):
-            for j in range(n - 2 * k + 1):
-                coeff = (
-                    comb(n + 1, k)
-                    * comb(n + 1 - k, j)
-                    * binom(2 * n - 2 * k - j, n - 2 * k - j)
-                )
-                key = (j, n - 2 * k - j, k)
+    for k in range(n + 1):
+        ck = catalan(k)
+        for j in range(k + 1):
+            ea = n - k - j
+            if ea < 0:
+                continue
+            coeff = ck * comb(k, j) * binom(n + k - j, 2 * k)
+            if not coeff:
+                continue
+            if form == 1:
+                key = (ea, k - j, j)
                 sums[key] = sums.get(key, 0) + coeff
-    elif form == 4:
-        for k in range(n + 1):
-            for j in range((n - k) // 2 + 1):
-                coeff = (
-                    comb(n + 1, k)
-                    * comb(n + 1 - k, j)
-                    * binom(2 * n - k - 2 * j, n - k - 2 * j)
-                )
-                key = (k, n - k - 2 * j, j)
-                sums[key] = sums.get(key, 0) + coeff
-    else:
-        for k in range(n + 1):
-            for j in range(min(k, n - k) + 1):
-                coeff = (
-                    comb(n + 1, k)
-                    * comb(k, j)
-                    * binom(2 * n - k - j, n - k - j)
-                )
-                key = (k - j, n - k - j, j)
-                sums[key] = sums.get(key, 0) + coeff
-    return _from_k_basis(sums).div_exact(n + 1)
+            else:
+                for i in range(j + 1):
+                    key = (ea, k + j - 2 * i, i)
+                    sums[key] = sums.get(key, 0) + coeff * comb(j, i) * (-1) ** (j - i)
+    return _from_k_basis(sums) if form == 1 else Polynomial(sums)
 
 
 def gbar_uvv_closed(n: int, form: int) -> Polynomial:
     """Gbar_n^uvv(a,b,c) by one of three equivalent extractions.
 
-    Compared with g_uvv_closed forms 3..5, each carries an extra outer
-    alternating sum from the factor 1/(1 + at)^2 with weight
-    (-1)^i (i + 1), shifting the remaining coefficient extraction down by
-    i.  The whole sum is divided by n + 1 at the end.
+    Form f is ``g_uvv_closed`` form f + 2 with an extra outer alternating
+    sum from the factor 1/(1 + at)^2: ``_t_extraction`` in expansion order
+    f over the shifts i = 0..n+1 with weight (-1)^i (i + 1), each taking
+    a^i [t^(n-i)].  The whole sum is divided by n + 1 at the end.
     """
     _check_length(n)
     _check_form(form, 3)
-    sums: dict[Monomial, int] = {}
-    for i in range(n + 2):
-        sign = (-1) ** i * (i + 1)
-        if form == 1:
-            for k in range(n // 2 + 1):
-                for j in range(n - 2 * k + 1):
-                    m = n - i - 2 * k - j
-                    if m < 0:
-                        continue
-                    coeff = (
-                        sign
-                        * comb(n + 1, k)
-                        * comb(n + 1 - k, j)
-                        * binom(2 * n - i - 2 * k - j, m)
-                    )
-                    key = (i + j, m, k)
-                    sums[key] = sums.get(key, 0) + coeff
-        elif form == 2:
-            for k in range(n + 1):
-                for j in range((n - k) // 2 + 1):
-                    m = n - i - k - 2 * j
-                    if m < 0:
-                        continue
-                    coeff = (
-                        sign
-                        * comb(n + 1, k)
-                        * comb(n + 1 - k, j)
-                        * binom(2 * n - i - k - 2 * j, m)
-                    )
-                    key = (i + k, m, j)
-                    sums[key] = sums.get(key, 0) + coeff
-        else:
-            for k in range(n + 1):
-                for j in range(k + 1):
-                    m = n - i - k - j
-                    if m < 0:
-                        continue
-                    coeff = (
-                        sign
-                        * comb(n + 1, k)
-                        * comb(k, j)
-                        * binom(2 * n - i - k - j, m)
-                    )
-                    key = (i + k - j, m, j)
-                    sums[key] = sums.get(key, 0) + coeff
-    return _from_k_basis(sums).div_exact(n + 1)
+    shifts = [(i, (-1) ** i * (i + 1)) for i in range(n + 2)]
+    return _from_k_basis(_t_extraction(n, form, shifts)).div_exact(n + 1)
 
 
 def relation_checks(n: int) -> dict[str, bool]:

@@ -259,6 +259,6 @@ def _check(
 
 def expand(kind: str, order: int) -> PowerSeries:
     """Expand one generating function through x^order."""
-    if kind not in _EQUATIONS:
+    if not isinstance(kind, str) or kind not in _EQUATIONS:
         raise ValueError(f"unknown generating function kind {kind!r}")
     return solve(*_EQUATIONS[kind], order)

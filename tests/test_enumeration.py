@@ -114,6 +114,22 @@ class TestGenerate:
                 weight_sum(2, Constraints(avoid=avoid))
         assert list(generate(2, Constraints(avoid=["uvv"]))) == list(generate(2, AVOID_UVV))
 
+    @pytest.mark.parametrize("constraints", ["uvv", ("uvv",), {"avoid": ("uvv",)}])
+    def test_constraints_that_are_no_constraints(self, constraints):
+        with pytest.raises(ValueError, match="constraints must be a Constraints or None"):
+            generate(2, constraints)
+        with pytest.raises(ValueError, match="constraints must be a Constraints or None"):
+            weight_sum(2, constraints)
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_forbid_h_on_axis_that_is_no_bool(self, flag):
+        # a truthy "no" would forbid h on the axis
+        cons = Constraints(avoid=("uvv",), forbid_h_on_axis=flag)
+        with pytest.raises(ValueError, match="forbid_h_on_axis must be a bool"):
+            generate(2, cons)
+        with pytest.raises(ValueError, match="forbid_h_on_axis must be a bool"):
+            weight_sum(2, cons)
+
     @pytest.mark.parametrize("n", range(7))
     def test_sorted_and_duplicate_free(self, n):
         words = list(generate(n))

@@ -54,6 +54,12 @@ class TestBinom:
         assert binom(-2, 3) == -4
         assert binom(-3, 2) == 6
 
+    @pytest.mark.parametrize("m, r", [(True, 2), (2, False), ("3", 1), (2.5, 1), (3, None)])
+    def test_rejects_an_argument_that_is_no_int(self, m, r):
+        # a bool would be read as 0 or 1
+        with pytest.raises(ValueError, match="binom takes two ints"):
+            binom(m, r)
+
 
 def catalan_by_convolution(n):
     vals = [1]

@@ -10,6 +10,9 @@ testing each path.
 The package exports only what it uses: every name ``gmotzkin/__init__.py``
 imports has a caller in the package or the benchmark, so no helper lives on
 for the tests alone.
+
+No package module uses ``assert``: ``python -O`` strips it, and every check
+must still run there.
 """
 
 import ast
@@ -83,3 +86,15 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert BENCH / "run.py" in files
     used = set().union(*map(referenced_names, files))
     assert sorted(exported_names() - used) == []
+
+
+def test_package_has_no_assert():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "formulas.py" in files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

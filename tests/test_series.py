@@ -60,6 +60,11 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand("Q", 4)
 
+    @pytest.mark.parametrize("kind", [["G"], {"G"}, None])
+    def test_kind_that_is_no_str(self, kind):
+        with pytest.raises(ValueError, match="unknown generating function kind"):
+            expand(kind, 4)
+
     @pytest.mark.parametrize("order", [2.0, "3", None, True])
     def test_order_that_is_not_an_int(self, order):
         with pytest.raises(ValueError, match="order must be an int"):
@@ -112,7 +117,8 @@ class TestHighOrder:
     def test_g_uvv_matches_closed_form_at_order_60(self):
         s = expand("G_uvv", 60)
         for n in range(56, 61):
-            assert s.coefficient(n) == g_uvv_closed(n, 3)
+            for form in range(1, 6):
+                assert s.coefficient(n) == g_uvv_closed(n, form), (n, form)
 
     def test_gbar_uvv_matches_closed_form_at_order_36(self):
         s = expand("Gbar_uvv", 36)
