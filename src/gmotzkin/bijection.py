@@ -68,7 +68,7 @@ it never calls sigma, so the two tests stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .enumeration import Constraints, generate
 from .paths import PathError, _check_steps, first_return_blocks, is_primitive
@@ -226,47 +226,47 @@ def is_fixed_by_structure(word: str) -> bool:
           not follow a step closing the u at p + 1.
 
     K's units obey the same conditions, so (1)-(3) hold at every depth.
-    One left-to-right pass with a stack of open u positions checks them,
-    at no cost in recursion.  Used to cross-validate the direct
-    sigma(q) == q test; it never calls sigma, so the two tests stay
-    independent.
+    One left-to-right pass with a stack of open u positions checks (2)
+    and (3), and that the word is a path, at no cost in recursion.  Used
+    to cross-validate the direct sigma(q) == q test; it never calls
+    sigma, so the two tests stay independent.
     """
-    first_return_blocks(word)
-    if "uvv" in word:
-        raise PathError("path contains the pattern uvv")
-    if "uvu" in word:  # (1)
-        return False
+    _check(word, "uvv")
+    fixed = "uvu" not in word  # (1)
     opened: list[int] = []
     closed = -1  # the u that the previous step closed, if it closed one
-    for q, step in enumerate(word):
-        if step == "u":
-            opened.append(q)
-            closed = -1
-        elif step == "h":
-            closed = -1
-        else:
-            p = opened.pop()
-            if step == "d" and p != q - 1:  # (2)
-                return False
-            if step == "v" and closed == p + 1:  # (3)
-                return False
-            closed = p
-    return True
+    try:
+        for q, step in enumerate(word):
+            if step == "u":
+                opened.append(q)
+                closed = -1
+            elif step == "h":
+                closed = -1
+            else:
+                p = opened.pop()
+                if step == "d" and p != q - 1:  # (2)
+                    fixed = False
+                if step == "v" and closed == p + 1:  # (3)
+                    fixed = False
+                closed = p
+    except IndexError:  # a step dips below the axis
+        first_return_blocks(word)  # raises parse_word's message
+        raise
+    if opened:  # a u is left open
+        first_return_blocks(word)  # raises parse_word's message
+    return fixed
 
 
-@dataclass(frozen=True)
-class FixedPointCounts:
-    """Counts of sigma's fixed points of one length, split by class."""
+class FixedPointCounts(namedtuple("FixedPointCounts", "f a b c paths")):
+    """Counts of sigma's fixed points of one length, split by class: ints
+    with f = a + b + c, and the fixed points as a tuple of str or None."""
 
-    f: int
-    a: int
-    b: int
-    c: int
-    paths: tuple[str, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.f != self.a + self.b + self.c:
+    def __new__(cls, f: int, a: int, b: int, c: int, paths: tuple[str, ...] | None = None):
+        if f != a + b + c:
             raise ValueError("class counts do not add up")
+        return super().__new__(cls, f, a, b, c, paths)
 
 
 # sigma's domain (no uvv) intersected with its codomain (no uvu)

@@ -18,7 +18,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import bijection, formulas, render, verify
 from .enumeration import Constraints, generate, weight_sum
@@ -55,7 +55,7 @@ def _parse_eval(text: str) -> tuple[int, int, int]:
 
 def _constraints(args: argparse.Namespace) -> Constraints:
     avoid: tuple[str, ...] = ()
-    if args.avoid:
+    if args.avoid is not None:  # --avoid '' names one empty pattern
         avoid = tuple(parse_pattern(tok) for tok in args.avoid.split(","))
     return Constraints(avoid=avoid, forbid_h_on_axis=args.no_h_on_axis)
 
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_class_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n", type=int, required=True, help="path length (x extent)")
-        p.add_argument("--avoid", default="", help="comma-separated patterns over udhv")
+        p.add_argument("--avoid", help="comma-separated patterns over udhv")
         p.add_argument("--no-h-on-axis", action="store_true", dest="no_h_on_axis")
 
     p = sub.add_parser("count", help="weight-sum polynomial or its integer value")

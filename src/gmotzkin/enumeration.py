@@ -26,19 +26,18 @@ by the current height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .polyring import Polynomial
 from .paths import parse_pattern
 
 
-@dataclass(frozen=True)
-class Constraints:
-    """Pure path predicates: forbidden contiguous patterns, no h on the axis."""
+class Constraints(namedtuple("Constraints", "avoid forbid_h_on_axis", defaults=((), False))):
+    """Pure path predicates: forbidden contiguous patterns (a tuple of str),
+    no h on the axis (a bool)."""
 
-    avoid: tuple[str, ...] = ()
-    forbid_h_on_axis: bool = False
+    __slots__ = ()
 
     def normalized(self) -> "Constraints":
         if isinstance(self.avoid, str):

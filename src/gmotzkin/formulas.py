@@ -35,7 +35,9 @@ of the same sum.
 (1 - bt)^(-(n+1)); each of its three expansion orders is its own loop nest,
 so the forms stay three summations (g form 3 and gbar form 1 share code but
 meet different oracles).  Its last factor binom(n+m, m) has m >= 0, so
-``math.comb`` serves; forms 1-2 and ``f_closed`` keep ``binom``.  Every
+``math.comb`` serves.  Forms 1-2 reach a summand only with n - k - j >= 0,
+so their binom(n+k-j, 2k) has top >= lower index >= 0 and is at least 1:
+``math.comb`` serves there too, and only ``f_closed`` keeps ``binom``.  Every
 entry point raises ``ValueError`` for a length n that is a bool, not an
 int, or negative, and for an unknown form.
 """
@@ -169,9 +171,7 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
             ea = n - k - j
             if ea < 0:
                 continue
-            coeff = ck * comb(k, j) * binom(n + k - j, 2 * k)
-            if not coeff:
-                continue
+            coeff = ck * comb(k, j) * comb(n + k - j, 2 * k)
             if form == 1:
                 key = (ea, k - j, j)
                 sums[key] = sums.get(key, 0) + coeff

@@ -33,7 +33,7 @@ and the tests' reference sigma maps by them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Vertical displacement of each step kind.
 RISE = {"u": 1, "d": -1, "h": 0, "v": -1}
@@ -186,19 +186,16 @@ CASE_PARTS = {
 _BASE_WORDS = ("", "h", "uv")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "case elevation parts")):
     """One canonical case record; ``reassemble`` restores the original word.
 
-    ``elevation`` is the number of peeled u...v layers (Case4-Case6) or
-    u...d layers (CaseIV, CaseV); it is 0 for the other cases.  ``parts``
-    holds the constituent subwords in template order, ``CASE_PARTS[case]``
-    of them.
+    ``case`` is one of the case names above.  ``elevation`` is the number of
+    peeled u...v layers (Case4-Case6) or u...d layers (CaseIV, CaseV); it is
+    0 for the other cases.  ``parts`` holds the constituent subwords in
+    template order, a tuple of ``CASE_PARTS[case]`` str.
     """
 
-    case: str
-    elevation: int
-    parts: tuple[str, ...]
+    __slots__ = ()
 
     def reassemble(self) -> str:
         c, i, p = self.case, self.elevation, self.parts

@@ -32,7 +32,7 @@ and products of its own, not with the solver's recurrence or rows.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, int, int]
 

@@ -78,7 +78,7 @@ certified instead by checking the defining equations' residuals, which
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .polyring import (
     ONE,

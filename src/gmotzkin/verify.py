@@ -32,8 +32,8 @@ the kind of its core.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
 from . import bijection, formulas, samples
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
@@ -70,11 +70,11 @@ FIXED_POINT_COUNTS = [1, 2, 5, 13, 39, 125, 421, 1478, 5329, 19658, 73783]
 _B2 = VAR_B * VAR_B
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    """One criterion's outcome: its name, whether it passed, and a detail
+    str, printed by ``line`` only on failure."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -82,14 +82,9 @@ class CheckResult:
         return f"{status}  {self.name}{tail}"
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    size: int
-    f: int
-    a: int
-    b: int
-    c: int
-    error: str | None
+# One sweep's result: the class size, the fixed points by class, and what
+# failed (a str) or None.
+_Sweep = namedtuple("_Sweep", "size f a b c error")
 
 
 def _criterion(name: str, passed: str):

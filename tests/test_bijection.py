@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gmotzkin import bijection
 from gmotzkin.bijection import (
+    FixedPointCounts,
     _classify,
     fixed_points,
     is_fixed_by_structure,
@@ -307,6 +308,16 @@ class TestFixedPoints:
         assert fixed_points(7).f == 1478
         assert len(calls) == 4334  # not the 8,558 uvv-avoiding paths
         assert not any("uvu" in w for w in calls)
+
+    def test_counts_that_do_not_add_up(self):
+        with pytest.raises(ValueError, match="class counts do not add up"):
+            FixedPointCounts(f=3, a=1, b=1, c=0)
+
+    def test_counts_are_immutable(self):
+        counts = fixed_points(2)
+        with pytest.raises(AttributeError):
+            counts.f = 6
+        assert counts == FixedPointCounts(f=5, a=2, b=1, c=2)
 
     @pytest.mark.parametrize("flag", ["no", 0, 1, None])
     def test_include_paths_must_be_a_bool(self, flag):

@@ -122,6 +122,12 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "count", "--n", "2", "--avoid", "uvv,zz")
         assert code == 2 and "'z'" in err
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("avoid", ["", "uvv,"])
+    def test_empty_pattern_exits_2(self, capsys, command, avoid):
+        code, out, err = run(capsys, command, "--n", "2", "--avoid", avoid)
+        assert (code, out, err) == (2, "", "error: empty pattern\n")
+
     def test_bad_eval_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--eval", "1,2")
         assert code == 2 and "--eval" in err
@@ -209,6 +215,17 @@ class TestParserReuse:
         )
         run = fresh_interpreter("-c", code)
         assert (run.returncode, run.stdout, run.stderr) == (0, "0 0\n", "")
+
+    def test_import_loads_no_typing_or_dataclasses(self):
+        # Each command starts a fresh interpreter; these three cost most of
+        # the package's import time.  -S keeps site hooks from loading them.
+        code = (
+            "import sys\n"
+            "import gmotzkin, gmotzkin.cli\n"
+            "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        run = fresh_interpreter("-S", "-c", code)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 class TestRunAsModule:

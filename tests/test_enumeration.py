@@ -179,6 +179,24 @@ class TestGenerate:
                 assert list(generate(n, cons)) == expected, (n, forbid_h)
 
 
+class TestConstraints:
+    def test_defaults(self):
+        assert Constraints() == Constraints(avoid=(), forbid_h_on_axis=False)
+        assert (Constraints().avoid, Constraints().forbid_h_on_axis) == ((), False)
+
+    def test_equal_values_hash_equal(self):
+        built = Constraints(("uvv",), True)
+        assert built == BAR_UVV and hash(built) == hash(BAR_UVV)
+        assert {built: 1}[BAR_UVV] == 1
+
+    @pytest.mark.parametrize("field", ["avoid", "forbid_h_on_axis"])
+    def test_fields_cannot_be_assigned(self, field):
+        cons = Constraints(avoid=("uvv",))
+        with pytest.raises(AttributeError):
+            setattr(cons, field, ())
+        assert cons == AVOID_UVV
+
+
 class TestWeightSum:
     def test_unconstrained_length_two(self):
         expected = A * A + (A * B).scaled(3) + (B * B).scaled(2) + C

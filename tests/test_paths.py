@@ -282,6 +282,18 @@ class TestDecomposeForward:
         dec = decompose_forward(word)
         assert dec.reassemble() == word
 
+    def test_record_repr(self):
+        # verify prints records in its failure details
+        assert repr(decompose_forward("uhvud")) == (
+            "Decomposition(case='Case6', elevation=1, parts=('h', 'ud'))"
+        )
+
+    def test_record_is_immutable(self):
+        dec = decompose_forward("uhv")
+        with pytest.raises(AttributeError):
+            dec.case = "Base"
+        assert dec == Decomposition(case="Case6", elevation=1, parts=("h", ""))
+
 
 @pytest.mark.parametrize(
     "record,message",

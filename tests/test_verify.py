@@ -403,6 +403,14 @@ def test_passing_criteria_give_their_names_and_details():
     assert [(r.name, r.detail) for r in results] == PASS_DETAILS
 
 
+def test_check_result_is_immutable():
+    result = verify.CheckResult("name", False, "what failed")
+    with pytest.raises(AttributeError):
+        result.ok = True
+    assert result.line() == "FAIL  name  [what failed]"
+    assert verify.CheckResult("name", True).detail == ""
+
+
 def test_smallest_bounds_pass():
     assert all(r.ok for r in Harness(max_n=0, series_order=0).run_all())
 
