@@ -14,11 +14,8 @@ from .paths import (
     PathError,
     decompose_forward,
     decompose_inverse,
-    heights,
-    is_primitive,
     parse_pattern,
     parse_word,
-    x_length,
 )
 from .enumeration import Constraints, generate, weight_sum
 from .bijection import (
@@ -33,7 +30,6 @@ from .formulas import (
     catalan,
     dyck_weight,
     f_closed,
-    f_recurrence,
     fixed_point_sequences,
     g_uvv_closed,
     gbar_uvv_closed,

@@ -71,12 +71,12 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .enumeration import Constraints, generate
-from .paths import PathError, _check_steps, first_return_blocks, is_primitive
+from .paths import _check_avoids, first_return_blocks, is_primitive
 
 
 def sigma(word: str) -> str:
     """Image of a uvv-avoiding path; raises PathError if the input has a uvv."""
-    _check(word, "uvv")
+    _check_avoids(word, "uvv")
     # The open level: its unit images, a last lone "uv" block, its single block.
     units, lone_uv, only = [], False, None
     stack = []  # the levels around it
@@ -132,7 +132,7 @@ def _image(layers: int, core: str | None) -> str:
 
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
-    _check(word, "uvu")
+    _check_avoids(word, "uvu")
     # The open level: block images; its single block's u...d layers, primitive image.
     images, layers, primitive = [], None, False
     stack = []  # the levels around it
@@ -179,14 +179,6 @@ def sigma_inv(word: str) -> str:
     return "".join(images)
 
 
-def _check(word: str, pattern: str) -> None:
-    """PathError for a non-str or a step outside udhv, then for ``pattern``."""
-    _check_steps(word)
-    if pattern in word:
-        first_return_blocks(word)
-        raise PathError(f"path contains the pattern {pattern}")
-
-
 def is_fixed_point(word: str) -> bool:
     """True iff sigma fixes the (uvv-avoiding) path."""
     return sigma(word) == word
@@ -231,7 +223,7 @@ def is_fixed_by_structure(word: str) -> bool:
     to cross-validate the direct sigma(q) == q test; it never calls
     sigma, so the two tests stay independent.
     """
-    _check(word, "uvv")
+    _check_avoids(word, "uvv")
     fixed = "uvu" not in word  # (1)
     opened: list[int] = []
     closed = -1  # the u that the previous step closed, if it closed one
@@ -257,16 +249,16 @@ def is_fixed_by_structure(word: str) -> bool:
     return fixed
 
 
-class FixedPointCounts(namedtuple("FixedPointCounts", "f a b c paths")):
-    """Counts of sigma's fixed points of one length, split by class: ints
-    with f = a + b + c, and the fixed points as a tuple of str or None."""
+class FixedPointCounts(namedtuple("FixedPointCounts", "a b c paths", defaults=(None,))):
+    """Counts of sigma's fixed points of one length by class, as ints, and
+    the fixed points as a tuple of str or None.  The classes split the
+    fixed points, so their number ``f`` is a + b + c."""
 
     __slots__ = ()
 
-    def __new__(cls, f: int, a: int, b: int, c: int, paths: tuple[str, ...] | None = None):
-        if f != a + b + c:
-            raise ValueError("class counts do not add up")
-        return super().__new__(cls, f, a, b, c, paths)
+    @property
+    def f(self) -> int:
+        return self.a + self.b + self.c
 
 
 # sigma's domain (no uvv) intersected with its codomain (no uvu)
@@ -291,7 +283,6 @@ def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
             if include_paths:
                 found.append(word)
     return FixedPointCounts(
-        f=counts[CLASS_A] + counts[CLASS_B] + counts[CLASS_C],
         a=counts[CLASS_A],
         b=counts[CLASS_B],
         c=counts[CLASS_C],

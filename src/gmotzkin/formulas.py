@@ -267,9 +267,3 @@ def fixed_point_sequences(nmax: int) -> tuple[list[int], list[int], list[int], l
     c = c[: nmax + 1]
     b = [0] + [a[m - 1] + c[m - 1] for m in range(1, nmax + 1)]
     return f, a, b[: nmax + 1], c
-
-
-def f_recurrence(n: int) -> int:
-    """Number of fixed points of sigma, by unrolling the recurrences."""
-    _check_length(n)
-    return fixed_point_sequences(n)[0][n]

@@ -12,10 +12,10 @@ Paths are handled as their canonical step words: plain strings over
 "udhv" with no separators.  The length of a path is its x-extent, so v
 steps do not count toward length.  ``parse_word`` validates and
 canonicalizes arbitrary input text, and ``first_return_blocks`` checks a
-word as it cuts it into blocks.  The decompositions cut with it and so
-check their input too, and ``parse_pattern`` checks a pattern word.  Every
-other function in this module assumes its argument is already a valid
-word.
+word as it cuts it into blocks.  ``_check_avoids`` holds the rule that a
+path must avoid a pattern, for the decompositions and for ``bijection``'s
+maps; ``parse_pattern`` checks a pattern word.  Every other function in
+this module assumes its argument is already a valid word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
 and the weight of a path is the product over its steps, i.e. the monomial
@@ -98,6 +98,15 @@ def _check_str(text: object) -> None:
         raise PathError(f"a word must be a str, not {type(text).__name__}")
 
 
+def _check_avoids(word: str, pattern: str) -> None:
+    """PathError for a non-str or a step outside udhv; then, if ``word``
+    contains ``pattern``, for a word that is no path, else for the pattern."""
+    _check_steps(word)
+    if pattern in word:
+        first_return_blocks(word)
+        raise PathError(f"path contains the pattern {pattern}")
+
+
 def parse_pattern(text: str) -> str:
     """Validate a nonempty pattern word over the step alphabet."""
     _check_str(text)
@@ -106,11 +115,6 @@ def parse_pattern(text: str) -> str:
     if not word:
         raise PathError("empty pattern")
     return word
-
-
-def x_length(word: str) -> int:
-    """The x-extent: number of u, d and h steps."""
-    return len(word) - word.count("v")
 
 
 def heights(word: str) -> list[int]:
@@ -236,9 +240,8 @@ def decompose_forward(word: str) -> Decomposition:
     primitive core ending in v cannot survive a maximal strip of a
     uvv-avoiding path, so the three shapes are exhaustive and disjoint.
     """
+    _check_avoids(word, "uvv")
     blocks = first_return_blocks(word)
-    if "uvv" in word:
-        raise PathError("path contains the pattern uvv")
     if word in _BASE_WORDS:
         return Decomposition(BASE, 0, (word,))
     prefix, rest = blocks[0], word[len(blocks[0]) :]
@@ -270,9 +273,8 @@ def decompose_inverse(word: str) -> Decomposition:
     CaseV (stored by its interior); every other core, including the empty
     one and those ending in uuvv or uv, is CaseIV.
     """
+    _check_avoids(word, "uvu")
     blocks = first_return_blocks(word)
-    if "uvu" in word:
-        raise PathError("path contains the pattern uvu")
     if word in _BASE_WORDS:
         return Decomposition(BASE_INV, 0, (word,))
     prefix, rest = blocks[0], word[len(blocks[0]) :]

@@ -6,7 +6,8 @@ and diagonal down-steps a factor ``c`` (up-steps weigh 1).  Everything in
 this module is exact integer arithmetic:
 
   Monomial    -- an exponent triple (ea, eb, ec) standing for a^ea b^eb c^ec.
-  Polynomial  -- a finite map from Monomial to a nonzero int coefficient.
+  Polynomial  -- a finite map from Monomial to a nonzero int coefficient;
+                 its constructor refuses a negative exponent.
   PowerSeries -- the Polynomial coefficients of a truncated series in a
                  formal variable x, read-only and without arithmetic.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
@@ -52,6 +53,9 @@ class Polynomial:
         self._terms: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                ea, eb, ec = mono
+                if ea < 0 or eb < 0 or ec < 0:
+                    raise ValueError("exponents must be nonnegative")
                 if coeff:
                     self._terms[mono] = coeff
 
@@ -72,8 +76,6 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, ea: int, eb: int, ec: int, coeff: int = 1) -> "Polynomial":
-        if min(ea, eb, ec) < 0:
-            raise ValueError("exponents must be nonnegative")
         return cls({(ea, eb, ec): coeff})
 
     # -- inspection --------------------------------------------------------

@@ -20,13 +20,15 @@ walked three times for n <= 8 and twice for n = 9, 10 (weight sum, sweep,
 structural suite), and the uvu-avoiding class twice for n <= 8 and once for
 n = 9, 10 (weight sum, structural suite).  ``max_n``
 clamps the enumeration bounds for quicker runs; the stated full bounds are
-length 10 for avoidance classes, 8 for the unconstrained class and
-structural checks, and series order 30.
+length 10 for avoidance classes (``avoid_nmax``), 8 for the unconstrained
+class and the structural checks alike (``all_nmax``), and series order 30.
 
 The structural suite holds each path's decomposition record to one rule:
 it must reassemble to the path and carry the single case that the path's
 shape allows, read off its first steps and, past the peeled layers, off
-the kind of its core.
+the kind of its core.  ``reassemble`` alone refuses a record of an
+unknown case or with a wrong number of parts, and the checkers report
+that refusal first.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .paths import (
     CASE_II,
     CASE_III,
     CASE_IV,
-    CASE_PARTS,
     CASE_V,
     STEPS,
     Decomposition,
@@ -59,7 +60,6 @@ from .paths import (
     decompose_inverse,
     heights,
     is_primitive,
-    x_length,
 )
 from .polyring import VAR_B, VAR_C, ZERO, KroneckerCodec, Polynomial, PowerSeries
 from .series import expand
@@ -84,7 +84,7 @@ class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
 
 # One sweep's result: the class size, the fixed points by class, and what
 # failed (a str) or None.
-_Sweep = namedtuple("_Sweep", "size f a b c error")
+_Sweep = namedtuple("_Sweep", "size a b c error")
 
 
 def _criterion(name: str, passed: str):
@@ -127,7 +127,6 @@ class Harness:
         full = 10**9 if max_n is None else max_n
         self.avoid_nmax = min(10, full)
         self.all_nmax = min(8, full)
-        self.structural_nmax = min(8, full)
         self.series_order = series_order
         self._sums: dict[tuple[Constraints, int], Polynomial] = {}
         self._series: dict[tuple[str, int], PowerSeries] = {}
@@ -160,7 +159,9 @@ class Harness:
         so the images are ``count`` distinct words.  Each is tested for
         membership directly: a word over udhv that never dips below the
         axis, ends on it, has x-length n and contains no uvu is exactly a
-        member of the uvu-avoiding class of length n.  The class size is
+        member of the uvu-avoiding class of length n.  The uvu test comes
+        first; the weight test then fixes the x-length, which for a path
+        is #h + #v + 2#d, so ``_is_path`` tests the rest.  The class size is
         the oracle's weight sum at (1, 1, 1), in which each generated path
         counts once; it comes from the ``sums`` cache, so the sweep walks
         the class no more often than the weight sums do.  If ``count``
@@ -182,7 +183,7 @@ class Harness:
             ):
                 error = f"sigma({q}) = {p} changes the weight"
                 break
-            if not _in_uvu_class(p, n):
+            if not _is_path(p):
                 error = f"sigma({q}) = {p} outside the uvu-avoiding class"
                 break
             if bijection.sigma_inv(p) != q:
@@ -198,7 +199,7 @@ class Harness:
         if error is None and count != size:
             error = f"image has {count} paths, class has {size}"
         a, b, c = classes.values()
-        rec = _Sweep(size=size, f=a + b + c, a=a, b=b, c=c, error=error)
+        rec = _Sweep(size=size, a=a, b=b, c=c, error=error)
         self._sweeps[n] = rec
         return rec
 
@@ -279,17 +280,15 @@ class Harness:
         for n in range(nmax + 1):
             rec = sweeps[n]
             values = {
-                "brute force": rec.f,
+                "brute force": rec.a + rec.b + rec.c,
                 "closed form": formulas.f_closed(n),
-                "recurrence": formulas.f_recurrence(n),
+                "recurrence": f_seq[n],
                 "series": f_series.coefficient(n).eval(0, 0, 0),
             }
             if n < len(FIXED_POINT_COUNTS):
                 values["frozen table"] = FIXED_POINT_COUNTS[n]
             if len(set(values.values())) != 1:
                 return f"n={n}: {values}"
-            if rec.f != rec.a + rec.b + rec.c:
-                return f"n={n}: classes do not sum"
             if (rec.a, rec.b, rec.c) != (a_seq[n], b_seq[n], c_seq[n]):
                 return (
                     f"n={n}: classes {(rec.a, rec.b, rec.c)} != recurrence "
@@ -356,13 +355,14 @@ class Harness:
 
     @_criterion(
         "structural suite",
-        "decompositions n <= {structural_nmax}, residuals order {series_order}",
+        "decompositions n <= {all_nmax}, residuals order {series_order}",
     )
     def criterion_9(self) -> str | None:
-        """Decomposition records of both classes, and the series residuals.
-        sigma's Case5/Case6 invariants are criterion 4's: its sweep maps every
-        uvv-avoiding path with n <= avoid_nmax, which covers structural_nmax."""
-        for n in range(self.structural_nmax + 1):
+        """Decomposition records of both classes for n <= all_nmax, and the
+        series residuals.  sigma's Case5/Case6 invariants are criterion 4's:
+        its sweep maps every uvv-avoiding path with n <= avoid_nmax, which
+        covers all_nmax."""
+        for n in range(self.all_nmax + 1):
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
                 if err:
@@ -461,9 +461,9 @@ class Harness:
         return [getattr(self, f"criterion_{k}")() for k in range(1, 10)]
 
 
-def _in_uvu_class(word: str, n: int) -> bool:
-    """True iff ``word`` is a uvu-avoiding path of x-length n."""
-    if not STEPS.issuperset(word) or "uvu" in word or x_length(word) != n:
+def _is_path(word: str) -> bool:
+    """True iff ``word`` is over udhv, never dips below the axis and ends on it."""
+    if not STEPS.issuperset(word):
         return False
     hs = heights(word)
     return min(hs) == 0 == hs[-1]
@@ -545,8 +545,10 @@ def _check_forward_decomposition(word: str) -> str | None:
     core ending in d, Case6 (peeling a layer) for a non-primitive path.
     """
     dec = decompose_forward(word)
-    if len(dec.parts) != CASE_PARTS.get(dec.case):
-        return _parts_error("forward", word, dec)
+    try:  # first, since the shape rules read the first part
+        whole = dec.reassemble()
+    except ValueError as err:  # an unknown case, or a wrong number of parts
+        return f"forward record {dec} of {word}: {err}"
     part = dec.parts[0]
     allowed = _first_steps_case(word, BASE, CASE1, CASE2, CASE3)
     if allowed is None:
@@ -557,7 +559,7 @@ def _check_forward_decomposition(word: str) -> str | None:
             allowed = CASE4 if core == "ud" else CASE5
     elif dec.elevation or dec.case == CASE3 and not is_primitive(part):
         allowed = None
-    return _record_error("forward", word, dec, allowed)
+    return _record_error("forward", word, dec, whole, allowed)
 
 
 def _check_inverse_decomposition(word: str) -> str | None:
@@ -569,8 +571,10 @@ def _check_inverse_decomposition(word: str) -> str | None:
     block ending in d; CaseV iff it is primitive and ends in none of d, uv, uuvv.
     """
     dec = decompose_inverse(word)
-    if len(dec.parts) != CASE_PARTS.get(dec.case):
-        return _parts_error("inverse", word, dec)
+    try:  # first, since the shape rules read the first part
+        whole = dec.reassemble()
+    except ValueError as err:  # an unknown case, or a wrong number of parts
+        return f"inverse record {dec} of {word}: {err}"
     part = dec.parts[0]
     allowed = _first_steps_case(word, BASE_INV, CASE_I, CASE_II, None)
     if allowed is None and dec.elevation:
@@ -583,7 +587,7 @@ def _check_inverse_decomposition(word: str) -> str | None:
         allowed = CASE_III
     elif dec.elevation:
         allowed = None
-    return _record_error("inverse", word, dec, allowed)
+    return _record_error("inverse", word, dec, whole, allowed)
 
 
 def _first_steps_case(word: str, base: str, h: str, uvh: str, uvu: str | None) -> str | None:
@@ -593,18 +597,12 @@ def _first_steps_case(word: str, base: str, h: str, uvh: str, uvu: str | None) -
     return h if word[0] == "h" else {"uvh": uvh, "uvu": uvu}.get(word[:3])
 
 
-def _parts_error(direction: str, word: str, dec: Decomposition) -> str:
-    """What is wrong with a record of an unknown case or with another number
-    of parts than its case takes.  The checkers test this first, since their
-    shape rules read the first part and ``reassemble`` refuses the record."""
-    if dec.case not in CASE_PARTS:
-        return f"{direction} record {dec} of {word}: unknown case"
-    return f"{direction} record {dec} of {word}: {dec.case} takes {CASE_PARTS[dec.case]} part(s)"
-
-
-def _record_error(direction: str, word: str, dec: Decomposition, allowed: str | None) -> str | None:
-    """None if ``dec`` reassembles to ``word`` and carries the allowed case."""
-    if dec.reassemble() != word:
+def _record_error(
+    direction: str, word: str, dec: Decomposition, whole: str, allowed: str | None
+) -> str | None:
+    """None if ``whole``, what ``dec`` reassembles to, is ``word`` and
+    ``dec`` carries the allowed case."""
+    if whole != word:
         return f"{direction} record {dec} does not reassemble to {word}"
     if dec.case != allowed:
         return f"{direction} record {dec} of {word}: its shape allows {allowed}"

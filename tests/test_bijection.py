@@ -309,15 +309,20 @@ class TestFixedPoints:
         assert len(calls) == 4334  # not the 8,558 uvv-avoiding paths
         assert not any("uvu" in w for w in calls)
 
-    def test_counts_that_do_not_add_up(self):
-        with pytest.raises(ValueError, match="class counts do not add up"):
-            FixedPointCounts(f=3, a=1, b=1, c=0)
+    def test_f_is_the_sum_of_the_classes(self):
+        # f is read off the classes, so a record made or changed by
+        # namedtuple's own methods cannot carry another count
+        assert fixed_points(5)._replace(a=0).f == 53
+        assert FixedPointCounts._make((1, 1, 0, None)).f == 2
+        assert FixedPointCounts._fields == ("a", "b", "c", "paths")
 
     def test_counts_are_immutable(self):
         counts = fixed_points(2)
         with pytest.raises(AttributeError):
             counts.f = 6
-        assert counts == FixedPointCounts(f=5, a=2, b=1, c=2)
+        with pytest.raises(AttributeError):
+            counts.a = 6
+        assert counts == FixedPointCounts(a=2, b=1, c=2)
 
     @pytest.mark.parametrize("flag", ["no", 0, 1, None])
     def test_include_paths_must_be_a_bool(self, flag):

@@ -1,8 +1,8 @@
 """Golden snapshot of the command line: exact stdout, stderr and exit code.
 
-Every subcommand except ``verify`` (covered by ``test_cli.test_verify_small``
-and slow) is run in-process through ``cli.main``, in its text, JSON,
-``--eval`` and SVG variants, together with the exit-2 input errors.
+Every subcommand is run in-process through ``cli.main``, in its text, JSON,
+``--eval`` and SVG variants, together with the exit-2 input errors;
+``verify`` runs at ``--max-n 3``, which takes about half a second.
 ``--help`` is left out because argparse wording differs between Python
 versions.
 
@@ -68,6 +68,8 @@ INVOCATIONS: list[list[str]] = [
     # tables
     ["tables", "--max-n", "0"],
     ["tables", "--max-n", "7"],
+    # verify
+    ["verify", "--max-n", "3"],
     # render
     ["render", "--path", ""],
     ["render", "--path", "uhvud"],

@@ -28,7 +28,7 @@ from gmotzkin.enumeration import (
     generate,
     weight_sum,
 )
-from gmotzkin.paths import RISE, PathError, parse_word, x_length
+from gmotzkin.paths import RISE, PathError, parse_word
 from gmotzkin.polyring import VAR_A, VAR_B, VAR_C
 
 A, B, C = VAR_A, VAR_B, VAR_C
@@ -77,8 +77,9 @@ def brute_force_paths() -> dict[int, list[str]]:
                 parse_word(word)
             except PathError:
                 continue
-            if x_length(word) <= BRUTE_MAX_N:
-                by_length[x_length(word)].append(word)
+            n = len(word) - word.count("v")  # v steps stand still
+            if n <= BRUTE_MAX_N:
+                by_length[n].append(word)
     return by_length
 
 

@@ -7,7 +7,6 @@ from gmotzkin.formulas import (
     catalan,
     dyck_weight,
     f_closed,
-    f_recurrence,
     fixed_point_sequences,
     g_uvv_closed,
     gbar_uvv_closed,
@@ -23,7 +22,6 @@ LENGTH_ENTRY_POINTS = [
     lambda n: g_uvv_closed(n, 1),
     lambda n: gbar_uvv_closed(n, 1),
     f_closed,
-    f_recurrence,
     dyck_weight,
     motzkin_weight,
     schroder_weight,
@@ -204,7 +202,7 @@ class TestFixedPointCounts:
 
     @pytest.mark.parametrize("n", range(11))
     def test_recurrence(self, n):
-        assert f_recurrence(n) == FIXED_POINT_COUNTS[n]
+        assert fixed_point_sequences(n)[0][n] == FIXED_POINT_COUNTS[n]
 
     def test_sequences_are_consistent(self):
         f, a, b, c = fixed_point_sequences(10)

@@ -1,9 +1,11 @@
+import inspect
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gmotzkin
 from gmotzkin import enumeration
 from gmotzkin.bijection import is_fixed_by_structure, sigma, sigma_inv
 from gmotzkin.paths import (
@@ -19,7 +21,6 @@ from gmotzkin.paths import (
     is_primitive,
     parse_pattern,
     parse_word,
-    x_length,
 )
 from gmotzkin.samples import SHOWCASE_PATH
 
@@ -74,7 +75,7 @@ class TestParse:
     def test_showcase_path(self):
         word = parse_word(SHOWCASE_PATH)
         assert word == SHOWCASE_PATH
-        assert x_length(word) == 25
+        assert len(word) - word.count("v") == 25  # its x-length
         assert "uvv" not in word
         assert "uvu" in word
 
@@ -117,8 +118,27 @@ class TestParse:
 
     @given(st.sampled_from(ALL_SMALL))
     def test_step_balance(self, word):
-        assert x_length(word) == word.count("u") + word.count("d") + word.count("h")
         assert word.count("u") == word.count("d") + word.count("v")
+
+
+# Every exported function that takes a word or a text first.
+WORD_ENTRY_POINTS = sorted(
+    name
+    for name, value in vars(gmotzkin).items()
+    if inspect.isfunction(value)
+    and next(iter(inspect.signature(value).parameters), None) in ("word", "text")
+)
+
+
+def test_word_entry_points_are_found():
+    assert {"parse_word", "parse_pattern", "sigma", "decompose_forward"} <= set(WORD_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("name", WORD_ENTRY_POINTS)
+@pytest.mark.parametrize("word", ["ux", 5], ids=repr)
+def test_exported_word_entry_point_rejects_a_bad_word(name, word):
+    with pytest.raises(PathError):
+        getattr(gmotzkin, name)(word)
 
 
 class TestStructure:

@@ -85,6 +85,20 @@ class TestPolynomial:
             {"ea": 0, "eb": 1, "ec": 0, "coeff": "-2"},
         ]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Polynomial.from_json_obj([{"ea": -1, "eb": 0, "ec": 0, "coeff": "1"}]),
+            lambda: Polynomial({(1, -1, 0): 1}),
+            lambda: Polynomial({(0, 0, -2): 0}),
+            lambda: Polynomial.monomial(0, -1, 0),
+        ],
+        ids=["json", "dict", "zero coefficient", "monomial"],
+    )
+    def test_rejects_a_negative_exponent(self, make):
+        with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+            make()
+
     @given(polynomials, polynomials, polynomials)
     def test_ring_axioms(self, p, q, r):
         assert (p + q) + r == p + (q + r)

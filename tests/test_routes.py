@@ -11,6 +11,9 @@ The package exports only what it uses: every name ``gmotzkin/__init__.py``
 imports has a caller in the package or the benchmark, so no helper lives on
 for the tests alone.
 
+No package module but ``__init__`` imports a name it never reads, so a
+deleted helper leaves no import behind.
+
 No package module uses ``assert``: ``python -O`` strips it, and every check
 must still run there.
 """
@@ -86,6 +89,31 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert BENCH / "run.py" in files
     used = set().union(*map(referenced_names, files))
     assert sorted(exported_names() - used) == []
+
+
+def unread_imports(path: Path) -> list[str]:
+    """``file:line name`` for every name a file imports and never reads as a
+    variable; ``from __future__`` imports are left out."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_modules_read_every_name_they_import():
+    files = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    assert PACKAGE / "verify.py" in files
+    assert [entry for path in files for entry in unread_imports(path)] == []
 
 
 def test_package_has_no_assert():

@@ -44,7 +44,8 @@ real_expand = verify.expand
 def test_sweep_passes_on_the_real_bijection():
     rec = Harness(max_n=3).sweep(3)
     assert rec.error is None
-    assert (rec.size, rec.f, rec.a, rec.b, rec.c) == (22, 13, 7, 4, 2)
+    assert rec._fields == ("size", "a", "b", "c", "error")
+    assert (rec.size, rec.a, rec.b, rec.c) == (22, 7, 4, 2)
 
 
 def test_image_with_uvu(monkeypatch):
@@ -322,20 +323,38 @@ def test_decomposition_checker_names_the_word(monkeypatch, name):
     assert error is not None and f"{record} of {word}:" in error
 
 
-# Records with one part more or fewer than their case takes.
-WRONG_PART_COUNTS = {
-    "Case1 with a surplus part": ("decompose_forward", "huv", Decomposition(CASE1, 0, ("uv", "hh"))),
-    "CaseIV with a surplus part": ("decompose_inverse", "ud", Decomposition(CASE_IV, 1, ("", "", "x"))),
-    "Case3 with a part missing": ("decompose_forward", "uvud", Decomposition(CASE3, 0, ("ud",))),
+# Records that ``reassemble`` refuses: one part more or fewer than their
+# case takes, or a case that does not exist.
+REFUSED_RECORDS = {
+    "Case1 with a surplus part": (
+        "decompose_forward", "huv", Decomposition(CASE1, 0, ("uv", "hh")),
+        "case Case1 takes 1 part(s), got 2",
+    ),
+    "CaseIV with a surplus part": (
+        "decompose_inverse", "ud", Decomposition(CASE_IV, 1, ("", "", "x")),
+        "case CaseIV takes 2 part(s), got 3",
+    ),
+    "Case3 with a part missing": (
+        "decompose_forward", "uvud", Decomposition(CASE3, 0, ("ud",)),
+        "case Case3 takes 2 part(s), got 1",
+    ),
+    "CaseIII with no part": (
+        "decompose_inverse", "uhv", Decomposition(CASE_III, 0, ()),
+        "case CaseIII takes 2 part(s), got 0",
+    ),
+    "an unknown case": (
+        "decompose_forward", "h", Decomposition("Case7", 0, ("h",)),
+        "unknown case 'Case7'",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", WRONG_PART_COUNTS)
-def test_decomposition_checker_refuses_a_wrong_part_count(monkeypatch, name):
-    target, word, record = WRONG_PART_COUNTS[name]
+@pytest.mark.parametrize("name", REFUSED_RECORDS)
+def test_decomposition_checker_reports_what_reassemble_refuses(monkeypatch, name):
+    target, word, record, reason = REFUSED_RECORDS[name]
     monkeypatch.setattr(verify, target, lambda w: record)
-    error = CHECKERS[target](word)
-    assert error is not None and f"{record} of {word}: {record.case} takes" in error
+    direction = target.removeprefix("decompose_")
+    assert CHECKERS[target](word) == f"{direction} record {record} of {word}: {reason}"
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
