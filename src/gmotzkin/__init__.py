@@ -8,7 +8,7 @@ pattern-swapping bijection with its fixed-point analysis (``bijection``),
 and a self-verification suite (``verify``) surfaced through the CLI.
 """
 
-from .polyring import Monomial, Polynomial, PowerSeries
+from .polyring import Monomial, Polynomial
 from .paths import (
     Decomposition,
     PathError,

@@ -30,7 +30,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .polyring import Polynomial
-from .paths import parse_pattern
+from .paths import _check_length, parse_pattern
 
 
 class Constraints(namedtuple("Constraints", "avoid forbid_h_on_axis", defaults=((), False))):
@@ -66,10 +66,7 @@ def generate(n: int, constraints: Constraints | None = None) -> Iterator[str]:
     Yields canonical words in sorted order (u < d < h < v), duplicate-free.
     The stream supports early termination.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"length n must be an int, not {n!r}")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    _check_length(n)
     if constraints is not None and not isinstance(constraints, Constraints):
         raise ValueError(f"constraints must be a Constraints or None, not {constraints!r}")
     cons = (constraints or NO_CONSTRAINTS).normalized()

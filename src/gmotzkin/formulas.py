@@ -18,6 +18,12 @@ convention is validated wholesale by exact agreement with the enumeration
 oracle; any disagreement between alternative forms is a bug to surface,
 never to hide.
 
+``relation_checks`` and ``specialization_checks`` test identities between
+the closed forms and return them by label; the second holds the polynomial
+rows of the specialization table, G_n^uvv(a,0,b) = M_n(a,b) and
+G_n^uvv(a,b,b^2) = S_n(a,b), which the ``tables`` command prints and
+``verify``'s criterion 7 checks.
+
 Several alternative summation forms are provided for the same quantity
 (``g_uvv_closed`` has five, ``gbar_uvv_closed`` three); they arise from
 expanding the same coefficient extraction in different orders and must
@@ -46,7 +52,8 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .polyring import ONE, VAR_A, VAR_B, VAR_C, Monomial, Polynomial
+from .paths import _check_length
+from .polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, Monomial, Polynomial
 
 
 def binom(m: int, r: int) -> int:
@@ -113,13 +120,6 @@ def _t_extraction(n: int, order: int, shifts: list[tuple[int, int]]) -> dict[Mon
                 key = (i + e, m, j)
                 sums[key] = sums.get(key, 0) + w * coeff * comb(n + m, m)
     return sums
-
-
-def _check_length(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"length n must be an int, not {n!r}")
-    if n < 0:
-        raise ValueError("length must be nonnegative")
 
 
 def _check_form(form: int, count: int) -> None:
@@ -218,6 +218,17 @@ def relation_checks(n: int) -> dict[str, bool]:
     return {
         "schroder_eq_shifted_dyck": s == c_shift,
         "schroder_eq_shifted_motzkin": s == m,
+    }
+
+
+def specialization_checks(n: int) -> dict[str, bool]:
+    """The specialization table's polynomial rows at n, by label, from form 1."""
+    g = g_uvv_closed(n, 1)
+    return {
+        "(a,0,b) Motzkin polynomial":
+            g.substitute("b", ZERO).substitute("c", VAR_B) == motzkin_weight(n),
+        "(a,b,b^2) Schroeder polynomial":
+            g.substitute("c", VAR_B * VAR_B) == schroder_weight(n),
     }
 
 

@@ -14,8 +14,9 @@ steps do not count toward length.  ``parse_word`` validates and
 canonicalizes arbitrary input text, and ``first_return_blocks`` checks a
 word as it cuts it into blocks.  ``_check_avoids`` holds the rule that a
 path must avoid a pattern, for the decompositions and for ``bijection``'s
-maps; ``parse_pattern`` checks a pattern word.  Every other function in
-this module assumes its argument is already a valid word.
+maps; ``parse_pattern`` checks a pattern word, and ``_check_length`` a
+path length, for ``enumeration`` and ``formulas``.  Every other function
+in this module assumes its argument is already a valid word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
 and the weight of a path is the product over its steps, i.e. the monomial
@@ -105,6 +106,14 @@ def _check_avoids(word: str, pattern: str) -> None:
     if pattern in word:
         first_return_blocks(word)
         raise PathError(f"path contains the pattern {pattern}")
+
+
+def _check_length(n: int) -> None:
+    """Raise ValueError unless the length n is a nonnegative int, no bool."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"length n must be an int, not {n!r}")
+    if n < 0:
+        raise ValueError("length must be nonnegative")
 
 
 def parse_pattern(text: str) -> str:

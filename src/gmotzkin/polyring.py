@@ -8,8 +8,6 @@ this module is exact integer arithmetic:
   Monomial    -- an exponent triple (ea, eb, ec) standing for a^ea b^eb c^ec.
   Polynomial  -- a finite map from Monomial to a nonzero int coefficient;
                  its constructor refuses a negative exponent.
-  PowerSeries -- the Polynomial coefficients of a truncated series in a
-                 formal variable x, read-only and without arithmetic.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 
@@ -20,20 +18,21 @@ records ``{"ea": int, "eb": int, "ec": int, "coeff": "<decimal string>"}``;
 the coefficient travels as a decimal string so arbitrarily large values
 survive JSON readers with fixed-width integers.
 
-The series variable x is structural (the position in the coefficient
-list), not a fourth ring variable.  Products of polynomials are formed by
-``dot``, which sums a run of polynomial products into one term map; it
-serves ``formulas`` and criteria 3 and 7 of ``verify``.  Generating
-functions are not solved here: ``series.solve`` computes the root of
-D S = P + Q S^2 one coefficient at a time on ints packed by
-``KroneckerCodec``, and checks it by packing the result anew.  Criterion 9
-of ``verify`` checks the solved series' identities on ints too, with sums
-and products of its own, not with the solver's recurrence or rows.
+Series in a formal variable x are not held here: ``series`` gives each as
+a tuple of Polynomial coefficients, x being the position in the tuple, not
+a fourth ring variable.  Products of polynomials are formed by ``dot``,
+which sums a run of polynomial products into one term map; it serves
+``formulas`` and criterion 3 of ``verify``.  Generating functions are not
+solved here: ``series.solve`` computes the root of D S = P + Q S^2 one
+coefficient at a time on ints packed by ``KroneckerCodec``, and checks it
+by packing the result anew.  Criterion 9 of ``verify`` checks the solved
+series' identities on ints too, with sums and products of its own, not
+with the solver's recurrence or rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, int, int]
 
@@ -198,10 +197,21 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "Polynomial":
+        """The polynomial of a JSON term-record list; ValueError names a field
+        that is missing, an exponent no int, a coefficient no decimal str."""
         terms: dict[Monomial, int] = {}
         for rec in obj:
-            mono = (int(rec["ea"]), int(rec["eb"]), int(rec["ec"]))  # type: ignore[arg-type]
-            terms[mono] = int(str(rec["coeff"]))
+            for field in ("ea", "eb", "ec", "coeff"):
+                if field not in rec:
+                    raise ValueError(f"term record {rec!r} has no field {field!r}")
+            for field in ("ea", "eb", "ec"):
+                if type(rec[field]) is not int:
+                    raise ValueError(f"field {field!r} must be an int, not {rec[field]!r}")
+            coeff = rec["coeff"]
+            digits = coeff.removeprefix("-") if type(coeff) is str else ""
+            if not (digits.isascii() and digits.isdecimal()):
+                raise ValueError(f"field 'coeff' must be a decimal str, not {coeff!r}")
+            terms[rec["ea"], rec["eb"], rec["ec"]] = int(coeff)  # type: ignore[index]
         return cls(terms)
 
     def __str__(self) -> str:
@@ -346,46 +356,3 @@ VAR_A = Polynomial.variable("a")
 VAR_B = Polynomial.variable("b")
 VAR_C = Polynomial.variable("c")
 
-
-class PowerSeries:
-    """A series sum(p_n x^n, n = 0..order) with Polynomial coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Sequence[Polynomial]):
-        if not coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = tuple(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Polynomial, ...]:
-        return self._coeffs
-
-    def coefficient(self, n: int) -> Polynomial:
-        """The coefficient of x^n; ValueError unless n is an int in 0..order."""
-        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= self.order:
-            raise ValueError(f"no coefficient {n!r} in a series of order {self.order}")
-        return self._coeffs[n]
-
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    # -- output --------------------------------------------------------------
-
-    def evaluate(self, va: int, vb: int, vc: int) -> list[int]:
-        """Coefficientwise integer evaluation at (a, b, c)."""
-        return [p.eval(va, vb, vc) for p in self._coeffs]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(p) for p in self._coeffs)
-        return f"PowerSeries([{inner}])"

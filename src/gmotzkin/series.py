@@ -29,8 +29,10 @@ from another:
 So ``verify``'s Gbar relation x Gbar (1 + aT) = T and its F-vs-A relation
 F = (1+x)^2 A + x^3 - x check this solver's output independently.
 
-``solve`` computes the root online, one coefficient at a time (the
-"relaxed" method of van der Hoeven, *Relax, but don't be too lazy*, 2002):
+``solve`` returns a ``PowerSeries``, a record whose one field ``coeffs`` is
+the tuple of Polynomial coefficients s_0, ..., s_order.  It computes the
+root online, one coefficient at a time (the "relaxed" method of van der
+Hoeven, *Relax, but don't be too lazy*, 2002):
 
     s_n = P_n - sum_{i>=1} D_i s_{n-i} + sum_{i>=0} Q_i (S^2)_{n-i}.
 
@@ -78,6 +80,7 @@ certified instead by checking the defining equations' residuals, which
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 
 from .polyring import (
@@ -89,7 +92,6 @@ from .polyring import (
     DivergenceError,
     KroneckerCodec,
     Polynomial,
-    PowerSeries,
     graded_degree,
 )
 
@@ -114,6 +116,9 @@ _EQUATIONS: dict[str, tuple[list[Polynomial], ...]] = {
     "Gbar_uvv": ([ONE], [ZERO, VAR_A + VAR_B, _K], [ONE, VAR_A]),
     "A": (_ints(1, 1, -1, -2, 2), _ints(0, 1, 1), _ints(1, 1, -1, -3)),
 }
+
+
+PowerSeries = namedtuple("PowerSeries", "coeffs")
 
 
 def solve(
@@ -146,7 +151,7 @@ def solve(
     except ValueError as err:  # a slot too narrow for the majorant's bound
         raise DivergenceError(f"a solved coefficient does not decode: {err}") from err
     _check(ps, qs, ds, s, g, delta, stride)
-    return PowerSeries(s)
+    return PowerSeries(tuple(s))
 
 
 def _grading(

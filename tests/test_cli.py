@@ -100,13 +100,6 @@ class TestCompute:
         assert code == 0
         assert out.count("<line") == 3
 
-    def test_verify_small(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-n", "3")
-        assert code == 0
-        lines = out.splitlines()
-        assert sum(1 for ln in lines if ln.startswith("PASS")) == 9
-        assert lines[-1] == "9/9 checks passed"
-
 
 class TestErrorsAndDeterminism:
     def test_bad_word_exits_2(self, capsys):

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from gmotzkin import bijection, cli, enumeration, verify
+from gmotzkin import bijection, cli, enumeration, formulas, verify
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV
 from gmotzkin.paths import (
     BASE,
@@ -32,7 +32,8 @@ from gmotzkin.paths import (
     CASE_V,
     Decomposition,
 )
-from gmotzkin.polyring import DivergenceError, Polynomial, PowerSeries
+from gmotzkin.polyring import DivergenceError, Polynomial
+from gmotzkin.series import PowerSeries
 from gmotzkin.verify import Harness
 
 real_sigma = bijection.sigma
@@ -132,6 +133,34 @@ def test_criterion_4_reports_the_sweep_error(monkeypatch):
     assert result.detail == "n=0: sigma() = h changes the weight"
 
 
+def test_criterion_6_names_classes_that_miss_the_recurrence(monkeypatch):
+    # every class-C fixed point counted as B: F is unchanged, so the
+    # four-way agreement holds and the class check fails first, at n = 2
+    real_classify = bijection._classify
+
+    def classify(q):
+        found = real_classify(q)
+        return bijection.CLASS_B if found == bijection.CLASS_C else found
+
+    monkeypatch.setattr(bijection, "_classify", classify)
+    result = Harness(max_n=3).criterion_6()
+    assert not result.ok
+    assert result.detail == "n=2: classes (2, 3, 0) != recurrence (2, 1, 2)"
+
+
+def test_tables_and_criterion_7_read_one_specialization_check(monkeypatch, capsys):
+    # M_n + c vanishes at c = 0, so only the polynomial Motzkin row fails
+    real_motzkin = formulas.motzkin_weight
+    monkeypatch.setattr(formulas, "motzkin_weight", lambda n: real_motzkin(n) + C)
+    assert cli.main(["tables", "--max-n", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  (a,0,b)    Motzkin polynomial M_n(a,b): MISMATCH" in out
+    assert "  (a,b,b^2)  Schroeder polynomial S_n(a,b): ok" in out
+    result = Harness(max_n=3).criterion_7()
+    assert not result.ok
+    assert result.detail == "n=0: (a,0,b) Motzkin polynomial"
+
+
 A, B, C = (Polynomial.variable(name) for name in "abc")
 
 
@@ -144,7 +173,7 @@ def perturbed_expand(kind, n, term):
             return s
         coeffs = list(s.coeffs)
         coeffs[n] = coeffs[n] + term
-        return PowerSeries(coeffs)
+        return PowerSeries(tuple(coeffs))
 
     return expand
 
