@@ -166,7 +166,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for label, point, oeis in _OEIS_ROWS:
         values = " ".join(str(p.eval(*point)) for p in polys)
         print(f"  {label:<10} {oeis}: {values}")
-    checks = [formulas.specialization_checks(n) for n in range(nmax + 1)]
+    checks = [formulas.specialization_checks(n, g) for n, g in enumerate(polys)]
     mismatch = False
     for label in checks[0]:  # "(a,0,b) Motzkin polynomial" prints as M_n(a,b)
         point, family = label.split(" ", 1)

@@ -221,9 +221,9 @@ def relation_checks(n: int) -> dict[str, bool]:
     }
 
 
-def specialization_checks(n: int) -> dict[str, bool]:
-    """The specialization table's polynomial rows at n, by label, from form 1."""
-    g = g_uvv_closed(n, 1)
+def specialization_checks(n: int, g: Polynomial) -> dict[str, bool]:
+    """The specialization table's polynomial rows at n, by label, for g the
+    caller's G_n^uvv."""
     return {
         "(a,0,b) Motzkin polynomial":
             g.substitute("b", ZERO).substitute("c", VAR_B) == motzkin_weight(n),
@@ -265,16 +265,11 @@ def fixed_point_sequences(nmax: int) -> tuple[list[int], list[int], list[int], l
     _check_length(nmax)
     f = [1, 2]
     a = [1, 1, 2, 7, 23]
-    for m in range(1, nmax):
-        if m >= len(a):
+    for m in range(1, nmax + 1):
+        if m == len(a):
             a.append(f[m] - 2 * a[m - 1] - a[m - 2])
         f.append(f[m] + 2 * f[m - 1] + sum(a[k] * f[m - k] for k in range(1, m + 1)))
-    while len(a) < nmax + 1:
-        m = len(a)
-        a.append(f[m] - 2 * a[m - 1] - a[m - 2])
-    f = f[: nmax + 1]
-    a = a[: nmax + 1]
-    c = [0, 0] + [2 if m == 2 else a[m - 1] for m in range(2, nmax + 1)]
-    c = c[: nmax + 1]
-    b = [0] + [a[m - 1] + c[m - 1] for m in range(1, nmax + 1)]
-    return f, a, b[: nmax + 1], c
+    f, a = f[: nmax + 1], a[: nmax + 1]
+    c = [0, 0, 2][: nmax + 1] + a[2:nmax]
+    b = [0] + [a[m] + c[m] for m in range(nmax)]
+    return f, a, b, c

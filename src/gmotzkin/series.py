@@ -71,7 +71,8 @@ coefficient larger than the same sums taken over the operands' l1 norms,
 so it packs to 0 only if it is 0.  A slot too narrow in the solve
 therefore shows up as DivergenceError, never as a wrong series.
 ``verify`` checks the solver again with code of its own: substitutions in
-``Polynomial`` arithmetic, and residuals on ints packed by the codec.
+``Polynomial`` arithmetic, and one table of six series identities, whose
+residuals it evaluates on ints packed by the codec, F and A at degree 0.
 
 No radicals are ever manipulated; closed forms involving square roots are
 certified instead by checking the defining equations' residuals, which

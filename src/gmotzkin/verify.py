@@ -28,14 +28,16 @@ it must reassemble to the path and carry the single case that the path's
 shape allows, read off its first steps and, past the peeled layers, off
 the kind of its core.  ``reassemble`` alone refuses a record of an
 unknown case or with a wrong number of parts, and the checkers report
-that refusal first.
+that refusal first.  Its series identities are one table, ``_IDENTITIES``,
+over the series of ``_SERIES``; ``_sides`` evaluates each on l1 norms, for
+a slot width, and then on Kronecker-packed ints.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable
 
 from . import bijection, formulas, samples
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
@@ -113,6 +115,37 @@ def _criterion(name: str, passed: str):
 _CLOSED_FORMS = (
     ("g_uvv", formulas.g_uvv_closed, 5, AVOID_UVV),
     ("gbar_uvv", formulas.gbar_uvv_closed, 3, BAR_UVV),
+)
+
+
+# Criterion 9's series by letter: (kind, orders past series_order, g, shift),
+# the x^n coefficient homogeneous of degree g n + shift.  T runs one order
+# further, so that the Gbar relation through x^(order + 1) reaches Gbar_order.
+_SERIES = {
+    "G": ("G_uvv", 0, 1, 0),
+    "T": ("T", 1, 1, -1),
+    "H": ("Gbar_uvv", 0, 1, 0),
+    "F": ("F", 0, 0, 0),
+    "A": ("A", 0, 0, 0),
+}
+
+# Criterion 9's identities, checked in turn: (message, orders past
+# series_order, left side, right side).  A term is an optional int factor
+# times letters: a, b, c, x and the series of ``_SERIES``.
+_IDENTITIES = (
+    # G + b^2 x^2 G^2 = 1 + a x G + b x G^2 + c x^2 G^2   (G = G_uvv)
+    ("first-return equation residual is nonzero", 0, "G + bbxxGG", "1 + axG + bxGG + cxxGG"),
+    # T + b^2 x T^2 = x + a x T + b T^2 + c x T^2
+    ("T equation residual is nonzero", 1, "T + bbxTT", "x + axT + bTT + cxTT"),
+    # x H (1 + a T) = T   (H = Gbar_uvv)
+    ("Gbar relation fails", 1, "xH + axHT", "T"),
+    # x F^2 + (1 + x)^3 + (2x^2 + 4x^3 + x^4) F = (1 + 2x) F
+    ("F quadratic residual is nonzero", 0, "xFF + 1 + 3x + 3xx + xxx + 2xxF + 4xxxF + xxxxF", "F + 2xF"),
+    # F + x = (1 + x)^2 A + x^3
+    ("F vs A relation fails", 0, "F + x", "A + 2xA + xxA + xxx"),
+    # F = 1 + x + 2x^2 F + x A F; unreachable, as given F = (1 + x)^2 A + x^3 - x
+    # it is the F quadratic divided by the unit (1 + x)^2
+    ("F convolution residual is nonzero", 0, "F", "1 + x + 2xxF + xAF"),
 )
 
 
@@ -312,7 +345,7 @@ class Harness:
                 ("(0,1,1) Catalan", g.eval(0, 1, 1) == formulas.catalan(n)),
                 ("(1,0,1) Motzkin", g.eval(1, 0, 1) == formulas.motzkin_weight(n).eval(1, 1, 0)),
                 ("(1,1,1) Schroeder", g.eval(1, 1, 1) == formulas.schroder_weight(n).eval(1, 1, 0)),
-                *formulas.specialization_checks(n).items(),
+                *formulas.specialization_checks(n, g).items(),
             ]
             for point in ((1, 0, 2), (-3, 4, 16)):
                 val = g.eval(*point)
@@ -360,87 +393,48 @@ class Harness:
         return self._series_residuals()
 
     def _series_residuals(self) -> str | None:
-        """The series identities of criterion 9: None, or the first that fails.
-
-        Every identity is checked on ints, with ``_convolve`` and
-        ``_shift``.  The G_uvv first-return equation, the T equation and the
-        relation x Gbar (1 + aT) = T run on Kronecker-packed coefficients
-        (see ``_residual_sides``).  The identities of the fixed-point count
-        F and its class-A part,
-
-            x F^2 - (1 + 2x - 2x^2 - 4x^3 - x^4) F + (1 + x)^3 = 0
-            F = (1 + x)^2 A + x^3 - x
-            F = 1 + x + 2x^2 F + x A F,
-
-        run on their coefficients as ints; a coefficient that is not an
-        integer constant fails the first of them it enters.
+        """The series identities of criterion 9: None, or the message of the
+        first in ``_IDENTITIES`` that fails.
 
         Grade a and b by 1 and c by 2.  ``KroneckerCodec.pack`` sends each
-        coefficient G_n, T_n and Gbar_n, homogeneous of degree n, n - 1 and
-        n, to its value at a = 1, b = 2^w, c = 2^(w s), with stride
-        s = order + 1.  It raises for a coefficient that is not homogeneous
-        of its degree, which fails the first identity it enters: taken in
-        turn, each identity has only homogeneous solutions.  Packing is
-        a ring homomorphism, so the packed n-th coefficient of a side is the
+        coefficient of a series of ``_SERIES``, homogeneous of degree
+        g n + shift, to its value at a = 1, b = 2^w, c = 2^(w s), with
+        stride s = order + 1; F and A, of degree 0, pack to themselves.  Each
+        series is packed just before its first identity.  ``pack`` raises
+        for a coefficient that is not homogeneous of its degree (for F and
+        A, not an integer constant), which fails that identity: taken in
+        turn, each identity has only homogeneous solutions.  Packing is a
+        ring homomorphism, so the packed n-th coefficient of a side is the
         value of that side's n-th coefficient L_n, a homogeneous polynomial
         of degree e <= order.  Its monomial a^ea b^eb c^ec lands in slot
         eb + s ec; eb <= e < s, so distinct monomials of degree e land in
         distinct slots.  Every term stands on the side where its sign is
         positive, and the same sides run on l1 norms bound ||L_n||, since
-        the norm is subadditive and submultiplicative (||b|| = ||c|| = 1);
-        with 2^(w-1) above that bound every coefficient of L_n is a
-        balanced digit in [-2^(w-1), 2^(w-1)), and so is every coefficient
-        of G, T and Gbar, each a term of some side.  Balanced digits are
-        unique, so the two sides' ints are equal exactly when their
-        polynomials are, and nothing is unpacked.
+        the norm is subadditive and submultiplicative (||a|| = ||b|| =
+        ||c|| = 1); with 2^(w-1) above that bound every coefficient of L_n
+        is a balanced digit in [-2^(w-1), 2^(w-1)), and so is every
+        coefficient of every series, each a term of some side.  Balanced
+        digits are unique, so the two sides' ints are equal exactly when
+        their polynomials are, and nothing is unpacked.
         """
         order = self.series_order
-        series = (
-            self.series("G_uvv", order).coeffs,
-            self.series("T", order + 1).coeffs,
-            self.series("Gbar_uvv", order).coeffs,
-        )
-        norms = _residual_sides(*series, lambda coeffs, _: [p.norm() for p in coeffs], 1, 1)
-        bound = max(max(side) for sides in norms for side in sides)
+        coeffs = {s: self.series(k, order + e).coeffs for s, (k, e, *_) in _SERIES.items()}
+        norms = {s: [p.norm() for p in ps] for s, ps in coeffs.items()}
+        bound = max(max(side) for i in _IDENTITIES for side in _sides(i, norms, 1, 1, order))
         codec = KroneckerCodec(bound.bit_length() + 1, order + 1)
         b, c = 1 << codec.width, 1 << (codec.width * codec.stride)
-
-        def pack(coeffs: Sequence[Polynomial], shift: int) -> list[int]:
-            return [codec.pack(p, n + shift) for n, p in enumerate(coeffs)]
-
-        packed = _residual_sides(*series, pack, b, c)
-        for message in (
-            "first-return equation residual is nonzero",
-            "T equation residual is nonzero",
-            "Gbar relation fails",
-        ):
+        packed: dict[str, list[int]] = {}
+        for identity in _IDENTITIES:
+            message, _, lhs, rhs = identity
             try:
-                lhs, rhs = next(packed)
+                for s in _SERIES.keys() & set(lhs + rhs) - packed.keys():
+                    g, shift = _SERIES[s][2:]
+                    packed[s] = [codec.pack(p, g * n + shift) for n, p in enumerate(coeffs[s])]
             except ValueError:  # a coefficient not homogeneous of its degree
                 return message
-            if lhs != rhs:
+            left, right = _sides(identity, packed, b, c, order)
+            if left != right:
                 return message
-        length = order + 1
-
-        def poly(*values: int) -> list[int]:
-            """A polynomial in x, by its coefficients, as a series."""
-            return (list(values) + [0] * length)[:length]
-
-        f = _constants(self.series("F", order).coeffs)
-        if f is None or [
-            s + u for s, u in zip(_shift(_convolve(f, f), 1), poly(1, 3, 3, 1))
-        ] != _convolve(poly(1, 2, -2, -4, -1), f):
-            return "F quadratic residual is nonzero"
-        a = _constants(self.series("A", order).coeffs)
-        if a is None or f != [
-            s + u for s, u in zip(_convolve(poly(1, 2, 1), a), poly(0, -1, 0, 1))
-        ]:
-            return "F vs A relation fails"
-        if f != [
-            s + 2 * u + v
-            for s, u, v in zip(poly(1, 1), _shift(f, 2), _shift(_convolve(a, f), 1))
-        ]:
-            return "F convolution residual is nonzero"
         return None
 
     def run_all(self) -> list[CheckResult]:
@@ -455,59 +449,43 @@ def _is_path(word: str) -> bool:
     return min(hs) == 0 == hs[-1]
 
 
-def _residual_sides(
-    g: Sequence[Polynomial],
-    t: Sequence[Polynomial],
-    gbar: Sequence[Polynomial],
-    value: Callable[[Sequence[Polynomial], int], list[int]],
-    b: int,
-    c: int,
-) -> Iterator[tuple[list[int], list[int]]]:
-    """The two sides of three series identities at a = 1, one pair at a time:
-
-        G + b^2 x^2 G^2 = 1 + a x G + b x G^2 + c x^2 G^2    (G = G_uvv)
-        T + b^2 x T^2 = x + a x T + b T^2 + c x T^2
-        x Gbar + a x Gbar T = T                              (Gbar = Gbar_uvv)
-
-    ``value(coeffs, shift)`` turns a series, its x^n coefficient of degree
-    n + shift, into ints, and is called for each series just before its
-    first identity.  On l1 norms, with b = c = 1, the sides bound the l1
-    norms of the true sides; on packed values, with b and c packed, they are
-    the true sides packed.
-    """
-    g = value(g, 0)
-    xgg = _shift(_convolve(g, g), 1)
-    xxgg = _shift(xgg, 1)
-    yield (
-        [s + b * b * u for s, u in zip(g, xxgg)],
-        [
-            int(n == 0) + s + b * u + c * v
-            for n, (s, u, v) in enumerate(zip(_shift(g, 1), xgg, xxgg))
-        ],
-    )
-    t = value(t, -1)
-    tt = _convolve(t, t)
-    xtt = _shift(tt, 1)
-    yield (
-        [s + b * b * u for s, u in zip(t, xtt)],
-        [
-            int(n == 1) + s + b * u + c * v
-            for n, (s, u, v) in enumerate(zip(_shift(t, 1), tt, xtt))
-        ],
-    )
-    xgbar = [0] + value(gbar, 0)
-    yield [s + u for s, u in zip(xgbar, _convolve(xgbar, t))], t
-
-
-def _constants(coeffs: Sequence[Polynomial]) -> list[int] | None:
-    """The coefficients as ints, or None if one is not an integer constant."""
-    values = [p.eval(0, 0, 0) for p in coeffs]
-    return values if all(p == v for p, v in zip(coeffs, values)) else None
-
-
-def _shift(s: list[int], k: int) -> list[int]:
-    """x^k S, truncated to the length of S."""
-    return ([0] * k + s)[: len(s)]
+def _sides(
+    identity: tuple[str, int, str, str], values: dict[str, list[int]], b: int, c: int, order: int
+) -> list[list[int]]:
+    """The two sides of an ``_IDENTITIES`` entry through x^(order + its
+    orders past series_order), at a = 1 and the given b and c, each series
+    letter read off ``values``.  Each distinct product of series is formed
+    once.  On l1 norms, with b = c = 1, the sides bound the l1 norms of the
+    true sides; on packed values, with b and c packed, they are the true
+    sides packed.  ValueError for a letter outside a, b, c, x and
+    ``_SERIES``."""
+    _, extra, *sides = identity
+    length = order + extra + 1
+    factors = {"a": 1, "b": b, "c": c}
+    products = {"": [1]}
+    out = []
+    for side in sides:
+        total = [0] * length
+        for term in side.split(" + "):
+            letters = term.lstrip("0123456789")
+            k, key = int(term[: len(term) - len(letters)] or 1), ""
+            for letter in letters:
+                if letter in factors:
+                    k *= factors[letter]
+                elif letter in _SERIES:
+                    key += letter
+                elif letter != "x":
+                    raise ValueError(f"unknown letter {letter!r} in term {term!r}")
+            key = "".join(sorted(key))
+            if key not in products:
+                prod = values[key[0]][: min(length, *(len(values[s]) for s in key))]
+                for s in key[1:]:
+                    prod = _convolve(prod, prod if key == 2 * s else values[s])
+                products[key] = prod
+            for n, v in zip(range(letters.count("x"), length), products[key]):
+                total[n] += k * v
+        out.append(total)
+    return out
 
 
 def _convolve(s: list[int], t: list[int]) -> list[int]:

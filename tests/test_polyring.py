@@ -112,11 +112,24 @@ class TestPolynomial:
             ({"ea": 0, "eb": 0, "ec": 0, "coeff": "1.5"}, "field 'coeff' must be a decimal str"),
             ({"ea": 0, "eb": 0, "ec": 0, "coeff": " 1"}, "field 'coeff' must be a decimal str"),
             ({"ea": 0, "eb": 0, "ec": 0, "coeff": "-"}, "field 'coeff' must be a decimal str"),
+            (
+                [["ea", "eb", "ec", "coeff"]],
+                "term record ['ea', 'eb', 'ec', 'coeff'] is not an object",
+            ),
+            (["ea"], "term record 'ea' is not an object"),
+            (
+                [
+                    {"ea": 0, "eb": 0, "ec": 0, "coeff": "1"},
+                    {"ea": 0, "eb": 0, "ec": 0, "coeff": "2"},
+                ],
+                "two term records share the monomial (ea, eb, ec) = (0, 0, 0)",
+            ),
         ],
     )
     def test_json_rejects_a_malformed_record(self, record, message):
+        # a dict is one record; a list is the whole record list
         with pytest.raises(ValueError) as err:
-            Polynomial.from_json_obj([record])
+            Polynomial.from_json_obj([record] if isinstance(record, dict) else record)
         assert message in str(err.value)
 
     @given(polynomials, polynomials, polynomials)

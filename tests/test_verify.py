@@ -3,8 +3,10 @@
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.  The packed series residuals of criterion 9
-are broken the same way, by patching one coefficient of an expansion, and its
-decomposition checks by patching the records that the decompositions return.
+are broken the same way, by patching one coefficient of an expansion or one
+line of its identity table, and its decomposition checks by patching the
+records that the decompositions return; every other failure detail of the
+criteria is reached by patching one route.
 A check that raises must fail its own criterion and leave the others to run,
 and the harness must refuse bounds that are no nonnegative int.
 """
@@ -32,7 +34,7 @@ from gmotzkin.paths import (
     CASE_V,
     Decomposition,
 )
-from gmotzkin.polyring import DivergenceError, Polynomial
+from gmotzkin.polyring import ONE, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
 from gmotzkin.verify import Harness
 
@@ -225,12 +227,19 @@ def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, 
     assert Harness(series_order=8)._series_residuals() == message
 
 
-def test_constants_read_integer_constants_only():
-    consts = [Polynomial.const(2), Polynomial(), Polynomial.const(-3)]
-    assert verify._constants(consts) == [2, 0, -3]
-    # a term in a, b or c makes the whole list None, even where it is 0 at 0
-    for term in (A, B * C, A - Polynomial.const(1)):
-        assert verify._constants(consts[:1] + [term] + consts[2:]) is None
+def test_series_residuals_need_every_term_of_an_identity(monkeypatch):
+    message, extra, lhs, rhs = verify._IDENTITIES[0]
+    assert rhs.endswith(" + cxxGG")
+    dropped = (message, extra, lhs, rhs.removesuffix(" + cxxGG"))
+    monkeypatch.setattr(verify, "_IDENTITIES", (dropped, *verify._IDENTITIES[1:]))
+    assert Harness(series_order=8)._series_residuals() == message
+
+
+@pytest.mark.parametrize("term,letter", [("qG", "q"), ("G2", "2"), ("xB", "B")])
+def test_series_residuals_reject_an_unknown_letter(monkeypatch, term, letter):
+    monkeypatch.setattr(verify, "_IDENTITIES", (("message", 0, "G", f"1 + {term}"),))
+    with pytest.raises(ValueError, match=f"^unknown letter '{letter}' in term '{term}'$"):
+        Harness(series_order=2)._series_residuals()
 
 
 @pytest.mark.parametrize("s", [[1], [1, -2], [0, 3, -1, 4], [2, 0, 0, 5, -7, 1]])
@@ -429,6 +438,58 @@ def test_the_rule_admits_only_the_real_record(monkeypatch, target, constraints, 
                     if CHECKERS[target](word) is None:
                         accepted.append(record)
             assert accepted == [real(word)], word
+
+
+real_weight_sum = verify.weight_sum
+real_schroder_weight = formulas.schroder_weight
+
+# One failure detail of each check that no other test reaches: (criterion,
+# max_n, patched module, patched name, replacement, detail).
+FAILURE_DETAILS = {
+    "closed form": (
+        1, 1, verify, "weight_sum", lambda n, con: real_weight_sum(n, con) + ONE,
+        "g_uvv form 1 at n=0: 1 != 2",
+    ),
+    "series coefficient": (
+        2, 3, verify, "expand", perturbed_expand("Gbar_uvv", 2, A),
+        "Gbar_uvv coefficient 2 != oracle",
+    ),
+    "c -> b^2 + c": (
+        3, 2, verify, "expand", perturbed_expand("G", 2, A), "series c->b^2+c fails at n=2",
+    ),
+    "c = b^2": (
+        3, 2, verify, "expand", perturbed_expand("G_uvu", 2, A), "series c=b^2 fails at n=2",
+    ),
+    "class size": (
+        4, 1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + ONE,
+        "n=0: class size 1 != Schroeder 2",
+    ),
+    "sample sigma": (5, 0, bijection, "sigma", lambda q: "uv", "sigma gave uv"),
+    "sample sigma_inv": (5, 0, bijection, "sigma_inv", lambda p: "uv", "sigma_inv gave uv"),
+    "fixed-point count": (
+        6, 1, formulas, "f_closed", lambda n: 0,
+        "n=0: {'brute force': 1, 'closed form': 0, 'recurrence': 1, 'series': 1, "
+        "'frozen table': 1}",
+    ),
+    "weight relation": (
+        8, 1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + C,
+        "n=1: schroder_eq_shifted_dyck",
+    ),
+    "record of another word": (
+        9, 1, verify, "decompose_forward",
+        lambda word: real_decompose_forward("h" if word == "uv" else word),
+        "forward record Decomposition(case='Base', elevation=0, parts=('h',)) "
+        "does not reassemble to uv",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAILURE_DETAILS)
+def test_each_failure_detail_names_what_failed(monkeypatch, name):
+    k, max_n, module, attr, replacement, detail = FAILURE_DETAILS[name]
+    monkeypatch.setattr(module, attr, replacement)
+    result = getattr(Harness(max_n=max_n, series_order=3), f"criterion_{k}")()
+    assert (result.ok, result.detail) == (False, detail)
 
 
 # The detail of each criterion of a passing Harness(max_n=3, series_order=8).
