@@ -40,10 +40,9 @@ class Constraints(namedtuple("Constraints", "avoid forbid_h_on_axis", defaults=(
     __slots__ = ()
 
     def normalized(self) -> "Constraints":
-        if isinstance(self.avoid, str):
-            raise ValueError(
-                f"avoid must be a tuple of patterns, not the str {self.avoid!r}"
-            )
+        if not isinstance(self.avoid, tuple):
+            kind = type(self.avoid).__name__
+            raise ValueError(f"avoid must be a tuple of patterns, not the {kind} {self.avoid!r}")
         if not isinstance(self.forbid_h_on_axis, bool):
             raise ValueError(
                 f"forbid_h_on_axis must be a bool, not {self.forbid_h_on_axis!r}"

@@ -216,6 +216,10 @@ class Decomposition(namedtuple("Decomposition", "case elevation parts")):
             if c not in CASE_PARTS:
                 raise ValueError(f"unknown case {c!r}")
             raise ValueError(f"case {c} takes {CASE_PARTS[c]} part(s), got {len(p)}")
+        if type(i) is not int or i < 0:
+            raise ValueError(f"elevation must be an int >= 0, not {i!r}")
+        if type(p[0]) is not str or type(p[-1]) is not str:  # every case takes 1 or 2
+            raise ValueError(f"parts must be str, not {p!r}")
         if c in (BASE, BASE_INV):
             return p[0]
         if c in (CASE1, CASE_I):

@@ -6,8 +6,10 @@ and diagonal down-steps a factor ``c`` (up-steps weigh 1).  Everything in
 this module is exact integer arithmetic:
 
   Monomial    -- an exponent triple (ea, eb, ec) standing for a^ea b^eb c^ec.
-  Polynomial  -- a finite map from Monomial to a nonzero int coefficient;
-                 its constructor refuses a negative exponent.
+  Polynomial  -- a finite map from Monomial to a nonzero int coefficient.
+                 ``Polynomial(terms)`` checks input (no negative exponent);
+                 results computed here come from ``Polynomial._of``, which
+                 drops zero coefficients and trusts the exponents.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 
@@ -49,29 +51,24 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                ea, eb, ec = mono
-                if ea < 0 or eb < 0 or ec < 0:
-                    raise ValueError("exponents must be nonnegative")
-                if coeff:
-                    self._terms[mono] = coeff
+        terms = dict(terms or {})
+        for ea, eb, ec in terms:
+            if ea < 0 or eb < 0 or ec < 0:
+                raise ValueError("exponents must be nonnegative")
+        self._terms = Polynomial._of(terms)._terms
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _of(terms: dict[Monomial, int]) -> "Polynomial":
+        """A result computed here, owning ``terms``: zeros dropped, exponents trusted."""
+        res = Polynomial.__new__(Polynomial)
+        res._terms = terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
+        return res
 
     @classmethod
     def const(cls, value: int) -> "Polynomial":
         return cls({(0, 0, 0): value})
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial":
-        """The polynomial a, b or c."""
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}, expected one of a, b, c")
-        exps = [0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
-        return cls({(exps[0], exps[1], exps[2]): 1})
 
     @classmethod
     def monomial(cls, ea: int, eb: int, ec: int, coeff: int = 1) -> "Polynomial":
@@ -106,14 +103,8 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Polynomial.__new__(Polynomial)
-        res._terms = out
-        return res
+            out[mono] = out.get(mono, 0) + coeff
+        return Polynomial._of(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -121,28 +112,16 @@ class Polynomial:
         return self + -other
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res._terms = {mono: -coeff for mono, coeff in self._terms.items()}
-        return res
+        return Polynomial._of({mono: -coeff for mono, coeff in self._terms.items()})
 
-    def __mul__(self, other: "Polynomial | int") -> "Polynomial":
-        if isinstance(other, int):
-            return self.scaled(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         return dot(((self, other),))
 
-    def __rmul__(self, other: int) -> "Polynomial":
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
     def scaled(self, k: int) -> "Polynomial":
-        if k == 0:
-            return Polynomial()
-        res = Polynomial.__new__(Polynomial)
-        res._terms = {mono: coeff * k for mono, coeff in self._terms.items()}
-        return res
+        """The polynomial times the int k: the one way to scale."""
+        return Polynomial._of({mono: coeff * k for mono, coeff in self._terms.items()})
 
     def div_exact(self, k: int) -> "Polynomial":
         """Divide every coefficient by k, requiring exact divisibility."""
@@ -154,9 +133,7 @@ class Polynomial:
             if r:
                 raise ValueError(f"coefficient {coeff} of {mono} not divisible by {k}")
             out[mono] = q
-        res = Polynomial.__new__(Polynomial)
-        res._terms = out
-        return res
+        return Polynomial._of(out)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -165,7 +142,11 @@ class Polynomial:
         return sum(map(abs, self._terms.values()))
 
     def eval(self, va: int, vb: int, vc: int) -> int:
-        """Exact value at integer point (a, b, c); negatives allowed."""
+        """Exact value at an int point (a, b, c), negatives allowed; ValueError
+        names a coordinate that is a bool or no int."""
+        for v in (va, vb, vc):
+            if type(v) is not int:
+                raise ValueError(f"eval takes int coordinates, not {v!r}")
         total = 0
         for (ea, eb, ec), coeff in self._terms.items():
             total += coeff * va**ea * vb**eb * vc**ec
@@ -184,7 +165,7 @@ class Polynomial:
                 powers.append(powers[-1] * replacement)
             rest = list(mono)
             rest[idx] = 0
-            pairs.append((Polynomial.monomial(rest[0], rest[1], rest[2], coeff), powers[e]))
+            pairs.append((Polynomial._of({tuple(rest): coeff}), powers[e]))
         return dot(pairs)
 
     # -- input/output --------------------------------------------------------
@@ -258,9 +239,7 @@ def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
             for (a2, b2, c2), k2 in right:
                 mono = (a1 + a2, b1 + b2, c1 + c2)
                 out[mono] = get(mono, 0) + k1 * k2
-    res = Polynomial.__new__(Polynomial)
-    res._terms = {mono: coeff for mono, coeff in out.items() if coeff}
-    return res
+    return Polynomial._of(out)
 
 
 def graded_degree(poly: Polynomial) -> int:
@@ -280,23 +259,26 @@ class KroneckerCodec:
     b = 2^width, c = 2^(width * stride): the coefficient of b^eb c^ec
     becomes the signed (balanced) digit in slot eb + stride * ec.  Packing
     is a ring homomorphism, so sums and products of packed ints are exact.
+    ``pack_row`` packs a series row, its x^n coefficient at degree g n + shift.
     ``unpack`` recovers a polynomial of a given degree from its packed value
     only if every coefficient lies in [-2^(width-1), 2^(width-1)) and the
-    degree is below the stride; choosing width and stride so is the
-    caller's proof obligation.  Every guard raises ValueError, also under
-    ``python -O``: a coefficient that is not homogeneous of the stated
-    degree or does not fit its slot, a degree that reaches the stride, and
-    a value that leaves its slots or has a monomial with a negative
-    a-exponent.  Digits travel as binary strings, so both directions take
-    time linear in the packed size.
+    degree is below the stride.  So the caller proves a bound on the
+    |coefficients| of every value it packs, forms or unpacks, and the codec
+    sets width = bound.bit_length() + 1, whose digits hold [-bound, bound].
+    Every guard raises ValueError, also under ``python -O``: a negative
+    bound, a coefficient that is not homogeneous of the stated degree or
+    does not fit its slot, a degree that reaches the stride, and a value
+    that leaves its slots or has a monomial with a negative a-exponent.
+    Digits travel as binary strings, so both directions take time linear
+    in the packed size.
     """
 
     __slots__ = ("width", "stride", "_zero", "_format")
 
-    def __init__(self, width: int, stride: int):
-        if width < 1 or stride < 1:
-            raise ValueError("a codec needs width >= 1 and stride >= 1")
-        self.width = width
+    def __init__(self, bound: int, stride: int):
+        if bound < 0 or stride < 1:
+            raise ValueError(f"a codec needs bound >= 0 and stride >= 1, not {bound}, {stride}")
+        self.width = width = bound.bit_length() + 1
         self.stride = stride
         self._zero = "1" + "0" * (width - 1)  # the digit 0, biased by 2^(width-1)
         self._format = f"0{width}b"
@@ -327,6 +309,10 @@ class KroneckerCodec:
         digits.reverse()
         return int("".join(digits), 2) - int(self._zero * count, 2)
 
+    def pack_row(self, row: Iterable[Polynomial], g: int, shift: int) -> list[int]:
+        """A row packed coefficientwise, its x^n coefficient at degree g n + shift."""
+        return [self.pack(c, g * n + shift) for n, c in enumerate(row)]
+
     def unpack(self, value: int, degree: int) -> Polynomial:
         """The polynomial of ``degree`` whose packed value is ``value``."""
         count = self._slots(degree)
@@ -351,14 +337,12 @@ class KroneckerCodec:
                 if ea < 0:
                     raise ValueError(f"b^{eb} c^{ec} in a value of degree {degree}: a^{ea}")
                 terms[ea, eb, ec] = int(digit, 2) - half
-        res = Polynomial.__new__(Polynomial)
-        res._terms = terms
-        return res
+        return Polynomial._of(terms)
 
 
 ZERO = Polynomial()
 ONE = Polynomial.const(1)
-VAR_A = Polynomial.variable("a")
-VAR_B = Polynomial.variable("b")
-VAR_C = Polynomial.variable("c")
+VAR_A = Polynomial.monomial(1, 0, 0)
+VAR_B = Polynomial.monomial(0, 1, 0)
+VAR_C = Polynomial.monomial(0, 0, 1)
 

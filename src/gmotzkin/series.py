@@ -59,13 +59,13 @@ stride above every degree.  Packing is a ring homomorphism, so the
 recurrence runs unchanged on the ints, each coefficient product one bigint
 multiply, and only s_n is unpacked.  Factors such as c - b^2 have negative
 coefficients, and an overfull slot would corrupt the result silently, so
-the width comes from a proven bound: the same recurrence run on the l1
-norms of P, Q and D (with ||D_i|| for -D_i) is a majorant of ||s_n||, by
-induction, as the norm is subadditive and submultiplicative.  A value that
-does not unpack raises DivergenceError.
+the codec is given a proven bound and turns it into the width: the same
+recurrence run on the l1 norms of P, Q and D (with ||D_i|| for -D_i) is a
+majorant of ||s_n||, by induction, as the norm is subadditive and
+submultiplicative.  A value that does not unpack raises DivergenceError.
 
 Check.  After solving, D S == P + Q S^2 is checked at full order.  The
-check packs the unpacked s_n again, under a width of its own: the residual
+check packs the unpacked s_n again, under a bound of its own: the residual
 (D S)_n - P_n - (Q S^2)_n is homogeneous of degree g n + delta and has no
 coefficient larger than the same sums taken over the operands' l1 norms,
 so it packs to 0 only if it is 0.  A slot too narrow in the solve
@@ -96,8 +96,6 @@ from .polyring import (
     graded_degree,
 )
 
-KINDS = ("G", "G_uvu", "G_uvv", "T", "Gbar_uvv", "C", "F", "A")
-
 _K = VAR_C - VAR_B * VAR_B
 _ONE_MINUS_AX = [ONE, -VAR_A]
 
@@ -106,17 +104,18 @@ def _ints(*values: int) -> list[Polynomial]:
     return [Polynomial.const(v) for v in values]
 
 
-# kind -> (P, Q, D), each by its low-order coefficients
+# kind -> (P, Q, D), each by its low-order coefficients, in the CLI's order
 _EQUATIONS: dict[str, tuple[list[Polynomial], ...]] = {
-    "C": ([ONE], [ZERO, ONE], [ONE]),
     "G": ([ONE], [ZERO, VAR_B, VAR_C], _ONE_MINUS_AX),
-    "G_uvv": ([ONE], [ZERO, VAR_B, _K], _ONE_MINUS_AX),
     "G_uvu": ([ONE, VAR_B], [ZERO, VAR_B, VAR_C], [ONE, VAR_B - VAR_A, -(VAR_A * VAR_B)]),
+    "G_uvv": ([ONE], [ZERO, VAR_B, _K], _ONE_MINUS_AX),
     "T": ([ZERO, ONE], [VAR_B, _K], _ONE_MINUS_AX),
-    "F": (_ints(1, 3, 3, 1), [ZERO, ONE], _ints(1, 2, -2, -4, -1)),
     "Gbar_uvv": ([ONE], [ZERO, VAR_A + VAR_B, _K], [ONE, VAR_A]),
+    "C": ([ONE], [ZERO, ONE], [ONE]),
+    "F": (_ints(1, 3, 3, 1), [ZERO, ONE], _ints(1, 2, -2, -4, -1)),
     "A": (_ints(1, 1, -1, -2, 2), _ints(0, 1, 1), _ints(1, 1, -1, -3)),
 }
+KINDS = tuple(_EQUATIONS)
 
 
 PowerSeries = namedtuple("PowerSeries", "coeffs")
@@ -142,9 +141,9 @@ def solve(
     stride = max(g * order, 0) + abs(delta) + 1
     p_norm, q_norm, d_norm = ([c.norm() for c in row] for row in (ps, qs, ds))
     majorant = _recurrence(p_norm, d_norm, q_norm, order)
-    codec = KroneckerCodec(max(majorant + q_norm + d_norm).bit_length() + 1, stride)
+    codec = KroneckerCodec(max(majorant + q_norm + d_norm), stride)
     p_int, q_int, d_int = (
-        _pack(codec, row, g, shift) for row, shift in ((ps, delta), (qs, -delta), (ds, 0))
+        codec.pack_row(row, g, shift) for row, shift in ((ps, delta), (qs, -delta), (ds, 0))
     )
     values = _recurrence(p_int, [-v for v in d_int], q_int, order)
     try:
@@ -179,11 +178,6 @@ def _grading(
     for n, w, e in eqs:
         return (0, w * e) if w else (e // n, 0)
     return 0, 0
-
-
-def _pack(codec: KroneckerCodec, row: list[Polynomial], g: int, shift: int) -> list[int]:
-    """A row packed coefficientwise, its x^n coefficient at degree g n + shift."""
-    return [codec.pack(c, g * n + shift) for n, c in enumerate(row)]
 
 
 def _recurrence(p: list[int], minus_d: list[int], q: list[int], order: int) -> list[int]:
@@ -253,9 +247,9 @@ def _check(
     norms = [[c.norm() for c in row] for row in (ps, qs, ds, s)]
     lhs, rhs = _sides(*norms)
     bound = max([a + b for a, b in zip(lhs, rhs)] + norms[1] + norms[2])
-    codec = KroneckerCodec(bound.bit_length() + 1, stride)
+    codec = KroneckerCodec(bound, stride)
     p_int, q_int, d_int, s_int = (
-        _pack(codec, row, g, shift)
+        codec.pack_row(row, g, shift)
         for row, shift in ((ps, delta), (qs, -delta), (ds, 0), (s, delta))
     )
     lhs, rhs = _sides(p_int, q_int, d_int, s_int)

@@ -396,7 +396,7 @@ class Harness:
         """The series identities of criterion 9: None, or the message of the
         first in ``_IDENTITIES`` that fails.
 
-        Grade a and b by 1 and c by 2.  ``KroneckerCodec.pack`` sends each
+        Grade a and b by 1 and c by 2.  ``KroneckerCodec.pack_row`` sends each
         coefficient of a series of ``_SERIES``, homogeneous of degree
         g n + shift, to its value at a = 1, b = 2^w, c = 2^(w s), with
         stride s = order + 1; F and A, of degree 0, pack to themselves.  Each
@@ -411,17 +411,17 @@ class Harness:
         distinct slots.  Every term stands on the side where its sign is
         positive, and the same sides run on l1 norms bound ||L_n||, since
         the norm is subadditive and submultiplicative (||a|| = ||b|| =
-        ||c|| = 1); with 2^(w-1) above that bound every coefficient of L_n
-        is a balanced digit in [-2^(w-1), 2^(w-1)), and so is every
-        coefficient of every series, each a term of some side.  Balanced
-        digits are unique, so the two sides' ints are equal exactly when
-        their polynomials are, and nothing is unpacked.
+        ||c|| = 1); the codec puts 2^(w-1) above that bound, so every
+        coefficient of L_n is a balanced digit in [-2^(w-1), 2^(w-1)), and
+        so is every coefficient of every series, each a term of some side.
+        Balanced digits are unique, so the two sides' ints are equal exactly
+        when their polynomials are, and nothing is unpacked.
         """
         order = self.series_order
         coeffs = {s: self.series(k, order + e).coeffs for s, (k, e, *_) in _SERIES.items()}
         norms = {s: [p.norm() for p in ps] for s, ps in coeffs.items()}
         bound = max(max(side) for i in _IDENTITIES for side in _sides(i, norms, 1, 1, order))
-        codec = KroneckerCodec(bound.bit_length() + 1, order + 1)
+        codec = KroneckerCodec(bound, order + 1)
         b, c = 1 << codec.width, 1 << (codec.width * codec.stride)
         packed: dict[str, list[int]] = {}
         for identity in _IDENTITIES:
@@ -429,7 +429,7 @@ class Harness:
             try:
                 for s in _SERIES.keys() & set(lhs + rhs) - packed.keys():
                     g, shift = _SERIES[s][2:]
-                    packed[s] = [codec.pack(p, g * n + shift) for n, p in enumerate(coeffs[s])]
+                    packed[s] = codec.pack_row(coeffs[s], g, shift)
             except ValueError:  # a coefficient not homogeneous of its degree
                 return message
             left, right = _sides(identity, packed, b, c, order)

@@ -113,7 +113,16 @@ class TestGenerate:
                 generate(2, Constraints(avoid=avoid))
             with pytest.raises(ValueError, match=f"not the str '{avoid}'"):
                 weight_sum(2, Constraints(avoid=avoid))
-        assert list(generate(2, Constraints(avoid=["uvv"]))) == list(generate(2, AVOID_UVV))
+
+    @pytest.mark.parametrize(
+        "avoid,named", [(None, "NoneType None"), (["uvv"], "list ['uvv']"), (3, "int 3")]
+    )
+    def test_avoid_that_is_not_a_tuple(self, avoid, named):
+        message = f"avoid must be a tuple of patterns, not the {named}"
+        for call in (generate, weight_sum):
+            with pytest.raises(ValueError) as err:
+                call(2, Constraints(avoid=avoid))
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("constraints", ["uvv", ("uvv",), {"avoid": ("uvv",)}])
     def test_constraints_that_are_no_constraints(self, constraints):

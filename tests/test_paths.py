@@ -321,6 +321,11 @@ class TestDecomposeForward:
         (Decomposition("Case4", 1, ("", "junk")), "case Case4 takes 1 part(s), got 2"),
         (Decomposition("CaseV", 1, ("ud",)), "case CaseV takes 2 part(s), got 1"),
         (Decomposition("Case7", 0, ("",)), "unknown case 'Case7'"),
+        (Decomposition("Base", 0, (5,)), "parts must be str, not (5,)"),
+        (Decomposition("Case3", 0, ("ud", None)), "parts must be str, not ('ud', None)"),
+        (Decomposition("Case4", "x", ("h",)), "elevation must be an int >= 0, not 'x'"),
+        (Decomposition("Case6", True, ("ud", "")), "elevation must be an int >= 0, not True"),
+        (Decomposition("Case4", -1, ("h",)), "elevation must be an int >= 0, not -1"),
     ],
 )
 def test_reassemble_refuses_a_record_its_case_does_not_take(record, message):

@@ -57,6 +57,27 @@ class TestPolynomial:
         assert C.eval(-3, 4, 16) == 16
         assert Polynomial.monomial(3, 2, 2).eval(1, 1, 1) == 1
 
+    @pytest.mark.parametrize("point", [(0.5, 1, 1), ("a", 1, 1), (1, True, 1), (1, 1, None)])
+    def test_eval_refuses_a_point_that_is_not_ints(self, point):
+        bad = next(v for v in point if type(v) is not int)
+        with pytest.raises(ValueError) as err:
+            (A + B + C).eval(*point)
+        assert str(err.value) == f"eval takes int coordinates, not {bad!r}"
+
+    @pytest.mark.parametrize(
+        "cancel",
+        [
+            lambda p: p + (-p),
+            lambda p: p - p,
+            lambda p: p.scaled(0),
+            lambda p: dot([(p, A), (p.scaled(-2), A), (p, A)]),
+        ],
+        ids=["p + (-p)", "p - p", "scaled(0)", "dot"],
+    )
+    def test_cancelled_results_are_canonical(self, cancel):
+        result = cancel(A * A - B.scaled(3) + C)
+        assert len(result) == 0 and result == ZERO
+
     def test_substitute(self):
         assert C.substitute("c", B * B + C) == B * B + C
         assert (A * A).substitute("a", A + B) == A * A + (A * B).scaled(2) + B * B
@@ -257,11 +278,11 @@ class TestKroneckerCodec:
             degree = rng.randrange(12)
             bits = rng.choice((1, 7, 64, 65, 130))
             poly = random_homogeneous(rng, degree, bits)
-            codec = KroneckerCodec(bits + 1, degree + 1 + rng.randrange(3))
+            codec = KroneckerCodec((1 << bits) - 1, degree + 1 + rng.randrange(3))
             assert codec.unpack(codec.pack(poly, degree), degree) == poly
 
     def test_slot_extremes(self):
-        codec = KroneckerCodec(65, 5)
+        codec = KroneckerCodec((1 << 64) - 1, 5)
         low, high = -(1 << 64), (1 << 64) - 1
         poly = Polynomial({(4, 0, 0): low, (3, 1, 0): high, (0, 0, 2): low, (0, 2, 1): high})
         assert codec.unpack(codec.pack(poly, 4), 4) == poly
@@ -275,18 +296,33 @@ class TestKroneckerCodec:
         for _ in range(100):
             dp, dq = rng.randrange(8), rng.randrange(8)
             p, q = random_homogeneous(rng, dp, 70), random_homogeneous(rng, dq, 70)
-            codec = KroneckerCodec((p.norm() * q.norm()).bit_length() + 1, dp + dq + 1)
+            codec = KroneckerCodec(p.norm() * q.norm(), dp + dq + 1)
             product = codec.pack(p, dp) * codec.pack(q, dq)
             assert codec.unpack(product, dp + dq) == p * q
 
+    @pytest.mark.parametrize("width", [1, 2, 8, 65])
+    def test_bound_sets_the_width(self, width):
+        # a bound of 2^(w-1) - 1 gives width w, whose digits end at the bound
+        bound = (1 << (width - 1)) - 1
+        codec = KroneckerCodec(bound, 3)
+        assert codec.width == width
+        poly = Polynomial({(2, 0, 0): bound, (1, 1, 0): -bound, (0, 0, 1): bound})
+        assert codec.unpack(codec.pack(poly, 2), 2) == poly
+        with pytest.raises(ValueError, match="does not fit"):
+            codec.pack(Polynomial.monomial(0, 0, 1, bound + 1), 2)
+
+    def test_negative_bound_is_refused(self):
+        with pytest.raises(ValueError, match="needs bound >= 0 and stride >= 1, not -1, 3"):
+            KroneckerCodec(-1, 3)
+
     def test_zero(self):
-        codec = KroneckerCodec(8, 3)
+        codec = KroneckerCodec(127, 3)
         assert codec.pack(ZERO, 2) == codec.pack(ZERO, -1) == 0
         assert codec.unpack(0, 2) == ZERO
         assert codec.unpack(0, -1) == ZERO
 
     def test_non_homogeneous_input_raises(self):
-        codec = KroneckerCodec(8, 4)
+        codec = KroneckerCodec(127, 4)
         with pytest.raises(ValueError, match="not homogeneous"):
             codec.pack(A + C, 1)
         with pytest.raises(ValueError, match="not homogeneous"):
@@ -298,16 +334,16 @@ class TestKroneckerCodec:
 
     def test_degree_must_be_below_the_stride(self):
         with pytest.raises(ValueError, match="stride"):
-            KroneckerCodec(8, 3).pack(A * A * A, 3)
+            KroneckerCodec(127, 3).pack(A * A * A, 3)
 
     def test_negative_a_exponent_raises(self):
-        codec = KroneckerCodec(8, 4)
+        codec = KroneckerCodec(127, 4)
         # slot 3 is b^3, which a value of degree 2 cannot hold
         with pytest.raises(ValueError, match="a\\^-1"):
             codec.unpack(1 << 24, 2)
 
     def test_value_outside_its_slots_raises(self):
-        codec = KroneckerCodec(8, 4)
+        codec = KroneckerCodec(127, 4)
         with pytest.raises(ValueError, match="leaves its"):
             codec.unpack(1 << 40, 2)
         with pytest.raises(ValueError, match="negative degree"):

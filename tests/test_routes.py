@@ -16,9 +16,13 @@ deleted helper leaves no import behind.
 
 No package module uses ``assert``: ``python -O`` strips it, and every check
 must still run there.
+
+The package runs on the standard library alone (``dependencies = []``):
+every module it imports is the package itself or in the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +118,26 @@ def test_modules_read_every_name_they_import():
     files = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
     assert PACKAGE / "verify.py" in files
     assert [entry for path in files for entry in unread_imports(path)] == []
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "polyring.py" in files
+    outside = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level 0: absolute
+                modules = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] not in sys.stdlib_module_names | {"gmotzkin"}
+            ]
+    assert outside == []
 
 
 def test_package_has_no_assert():

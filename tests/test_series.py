@@ -147,12 +147,13 @@ class TestPackedSolver:
     @staticmethod
     def expand_with_solve_width(monkeypatch, kind, order, width):
         """expand(kind, order) with the solve's slots forced to ``width``
-        bits; the check's codec, built second, keeps its own width."""
+        bits by a bound of 2^(width-1) - 1; the check's codec, built
+        second, keeps its own bound."""
         built = []
 
-        def codec(w, stride):
-            built.append(w)
-            return KroneckerCodec(width if len(built) == 1 else w, stride)
+        def codec(bound, stride):
+            built.append(bound)
+            return KroneckerCodec((1 << (width - 1)) - 1 if len(built) == 1 else bound, stride)
 
         monkeypatch.setattr(series, "KroneckerCodec", codec)
         return expand(kind, order)

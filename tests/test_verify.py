@@ -34,7 +34,7 @@ from gmotzkin.paths import (
     CASE_V,
     Decomposition,
 )
-from gmotzkin.polyring import ONE, DivergenceError, Polynomial
+from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
 from gmotzkin.verify import Harness
 
@@ -163,7 +163,7 @@ def test_tables_and_criterion_7_read_one_specialization_check(monkeypatch, capsy
     assert result.detail == "n=0: (a,0,b) Motzkin polynomial"
 
 
-A, B, C = (Polynomial.variable(name) for name in "abc")
+A, B, C = VAR_A, VAR_B, VAR_C
 
 
 def perturbed_expand(kind, n, term):
@@ -362,7 +362,7 @@ def test_decomposition_checker_names_the_word(monkeypatch, name):
 
 
 # Records that ``reassemble`` refuses: one part more or fewer than their
-# case takes, or a case that does not exist.
+# case takes, a case that does not exist, or a negative elevation.
 REFUSED_RECORDS = {
     "Case1 with a surplus part": (
         "decompose_forward", "huv", Decomposition(CASE1, 0, ("uv", "hh")),
@@ -383,6 +383,10 @@ REFUSED_RECORDS = {
     "an unknown case": (
         "decompose_forward", "h", Decomposition("Case7", 0, ("h",)),
         "unknown case 'Case7'",
+    ),
+    "Case4 with a negative elevation": (
+        "decompose_forward", "udh", Decomposition(CASE4, -1, ("h",)),
+        "elevation must be an int >= 0, not -1",
     ),
 }
 
