@@ -58,12 +58,14 @@ raises AssertionError otherwise, also under ``python -O``.
 
 Fixed points.  sigma maps the uvv-avoiding class into the uvu-avoiding
 class, so a fixed point w = sigma(w) lies in both: its domain and its
-codomain.  ``fixed_points`` walks only the paths that avoid both uvv and
-uvu and still tests each with ``is_fixed_point``; the codomain claim is
-what ``verify``'s criterion 4 checks on every path for n <= 10, and
-criterion 6 counts the fixed points by its own sweep over the whole uvv
-class.  ``is_fixed_by_structure`` reads them off matched steps in one pass;
-it never calls sigma, so the two tests stay independent.
+codomain.  The unit grammar of ``is_fixed_by_structure`` rules out five
+more patterns, dd, hd, vd, uudv and uuhvv, so ``fixed_points`` walks only
+the paths that avoid all seven and still tests each with
+``is_fixed_point``; the codomain claim and the grammar are what
+``verify``'s criterion 4 checks on every path for n <= 10, and criterion 6
+counts the fixed points by its own sweep over the whole uvv class.
+``is_fixed_by_structure`` reads them off matched steps in one pass; it
+never calls sigma, so the two tests stay independent.
 """
 
 from __future__ import annotations
@@ -261,23 +263,33 @@ class FixedPointCounts(namedtuple("FixedPointCounts", "a b c paths", defaults=(N
         return self.a + self.b + self.c
 
 
-# sigma's domain (no uvv) intersected with its codomain (no uvu)
-_DOMAIN_AND_CODOMAIN = Constraints(avoid=("uvv", "uvu"))
+# the patterns that no fixed point contains; see fixed_points
+_CANDIDATES = Constraints(avoid=("uvv", "uvu", "dd", "hd", "vd", "uudv", "uuhvv"))
 
 
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     """Brute-force count (and optionally list) the fixed points of length n.
 
     A fixed point w = sigma(w) avoids uvv (sigma's domain) and uvu (its
-    codomain; ``verify``'s criterion 4 checks that on every path for
-    n <= 10), so only paths that avoid both are walked, each still tested
+    codomain).  It also obeys the unit grammar of ``is_fixed_by_structure``:
+
+      (2) every d directly follows the u it closes, so a d follows a u:
+          no dd, hd or vd;
+      (3) no v closes a pair that directly encloses another pair: in uudv
+          the d closes the second u and the v the first, and in uuhvv the
+          first v closes the second u and the second v the first, so
+          neither occurs.
+
+    ``verify``'s criterion 4 checks the codomain claim and the grammar
+    against sigma(q) == q on every uvv-avoiding path for n <= 10.  So only
+    paths that avoid these seven patterns are walked, each still tested
     with ``is_fixed_point``.  They come in ``generate``'s order.
     """
     if not isinstance(include_paths, bool):
         raise ValueError(f"include_paths must be a bool, not {include_paths!r}")
     counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
     found: list[str] = []
-    for word in generate(n, _DOMAIN_AND_CODOMAIN):
+    for word in generate(n, _CANDIDATES):
         if is_fixed_point(word):
             counts[_classify(word)] += 1
             if include_paths:

@@ -196,6 +196,9 @@ CASE_PARTS = {
     BASE_INV: 1, CASE_I: 1, CASE_II: 1, CASE_III: 2, CASE_IV: 2, CASE_V: 2,
 }
 
+# The cases that peel no layer, so that their elevation is 0.
+_NO_LAYER = frozenset({BASE, CASE1, CASE2, CASE3, BASE_INV, CASE_I, CASE_II, CASE_III})
+
 _BASE_WORDS = ("", "h", "uv")
 
 
@@ -203,9 +206,10 @@ class Decomposition(namedtuple("Decomposition", "case elevation parts")):
     """One canonical case record; ``reassemble`` restores the original word.
 
     ``case`` is one of the case names above.  ``elevation`` is the number of
-    peeled u...v layers (Case4-Case6) or u...d layers (CaseIV, CaseV); it is
-    0 for the other cases.  ``parts`` holds the constituent subwords in
-    template order, a tuple of ``CASE_PARTS[case]`` str.
+    peeled u...v layers (Case4-Case6) or u...d layers (CaseIV, CaseV); the
+    other cases peel none, and ``reassemble`` refuses them an elevation
+    other than 0.  ``parts`` holds the constituent subwords in template
+    order, a tuple of ``CASE_PARTS[case]`` str.
     """
 
     __slots__ = ()
@@ -218,6 +222,8 @@ class Decomposition(namedtuple("Decomposition", "case elevation parts")):
             raise ValueError(f"case {c} takes {CASE_PARTS[c]} part(s), got {len(p)}")
         if type(i) is not int or i < 0:
             raise ValueError(f"elevation must be an int >= 0, not {i!r}")
+        if i and c in _NO_LAYER:
+            raise ValueError(f"case {c} peels no layer, so its elevation must be 0, not {i}")
         if type(p[0]) is not str or type(p[-1]) is not str:  # every case takes 1 or 2
             raise ValueError(f"parts must be str, not {p!r}")
         if c in (BASE, BASE_INV):

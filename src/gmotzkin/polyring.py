@@ -7,9 +7,10 @@ this module is exact integer arithmetic:
 
   Monomial    -- an exponent triple (ea, eb, ec) standing for a^ea b^eb c^ec.
   Polynomial  -- a finite map from Monomial to a nonzero int coefficient.
-                 ``Polynomial(terms)`` checks input (no negative exponent);
-                 results computed here come from ``Polynomial._of``, which
-                 drops zero coefficients and trusts the exponents.
+                 ``Polynomial(terms)`` checks input (int exponents, none
+                 negative, and int coefficients, no bools); results
+                 computed here come from ``Polynomial._of``, which drops
+                 zero coefficients and trusts the exponents.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 
@@ -52,9 +53,14 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         terms = dict(terms or {})
-        for ea, eb, ec in terms:
+        for mono, coeff in terms.items():
+            ea, eb, ec = mono
+            if type(ea) is not int or type(eb) is not int or type(ec) is not int:
+                raise ValueError(f"exponents must be ints, not {mono!r}")
             if ea < 0 or eb < 0 or ec < 0:
                 raise ValueError("exponents must be nonnegative")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficients must be ints, not {coeff!r} at {mono}")
         self._terms = Polynomial._of(terms)._terms
 
     # -- constructors ------------------------------------------------------
@@ -91,7 +97,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
         if isinstance(other, int):
-            return self._terms == Polynomial.const(other)._terms
+            return self._terms == Polynomial._of({(0, 0, 0): other})._terms
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]  # mutable mapping inside
@@ -276,6 +282,9 @@ class KroneckerCodec:
     __slots__ = ("width", "stride", "_zero", "_format")
 
     def __init__(self, bound: int, stride: int):
+        for name, value in (("bound", bound), ("stride", stride)):
+            if type(value) is not int:
+                raise ValueError(f"a codec's {name} must be an int, not {value!r}")
         if bound < 0 or stride < 1:
             raise ValueError(f"a codec needs bound >= 0 and stride >= 1, not {bound}, {stride}")
         self.width = width = bound.bit_length() + 1

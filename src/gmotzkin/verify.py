@@ -511,7 +511,7 @@ def _check_forward_decomposition(word: str) -> str | None:
     dec = decompose_forward(word)
     try:  # first, since the shape rules read the first part
         whole = dec.reassemble()
-    except ValueError as err:  # an unknown case, or a wrong number of parts
+    except ValueError as err:  # a record that reassemble refuses
         return f"forward record {dec} of {word}: {err}"
     part = dec.parts[0]
     allowed = _first_steps_case(word, BASE, CASE1, CASE2, CASE3)
@@ -521,7 +521,7 @@ def _check_forward_decomposition(word: str) -> str | None:
             allowed = CASE6 if dec.elevation and is_primitive("u" + core + "v") else None
         elif core.endswith("d"):
             allowed = CASE4 if core == "ud" else CASE5
-    elif dec.elevation or dec.case == CASE3 and not is_primitive(part):
+    elif dec.case == CASE3 and not is_primitive(part):
         allowed = None
     return _record_error("forward", word, dec, whole, allowed)
 
@@ -537,7 +537,7 @@ def _check_inverse_decomposition(word: str) -> str | None:
     dec = decompose_inverse(word)
     try:  # first, since the shape rules read the first part
         whole = dec.reassemble()
-    except ValueError as err:  # an unknown case, or a wrong number of parts
+    except ValueError as err:  # a record that reassemble refuses
         return f"inverse record {dec} of {word}: {err}"
     part = dec.parts[0]
     allowed = _first_steps_case(word, BASE_INV, CASE_I, CASE_II, None)
@@ -549,8 +549,6 @@ def _check_inverse_decomposition(word: str) -> str | None:
             allowed = CASE_IV if core.endswith(("uv", "uuvv")) else CASE_V
     elif allowed is None and dec.case == CASE_III and is_primitive("u" + part + "v"):
         allowed = CASE_III
-    elif dec.elevation:
-        allowed = None
     return _record_error("inverse", word, dec, whole, allowed)
 
 

@@ -326,6 +326,8 @@ class TestDecomposeForward:
         (Decomposition("Case4", "x", ("h",)), "elevation must be an int >= 0, not 'x'"),
         (Decomposition("Case6", True, ("ud", "")), "elevation must be an int >= 0, not True"),
         (Decomposition("Case4", -1, ("h",)), "elevation must be an int >= 0, not -1"),
+        (Decomposition("Base", 3, ("h",)), "case Base peels no layer, so its elevation must be 0, not 3"),
+        (Decomposition("Case1", 2, ("uv",)), "case Case1 peels no layer, so its elevation must be 0, not 2"),
     ],
 )
 def test_reassemble_refuses_a_record_its_case_does_not_take(record, message):

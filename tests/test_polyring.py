@@ -120,6 +120,22 @@ class TestPolynomial:
             make()
 
     @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: Polynomial({(0.5, 0, 0): 1}), "exponents must be ints, not (0.5, 0, 0)"),
+            (lambda: Polynomial({(True, 0, 0): 1}), "exponents must be ints, not (True, 0, 0)"),
+            (lambda: Polynomial.const(1.5), "coefficients must be ints, not 1.5 at (0, 0, 0)"),
+            (lambda: Polynomial({(0, 0, 0): "x"}), "coefficients must be ints, not 'x' at (0, 0, 0)"),
+            (lambda: Polynomial.monomial(0, 1, 0, True), "coefficients must be ints, not True at (0, 1, 0)"),
+        ],
+        ids=["float exponent", "bool exponent", "float constant", "str coefficient", "bool coefficient"],
+    )
+    def test_rejects_what_is_not_an_int(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "record,message",
         [
             ({}, "term record {} has no field 'ea'"),
@@ -314,6 +330,20 @@ class TestKroneckerCodec:
     def test_negative_bound_is_refused(self):
         with pytest.raises(ValueError, match="needs bound >= 0 and stride >= 1, not -1, 3"):
             KroneckerCodec(-1, 3)
+
+    @pytest.mark.parametrize(
+        "bound,stride,message",
+        [
+            (1.5, 3, "a codec's bound must be an int, not 1.5"),
+            (True, 3, "a codec's bound must be an int, not True"),
+            (127, 3.0, "a codec's stride must be an int, not 3.0"),
+            (127, True, "a codec's stride must be an int, not True"),
+        ],
+    )
+    def test_bound_or_stride_that_is_not_an_int_is_refused(self, bound, stride, message):
+        with pytest.raises(ValueError) as err:
+            KroneckerCodec(bound, stride)
+        assert str(err.value) == message
 
     def test_zero(self):
         codec = KroneckerCodec(127, 3)

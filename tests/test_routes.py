@@ -4,8 +4,8 @@
 generating-function series and the bijection against one another; a route
 that got its answer through another route would make that cross-check
 vacuous.  ``bijection`` is not checked: its ``fixed_points`` lists the
-class that avoids both uvv and uvu with ``enumeration.generate`` before
-testing each path.
+class that avoids uvv, uvu, dd, hd, vd, uudv and uuhvv with
+``enumeration.generate`` before testing each path with ``sigma``.
 
 The package exports only what it uses: every name ``gmotzkin/__init__.py``
 imports has a caller in the package or the benchmark, so no helper lives on

@@ -424,7 +424,8 @@ INVERSE_PARTS = {BASE_INV: 1, CASE_I: 1, CASE_II: 1, CASE_III: 2, CASE_IV: 2, CA
 def test_the_rule_admits_only_the_real_record(monkeypatch, target, constraints, parts_of):
     # Among all records that reassemble to the word (every elevation up to
     # half its length, a suffix as last part and a substring as the first of
-    # two), the checker accepts the real one and no other.
+    # two), the checker accepts the real one and no other.  A record that
+    # reassemble refuses reassembles to nothing, and the checker rejects it.
     real = getattr(verify, target)
     for n in range(5):
         for word in real_generate(n, constraints):
@@ -436,10 +437,17 @@ def test_the_rule_admits_only_the_real_record(monkeypatch, target, constraints, 
                 shapes = [(s,) for s in suffixes] if count == 1 else [*itertools.product(subs, suffixes)]
                 for i, parts in itertools.product(range(size // 2 + 1), shapes):
                     record = Decomposition(case, i, parts)
-                    if record.reassemble() != word:
+                    try:
+                        whole = record.reassemble()
+                    except ValueError:
+                        whole = None
+                    if whole not in (None, word):
                         continue
                     monkeypatch.setattr(verify, target, lambda w: record)
-                    if CHECKERS[target](word) is None:
+                    error = CHECKERS[target](word)
+                    if whole is None:
+                        assert error is not None, record
+                    elif error is None:
                         accepted.append(record)
             assert accepted == [real(word)], word
 
