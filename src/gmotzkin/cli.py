@@ -3,8 +3,8 @@
 Subcommands: count, enumerate, sigma, sigma-inv, fixed-points, series,
 tables, verify, render.  Identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage or input
-error.  ``main`` parses with one parser per process, built on its first
-call.
+error, 141 when the reader closes the output pipe early.  ``main`` parses
+with one parser per process, built on its first call.
 
 Polynomials print either as canonical text (``--format text``) or as the
 JSON term-record list (``--format json``).  ``render`` additionally
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -211,7 +212,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # what is still buffered goes nowhere, not into a second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer it stopped
     except ValueError as exc:  # PathError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,11 +25,12 @@ a^#h b^#v c^#d.
 A nonempty path is *primitive* if it starts with u and returns to height
 zero only at its very end.  The single step "h" is not primitive.  The
 decompositions below factor a path at its first return to the axis and
-then peel maximal layers of matching u...v (or u...d) pairs.  They follow
-the case analysis of the pattern-swapping bijection, which
-``gmotzkin.bijection`` computes in one pass over matched steps without
-them; ``verify``'s structural suite checks every record against its path,
-and the tests' reference sigma maps by them.
+then peel maximal layers of matching u...v (or u...d) pairs into a record
+whose case fixes, in the one table ``_CASES``, its template, parts and
+elevations.  They follow the case analysis of the pattern-swapping
+bijection, which ``gmotzkin.bijection`` computes in one pass over matched
+steps without them; ``verify``'s structural suite checks every record
+against its path, and the tests' reference sigma maps by them.
 """
 
 from __future__ import annotations
@@ -190,14 +191,26 @@ CASE_III = "CaseIII"
 CASE_IV = "CaseIV"
 CASE_V = "CaseV"
 
-# The number of parts each case's record holds.
-CASE_PARTS = {
-    BASE: 1, CASE1: 1, CASE2: 1, CASE3: 2, CASE4: 1, CASE5: 2, CASE6: 2,
-    BASE_INV: 1, CASE_I: 1, CASE_II: 1, CASE_III: 2, CASE_IV: 2, CASE_V: 2,
+# Each case's template and elevations.  A record of elevation i reassembles
+# to "u"*i + head + core + tail + close*i + rest, where parts is (rest,) or
+# (core, rest), and i runs from least to most (None: no bound).  Only Case4
+# and Case5 take every elevation; Case6, CaseIV and CaseV peel a layer.
+_CASES = {
+    #          head   tail close parts least most
+    BASE:     ("",    "",  "",   1,    0,    0),
+    CASE1:    ("h",   "",  "",   1,    0,    0),
+    CASE2:    ("uvh", "",  "",   1,    0,    0),
+    CASE3:    ("uv",  "",  "",   2,    0,    0),
+    CASE4:    ("ud",  "",  "v",  1,    0,    None),
+    CASE5:    ("u",   "d", "v",  2,    0,    None),
+    CASE6:    ("",    "",  "v",  2,    1,    None),
+    BASE_INV: ("",    "",  "",   1,    0,    0),
+    CASE_I:   ("h",   "",  "",   1,    0,    0),
+    CASE_II:  ("uvh", "",  "",   1,    0,    0),
+    CASE_III: ("u",   "v", "",   2,    0,    0),
+    CASE_IV:  ("",    "",  "d",  2,    1,    None),
+    CASE_V:   ("u",   "v", "d",  2,    1,    None),
 }
-
-# The cases that peel no layer, so that their elevation is 0.
-_NO_LAYER = frozenset({BASE, CASE1, CASE2, CASE3, BASE_INV, CASE_I, CASE_II, CASE_III})
 
 _BASE_WORDS = ("", "h", "uv")
 
@@ -206,45 +219,31 @@ class Decomposition(namedtuple("Decomposition", "case elevation parts")):
     """One canonical case record; ``reassemble`` restores the original word.
 
     ``case`` is one of the case names above.  ``elevation`` is the number of
-    peeled u...v layers (Case4-Case6) or u...d layers (CaseIV, CaseV); the
-    other cases peel none, and ``reassemble`` refuses them an elevation
-    other than 0.  ``parts`` holds the constituent subwords in template
-    order, a tuple of ``CASE_PARTS[case]`` str.
+    peeled u...v layers (Case4-Case6) or u...d layers (CaseIV, CaseV), and
+    ``parts`` the subwords, a tuple of str in template order; ``reassemble``
+    refuses a record whose parts or elevation ``_CASES`` denies its case.
     """
 
     __slots__ = ()
 
     def reassemble(self) -> str:
         c, i, p = self.case, self.elevation, self.parts
-        if len(p) != CASE_PARTS.get(c):
-            if c not in CASE_PARTS:
-                raise ValueError(f"unknown case {c!r}")
-            raise ValueError(f"case {c} takes {CASE_PARTS[c]} part(s), got {len(p)}")
+        if type(c) is not str or c not in _CASES:
+            raise ValueError(f"unknown case {c!r}")
+        head, tail, close, count, least, most = _CASES[c]
+        if type(p) is not tuple:
+            raise ValueError(f"parts must be a tuple, not {p!r}")
+        if len(p) != count:
+            raise ValueError(f"case {c} takes {count} part(s), got {len(p)}")
         if type(i) is not int or i < 0:
             raise ValueError(f"elevation must be an int >= 0, not {i!r}")
-        if i and c in _NO_LAYER:
+        if most is not None and i > most:
             raise ValueError(f"case {c} peels no layer, so its elevation must be 0, not {i}")
+        if i < least:
+            raise ValueError(f"case {c} peels a layer, so its elevation must be >= 1, not {i}")
         if type(p[0]) is not str or type(p[-1]) is not str:  # every case takes 1 or 2
             raise ValueError(f"parts must be str, not {p!r}")
-        if c in (BASE, BASE_INV):
-            return p[0]
-        if c in (CASE1, CASE_I):
-            return "h" + p[0]
-        if c in (CASE2, CASE_II):
-            return "uvh" + p[0]
-        if c == CASE3:
-            return "uv" + p[0] + p[1]
-        if c == CASE4:
-            return "u" * i + "ud" + "v" * i + p[0]
-        if c == CASE5:
-            return "u" * i + "u" + p[0] + "d" + "v" * i + p[1]
-        if c == CASE6:
-            return "u" * i + p[0] + "v" * i + p[1]
-        if c == CASE_III:
-            return "u" + p[0] + "v" + p[1]
-        if c == CASE_IV:
-            return "u" * i + p[0] + "d" * i + p[1]
-        return "u" * i + "u" + p[0] + "v" + "d" * i + p[1]  # CASE_V
+        return "u" * i + head + (p[0] if count == 2 else "") + tail + close * i + p[-1]
 
 
 def decompose_forward(word: str) -> Decomposition:

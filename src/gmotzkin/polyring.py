@@ -54,7 +54,10 @@ class Polynomial:
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         terms = dict(terms or {})
         for mono, coeff in terms.items():
-            ea, eb, ec = mono
+            try:
+                ea, eb, ec = mono
+            except (TypeError, ValueError):
+                raise ValueError(f"monomials must be exponent triples, not {mono!r}") from None
             if type(ea) is not int or type(eb) is not int or type(ec) is not int:
                 raise ValueError(f"exponents must be ints, not {mono!r}")
             if ea < 0 or eb < 0 or ec < 0:

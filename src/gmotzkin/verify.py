@@ -27,10 +27,11 @@ The structural suite holds each path's decomposition record to one rule:
 it must reassemble to the path and carry the single case that the path's
 shape allows, read off its first steps and, past the peeled layers, off
 the kind of its core.  ``reassemble`` alone refuses a record of an
-unknown case or with a wrong number of parts, and the checkers report
-that refusal first.  Its series identities are one table, ``_IDENTITIES``,
-over the series of ``_SERIES``; ``_sides`` evaluates each on l1 norms, for
-a slot width, and then on Kronecker-packed ints.
+unknown case or with parts or an elevation that ``paths._CASES`` does not
+give its case, and the checkers report that refusal first.  Its series
+identities are one table, ``_IDENTITIES``, over the series of
+``_SERIES``; ``_sides`` evaluates each on l1 norms, for a slot width, and
+then on Kronecker-packed ints.
 """
 
 from __future__ import annotations
@@ -506,7 +507,8 @@ def _check_forward_decomposition(word: str) -> str | None:
     The first steps decide Base and Cases 1-3, which peel no layer; Case3's
     part is primitive.  Past them the case is the kind of the core ("ud",
     "u" + part + "d" or part): Case4 for "ud", Case5 for another primitive
-    core ending in d, Case6 (peeling a layer) for a non-primitive path.
+    core ending in d, Case6 for a non-primitive path (``reassemble`` has
+    already held Case6 to peeling a layer).
     """
     dec = decompose_forward(word)
     try:  # first, since the shape rules read the first part
@@ -518,7 +520,7 @@ def _check_forward_decomposition(word: str) -> str | None:
     if allowed is None:
         core = {CASE4: "ud", CASE5: "u" + part + "d"}.get(dec.case, part)
         if not is_primitive(core):
-            allowed = CASE6 if dec.elevation and is_primitive("u" + core + "v") else None
+            allowed = CASE6 if is_primitive("u" + core + "v") else None
         elif core.endswith("d"):
             allowed = CASE4 if core == "ud" else CASE5
     elif dec.case == CASE3 and not is_primitive(part):

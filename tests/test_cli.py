@@ -11,12 +11,16 @@ from gmotzkin.cli import main
 from gmotzkin.verify import FIXED_POINT_COUNTS
 
 
-def fresh_interpreter(*args):
-    """Run this Python on args with the package's source directory on the path."""
+def package_env():
+    """The environment with the package's source directory on the path."""
     src = os.path.dirname(os.path.dirname(gmotzkin.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def fresh_interpreter(*args):
+    """Run this Python on args with the package's source directory on the path."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=package_env())
 
 
 def run(capsys, *argv):
@@ -225,6 +229,18 @@ class TestRunAsModule:
     def test_count(self):
         run = fresh_interpreter("-m", "gmotzkin", "count", "--n", "4", "--avoid", "uvv", "--eval=1,1,1")
         assert (run.returncode, run.stdout, run.stderr) == (0, "90\n", "")
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # enumerate --n 8 prints 1.27 MB, more than any pipe buffer holds,
+        # so a write fails once the reader has stopped after one line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gmotzkin", "enumerate", "--n", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=package_env(),
+        )
+        assert proc.stdout.readline() == "u" * 8 + "v" * 8 + "\n"
+        proc.stdout.close()
+        assert (proc.wait(), proc.stderr.read()) == (141, "")
+        proc.stderr.close()
 
     def test_bad_path_exits_2(self):
         run = fresh_interpreter("-m", "gmotzkin", "sigma", "--path", "uxd")

@@ -328,6 +328,12 @@ class TestDecomposeForward:
         (Decomposition("Case4", -1, ("h",)), "elevation must be an int >= 0, not -1"),
         (Decomposition("Base", 3, ("h",)), "case Base peels no layer, so its elevation must be 0, not 3"),
         (Decomposition("Case1", 2, ("uv",)), "case Case1 peels no layer, so its elevation must be 0, not 2"),
+        (Decomposition("Case6", 0, ("h", "uv")), "case Case6 peels a layer, so its elevation must be >= 1, not 0"),
+        (Decomposition("CaseIV", 0, ("h", "")), "case CaseIV peels a layer, so its elevation must be >= 1, not 0"),
+        (Decomposition("CaseV", 0, ("h", "")), "case CaseV peels a layer, so its elevation must be >= 1, not 0"),
+        (Decomposition("Case3", 0, "ud"), "parts must be a tuple, not 'ud'"),
+        (Decomposition("Base", 0, 5), "parts must be a tuple, not 5"),
+        (Decomposition(["Base"], 0, ("h",)), "unknown case ['Base']"),
     ],
 )
 def test_reassemble_refuses_a_record_its_case_does_not_take(record, message):

@@ -127,8 +127,14 @@ class TestPolynomial:
             (lambda: Polynomial.const(1.5), "coefficients must be ints, not 1.5 at (0, 0, 0)"),
             (lambda: Polynomial({(0, 0, 0): "x"}), "coefficients must be ints, not 'x' at (0, 0, 0)"),
             (lambda: Polynomial.monomial(0, 1, 0, True), "coefficients must be ints, not True at (0, 1, 0)"),
+            (lambda: Polynomial({5: 1}), "monomials must be exponent triples, not 5"),
+            (lambda: Polynomial({(1, 2): 1}), "monomials must be exponent triples, not (1, 2)"),
+            (lambda: Polynomial({(1, 2, 3, 4): 1}), "monomials must be exponent triples, not (1, 2, 3, 4)"),
         ],
-        ids=["float exponent", "bool exponent", "float constant", "str coefficient", "bool coefficient"],
+        ids=[
+            "float exponent", "bool exponent", "float constant", "str coefficient", "bool coefficient",
+            "int monomial", "pair monomial", "quadruple monomial",
+        ],
     )
     def test_rejects_what_is_not_an_int(self, make, message):
         with pytest.raises(ValueError) as err:
