@@ -25,27 +25,35 @@ G_n^uvv(a,b,b^2) = S_n(a,b), which the ``tables`` command prints and
 ``verify``'s criterion 7 checks.
 
 Several alternative summation forms are provided for the same quantity
-(``g_uvv_closed`` has five, ``gbar_uvv_closed`` three); they arise from
-expanding the same coefficient extraction in different orders and must
-agree exactly.
+(``g_uvv_closed`` has five, ``gbar_uvv_closed`` three) and must agree
+exactly.  Forms 1-2 of ``g_uvv_closed`` expand 1/(1-ax) C(...) and form 3
+the extraction from T = x G^uvv: those are the independent expansions.
+``g_uvv_closed`` forms 3-5, and likewise ``gbar_uvv_closed`` forms 1-3,
+sum the same multinomial terms (n+1)!/(e! j! (n+1-e-j)!) of
+(1 + at + kt^2)^(n+1) in three enumeration orders, each binomially
+factorised its own way, so their agreement checks the loop bounds and the
+factorisations, not the algebra.
 
 Each closed-form sum except ``g_uvv_closed`` form 2 is taken in the basis
 a, b, k with k = c - b^2: its terms accumulate in a dict keyed (ea, eb, j),
-which stands for a^ea b^eb k^j, and ``_from_k_basis`` then expands each
-distinct power k^j into Z[a, b, c] once.  Form 2 still expands every
-(c - b^2)^j term by term, so forms 1 and 2 stay two different computations
-of the same sum.
+which stands for a^ea b^eb k^j, and ``_from_k_basis`` maps it into
+Z[a, b, c] by one Taylor shift y -> y - 1 for each group of keys with the
+same a^ea and b-degree eb + 2j.  Form 2 still expands every (c - b^2)^j
+term by term by signed binomial rows, so forms 1 and 2 reach Z[a, b, c] by
+two different algorithms.
 
 ``g_uvv_closed`` forms 3-5 and ``gbar_uvv_closed`` forms 1-3 share
-``_t_extraction``, a weighted sum of [t^(n-i)] (1 + at + kt^2)^(n+1)
-(1 - bt)^(-(n+1)); each of its three expansion orders is its own loop nest,
-so the forms stay three summations (g form 3 and gbar form 1 share code but
-meet different oracles).  Its last factor binom(n+m, m) has m >= 0, so
-``math.comb`` serves.  Forms 1-2 reach a summand only with n - k - j >= 0,
-so their binom(n+k-j, 2k) has top >= lower index >= 0 and is at least 1:
-``math.comb`` serves there too, and only ``f_closed`` keeps ``binom``.  Every
-entry point raises ``ValueError`` for a length n that is a bool, not an
-int, or negative, and for an unknown form.
+``_t_extraction``, [t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1)
+(1 - bt)^(-(n+1)) with no division for G and two for Gbar, each a running
+pass over the rows of the middle factor's terms; each of its three
+expansion orders is its own term list, so the forms stay three summations
+(g form 3 and gbar form 1 share code but meet different oracles).  Its last
+factor binom(n+m, m) has m >= 0, so ``math.comb`` serves.  Forms 1-2 take
+j <= min(k, n - k), so n - k - j >= 0 and their binom(n+k-j, 2k) has top
+>= lower index >= 0 and is at least 1: ``math.comb`` serves there too, and
+only ``f_closed`` keeps ``binom``.  Every entry point raises ``ValueError``
+for a length n that is a bool, not an int, or negative, and for an unknown
+form.
 """
 
 from __future__ import annotations
@@ -82,27 +90,50 @@ def catalan(n: int) -> int:
 
 def _from_k_basis(sums: dict[Monomial, int]) -> Polynomial:
     """The sum of coeff * a^ea * b^eb * k^j over the (ea, eb, j) keys of sums,
-    with k = c - b^2 expanded into the ring once for each distinct j."""
-    acc: dict[Monomial, int] = {}
-    rows: dict[int, list[int]] = {}
+    with k = c - b^2, by one Taylor shift per group of keys.
+
+    With s = eb + 2j and y = c/b^2, a^ea b^eb k^j = a^ea b^s (y - 1)^j.  So
+    the keys sharing (ea, s) form one polynomial p(y) = p_0 + ... + p_d y^d,
+    and their sum is a^ea b^s p(y - 1).  Repeated synthetic division by
+    y + 1 writes p(y) = sum_i q_i (y + 1)^i in place: pass i = 0..d-1 runs
+    k = d-1 down to i with p_k -= p_(k+1) and leaves the remainder q_i at
+    index i, d(d+1)/2 subtractions in all.  So p(y - 1) = sum_i q_i y^i, and
+    q_i y^i is q_i a^ea b^(s-2i) c^i.  That exponent of b is at least the eb
+    of the group's key with j = d, so never negative, and distinct (ea, s, i)
+    give distinct monomials.  The keys need not be homogeneous, and their
+    coefficients may be zero."""
+    groups: dict[tuple[int, int], list[int]] = {}
     for (ea, eb, j), coeff in sums.items():
-        if not coeff:
-            continue
-        row = rows.get(j)
-        if row is None:
-            row = rows[j] = [(-1) ** (j - i) * comb(j, i) for i in range(j + 1)]
-        eb += 2 * j
-        for i, r in enumerate(row):
-            key = (ea, eb - 2 * i, i)
-            acc[key] = acc.get(key, 0) + coeff * r
+        p = groups.setdefault((ea, eb + 2 * j), [])
+        if len(p) <= j:
+            p.extend([0] * (j + 1 - len(p)))
+        p[j] += coeff
+    acc: dict[Monomial, int] = {}
+    for (ea, s), p in groups.items():
+        d = len(p) - 1
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                p[k] -= p[k + 1]
+        for i, q in enumerate(p):
+            acc[ea, s - 2 * i, i] = q
     return Polynomial(acc)
 
 
-def _t_extraction(n: int, order: int, shifts: list[tuple[int, int]]) -> dict[Monomial, int]:
-    """The sum over (i, w) in shifts of w a^i [t^(n-i)] (1 + at + kt^2)^(n+1)
-    (1 - bt)^(-(n+1)), keyed (ea, eb, j) for a^ea b^eb k^j; expansion order
-    1, 2 or 3 expands the first factor into terms (e, j, coeff) standing for
-    coeff a^e k^j t^(e+2j), once per call."""
+def _t_extraction(n: int, order: int, divisions: int) -> dict[Monomial, int]:
+    """[t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1) (1 - bt)^(-(n+1)),
+    keyed (ea, eb, j) for a^ea b^eb k^j; expansion order 1, 2 or 3 expands
+    the middle factor into terms (e, j, coeff) standing for coeff a^e k^j
+    t^(e+2j), once per call.
+
+    Each term adds its coeff into row j at index e, so the middle factor is
+    the sum of k^j t^(2j) x_j(at) with x_j(z) = sum_e x_(j,e) z^e.  Dividing
+    by 1 + at divides every x_j by 1 + z: one running pass x_e -= x_(e-1),
+    e ascending.  Then [t^n] keeps from k^j t^(2j) x_(j,e) (at)^e only b^m
+    t^m, m = n - e - 2j, of (1 - bt)^(-(n+1)) = sum_m binom(n+m, m) b^m t^m.
+    So each row is needed for e <= n - 2j alone, the index its terms stop
+    at, and each (e, j) is multiplied by binom(n+m, m) once, after the
+    divisions.  Two divisions give gbar_uvv_closed's shift sum, since
+    1/(1 + z)^2 = sum_i (-1)^i (i + 1) z^i."""
     if order == 1:
         terms = [(e, j, comb(n + 1, j) * comb(n + 1 - j, e))
                  for j in range(n // 2 + 1) for e in range(n - 2 * j + 1)]
@@ -112,13 +143,18 @@ def _t_extraction(n: int, order: int, shifts: list[tuple[int, int]]) -> dict[Mon
     else:
         terms = [(p - j, j, comb(n + 1, p) * comb(p, j))
                  for p in range(n + 1) for j in range(min(p, n - p) + 1)]
+    rows = [[0] * (n - 2 * j + 1) for j in range(n // 2 + 1)]
+    for e, j, coeff in terms:
+        rows[j][e] += coeff
+    tails = [comb(n + m, m) for m in range(n + 1)]
     sums: dict[Monomial, int] = {}
-    for i, w in shifts:
-        for e, j, coeff in terms:
-            m = n - i - e - 2 * j
-            if m >= 0:
-                key = (i + e, m, j)
-                sums[key] = sums.get(key, 0) + w * coeff * comb(n + m, m)
+    for j, x in enumerate(rows):
+        for _ in range(divisions):
+            for e in range(1, len(x)):
+                x[e] -= x[e - 1]
+        for e, v in enumerate(x):
+            m = n - e - 2 * j
+            sums[e, m, j] = v * tails[m]
     return sums
 
 
@@ -154,7 +190,8 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
     """G_n^uvv(a,b,c) by one of five equivalent coefficient extractions.
 
     Forms 1 and 2 expand 1/(1-ax) C(x(b + (c-b^2)x)/(1-ax)^2) directly;
-    form 2 additionally expands the (c - b^2) powers term by term.  Forms
+    form 1 leaves the (c - b^2) powers to ``_from_k_basis``, and form 2
+    expands them term by term with signed binomial rows.  Forms
     3 to 5 come from coefficient extraction in the series T = x G^uvv via
     its defining equation T (1 - bT) = x (1 + aT + (c - b^2) T^2), reading
     [t^n] (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) in the three
@@ -163,37 +200,36 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
     _check_length(n)
     _check_form(form, 5)
     if form >= 3:
-        return _from_k_basis(_t_extraction(n, form - 2, [(0, 1)])).div_exact(n + 1)
+        return _from_k_basis(_t_extraction(n, form - 2, 0)).div_exact(n + 1)
+    catalans = [catalan(k) for k in range(n + 1)]
+    signed_rows = [[(-1) ** (j - i) * comb(j, i) for i in range(j + 1)]
+                   for j in range(n // 2 + 1)] if form == 2 else []
     sums: dict[Monomial, int] = {}
     for k in range(n + 1):
-        ck = catalan(k)
-        for j in range(k + 1):
+        for j in range(min(k, n - k) + 1):
             ea = n - k - j
-            if ea < 0:
-                continue
-            coeff = ck * comb(k, j) * comb(n + k - j, 2 * k)
+            coeff = catalans[k] * comb(k, j) * comb(n + k - j, 2 * k)
             if form == 1:
-                key = (ea, k - j, j)
-                sums[key] = sums.get(key, 0) + coeff
+                sums[ea, k - j, j] = coeff
             else:
-                for i in range(j + 1):
+                for i, r in enumerate(signed_rows[j]):
                     key = (ea, k + j - 2 * i, i)
-                    sums[key] = sums.get(key, 0) + coeff * comb(j, i) * (-1) ** (j - i)
+                    sums[key] = sums.get(key, 0) + coeff * r
     return _from_k_basis(sums) if form == 1 else Polynomial(sums)
 
 
 def gbar_uvv_closed(n: int, form: int) -> Polynomial:
     """Gbar_n^uvv(a,b,c) by one of three equivalent extractions.
 
-    Form f is ``g_uvv_closed`` form f + 2 with an extra outer alternating
-    sum from the factor 1/(1 + at)^2: ``_t_extraction`` in expansion order
-    f over the shifts i = 0..n+1 with weight (-1)^i (i + 1), each taking
-    a^i [t^(n-i)].  The whole sum is divided by n + 1 at the end.
+    Form f is ``g_uvv_closed`` form f + 2 with the extra factor 1/(1 + at)^2:
+    the alternating shift sum over i >= 0 of (-1)^i (i + 1) a^i [t^(n-i)],
+    which ``_t_extraction`` in expansion order f takes as two running
+    divisions by 1 + at of each row of its terms, O(n^2) steps in all.
+    The whole sum is divided by n + 1 at the end.
     """
     _check_length(n)
     _check_form(form, 3)
-    shifts = [(i, (-1) ** i * (i + 1)) for i in range(n + 2)]
-    return _from_k_basis(_t_extraction(n, form, shifts)).div_exact(n + 1)
+    return _from_k_basis(_t_extraction(n, form, 2)).div_exact(n + 1)
 
 
 def relation_checks(n: int) -> dict[str, bool]:

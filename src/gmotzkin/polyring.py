@@ -129,11 +129,17 @@ class Polynomial:
         return dot(((self, other),))
 
     def scaled(self, k: int) -> "Polynomial":
-        """The polynomial times the int k: the one way to scale."""
+        """The polynomial times the int k: the one way to scale; ValueError
+        names a k that is a bool or no int."""
+        if type(k) is not int:
+            raise ValueError(f"scaled takes an int, not {k!r}")
         return Polynomial._of({mono: coeff * k for mono, coeff in self._terms.items()})
 
     def div_exact(self, k: int) -> "Polynomial":
-        """Divide every coefficient by k, requiring exact divisibility."""
+        """Divide every coefficient by k, requiring exact divisibility;
+        ValueError names a k that is a bool or no int."""
+        if type(k) is not int:
+            raise ValueError(f"div_exact takes an int, not {k!r}")
         if k == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
         out = {}

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from gmotzkin.enumeration import Constraints, weight_sum
@@ -136,6 +138,54 @@ class TestClosedForms:
                 gbar_uvv_closed(3, form)
 
 
+RELATION_POINTS = [(1, 2, 3), (-3, 4, 16), (2, -1, 5)]
+RELATION_MAX_N = 40
+PAST_THE_ORACLE = [45, 61, 80]
+
+
+def large_schroder(n):
+    """By (m + 1) S_m = 3(2m - 1) S_(m-1) - (m - 2) S_(m-2), S_0 = 1, S_1 = 2."""
+    s = [1, 2]
+    for m in range(2, n + 1):
+        s.append((3 * (2 * m - 1) * s[m - 1] - (m - 2) * s[m - 2]) // (m + 1))
+    return s[n]
+
+
+@functools.cache
+def values_at_relation_points(closed, form):
+    polys = [closed(n, form) for n in range(RELATION_MAX_N + 1)]
+    return {point: [p.eval(*point) for p in polys] for point in RELATION_POINTS}
+
+
+class TestClosedFormsAgainstOneAnother:
+    """Checks past the oracle's reach that use no series."""
+
+    @pytest.mark.parametrize("gbar_form", [1, 2, 3])
+    @pytest.mark.parametrize("g_form", [1, 2])
+    def test_g_from_gbar(self, g_form, gbar_form):
+        # T = xG and H = Gbar satisfy x H (1 + aT) = T, so H (1 + axG) = G:
+        # G_n = H_n + a sum_(i<n) H_i G_(n-1-i)
+        g_values = values_at_relation_points(g_uvv_closed, g_form)
+        h_values = values_at_relation_points(gbar_uvv_closed, gbar_form)
+        for point in RELATION_POINTS:
+            g, h = g_values[point], h_values[point]
+            for n in range(RELATION_MAX_N + 1):
+                tail = sum(h[i] * g[n - 1 - i] for i in range(n))
+                assert g[n] == h[n] + point[0] * tail, (point, n)
+
+    @pytest.mark.parametrize("form", [1, 2, 3, 4, 5])
+    def test_g_counts_schroder_and_dyck_paths(self, form):
+        for n in PAST_THE_ORACLE:
+            g = g_uvv_closed(n, form)
+            assert g.eval(1, 1, 1) == large_schroder(n), n
+            assert g.eval(0, 1, 1) == catalan_by_convolution(n), n
+
+    @pytest.mark.parametrize("form", [1, 2, 3])
+    def test_gbar_counts_dyck_paths(self, form):
+        for n in PAST_THE_ORACLE:
+            assert gbar_uvv_closed(n, form).eval(0, 1, 1) == catalan_by_convolution(n), n
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("entry", LENGTH_ENTRY_POINTS)
     @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
@@ -169,6 +219,11 @@ class TestKBasis:
         k = VAR_C - B * B
         expected = (A * A * B * k * k).scaled(3) + (B * k).scaled(-5)
         assert _from_k_basis({(2, 1, 2): 3, (0, 1, 1): -5}) == expected
+        # the first three keys share one Taylor shift, group (ea, eb + 2j) = (0, 4)
+        expected = (B * B * B * B).scaled(2) + (B * B * k).scaled(-3) + (k * k).scaled(5)
+        expected += (A * B * k).scaled(7)
+        sums = {(0, 4, 0): 2, (0, 2, 1): -3, (0, 0, 2): 5, (1, 1, 1): 7}
+        assert _from_k_basis(sums) == expected
 
     def test_cancelling_terms_leave_no_zero_coefficient(self):
         # b^2 + (c - b^2) = c, and a key whose sum is 0 adds nothing

@@ -130,10 +130,16 @@ class TestPolynomial:
             (lambda: Polynomial({5: 1}), "monomials must be exponent triples, not 5"),
             (lambda: Polynomial({(1, 2): 1}), "monomials must be exponent triples, not (1, 2)"),
             (lambda: Polynomial({(1, 2, 3, 4): 1}), "monomials must be exponent triples, not (1, 2, 3, 4)"),
+            (lambda: A.scaled(1.5), "scaled takes an int, not 1.5"),
+            (lambda: A.scaled(True), "scaled takes an int, not True"),
+            (lambda: A.scaled(2).div_exact(2.0), "div_exact takes an int, not 2.0"),
+            (lambda: A.div_exact("2"), "div_exact takes an int, not '2'"),
+            (lambda: A.div_exact(True), "div_exact takes an int, not True"),
         ],
         ids=[
             "float exponent", "bool exponent", "float constant", "str coefficient", "bool coefficient",
             "int monomial", "pair monomial", "quadruple monomial",
+            "float factor", "bool factor", "float divisor", "str divisor", "bool divisor",
         ],
     )
     def test_rejects_what_is_not_an_int(self, make, message):
