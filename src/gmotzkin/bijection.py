@@ -56,24 +56,26 @@ level reads a last uv or uuvv block off its image, uv or uvuv.  ``sigma``
 checks that no Case5 Q'' ends in uv and no Case6 Q'' in uv or uuvv, and
 raises AssertionError otherwise, also under ``python -O``.
 
-Fixed points.  sigma maps the uvv-avoiding class into the uvu-avoiding
-class, so a fixed point w = sigma(w) lies in both: its domain and its
-codomain.  The unit grammar of ``is_fixed_by_structure`` rules out five
-more patterns, dd, hd, vd, uudv and uuhvv, so ``fixed_points`` walks only
-the paths that avoid all seven and still tests each with
-``is_fixed_point``; the codomain claim and the grammar are what
-``verify``'s criterion 4 checks on every path for n <= 10, and criterion 6
-counts the fixed points by its own sweep over the whole uvv class.
-``is_fixed_by_structure`` reads them off matched steps in one pass; it
-never calls sigma, so the two tests stay independent.
+Fixed points.  sigma maps a path unit by unit, so a path is fixed exactly
+when every unit is h, uv, ud or u K v with K a nonempty class-A fixed
+point, and no uv is followed by a u.  ``fixed_points`` builds the fixed
+points from this grammar, shortest first and in step order with no sort,
+and still tests every word of the asked length with ``is_fixed_point``: a
+word that sigma moves raises AssertionError.  The grammar is what
+``verify``'s criterion 4 checks against sigma(q) == q on every
+uvv-avoiding path for n <= 10, and criterion 6 counts the fixed points by
+its own sweep over the whole uvv class.  No word comes from the
+enumeration oracle, so this module imports no other route.
+``is_fixed_by_structure`` reads the grammar off matched steps in one pass;
+it never calls sigma, so the two tests stay independent.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 
-from .enumeration import Constraints, generate
-from .paths import _check_avoids, first_return_blocks, is_primitive
+from .paths import _check_avoids, _check_length, first_return_blocks, is_primitive
 
 
 def sigma(word: str) -> str:
@@ -263,37 +265,82 @@ class FixedPointCounts(namedtuple("FixedPointCounts", "a b c paths", defaults=(N
         return self.a + self.b + self.c
 
 
-# the patterns that no fixed point contains; see fixed_points
-_CANDIDATES = Constraints(avoid=("uvv", "uvu", "dd", "hd", "vd", "uudv", "uuhvv"))
+# the units other than u K v, by length, in step order; ud precedes uhv,
+# the one u K v of length 2
+_BASE_UNITS = {1: ("uv", "h"), 2: ("ud",)}
+# u < d < h < v as characters that sort by code point
+_STEP_ORDER = str.maketrans("udhv", "0123")
 
 
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
-    """Brute-force count (and optionally list) the fixed points of length n.
+    """Count (and optionally list) the fixed points of length n, built
+    from the unit grammar of ``is_fixed_by_structure``.
 
-    A fixed point w = sigma(w) avoids uvv (sigma's domain) and uvu (its
-    codomain).  It also obeys the unit grammar of ``is_fixed_by_structure``:
+    A fixed point of length m > 0 is a unit followed by a fixed point of
+    the remaining length, its rest.  The units are h and uv (x-length 1),
+    ud (x-length 2) and u K v for K a nonempty class-A fixed point, and the
+    rest of a uv does not start with u.  One list per length m < n holds
+    the fixed points of that length; length n is streamed, not stored.
 
-      (2) every d directly follows the u it closes, so a d follows a u:
-          no dd, hd or vd;
-      (3) no v closes a pair that directly encloses another pair: in uudv
-          the d closes the second u and the v the first, and in uuhvv the
-          first v closes the second u and the second v the first, so
-          neither occurs.
+    Order.  Units are first-return blocks, so none is a proper prefix of
+    another, and two words with different first units compare as those
+    units do.  Merging the units of every length <= m in step order (u < d
+    < h < v), each followed by its rests in order, therefore gives length
+    m in ``generate``'s order: units are merged, words are never sorted.
+    The units of one length come in step order, as their K do.  h, the one
+    unit that does not start with u, comes last, so the rests allowed after
+    uv, h and what follows it, are the tail of their length's list.  A
+    word's class is read off its units: B if it ends in uv, C if it is one
+    unit that starts with u, A otherwise.
 
-    ``verify``'s criterion 4 checks the codomain claim and the grammar
-    against sigma(q) == q on every uvv-avoiding path for n <= 10.  So only
-    paths that avoid these seven patterns are walked, each still tested
-    with ``is_fixed_point``.  They come in ``generate``'s order.
+    sigma still tests every word of length n with ``is_fixed_point``; a
+    word it moves raises AssertionError naming it, also under ``python
+    -O``.  That no fixed point is missed rests on the grammar, which
+    ``verify``'s criterion 4 checks against sigma(q) == q on every
+    uvv-avoiding path for n <= 10.
     """
     if not isinstance(include_paths, bool):
         raise ValueError(f"include_paths must be a bool, not {include_paths!r}")
+    _check_length(n)
+    fixed = [[""]]  # fixed[m]: the fixed points of length m, in step order
+    kernels: list[list[str]] = [[]]  # kernels[m]: those in class A but "", the K of u K v
+    units: list[tuple[str, int]] = []  # the units found so far and their lengths
+
+    def built(m: int) -> Iterator[tuple[str, str]]:
+        """The fixed points of length m >= 1 in step order, each with its class."""
+        for unit, k in units:
+            rests = fixed[m - k]
+            if unit == "uv" and k < m:  # the rest starts with h
+                rests = rests[-len(fixed[m - k - 1]):]
+            for rest in rests:
+                word = unit + rest
+                if word.endswith("uv"):
+                    yield word, CLASS_B
+                elif rest or unit == "h":  # not primitive
+                    yield word, CLASS_A
+                else:  # one unit that starts with u
+                    yield word, CLASS_C
+
+    for m in range(1, n + 1):
+        new = [(unit, m) for unit in _BASE_UNITS.get(m, ())]
+        new += [("u" + k + "v", m) for k in kernels[m - 1]]
+        # two runs in step order, which sorted merges in one linear pass
+        units = sorted(units + new, key=lambda pair: pair[0].translate(_STEP_ORDER))
+        if m < n:
+            fixed.append([])
+            kernels.append([])
+            for word, cls in built(m):
+                fixed[m].append(word)
+                if cls == CLASS_A:
+                    kernels[m].append(word)
     counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
     found: list[str] = []
-    for word in generate(n, _CANDIDATES):
-        if is_fixed_point(word):
-            counts[_classify(word)] += 1
-            if include_paths:
-                found.append(word)
+    for word, cls in built(n) if n else [("", CLASS_A)]:
+        if not is_fixed_point(word):
+            raise AssertionError(f"sigma moves {word}, a word of the fixed-point grammar")
+        counts[cls] += 1
+        if include_paths:
+            found.append(word)
     return FixedPointCounts(
         a=counts[CLASS_A],
         b=counts[CLASS_B],

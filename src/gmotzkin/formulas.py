@@ -259,7 +259,9 @@ def relation_checks(n: int) -> dict[str, bool]:
 
 def specialization_checks(n: int, g: Polynomial) -> dict[str, bool]:
     """The specialization table's polynomial rows at n, by label, for g the
-    caller's G_n^uvv."""
+    caller's G_n^uvv; ValueError names a g that is no Polynomial."""
+    if not isinstance(g, Polynomial):
+        raise ValueError(f"specialization_checks takes a Polynomial G_n^uvv, not {g!r}")
     return {
         "(a,0,b) Motzkin polynomial":
             g.substitute("b", ZERO).substitute("c", VAR_B) == motzkin_weight(n),

@@ -15,8 +15,9 @@ canonicalizes arbitrary input text, and ``first_return_blocks`` checks a
 word as it cuts it into blocks.  ``_check_avoids`` holds the rule that a
 path must avoid a pattern, for the decompositions and for ``bijection``'s
 maps; ``parse_pattern`` checks a pattern word, and ``_check_length`` a
-path length, for ``enumeration`` and ``formulas``.  Every other function
-in this module assumes its argument is already a valid word.
+path length, for ``enumeration``, ``formulas`` and ``bijection``'s
+``fixed_points``.  Every other function in this module assumes its
+argument is already a valid word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
 and the weight of a path is the product over its steps, i.e. the monomial

@@ -168,10 +168,13 @@ class Polynomial:
         return total
 
     def substitute(self, var: str, replacement: "Polynomial") -> "Polynomial":
-        """Ring homomorphism sending ``var`` to ``replacement``, fixing the others."""
+        """Ring homomorphism sending ``var`` to ``replacement``, fixing the
+        others; ValueError names a replacement that is no Polynomial."""
         idx = _VAR_INDEX.get(var)
         if idx is None:
             raise ValueError(f"unknown variable {var!r}, expected one of a, b, c")
+        if not isinstance(replacement, Polynomial):
+            raise ValueError(f"substitute takes a Polynomial replacement, not {replacement!r}")
         powers: list[Polynomial] = [Polynomial.const(1)]
         pairs = []
         for mono, coeff in self._terms.items():
@@ -245,10 +248,14 @@ class Polynomial:
 
 
 def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """The sum of p * q over ``pairs``, accumulated in a single term map."""
+    """The sum of p * q over ``pairs``, accumulated in a single term map;
+    ValueError names a factor that is no Polynomial."""
     out: dict[Monomial, int] = {}
     get = out.get
     for p, q in pairs:
+        if not (isinstance(p, Polynomial) and isinstance(q, Polynomial)):
+            bad = q if isinstance(p, Polynomial) else p
+            raise ValueError(f"dot takes pairs of Polynomials, not {bad!r}")
         right = q._terms.items()
         for (a1, b1, c1), k1 in p._terms.items():
             for (a2, b2, c2), k2 in right:
@@ -259,7 +266,10 @@ def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
 
 def graded_degree(poly: Polynomial) -> int:
     """The degree of a nonzero homogeneous polynomial, a and b of degree 1
-    and c of degree 2; ValueError if it is zero or not homogeneous."""
+    and c of degree 2; ValueError if it is zero, not homogeneous or no
+    Polynomial."""
+    if not isinstance(poly, Polynomial):
+        raise ValueError(f"graded_degree takes a Polynomial, not {poly!r}")
     degrees = {ea + eb + 2 * ec for ea, eb, ec in poly._terms}
     if len(degrees) != 1:
         raise ValueError(f"{poly} is not a nonzero homogeneous polynomial")

@@ -17,6 +17,7 @@ from gmotzkin.bijection import (
 )
 from gmotzkin.cli import main
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, generate
+from gmotzkin.formulas import fixed_point_sequences
 from gmotzkin.paths import (
     BASE,
     BASE_INV,
@@ -33,6 +34,7 @@ from gmotzkin.paths import (
     is_primitive,
 )
 from gmotzkin.samples import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT
+from gmotzkin.verify import FIXED_POINT_COUNTS
 
 
 def reference_sigma(word: str) -> str:
@@ -287,8 +289,8 @@ class TestFixedPoints:
 
     @pytest.mark.parametrize("n", range(9))
     def test_counts_equal_the_sweep_over_the_uvv_class(self, n):
-        """Walking the candidates finds what testing every uvv-avoiding
-        path finds, in the same order and classes."""
+        """Building from the unit grammar finds what testing every
+        uvv-avoiding path finds, in the same order and classes."""
         old = tuple(w for w in generate(n, AVOID_UVV) if sigma(w) == w)
         counts = fixed_points(n, include_paths=True)
         assert counts.paths == old
@@ -297,7 +299,7 @@ class TestFixedPoints:
             len(old), classes.count("A"), classes.count("B"), classes.count("C")
         )
 
-    def test_sigma_runs_only_on_candidates(self, monkeypatch):
+    def test_sigma_runs_once_per_fixed_point(self, monkeypatch):
         calls = []
 
         def counting_sigma(word):
@@ -306,10 +308,26 @@ class TestFixedPoints:
 
         monkeypatch.setattr(bijection, "sigma", counting_sigma)
         assert fixed_points(7).f == 1478
-        # not the 8,558 uvv-avoiding paths, nor the 4,334 that also avoid uvu
-        assert len(calls) == 1899
-        patterns = ("uvv", "uvu", "dd", "hd", "vd", "uudv", "uuhvv")
-        assert not any(p in w for w in calls for p in patterns)
+        assert len(calls) == 1478
+        assert all(sigma(w) == w for w in calls)
+
+    def test_a_grammar_word_that_sigma_moves_raises(self, monkeypatch):
+        moved = "uhvh"  # the units u K v with K = h, then h
+
+        def moving_sigma(word):
+            return "uv" + word if word == moved else sigma(word)
+
+        monkeypatch.setattr(bijection, "sigma", moving_sigma)
+        assert fixed_points(2).f == 5
+        with pytest.raises(AssertionError, match=f"sigma moves {moved},"):
+            fixed_points(3)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_counts_equal_the_table_and_the_recurrences(self, n):
+        f, a, b, c = fixed_point_sequences(n)
+        counts = fixed_points(n)
+        assert counts.f == FIXED_POINT_COUNTS[n] == f[n]
+        assert (counts.a, counts.b, counts.c) == (a[n], b[n], c[n])
 
     def test_f_is_the_sum_of_the_classes(self):
         # f is read off the classes, so a record made or changed by

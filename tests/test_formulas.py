@@ -15,6 +15,7 @@ from gmotzkin.formulas import (
     motzkin_weight,
     relation_checks,
     schroder_weight,
+    specialization_checks,
 )
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C
 
@@ -203,6 +204,11 @@ class TestInputChecks:
         assert catalan(1) == 1
         with pytest.raises(ValueError, match="length n must be an int"):
             catalan(True)
+
+    def test_specialization_checks_take_a_polynomial(self):
+        with pytest.raises(ValueError) as err:
+            specialization_checks(3, 5)
+        assert str(err.value) == "specialization_checks takes a Polynomial G_n^uvv, not 5"
 
 
 class TestKBasis:

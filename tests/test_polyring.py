@@ -148,6 +148,21 @@ class TestPolynomial:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: A.substitute("a", 2), "substitute takes a Polynomial replacement, not 2"),
+            (lambda: dot([(A, 2)]), "dot takes pairs of Polynomials, not 2"),
+            (lambda: dot([("b", A)]), "dot takes pairs of Polynomials, not 'b'"),
+            (lambda: graded_degree(5), "graded_degree takes a Polynomial, not 5"),
+        ],
+        ids=["substitute", "dot right", "dot left", "graded_degree"],
+    )
+    def test_rejects_what_is_not_a_polynomial(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "record,message",
         [
             ({}, "term record {} has no field 'ea'"),

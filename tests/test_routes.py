@@ -3,9 +3,7 @@
 ``verify`` cross-checks the enumeration oracle, the closed forms, the
 generating-function series and the bijection against one another; a route
 that got its answer through another route would make that cross-check
-vacuous.  ``bijection`` is not checked: its ``fixed_points`` lists the
-class that avoids uvv, uvu, dd, hd, vd, uudv and uuhvv with
-``enumeration.generate`` before testing each path with ``sigma``.
+vacuous.
 
 The package exports only what it uses: every name ``gmotzkin/__init__.py``
 imports has a caller in the package or the benchmark, so no helper lives on
@@ -48,7 +46,7 @@ def imported_modules(path: Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("route", ("formulas", "series", "enumeration"))
+@pytest.mark.parametrize("route", ("formulas", "series", "enumeration", "bijection"))
 def test_route_imports_no_other_route(route):
     others = set(ROUTES) - {route}
     assert imported_modules(PACKAGE / f"{route}.py") & others == set()
