@@ -26,7 +26,7 @@ by the current height.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 
 from .polyring import Polynomial
@@ -103,8 +103,5 @@ def _walk(n: int, avoid: tuple[str, ...], forbid_h: bool) -> Iterator[str]:
 
 def weight_sum(n: int, constraints: Constraints | None = None) -> Polynomial:
     """Sum of weight monomials a^#h b^#v c^#d over all generated paths."""
-    sums: dict[tuple[int, int, int], int] = {}
-    for word in generate(n, constraints):
-        key = (word.count("h"), word.count("v"), word.count("d"))
-        sums[key] = sums.get(key, 0) + 1
-    return Polynomial(sums)
+    words = generate(n, constraints)
+    return Polynomial(Counter((w.count("h"), w.count("v"), w.count("d")) for w in words))

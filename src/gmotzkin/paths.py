@@ -88,7 +88,12 @@ def first_return_blocks(word: str) -> list[str]:
 
 
 def _check_steps(word: str) -> None:
-    """Raise PathError naming the first character of ``word`` outside udhv."""
+    """Raise PathError naming the first character of ``word`` outside udhv.
+
+    A plain str over udhv passes with one C-speed test; anything else,
+    a str subclass included, takes the checks that name the fault."""
+    if type(word) is str and STEPS.issuperset(word):
+        return
     _check_str(word)
     if not STEPS.issuperset(word):
         pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
@@ -103,8 +108,10 @@ def _check_str(text: object) -> None:
 
 def _check_avoids(word: str, pattern: str) -> None:
     """PathError for a non-str or a step outside udhv; then, if ``word``
-    contains ``pattern``, for a word that is no path, else for the pattern."""
-    _check_steps(word)
+    contains ``pattern``, for a word that is no path, else for the pattern.
+    ``_check_steps``'s one-test happy path is inlined, saving a call."""
+    if not (type(word) is str and STEPS.issuperset(word)):
+        _check_steps(word)
     if pattern in word:
         first_return_blocks(word)
         raise PathError(f"path contains the pattern {pattern}")

@@ -249,10 +249,19 @@ class Polynomial:
 
 def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
     """The sum of p * q over ``pairs``, accumulated in a single term map;
-    ValueError names a factor that is no Polynomial."""
+    ValueError names ``pairs`` if it is not iterable, an item that is no
+    pair, or a factor that is no Polynomial."""
     out: dict[Monomial, int] = {}
     get = out.get
-    for p, q in pairs:
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise ValueError(f"dot takes an iterable of pairs, not {pairs!r}") from None
+    for item in items:
+        try:
+            p, q = item
+        except (TypeError, ValueError):
+            raise ValueError(f"dot takes pairs of Polynomials, not {item!r}") from None
         if not (isinstance(p, Polynomial) and isinstance(q, Polynomial)):
             bad = q if isinstance(p, Polynomial) else p
             raise ValueError(f"dot takes pairs of Polynomials, not {bad!r}")

@@ -57,11 +57,11 @@ from .paths import (
     CASE_III,
     CASE_IV,
     CASE_V,
+    RISE,
     STEPS,
     Decomposition,
     decompose_forward,
     decompose_inverse,
-    heights,
     is_primitive,
 )
 from .polyring import VAR_B, VAR_C, KroneckerCodec, Polynomial
@@ -195,7 +195,9 @@ class Harness:
         axis, ends on it, has x-length n and contains no uvu is exactly a
         member of the uvu-avoiding class of length n.  The uvu test comes
         first; the weight test then fixes the x-length, which for a path
-        is #h + #v + 2#d, so ``_is_path`` tests the rest.  The class size is
+        is #h + #v + 2#d, so ``_is_path`` tests the rest, in one scan of the
+        height that stops at the first dip below the axis.  The three maps
+        are read off ``bijection`` once per n, at call time.  The class size is
         the oracle's weight sum at (1, 1, 1), in which each generated path
         counts once; it comes from the ``sums`` cache, so the sweep walks
         the class no more often than the weight sums do.  If ``count``
@@ -207,8 +209,10 @@ class Harness:
         count = 0
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
+        sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
+        fixed_by_structure = bijection.is_fixed_by_structure
         for q in generate(n, AVOID_UVV):
-            p = bijection.sigma(q)
+            p = sigma(q)
             if "uvu" in p:
                 error = f"sigma({q}) = {p} contains uvu"
                 break
@@ -220,12 +224,12 @@ class Harness:
             if not _is_path(p):
                 error = f"sigma({q}) = {p} outside the uvu-avoiding class"
                 break
-            if bijection.sigma_inv(p) != q:
-                error = f"sigma_inv(sigma({q})) = {bijection.sigma_inv(p)}"
+            if sigma_inv(p) != q:
+                error = f"sigma_inv(sigma({q})) = {sigma_inv(p)}"
                 break
             count += 1
             fixed = p == q
-            if bijection.is_fixed_by_structure(q) != fixed:
+            if fixed_by_structure(q) != fixed:
                 error = f"structural fixed-point test disagrees at {q}"
                 break
             if fixed:
@@ -443,11 +447,16 @@ class Harness:
 
 
 def _is_path(word: str) -> bool:
-    """True iff ``word`` is over udhv, never dips below the axis and ends on it."""
+    """True iff ``word`` is over udhv, never dips below the axis and ends on
+    it: one scan of the height, which stops at the first dip."""
     if not STEPS.issuperset(word):
         return False
-    hs = heights(word)
-    return min(hs) == 0 == hs[-1]
+    height = 0
+    for step in word:
+        height += RISE[step]
+        if height < 0:
+            return False
+    return height == 0
 
 
 def _sides(

@@ -99,11 +99,13 @@ class TestParse:
             sigma,
             sigma_inv,
             is_fixed_by_structure,
+            decompose_forward,
+            decompose_inverse,
             lambda w: list(enumeration.generate(2, enumeration.Constraints(avoid=(w,)))),
         ],
         ids=[
             "parse_word", "parse_pattern", "first_return_blocks", "sigma", "sigma_inv",
-            "is_fixed_by_structure", "Constraints",
+            "is_fixed_by_structure", "decompose_forward", "decompose_inverse", "Constraints",
         ],
     )
     @pytest.mark.parametrize("word", [None, 123, ["u", "d"], b"ud"], ids=repr)
@@ -139,6 +141,34 @@ def test_word_entry_points_are_found():
 def test_exported_word_entry_point_rejects_a_bad_word(name, word):
     with pytest.raises(PathError):
         getattr(gmotzkin, name)(word)
+
+
+class StrSubclass(str):
+    """A str that is no plain str, so the entry checks' one-test happy path
+    sends it to the checks that name the fault."""
+
+
+# The word entry points: the exported ones and those of the modules.
+WORD_ENTRIES = {name: getattr(gmotzkin, name) for name in WORD_ENTRY_POINTS} | {
+    "first_return_blocks": first_return_blocks,
+    "is_fixed_by_structure": is_fixed_by_structure,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_ENTRIES))
+@pytest.mark.parametrize(
+    "word", ["", "h", "uvh", "uuvdhv", "uvuv", "uvv", "uudv", " ud", "ux", "du", "uu"]
+)
+def test_a_str_subclass_gives_what_a_str_gives(name, word):
+    entry = WORD_ENTRIES[name]
+
+    def outcome(w):
+        try:
+            return "returns", entry(w)
+        except PathError as err:
+            return "raises", str(err)
+
+    assert outcome(StrSubclass(word)) == outcome(word)
 
 
 class TestStructure:

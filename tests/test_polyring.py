@@ -153,9 +153,14 @@ class TestPolynomial:
             (lambda: A.substitute("a", 2), "substitute takes a Polynomial replacement, not 2"),
             (lambda: dot([(A, 2)]), "dot takes pairs of Polynomials, not 2"),
             (lambda: dot([("b", A)]), "dot takes pairs of Polynomials, not 'b'"),
+            (lambda: dot([A]), "dot takes pairs of Polynomials, not Polynomial(a)"),
+            (lambda: dot([(A, A, A)]), "dot takes pairs of Polynomials, not "
+             "(Polynomial(a), Polynomial(a), Polynomial(a))"),
+            (lambda: dot(5), "dot takes an iterable of pairs, not 5"),
             (lambda: graded_degree(5), "graded_degree takes a Polynomial, not 5"),
         ],
-        ids=["substitute", "dot right", "dot left", "graded_degree"],
+        ids=["substitute", "dot right", "dot left", "dot no pair", "dot triple",
+             "dot not iterable", "graded_degree"],
     )
     def test_rejects_what_is_not_a_polynomial(self, make, message):
         with pytest.raises(ValueError) as err:

@@ -33,6 +33,7 @@ from gmotzkin.paths import (
     CASE_IV,
     CASE_V,
     Decomposition,
+    heights,
 )
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
@@ -91,6 +92,18 @@ def test_image_with_a_character_outside_the_alphabet(monkeypatch):
     )
     error = Harness().sweep(1).error
     assert error == "sigma(uv) = xv outside the uvu-avoiding class"
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_is_path_is_the_heights_definition(n):
+    # min over the running heights is 0 and the last is 0; words with an x
+    # are no paths, wherever the x stands
+    for steps in itertools.product("udhv", repeat=n):
+        word = "".join(steps)
+        hs = heights(word)
+        assert verify._is_path(word) is (min(hs) == 0 == hs[-1]), word
+        for i in range(n + 1):
+            assert verify._is_path(word[:i] + "x" + word[i:]) is False
 
 
 def test_sweep_shares_the_uvu_walk_with_the_weight_sums(monkeypatch):
