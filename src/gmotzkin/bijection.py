@@ -61,13 +61,11 @@ when every unit is h, uv, ud or u K v with K a nonempty class-A fixed
 point, and no uv is followed by a u.  ``fixed_points`` builds the fixed
 points from this grammar, shortest first and in step order with no sort,
 and still tests every word of the asked length with ``is_fixed_point``: a
-word that sigma moves raises AssertionError.  The grammar is what
-``verify``'s criterion 4 checks against sigma(q) == q on every
-uvv-avoiding path for n <= 10, and criterion 6 counts the fixed points by
-its own sweep over the whole uvv class.  No word comes from the
-enumeration oracle, so this module imports no other route.
-``is_fixed_by_structure`` reads the grammar off matched steps in one pass;
-it never calls sigma, so the two tests stay independent.
+word that sigma moves raises AssertionError.  It is the grammar's one
+encoding.  ``verify``'s criterion 4 checks its list word for word, in
+order and by class, against the paths q with sigma(q) == q of its sweep
+over the whole uvv class for n <= 10.  No word comes from the enumeration
+oracle, so this module imports no other route.
 """
 
 from __future__ import annotations
@@ -202,57 +200,6 @@ def _classify(word: str) -> str:
     return CLASS_A
 
 
-def is_fixed_by_structure(word: str) -> bool:
-    """Fixed-point test by shape instead of by applying sigma.
-
-    sigma maps a path unit by unit, so a uvv-avoiding path is fixed exactly
-    when each unit is: h or uv (Base); ud (Case4 with no peeled layer); or
-    u K v with K nonempty, fixed and in class A (Case6 with one peeled
-    layer; K cannot end in uv, as u K v would contain uvv).  Every other
-    unit moves: Case3 (uv glued to a u-block) maps to u sigma(Q'') v, Case4
-    and Case6 with more layers or Case5 change the layer count or the last
-    step.  Read on matched steps (a u and the first later step back to its
-    height), the grammar becomes three local conditions:
-
-      (1) no uvu: a uv glued to a u-block is Case3;
-      (2) every d directly follows the u it closes: a block ending in d
-          is ud, at any depth;
-      (3) no v closes a pair that directly encloses another pair: the K
-          of u K v is not primitive, so the v at q closing the u at p does
-          not follow a step closing the u at p + 1.
-
-    K's units obey the same conditions, so (1)-(3) hold at every depth.
-    One left-to-right pass with a stack of open u positions checks (2)
-    and (3), and that the word is a path, at no cost in recursion.  Used
-    to cross-validate the direct sigma(q) == q test; it never calls
-    sigma, so the two tests stay independent.
-    """
-    _check_avoids(word, "uvv")
-    fixed = "uvu" not in word  # (1)
-    opened: list[int] = []
-    closed = -1  # the u that the previous step closed, if it closed one
-    try:
-        for q, step in enumerate(word):
-            if step == "u":
-                opened.append(q)
-                closed = -1
-            elif step == "h":
-                closed = -1
-            else:
-                p = opened.pop()
-                if step == "d" and p != q - 1:  # (2)
-                    fixed = False
-                if step == "v" and closed == p + 1:  # (3)
-                    fixed = False
-                closed = p
-    except IndexError:  # a step dips below the axis
-        first_return_blocks(word)  # raises parse_word's message
-        raise
-    if opened:  # a u is left open
-        first_return_blocks(word)  # raises parse_word's message
-    return fixed
-
-
 class FixedPointCounts(namedtuple("FixedPointCounts", "a b c paths", defaults=(None,))):
     """Counts of sigma's fixed points of one length by class, as ints, and
     the fixed points as a tuple of str or None.  The classes split the
@@ -274,7 +221,7 @@ _STEP_ORDER = str.maketrans("udhv", "0123")
 
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     """Count (and optionally list) the fixed points of length n, built
-    from the unit grammar of ``is_fixed_by_structure``.
+    from the unit grammar of the module docstring.
 
     A fixed point of length m > 0 is a unit followed by a fixed point of
     the remaining length, its rest.  The units are h and uv (x-length 1),
@@ -295,9 +242,11 @@ def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
 
     sigma still tests every word of length n with ``is_fixed_point``; a
     word it moves raises AssertionError naming it, also under ``python
-    -O``.  That no fixed point is missed rests on the grammar, which
-    ``verify``'s criterion 4 checks against sigma(q) == q on every
-    uvv-avoiding path for n <= 10.
+    -O``.  That no fixed point is missed, and that the list is in order,
+    distinct and rightly classed, rests on ``verify``'s criterion 4: its
+    sweep meets every uvv-avoiding path with n <= 10, and each q with
+    sigma(q) == q must be the next word of this list, none left over, with
+    the same counts by class.
     """
     if not isinstance(include_paths, bool):
         raise ValueError(f"include_paths must be a bool, not {include_paths!r}")

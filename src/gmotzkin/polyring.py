@@ -194,31 +194,6 @@ class Polynomial:
             for (ea, eb, ec), coeff in self.terms()
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping[str, object]]) -> "Polynomial":
-        """The polynomial of a JSON term-record list; ValueError names a record
-        that is no object, a field that is missing, an exponent no int, a
-        coefficient no decimal str, and a monomial that two records share."""
-        terms: dict[Monomial, int] = {}
-        for rec in obj:
-            if not isinstance(rec, Mapping):
-                raise ValueError(f"term record {rec!r} is not an object")
-            for field in ("ea", "eb", "ec", "coeff"):
-                if field not in rec:
-                    raise ValueError(f"term record {rec!r} has no field {field!r}")
-            for field in ("ea", "eb", "ec"):
-                if type(rec[field]) is not int:
-                    raise ValueError(f"field {field!r} must be an int, not {rec[field]!r}")
-            coeff = rec["coeff"]
-            digits = coeff.removeprefix("-") if type(coeff) is str else ""
-            if not (digits.isascii() and digits.isdecimal()):
-                raise ValueError(f"field 'coeff' must be a decimal str, not {coeff!r}")
-            mono = rec["ea"], rec["eb"], rec["ec"]
-            if mono in terms:
-                raise ValueError(f"two term records share the monomial (ea, eb, ec) = {mono}")
-            terms[mono] = int(coeff)  # type: ignore[index]
-        return cls(terms)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"

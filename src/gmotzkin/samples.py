@@ -1,17 +1,11 @@
 """Worked example paths.
 
-``SHOWCASE_PATH`` is a length-25 G-Motzkin path (29 steps, four of them
-vertical drops) that avoids uvv but not uvu; the render and paths tests
-read it.
-
 ``BIJECTION_SAMPLE_INPUT`` is a uvv-avoiding path of length 28 and
 ``BIJECTION_SAMPLE_OUTPUT`` its image under sigma, a uvu-avoiding path of
 the same length; together they pin down a nontrivial instance of the
 bijection touching every recursion case, which ``verify``'s criterion 5
 maps both ways.
 """
-
-SHOWCASE_PATH = "huvuuudhhuvuvddhuuuhddudduuvd"
 
 BIJECTION_SAMPLE_INPUT = "uuudvvuudvuuuuuvdvvvhuuhdvuuuvhvuvuuhudvvv"
 

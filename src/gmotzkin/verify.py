@@ -185,7 +185,7 @@ class Harness:
 
         Checks that each image avoids uvu, keeps the weight, lies in the
         uvu-avoiding class and maps back under sigma_inv; counts fixed points
-        by class and cross-checks the structural fixed-point test.
+        by class and checks them against ``bijection.fixed_points``.
 
         Together these prove that sigma is a bijection between the two
         classes without holding either class as a set.  ``generate`` yields
@@ -196,12 +196,24 @@ class Harness:
         member of the uvu-avoiding class of length n.  The uvu test comes
         first; the weight test then fixes the x-length, which for a path
         is #h + #v + 2#d, so ``_is_path`` tests the rest, in one scan of the
-        height that stops at the first dip below the axis.  The three maps
-        are read off ``bijection`` once per n, at call time.  The class size is
-        the oracle's weight sum at (1, 1, 1), in which each generated path
-        counts once; it comes from the ``sums`` cache, so the sweep walks
-        the class no more often than the weight sums do.  If ``count``
-        equals the class size, the images are the whole class.
+        height that stops at the first dip below the axis.  sigma and
+        sigma_inv are read off ``bijection`` once per n, at call time.  The
+        class size is the oracle's weight sum at (1, 1, 1), in which each
+        generated path counts once; it comes from the ``sums`` cache, so the
+        sweep walks the class no more often than the weight sums do.  If
+        ``count`` equals the class size, the images are the whole class.
+
+        ``fixed_points(n)`` lists the grammar's words in ``generate``'s
+        order, and the sweep reads it in step with its walk: each q with
+        sigma(q) == q must be the next listed word, none may be left over,
+        and the counts by class must equal ``_classify``'s.  Two strictly
+        increasing sequences are equal exactly when their sets are, so q is
+        fixed iff it is in the grammar, and the list is in order, distinct
+        and rightly classed.  The list is taken at the first fixed point,
+        so a sigma that fails an earlier path's checks reports that, not
+        ``fixed_points``' AssertionError; a word out of step does not stop
+        the walk, so those checks and the count report first.  Every length
+        has the fixed point h^n, so a walk that meets none fails.
         """
         if n in self._sweeps:
             return self._sweeps[n]
@@ -210,7 +222,8 @@ class Harness:
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
         sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
-        fixed_by_structure = bijection.is_fixed_by_structure
+        grammar = None  # fixed_points(n), taken at the walk's first fixed point
+        mismatch = None  # the first fixed point that is not the next listed word
         for q in generate(n, AVOID_UVV):
             p = sigma(q)
             if "uvu" in p:
@@ -228,15 +241,28 @@ class Harness:
                 error = f"sigma_inv(sigma({q})) = {sigma_inv(p)}"
                 break
             count += 1
-            fixed = p == q
-            if fixed_by_structure(q) != fixed:
-                error = f"structural fixed-point test disagrees at {q}"
-                break
-            if fixed:
-                classes[bijection._classify(q)] += 1
-        if error is None and count != size:
-            error = f"image has {count} paths, class has {size}"
+            if p != q or mismatch:
+                continue
+            if grammar is None:
+                grammar = bijection.fixed_points(n, include_paths=True)
+                listed = iter(grammar.paths)
+            word = next(listed, None)
+            if word != q:
+                mismatch = f"sigma fixes {q!r}, fixed_points lists {word!r} there"
+            classes[bijection._classify(q)] += 1
         a, b, c = classes.values()
+        if error is None:
+            left = None if grammar is None else next(listed, None)
+            if count != size:
+                error = f"image has {count} paths, class has {size}"
+            elif grammar is None:
+                error = "sigma fixes no path"
+            elif mismatch:
+                error = mismatch
+            elif left is not None:
+                error = f"fixed_points lists {left!r} after the last path sigma fixes"
+            elif (a, b, c) != grammar[:3]:
+                error = f"classes {(a, b, c)} != fixed_points {grammar[:3]}"
         rec = _Sweep(size=size, a=a, b=b, c=c, error=error)
         self._sweeps[n] = rec
         return rec
@@ -286,8 +312,9 @@ class Harness:
 
     @_criterion("bijection suite", "n = 0..{avoid_nmax}")
     def criterion_4(self) -> str | None:
-        """sigma is a weight-preserving bijection onto the uvu-avoiding class;
-        the sweep maps every path, so sigma's Case5/Case6 invariants hold too."""
+        """sigma is a weight-preserving bijection onto the uvu-avoiding class
+        whose fixed points are ``fixed_points``' list; the sweep maps every
+        path, so sigma's Case5/Case6 invariants hold too."""
         for n in range(self.avoid_nmax + 1):
             rec = self.sweep(n)
             if rec.error:
@@ -314,12 +341,15 @@ class Harness:
         the recurrence's.  ``fixed_point_sequences`` builds b and c from a
         by the class relations c_n = a_{n-1} (n >= 3), c_2 = 2 and b_n =
         a_{n-1} + c_{n-1}, with seeds a_0..a_4 = 1, 1, 2, 7, 23, so the
-        relations are checked through that match."""
+        relations are checked through that match.  A sweep that failed
+        reports its own error, not counts it stopped short of."""
         nmax = self.avoid_nmax
         f_series = self.series("F", nmax)
         f_seq, a_seq, b_seq, c_seq = formulas.fixed_point_sequences(nmax)
         for n in range(nmax + 1):
             rec = self.sweep(n)
+            if rec.error:
+                return f"n={n}: {rec.error}"
             values = {
                 "brute force": rec.a + rec.b + rec.c,
                 "closed form": formulas.f_closed(n),

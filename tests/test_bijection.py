@@ -10,7 +10,6 @@ from gmotzkin.bijection import (
     FixedPointCounts,
     _classify,
     fixed_points,
-    is_fixed_by_structure,
     is_fixed_point,
     sigma,
     sigma_inv,
@@ -174,7 +173,7 @@ class TestSigma:
         with pytest.raises(PathError):
             sigma_inv("uvuv")
 
-    @pytest.mark.parametrize("fn", [sigma, sigma_inv, is_fixed_by_structure])
+    @pytest.mark.parametrize("fn", [sigma, sigma_inv])
     @pytest.mark.parametrize(
         "word,message",
         [
@@ -188,7 +187,7 @@ class TestSigma:
             fn(word)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("fn", [sigma, sigma_inv, is_fixed_by_structure])
+    @pytest.mark.parametrize("fn", [sigma, sigma_inv])
     @pytest.mark.parametrize(
         "word,message",
         [
@@ -209,8 +208,6 @@ class TestSigma:
         "fn,word,message",
         [
             (sigma, "uuvvh", "path contains the pattern uvv"),
-            (is_fixed_by_structure, "uuvvh", "path contains the pattern uvv"),
-            (is_fixed_by_structure, "uudvuuvv", "path contains the pattern uvv"),
             (sigma_inv, "uvuv", "path contains the pattern uvu"),
             (sigma_inv, "uvhuvud", "path contains the pattern uvu"),
         ],
@@ -349,11 +346,6 @@ class TestFixedPoints:
         with pytest.raises(ValueError, match="include_paths must be a bool"):
             fixed_points(3, include_paths=flag)
 
-    @pytest.mark.parametrize("n", range(8))
-    def test_structural_test_agrees_with_direct_test(self, n):
-        for q in generate(n, AVOID_UVV):
-            assert is_fixed_by_structure(q) == (sigma(q) == q)
-
 
 def _random_units(steps: int) -> str:
     """A seeded concatenation of blocks of x-length <= 6 from the uvv class,
@@ -391,7 +383,7 @@ class TestLongPaths:
         assert q.count("h") == p.count("h")
         assert q.count("v") + 2 * q.count("d") == p.count("v") + 2 * p.count("d")
         assert sigma_inv(p) == q
-        assert is_fixed_point(q) == is_fixed_by_structure(q) == (p == q)
+        assert is_fixed_point(q) == (p == q)
 
     @pytest.mark.parametrize("name", LONG_PATHS)
     def test_cli_round_trip(self, name, capsys):
@@ -412,8 +404,7 @@ DEEP_PATHS = {
 
 
 class TestNesting:
-    """sigma and sigma_inv map nested levels in one loop, and the structural
-    fixed-point test reads matched steps in one pass: nesting costs no stack."""
+    """sigma and sigma_inv map nested levels in one loop: nesting costs no stack."""
 
     def test_nesting_of_480_levels_maps(self):
         q = "u" * 480 + "d" * 480
@@ -430,8 +421,3 @@ class TestNesting:
         other = "sigma-inv" if command == "sigma" else "sigma"
         assert main([other, "--path", image]) == 0
         assert capsys.readouterr().out == word + "\n"
-
-    def test_structural_test_has_no_depth_limit(self):
-        assert is_fixed_by_structure("u" * 1000 + "h" + "vh" * 1000)
-        assert not is_fixed_by_structure("u" * 5000 + "ud" + "v" * 5000)
-        assert is_fixed_by_structure("u" * 5000 + "h" + "vh" * 5000)

@@ -2,7 +2,10 @@ import pytest
 
 from gmotzkin.paths import PathError
 from gmotzkin.render import render_ascii, render_svg
-from gmotzkin.samples import SHOWCASE_PATH
+
+# A length-25 G-Motzkin path (29 steps, four of them vertical drops) that
+# avoids uvv but not uvu.
+SHOWCASE_PATH = "huvuuudhhuvuvddhuuuhddudduuvd"
 
 
 class TestAscii:

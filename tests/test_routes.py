@@ -10,7 +10,9 @@ imports has a caller in the package or the benchmark, so no helper lives on
 for the tests alone.
 
 No package module but ``__init__`` imports a name it never reads, so a
-deleted helper leaves no import behind.
+deleted helper leaves no import behind.  And every function, class, method
+and module-level name a package module defines is read by the package or
+the benchmark, not by the tests alone.
 
 No package module uses ``assert``: ``python -O`` strips it, and every check
 must still run there.
@@ -86,11 +88,53 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
-def test_every_export_has_a_caller_outside_the_tests():
+def read_outside_the_tests() -> set[str]:
+    """Every name that the package or the benchmark reads."""
     files = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
     assert BENCH / "run.py" in files
-    used = set().union(*map(referenced_names, files))
-    assert sorted(exported_names() - used) == []
+    return set().union(*map(referenced_names, files))
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    assert sorted(exported_names() - read_outside_the_tests()) == []
+
+
+def defined_names(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every function, class and method a file defines, at
+    any depth, and of every name its module level assigns."""
+    tree = ast.parse(path.read_text())
+    found = [
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (name.id, node.lineno)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+    return found
+
+
+# Names read by no code the package or the benchmark holds, for a reason:
+# ``run_all`` reaches the nine criteria by ``getattr``.  Dunders, which
+# Python itself reads, are left out as well.
+READ_WITHOUT_A_NAME = {f"criterion_{k}" for k in range(1, 10)}
+
+
+def test_every_definition_has_a_reader_outside_the_tests():
+    used = read_outside_the_tests() | READ_WITHOUT_A_NAME
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in defined_names(path)
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unread == []
 
 
 def unread_imports(path: Path) -> list[str]:

@@ -121,10 +121,64 @@ def test_sweep_shares_the_uvu_walk_with_the_weight_sums(monkeypatch):
     assert [walks[AVOID_UVU, n] for n in range(5)] == [1] * 5
 
 
-def test_structural_fixed_point_test_disagrees(monkeypatch):
-    monkeypatch.setattr(bijection, "is_fixed_by_structure", lambda q: False)
-    error = Harness().sweep(1).error
-    assert error == "structural fixed-point test disagrees at uv"
+real_fixed_points = bijection.fixed_points
+
+
+def patch_fixed_points(monkeypatch, change):
+    """``fixed_points`` with ``change`` applied to the record it returns."""
+
+    def fixed_points(n, include_paths=False):
+        return change(real_fixed_points(n, include_paths))
+
+    monkeypatch.setattr(bijection, "fixed_points", fixed_points)
+
+
+def c_as_b(counts):
+    """A fixed-point record that counts every class-C word as B."""
+    return counts._replace(b=counts.b + counts.c, c=0)
+
+
+# At n = 2, fixed_points lists ud, uhv, uvh, huv, hh, in the classes (2, 1, 2).
+@pytest.mark.parametrize(
+    "change,error",
+    [
+        (lambda words: words[:1] + words[2:], "sigma fixes 'uhv', fixed_points lists 'uvh' there"),
+        (lambda words: words[:-1], "sigma fixes 'hh', fixed_points lists None there"),
+        (lambda words: words[:2] + words[1:], "sigma fixes 'uvh', fixed_points lists 'uhv' there"),
+        (lambda words: words + words[-1:], "fixed_points lists 'hh' after the last path sigma fixes"),
+        (lambda words: words[1:2] + words[:1] + words[2:], "sigma fixes 'ud', fixed_points lists 'uhv' there"),
+    ],
+    ids=["drops a word", "drops the last word", "repeats a word", "repeats the last word", "swaps two words"],
+)
+def test_sweep_reads_fixed_points_word_for_word(monkeypatch, change, error):
+    patch_fixed_points(monkeypatch, lambda counts: counts._replace(paths=change(counts.paths)))
+    assert Harness().sweep(2).error == error
+
+
+def test_sweep_checks_the_classes_of_fixed_points(monkeypatch):
+    patch_fixed_points(monkeypatch, c_as_b)
+    assert Harness().sweep(2).error == "classes (2, 1, 2) != fixed_points (2, 3, 0)"
+
+
+def test_a_walk_that_meets_no_fixed_point_fails(monkeypatch):
+    # 22 copies of uudv, which sigma moves: as many images as the uvu
+    # class has paths, each one valid
+    def generate(n, constraints=None):
+        return iter(["uudv"] * 22 if constraints == AVOID_UVV else real_generate(n, constraints))
+
+    monkeypatch.setattr(verify, "generate", generate)
+    assert Harness().sweep(3).error == "sigma fixes no path"
+
+
+def test_fixed_points_that_lists_a_word_sigma_moves_fails_criterion_4(monkeypatch):
+    # sigma followed by the swap of uvh and huv: a weight-keeping bijection
+    # onto the uvu class that moves two words of the grammar
+    swap = {"uvh": "huv", "huv": "uvh"}
+    monkeypatch.setattr(bijection, "sigma", lambda q: swap.get(q, real_sigma(q)))
+    monkeypatch.setattr(bijection, "sigma_inv", lambda p: swap.get(p) or real_sigma_inv(p))
+    result = Harness(max_n=2).criterion_4()
+    assert not result.ok
+    assert result.detail == "AssertionError: sigma moves uvh, a word of the fixed-point grammar"
 
 
 @pytest.mark.parametrize(
@@ -148,9 +202,17 @@ def test_criterion_4_reports_the_sweep_error(monkeypatch):
     assert result.detail == "n=0: sigma() = h changes the weight"
 
 
+def test_criterion_6_reports_the_sweep_error(monkeypatch):
+    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q) + "h")
+    result = Harness(max_n=2).criterion_6()
+    assert not result.ok
+    assert result.detail == "n=0: sigma() = h changes the weight"
+
+
 def test_criterion_6_names_classes_that_miss_the_recurrence(monkeypatch):
-    # every class-C fixed point counted as B: F is unchanged, so the
-    # four-way agreement holds and the class check fails first, at n = 2
+    # every class-C fixed point counted as B, by the sweep and by the
+    # grammar alike: F is unchanged, so the sweep and the four-way agreement
+    # hold and the class check fails first, at n = 2
     real_classify = bijection._classify
 
     def classify(q):
@@ -158,6 +220,7 @@ def test_criterion_6_names_classes_that_miss_the_recurrence(monkeypatch):
         return bijection.CLASS_B if found == bijection.CLASS_C else found
 
     monkeypatch.setattr(bijection, "_classify", classify)
+    patch_fixed_points(monkeypatch, c_as_b)
     result = Harness(max_n=3).criterion_6()
     assert not result.ok
     assert result.detail == "n=2: classes (2, 3, 0) != recurrence (2, 1, 2)"
