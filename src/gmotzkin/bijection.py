@@ -58,14 +58,15 @@ raises AssertionError otherwise, also under ``python -O``.
 
 Fixed points.  sigma maps a path unit by unit, so a path is fixed exactly
 when every unit is h, uv, ud or u K v with K a nonempty class-A fixed
-point, and no uv is followed by a u.  ``fixed_points`` builds the fixed
-points from this grammar, shortest first and in step order with no sort,
-and still tests every word of the asked length with ``is_fixed_point``: a
-word that sigma moves raises AssertionError.  It is the grammar's one
-encoding.  ``verify``'s criterion 4 checks its list word for word, in
-order and by class, against the paths q with sigma(q) == q of its sweep
-over the whole uvv class for n <= 10.  No word comes from the enumeration
-oracle, so this module imports no other route.
+point, and no uv is followed by a u.  ``_grammar(n)``, the grammar's one
+encoding, builds the fixed points from it, shortest first and in step
+order with no sort, and streams those of length n with their classes.
+``fixed_points`` tests each streamed word with ``is_fixed_point`` (a word
+that sigma moves raises AssertionError) and counts or lists them.
+``verify``'s criterion 4 reads the stream word for word, in order and by
+class, against the paths q with sigma(q) == q of its sweep over the whole
+uvv class for n <= 10, so sigma runs once per path there.  No word comes
+from the enumeration oracle, so this module imports no other route.
 """
 
 from __future__ import annotations
@@ -220,14 +221,43 @@ _STEP_ORDER = str.maketrans("udhv", "0123")
 
 
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
-    """Count (and optionally list) the fixed points of length n, built
-    from the unit grammar of the module docstring.
+    """Count (and optionally list) the fixed points of length n: the words
+    of ``_grammar(n)``, each tested with ``is_fixed_point``.
+
+    A word that sigma moves raises AssertionError naming it, also under
+    ``python -O``.  That no fixed point is missed, and that the words are
+    in order, distinct and rightly classed, rests on ``verify``'s criterion
+    4: its sweep meets every uvv-avoiding path with n <= 10 and reads
+    ``_grammar(n)`` in step with its walk.
+    """
+    if not isinstance(include_paths, bool):
+        raise ValueError(f"include_paths must be a bool, not {include_paths!r}")
+    _check_length(n)
+    counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
+    found: list[str] = []
+    for word, cls in _grammar(n):
+        if not is_fixed_point(word):
+            raise AssertionError(f"sigma moves {word}, a word of the fixed-point grammar")
+        counts[cls] += 1
+        if include_paths:
+            found.append(word)
+    return FixedPointCounts(
+        a=counts[CLASS_A],
+        b=counts[CLASS_B],
+        c=counts[CLASS_C],
+        paths=tuple(found) if include_paths else None,
+    )
+
+
+def _grammar(n: int) -> Iterator[tuple[str, str]]:
+    """The words of length n of the unit grammar of the module docstring,
+    in step order, each with its class; n is a checked length.
 
     A fixed point of length m > 0 is a unit followed by a fixed point of
     the remaining length, its rest.  The units are h and uv (x-length 1),
     ud (x-length 2) and u K v for K a nonempty class-A fixed point, and the
     rest of a uv does not start with u.  One list per length m < n holds
-    the fixed points of that length; length n is streamed, not stored.
+    the words of that length; length n is streamed, not stored.
 
     Order.  Units are first-return blocks, so none is a proper prefix of
     another, and two words with different first units compare as those
@@ -239,24 +269,16 @@ def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     uv, h and what follows it, are the tail of their length's list.  A
     word's class is read off its units: B if it ends in uv, C if it is one
     unit that starts with u, A otherwise.
-
-    sigma still tests every word of length n with ``is_fixed_point``; a
-    word it moves raises AssertionError naming it, also under ``python
-    -O``.  That no fixed point is missed, and that the list is in order,
-    distinct and rightly classed, rests on ``verify``'s criterion 4: its
-    sweep meets every uvv-avoiding path with n <= 10, and each q with
-    sigma(q) == q must be the next word of this list, none left over, with
-    the same counts by class.
     """
-    if not isinstance(include_paths, bool):
-        raise ValueError(f"include_paths must be a bool, not {include_paths!r}")
-    _check_length(n)
-    fixed = [[""]]  # fixed[m]: the fixed points of length m, in step order
+    if not n:
+        yield "", CLASS_A
+        return
+    fixed = [[""]]  # fixed[m]: the words of length m, in step order
     kernels: list[list[str]] = [[]]  # kernels[m]: those in class A but "", the K of u K v
     units: list[tuple[str, int]] = []  # the units found so far and their lengths
 
     def built(m: int) -> Iterator[tuple[str, str]]:
-        """The fixed points of length m >= 1 in step order, each with its class."""
+        """The words of length m >= 1 in step order, each with its class."""
         for unit, k in units:
             rests = fixed[m - k]
             if unit == "uv" and k < m:  # the rest starts with h
@@ -282,17 +304,4 @@ def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
                 fixed[m].append(word)
                 if cls == CLASS_A:
                     kernels[m].append(word)
-    counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
-    found: list[str] = []
-    for word, cls in built(n) if n else [("", CLASS_A)]:
-        if not is_fixed_point(word):
-            raise AssertionError(f"sigma moves {word}, a word of the fixed-point grammar")
-        counts[cls] += 1
-        if include_paths:
-            found.append(word)
-    return FixedPointCounts(
-        a=counts[CLASS_A],
-        b=counts[CLASS_B],
-        c=counts[CLASS_C],
-        paths=tuple(found) if include_paths else None,
-    )
+    yield from built(n)

@@ -8,20 +8,29 @@ its correctness is obvious.
 It stays obvious because the walk is the definition of a path, one step at
 a time.  ``generate`` walks the tree of step words depth first from the
 empty word, in one generator frame with an explicit stack.  A word grows by
-u, d, h or v exactly when the step is legal: u and h while length remains
-(h not on the axis if the constraints say so), d and v only above the axis.
+u, d, h or v exactly when the step is legal: u, d and h while length
+remains (h not on the axis if the constraints say so), d and v only above
+the axis.
 A child ending in a forbidden pattern is dropped, and with it every word
 extending it, since all of them contain the pattern.  A word is emitted
 when no length remains and it is back on the axis.  So every emitted word
 is a path satisfying the constraints, and every such path is reached along
 its own steps, once.
 
+The walk pays only for its choices.  A word with no length left can only
+take v steps, so it finishes along its forced run of v steps, tested after
+each step, without the stack.  The u child is followed directly, not
+pushed and popped.  A child is tested only against the patterns that end
+in its step, since no other can end it.  Each shortcut visits the same
+words and makes every test that can fail, so the walk is still the
+definition of a path (see ``_walk``).
+
 Paths of length n are emitted in lexicographic order of their step words
 under the step order u < d < h < v, each exactly once: a node's children
-are pushed in the order v, h, d, u, so the u subtree is popped and emptied
-first.  Since v steps do not consume length, a path word may be longer than
-n; termination is still guaranteed because consecutive v steps are bounded
-by the current height.
+are pushed in the order v, h, d, and its u subtree, followed first, is
+emptied before any of them is popped.  Since v steps do not consume
+length, a path word may be longer than n; termination is still
+guaranteed because consecutive v steps are bounded by the current height.
 """
 
 from __future__ import annotations
@@ -74,31 +83,58 @@ def generate(n: int, constraints: Constraints | None = None) -> Iterator[str]:
 
 def _walk(n: int, avoid: tuple[str, ...], forbid_h: bool) -> Iterator[str]:
     """The depth-first walk of ``generate``; a stack entry is
-    (word, length left, height)."""
+    (word, length left, height).
+
+    It visits the words of the one-step-at-a-time walk in the same order
+    and drops the same ones, with three shortcuts:
+
+    (a) With no length left, u, d and h are illegal, so a word's one child
+        is its v child.  The forced run of v steps down to the axis is
+        taken in a loop; after each step the patterns are tested as that
+        child's would be, and a word that ends in one is dropped with the
+        rest of its run.  The run's last word is emitted, as the node with
+        no length and no height left would be.
+    (b) The u child is pushed last, so it would be popped next: the walk
+        follows it directly.  Its pattern test still decides whether it
+        lives.
+    (c) A word ends in a pattern only if the pattern ends in the word's
+        last step.  So each child is tested against the patterns that end
+        in its step, and not at all if none do.
+    """
+    avoid_u, avoid_d, avoid_h, avoid_v = (
+        tuple(p for p in avoid if p[-1] == step) for step in "udhv"
+    )
     stack = [("", n, 0)]
     pop = stack.pop
     push = stack.append
     while stack:
         word, rem, height = pop()
-        if rem == 0 and height == 0:
-            yield word
-            continue
-        if height:
-            child = word + "v"
-            if not child.endswith(avoid):
-                push((child, rem, height - 1))
-        if rem:
+        while rem:  # push the v, h and d children, then follow the u child
+            if height:
+                child = word + "v"
+                if not (avoid_v and child.endswith(avoid_v)):
+                    push((child, rem, height - 1))
             if height or not forbid_h:
                 child = word + "h"
-                if not child.endswith(avoid):
+                if not (avoid_h and child.endswith(avoid_h)):
                     push((child, rem - 1, height))
             if height:
                 child = word + "d"
-                if not child.endswith(avoid):
+                if not (avoid_d and child.endswith(avoid_d)):
                     push((child, rem - 1, height - 1))
-            child = word + "u"
-            if not child.endswith(avoid):
-                push((child, rem - 1, height + 1))
+            word += "u"
+            if avoid_u and word.endswith(avoid_u):
+                break  # the u child is dropped
+            rem -= 1
+            height += 1
+        else:  # no length left: the forced v-run
+            while height:
+                word += "v"
+                if avoid_v and word.endswith(avoid_v):
+                    break  # dropped with the rest of its run
+                height -= 1
+            else:  # back on the axis
+                yield word
 
 
 def weight_sum(n: int, constraints: Constraints | None = None) -> Polynomial:

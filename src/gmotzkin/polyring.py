@@ -7,10 +7,11 @@ this module is exact integer arithmetic:
 
   Monomial    -- an exponent triple (ea, eb, ec) standing for a^ea b^eb c^ec.
   Polynomial  -- a finite map from Monomial to a nonzero int coefficient.
-                 ``Polynomial(terms)`` checks input (int exponents, none
-                 negative, and int coefficients, no bools); results
-                 computed here come from ``Polynomial._of``, which drops
-                 zero coefficients and trusts the exponents.
+                 ``Polynomial(terms)`` checks input (a Mapping or None,
+                 int exponents, none negative, and int coefficients, no
+                 bools); results computed here come from
+                 ``Polynomial._of``, which drops zero coefficients and
+                 trusts the exponents.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 
@@ -52,7 +53,12 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        terms = dict(terms or {})
+        if terms is None:
+            terms = {}
+        elif isinstance(terms, Mapping):
+            terms = dict(terms)
+        else:
+            raise ValueError(f"terms must be a Mapping or None, not {terms!r}")
         for mono, coeff in terms.items():
             try:
                 ea, eb, ec = mono

@@ -185,7 +185,7 @@ class Harness:
 
         Checks that each image avoids uvu, keeps the weight, lies in the
         uvu-avoiding class and maps back under sigma_inv; counts fixed points
-        by class and checks them against ``bijection.fixed_points``.
+        by class and checks them against the fixed-point grammar.
 
         Together these prove that sigma is a bijection between the two
         classes without holding either class as a set.  ``generate`` yields
@@ -194,44 +194,46 @@ class Harness:
         membership directly: a word over udhv that never dips below the
         axis, ends on it, has x-length n and contains no uvu is exactly a
         member of the uvu-avoiding class of length n.  The uvu test comes
-        first; the weight test then fixes the x-length, which for a path
-        is #h + #v + 2#d, so ``_is_path`` tests the rest, in one scan of the
-        height that stops at the first dip below the axis.  sigma and
-        sigma_inv are read off ``bijection`` once per n, at call time.  The
-        class size is the oracle's weight sum at (1, 1, 1), in which each
-        generated path counts once; it comes from the ``sums`` cache, so the
-        sweep walks the class no more often than the weight sums do.  If
-        ``count`` equals the class size, the images are the whole class.
+        first.  The weight test then fixes the x-length: ``generate`` yields
+        q with x-length n = #h + #v + 2#d, so p keeps q's weight exactly
+        when it has q's #h and #v + 2#d = n - #h.  ``_is_path`` tests the
+        rest, in one scan of the height that stops at the first dip below
+        the axis.  sigma, sigma_inv, ``_classify`` and ``_grammar`` are read
+        off ``bijection`` once per n, at call time.  The class size is the
+        oracle's weight sum at (1, 1, 1), in which each generated path
+        counts once; it comes from the ``sums`` cache, so the sweep walks
+        the class no more often than the weight sums do.  If ``count``
+        equals the class size, the images are the whole class.
 
-        ``fixed_points(n)`` lists the grammar's words in ``generate``'s
-        order, and the sweep reads it in step with its walk: each q with
-        sigma(q) == q must be the next listed word, none may be left over,
-        and the counts by class must equal ``_classify``'s.  Two strictly
-        increasing sequences are equal exactly when their sets are, so q is
-        fixed iff it is in the grammar, and the list is in order, distinct
-        and rightly classed.  The list is taken at the first fixed point,
-        so a sigma that fails an earlier path's checks reports that, not
-        ``fixed_points``' AssertionError; a word out of step does not stop
-        the walk, so those checks and the count report first.  Every length
-        has the fixed point h^n, so a walk that meets none fails.
+        ``bijection._grammar(n)`` streams the grammar's words with their
+        classes in ``generate``'s order, and the sweep reads it in step with
+        its walk: each q with sigma(q) == q must be the next word, none may
+        be left over, and the counts by class must equal ``_classify``'s.
+        Two strictly increasing sequences are equal exactly when their sets
+        are, so q is fixed iff it is in the grammar, and the stream is in
+        order, distinct and rightly classed.  So sigma runs once per path,
+        and the words that ``fixed_points`` tests with sigma and lists are
+        the ones checked here.  A word out of step does not stop the walk,
+        so the image checks and the count report first.  Every length has
+        the fixed point h^n, so a walk that meets none fails.
         """
         if n in self._sweeps:
             return self._sweeps[n]
         size = self.sums(AVOID_UVU, n).eval(1, 1, 1)
         count = 0
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
+        listed = dict(classes)  # the grammar's classes of the words read
         error: str | None = None
-        sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
-        grammar = None  # fixed_points(n), taken at the walk's first fixed point
-        mismatch = None  # the first fixed point that is not the next listed word
+        sigma, sigma_inv, classify = bijection.sigma, bijection.sigma_inv, bijection._classify
+        grammar = bijection._grammar(n)
+        mismatch = None  # the first fixed point that is not the next word
         for q in generate(n, AVOID_UVV):
             p = sigma(q)
             if "uvu" in p:
                 error = f"sigma({q}) = {p} contains uvu"
                 break
-            if q.count("h") != p.count("h") or (
-                q.count("v") + 2 * q.count("d") != p.count("v") + 2 * p.count("d")
-            ):
+            h = q.count("h")
+            if p.count("h") != h or p.count("v") + 2 * p.count("d") != n - h:
                 error = f"sigma({q}) = {p} changes the weight"
                 break
             if not _is_path(p):
@@ -243,26 +245,25 @@ class Harness:
             count += 1
             if p != q or mismatch:
                 continue
-            if grammar is None:
-                grammar = bijection.fixed_points(n, include_paths=True)
-                listed = iter(grammar.paths)
-            word = next(listed, None)
+            word, cls = next(grammar, (None, None))
             if word != q:
                 mismatch = f"sigma fixes {q!r}, fixed_points lists {word!r} there"
-            classes[bijection._classify(q)] += 1
+            else:
+                listed[cls] += 1
+            classes[classify(q)] += 1
         a, b, c = classes.values()
         if error is None:
-            left = None if grammar is None else next(listed, None)
+            left = next(grammar, None)  # a word after the last fixed point
             if count != size:
                 error = f"image has {count} paths, class has {size}"
-            elif grammar is None:
+            elif not a + b + c:
                 error = "sigma fixes no path"
             elif mismatch:
                 error = mismatch
-            elif left is not None:
-                error = f"fixed_points lists {left!r} after the last path sigma fixes"
-            elif (a, b, c) != grammar[:3]:
-                error = f"classes {(a, b, c)} != fixed_points {grammar[:3]}"
+            elif left:
+                error = f"fixed_points lists {left[0]!r} after the last path sigma fixes"
+            elif (a, b, c) != tuple(listed.values()):
+                error = f"classes {(a, b, c)} != fixed_points {tuple(listed.values())}"
         rec = _Sweep(size=size, a=a, b=b, c=c, error=error)
         self._sweeps[n] = rec
         return rec
@@ -313,7 +314,7 @@ class Harness:
     @_criterion("bijection suite", "n = 0..{avoid_nmax}")
     def criterion_4(self) -> str | None:
         """sigma is a weight-preserving bijection onto the uvu-avoiding class
-        whose fixed points are ``fixed_points``' list; the sweep maps every
+        whose fixed points are the grammar's words; the sweep maps every
         path, so sigma's Case5/Case6 invariants hold too."""
         for n in range(self.avoid_nmax + 1):
             rec = self.sweep(n)

@@ -9,6 +9,7 @@ from gmotzkin import bijection
 from gmotzkin.bijection import (
     FixedPointCounts,
     _classify,
+    _grammar,
     fixed_points,
     is_fixed_point,
     sigma,
@@ -295,6 +296,16 @@ class TestFixedPoints:
         assert (counts.f, counts.a, counts.b, counts.c) == (
             len(old), classes.count("A"), classes.count("B"), classes.count("C")
         )
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_lists_the_words_and_classes_of_the_grammar(self, n):
+        """fixed_points adds sigma's test to the grammar's stream, and
+        nothing else: the sweep reads the stream in its place."""
+        stream = list(_grammar(n))
+        counts = fixed_points(n, include_paths=True)
+        assert counts.paths == tuple(word for word, _ in stream)
+        classes = [cls for _, cls in stream]
+        assert (counts.a, counts.b, counts.c) == tuple(classes.count(cls) for cls in "ABC")
 
     def test_sigma_runs_once_per_fixed_point(self, monkeypatch):
         calls = []

@@ -37,6 +37,9 @@ GOLDEN = Path(__file__).parent / "data" / "enumeration_golden.json"
 GOLDEN_CLASSES = {"all": NO_CONSTRAINTS, "uvv": AVOID_UVV, "uvu": AVOID_UVU, "gbar": BAR_UVV}
 GOLDEN_MAX_N = 8
 BRUTE_MAX_N = 4
+# patterns ending in three different steps, or two ending in the same step:
+# the walk tests a child only against the patterns that end in its step
+WALK_PATTERN_SETS = [("uvv", "hd", "vu"), ("ud", "vh", "uvu"), ("uv", "hv")]
 PATTERNS = ["".join(p) for k in (1, 2, 3) for p in itertools.product("udhv", repeat=k)]
 
 
@@ -54,6 +57,12 @@ def has_h_on_axis(word: str) -> bool:
             return True
         h += RISE[ch]
     return False
+
+
+def allowed(word: str, avoid: tuple[str, ...], forbid_h: bool) -> bool:
+    """True iff the word contains no pattern of ``avoid`` and, if
+    ``forbid_h``, no h on the axis."""
+    return not any(p in word for p in avoid) and not (forbid_h and has_h_on_axis(word))
 
 
 def golden_entry(n: int, constraints: Constraints) -> dict:
@@ -151,12 +160,24 @@ class TestGenerate:
     def test_constrained_generation_equals_filtering(self, n):
         cons = Constraints(avoid=("uvv", "uvu"), forbid_h_on_axis=True)
         direct = list(generate(n, cons))
-        filtered = [
-            w
-            for w in generate(n)
-            if "uvv" not in w and "uvu" not in w and not has_h_on_axis(w)
-        ]
+        filtered = [w for w in generate(n) if allowed(w, ("uvv", "uvu"), True)]
         assert direct == filtered
+
+    @pytest.mark.parametrize("forbid_h", [False, True], ids=["h on axis", "no h on axis"])
+    @pytest.mark.parametrize("avoid", WALK_PATTERN_SETS, ids=",".join)
+    def test_pattern_set_equals_filtering(self, avoid, forbid_h):
+        cons = Constraints(avoid=avoid, forbid_h_on_axis=forbid_h)
+        for n in range(7):
+            filtered = [w for w in generate(n) if allowed(w, avoid, forbid_h)]
+            assert list(generate(n, cons)) == filtered, n
+
+    @pytest.mark.parametrize("forbid_h", [False, True], ids=["h on axis", "no h on axis"])
+    @pytest.mark.parametrize("avoid", WALK_PATTERN_SETS, ids=",".join)
+    def test_pattern_set_equals_brute_force(self, avoid, forbid_h):
+        cons = Constraints(avoid=avoid, forbid_h_on_axis=forbid_h)
+        for n, paths in brute_force_paths().items():
+            expected = sorted((w for w in paths if allowed(w, avoid, forbid_h)), key=step_order)
+            assert list(generate(n, cons)) == expected, n
 
     def test_h_on_axis(self):
         assert has_h_on_axis("h")
@@ -179,12 +200,7 @@ class TestGenerate:
             cons = Constraints(avoid=(pattern,), forbid_h_on_axis=forbid_h)
             for n, paths in brute_force_paths().items():
                 expected = sorted(
-                    (
-                        w
-                        for w in paths
-                        if pattern not in w and not (forbid_h and has_h_on_axis(w))
-                    ),
-                    key=step_order,
+                    (w for w in paths if allowed(w, (pattern,), forbid_h)), key=step_order
                 )
                 assert list(generate(n, cons)) == expected, (n, forbid_h)
 

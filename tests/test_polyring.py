@@ -130,11 +130,18 @@ class TestPolynomial:
             (lambda: A.scaled(2).div_exact(2.0), "div_exact takes an int, not 2.0"),
             (lambda: A.div_exact("2"), "div_exact takes an int, not '2'"),
             (lambda: A.div_exact(True), "div_exact takes an int, not True"),
+            (lambda: Polynomial([1, 2]), "terms must be a Mapping or None, not [1, 2]"),
+            (lambda: Polynomial(5), "terms must be a Mapping or None, not 5"),
+            (lambda: Polynomial("ab"), "terms must be a Mapping or None, not 'ab'"),
+            (lambda: Polynomial(0), "terms must be a Mapping or None, not 0"),
+            (lambda: Polynomial([]), "terms must be a Mapping or None, not []"),
+            (lambda: Polynomial(""), "terms must be a Mapping or None, not ''"),
         ],
         ids=[
             "float exponent", "bool exponent", "float constant", "str coefficient", "bool coefficient",
             "int monomial", "pair monomial", "quadruple monomial",
             "float factor", "bool factor", "float divisor", "str divisor", "bool divisor",
+            "list terms", "int terms", "str terms", "zero terms", "empty list terms", "empty str terms",
         ],
     )
     def test_rejects_what_is_not_an_int(self, make, message):

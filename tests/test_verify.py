@@ -121,24 +121,22 @@ def test_sweep_shares_the_uvu_walk_with_the_weight_sums(monkeypatch):
     assert [walks[AVOID_UVU, n] for n in range(5)] == [1] * 5
 
 
-real_fixed_points = bijection.fixed_points
+real_grammar = bijection._grammar
 
 
-def patch_fixed_points(monkeypatch, change):
-    """``fixed_points`` with ``change`` applied to the record it returns."""
-
-    def fixed_points(n, include_paths=False):
-        return change(real_fixed_points(n, include_paths))
-
-    monkeypatch.setattr(bijection, "fixed_points", fixed_points)
+def patch_grammar(monkeypatch, change):
+    """``_grammar`` with ``change`` applied to the list of (word, class)
+    pairs it streams."""
+    monkeypatch.setattr(bijection, "_grammar", lambda n: iter(change(list(real_grammar(n)))))
 
 
-def c_as_b(counts):
-    """A fixed-point record that counts every class-C word as B."""
-    return counts._replace(b=counts.b + counts.c, c=0)
+def c_as_b(pairs):
+    """A grammar stream that classes every class-C word as B."""
+    return [(word, bijection.CLASS_B if cls == bijection.CLASS_C else cls) for word, cls in pairs]
 
 
-# At n = 2, fixed_points lists ud, uhv, uvh, huv, hh, in the classes (2, 1, 2).
+# At n = 2, the grammar streams ud, uhv, uvh, huv, hh, in the classes (2, 1, 2);
+# each change acts on the list of its (word, class) pairs.
 @pytest.mark.parametrize(
     "change,error",
     [
@@ -151,12 +149,12 @@ def c_as_b(counts):
     ids=["drops a word", "drops the last word", "repeats a word", "repeats the last word", "swaps two words"],
 )
 def test_sweep_reads_fixed_points_word_for_word(monkeypatch, change, error):
-    patch_fixed_points(monkeypatch, lambda counts: counts._replace(paths=change(counts.paths)))
+    patch_grammar(monkeypatch, change)
     assert Harness().sweep(2).error == error
 
 
 def test_sweep_checks_the_classes_of_fixed_points(monkeypatch):
-    patch_fixed_points(monkeypatch, c_as_b)
+    patch_grammar(monkeypatch, c_as_b)
     assert Harness().sweep(2).error == "classes (2, 1, 2) != fixed_points (2, 3, 0)"
 
 
@@ -172,13 +170,14 @@ def test_a_walk_that_meets_no_fixed_point_fails(monkeypatch):
 
 def test_fixed_points_that_lists_a_word_sigma_moves_fails_criterion_4(monkeypatch):
     # sigma followed by the swap of uvh and huv: a weight-keeping bijection
-    # onto the uvu class that moves two words of the grammar
+    # onto the uvu class that moves two words of the grammar; hh, the
+    # next path it fixes, meets uvh in the grammar's stream
     swap = {"uvh": "huv", "huv": "uvh"}
     monkeypatch.setattr(bijection, "sigma", lambda q: swap.get(q, real_sigma(q)))
     monkeypatch.setattr(bijection, "sigma_inv", lambda p: swap.get(p) or real_sigma_inv(p))
     result = Harness(max_n=2).criterion_4()
     assert not result.ok
-    assert result.detail == "AssertionError: sigma moves uvh, a word of the fixed-point grammar"
+    assert result.detail == "n=2: sigma fixes 'hh', fixed_points lists 'uvh' there"
 
 
 @pytest.mark.parametrize(
@@ -220,7 +219,7 @@ def test_criterion_6_names_classes_that_miss_the_recurrence(monkeypatch):
         return bijection.CLASS_B if found == bijection.CLASS_C else found
 
     monkeypatch.setattr(bijection, "_classify", classify)
-    patch_fixed_points(monkeypatch, c_as_b)
+    patch_grammar(monkeypatch, c_as_b)
     result = Harness(max_n=3).criterion_6()
     assert not result.ok
     assert result.detail == "n=2: classes (2, 3, 0) != recurrence (2, 1, 2)"
