@@ -59,14 +59,19 @@ raises AssertionError otherwise, also under ``python -O``.
 Fixed points.  sigma maps a path unit by unit, so a path is fixed exactly
 when every unit is h, uv, ud or u K v with K a nonempty class-A fixed
 point, and no uv is followed by a u.  ``_grammar(n)``, the grammar's one
-encoding, builds the fixed points from it, shortest first and in step
-order with no sort, and streams those of length n with their classes.
-``fixed_points`` tests each streamed word with ``is_fixed_point`` (a word
-that sigma moves raises AssertionError) and counts or lists them.
-``verify``'s criterion 4 reads the stream word for word, in order and by
-class, against the paths q with sigma(q) == q of its sweep over the whole
-uvv class for n <= 10, so sigma runs once per path there.  No word comes
-from the enumeration oracle, so this module imports no other route.
+encoding, is a pushdown walk over step words: a level per open u holds the
+class of what it has read, and four step rules keep each word in the
+grammar.  u is refused right after a uv; d closes only an empty level (ud);
+v closes an empty level (uv) or one whose K is in class A (u K v); h is
+allowed while length remains.  Depth first in step order, the walk yields
+each fixed point of length n once, in ``generate``'s order and with its
+class, and holds O(n) words at a time.  ``fixed_points`` tests each
+streamed word with ``is_fixed_point`` (a word that sigma moves raises
+AssertionError) and counts or lists them.  ``verify``'s criterion 4 reads
+the stream word for word, in order and by class, against the paths q with
+sigma(q) == q of its sweep over the whole uvv class for n <= 10, so sigma
+runs once per path there.  No word comes from the enumeration oracle, so
+this module imports no other route.
 """
 
 from __future__ import annotations
@@ -213,16 +218,11 @@ class FixedPointCounts(namedtuple("FixedPointCounts", "a b c paths", defaults=(N
         return self.a + self.b + self.c
 
 
-# the units other than u K v, by length, in step order; ud precedes uhv,
-# the one u K v of length 2
-_BASE_UNITS = {1: ("uv", "h"), 2: ("ud",)}
-# u < d < h < v as characters that sort by code point
-_STEP_ORDER = str.maketrans("udhv", "0123")
-
-
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     """Count (and optionally list) the fixed points of length n: the words
-    of ``_grammar(n)``, each tested with ``is_fixed_point``.
+    of ``_grammar(n)``, each tested with ``is_fixed_point``.  The stream
+    holds O(n) words at a time, so only a list of the paths grows with
+    their number.
 
     A word that sigma moves raises AssertionError naming it, also under
     ``python -O``.  That no fixed point is missed, and that the words are
@@ -253,55 +253,56 @@ def _grammar(n: int) -> Iterator[tuple[str, str]]:
     """The words of length n of the unit grammar of the module docstring,
     in step order, each with its class; n is a checked length.
 
-    A fixed point of length m > 0 is a unit followed by a fixed point of
-    the remaining length, its rest.  The units are h and uv (x-length 1),
-    ud (x-length 2) and u K v for K a nonempty class-A fixed point, and the
-    rest of a uv does not start with u.  One list per length m < n holds
-    the words of that length; length n is streamed, not stored.
+    A depth-first walk over step words, shaped like ``enumeration._walk``.
+    There is a level for the path and one for each open u.  A level's
+    ``read`` is the class of what it has read, as a fixed point, or None
+    before its first unit: B if its last unit is uv, C if it is one unit
+    that starts with u (its K would be primitive), A otherwise.  A stack
+    entry is (word, length left, read, below): the top level's ``read``,
+    and the levels under it as linked tuples (read, below), so ``below`` is
+    None on the path's level.  Four step rules make the grammar:
 
-    Order.  Units are first-return blocks, so none is a proper prefix of
-    another, and two words with different first units compare as those
-    units do.  Merging the units of every length <= m in step order (u < d
-    < h < v), each followed by its rests in order, therefore gives length
-    m in ``generate``'s order: units are merged, words are never sorted.
-    The units of one length come in step order, as their K do.  h, the one
-    unit that does not start with u, comes last, so the rests allowed after
-    uv, h and what follows it, are the tail of their length's list.  A
-    word's class is read off its units: B if it ends in uv, C if it is one
-    unit that starts with u, A otherwise.
+      u  is refused right after a uv (in class B);
+      d  closes only an empty level, which makes the unit ud;
+      v  closes an empty level (the unit uv), or a level whose K is in
+         class A (the unit u K v);
+      h  is allowed whenever length remains.
+
+    u, d and h take one unit of length and v none.  A closed level reads
+    its unit into the level below: uv makes it B, and ud or u K v makes it
+    C if it was empty, A if not; an h makes a level A.  A word is yielded
+    when no length is left and every u is closed, with the class of the
+    path's level.  So it is a sequence of the units h, uv, ud and u K v in
+    which no uv is followed by a u: a word of the grammar.  Each grammar
+    word is reached along its own steps, since each of its prefixes obeys
+    the rules, and once, since the walk is a tree over step words.
+    Children are taken in step order (u < d < h < v: the u child is
+    followed directly, the others pushed as v, h, d), and no yielded word
+    is a prefix of another, so the words come in ``generate``'s order.
+    With no length left, the forced v-run is taken in a loop.  The stack
+    holds at most three words per step of the current one: O(n) words.
     """
-    if not n:
-        yield "", CLASS_A
-        return
-    fixed = [[""]]  # fixed[m]: the words of length m, in step order
-    kernels: list[list[str]] = [[]]  # kernels[m]: those in class A but "", the K of u K v
-    units: list[tuple[str, int]] = []  # the units found so far and their lengths
-
-    def built(m: int) -> Iterator[tuple[str, str]]:
-        """The words of length m >= 1 in step order, each with its class."""
-        for unit, k in units:
-            rests = fixed[m - k]
-            if unit == "uv" and k < m:  # the rest starts with h
-                rests = rests[-len(fixed[m - k - 1]):]
-            for rest in rests:
-                word = unit + rest
-                if word.endswith("uv"):
-                    yield word, CLASS_B
-                elif rest or unit == "h":  # not primitive
-                    yield word, CLASS_A
-                else:  # one unit that starts with u
-                    yield word, CLASS_C
-
-    for m in range(1, n + 1):
-        new = [(unit, m) for unit in _BASE_UNITS.get(m, ())]
-        new += [("u" + k + "v", m) for k in kernels[m - 1]]
-        # two runs in step order, which sorted merges in one linear pass
-        units = sorted(units + new, key=lambda pair: pair[0].translate(_STEP_ORDER))
-        if m < n:
-            fixed.append([])
-            kernels.append([])
-            for word, cls in built(m):
-                fixed[m].append(word)
-                if cls == CLASS_A:
-                    kernels[m].append(word)
-    yield from built(n)
+    stack = [("", n, None, None)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        word, rem, read, below = pop()
+        while rem:  # push the v, h and d children, then follow the u child
+            if below:  # an open u; closed is the class below after ud or u K v
+                closed = CLASS_A if below[0] else CLASS_C
+                if read in (None, CLASS_A):  # uv, or u K v
+                    push((word + "v", rem, closed if read else CLASS_B, below[1]))
+            push((word + "h", rem - 1, CLASS_A, below))
+            if below and not read:  # ud
+                push((word + "d", rem - 1, closed, below[1]))
+            if read == CLASS_B:
+                break  # the u child is refused
+            word += "u"
+            rem -= 1
+            read, below = None, (read, below)
+        else:  # no length left: the forced v-run
+            while below and read in (None, CLASS_A):
+                word += "v"
+                read, below = (CLASS_A if below[0] else CLASS_C) if read else CLASS_B, below[1]
+            if not below:  # every u is closed
+                yield word, read or CLASS_A

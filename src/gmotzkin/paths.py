@@ -36,6 +36,7 @@ against its path, and the tests' reference sigma maps by them.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
 # Vertical displacement of each step kind.
@@ -118,11 +119,13 @@ def _check_avoids(word: str, pattern: str) -> None:
 
 
 def _check_length(n: int) -> None:
-    """Raise ValueError unless the length n is a nonnegative int, no bool."""
+    """Raise ValueError unless the length n is an int (no bool) in 0..sys.maxsize."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"length n must be an int, not {n!r}")
     if n < 0:
         raise ValueError("length must be nonnegative")
+    if n > sys.maxsize:
+        raise ValueError(f"length n must be at most sys.maxsize, not {n}")
 
 
 def parse_pattern(text: str) -> str:

@@ -81,6 +81,7 @@ certified instead by checking the defining equations' residuals, which
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -126,14 +127,17 @@ def solve(
 ) -> PowerSeries:
     """The series S through x^order with D S = P + Q S^2, where D_0 = 1.
 
-    Raises ValueError if the order is not a nonnegative int or the row has
-    no grading (see the module docstring), and DivergenceError if D_0 != 1,
-    if Q_0 != 0 and s_0 != 0, or if the solution fails the full-order check.
+    Raises ValueError if the order is not an int in 0..sys.maxsize or the
+    row has no grading (see the module docstring), and DivergenceError if
+    D_0 != 1, if Q_0 != 0 and s_0 != 0, or if the solution fails the
+    full-order check.
     """
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError(f"order must be an int, not {order!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > sys.maxsize:
+        raise ValueError(f"order must be at most sys.maxsize, not {order}")
     ps, qs, ds = (list(row[: order + 1]) for row in (p, q, d))
     if not ds or ds[0] != ONE:
         raise DivergenceError("the solution fails D S = P + Q S^2 unless D_0 = 1")

@@ -206,9 +206,10 @@ class Harness:
         equals the class size, the images are the whole class.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
-        classes in ``generate``'s order, and the sweep reads it in step with
-        its walk: each q with sigma(q) == q must be the next word, none may
-        be left over, and the counts by class must equal ``_classify``'s.
+        classes in ``generate``'s order, from a pushdown walk that holds
+        O(n) words at a time, and the sweep reads it in step with its walk:
+        each q with sigma(q) == q must be the next word, none may be left
+        over, and the counts by class must equal ``_classify``'s.
         Two strictly increasing sequences are equal exactly when their sets
         are, so q is fixed iff it is in the grammar, and the stream is in
         order, distinct and rightly classed.  So sigma runs once per path,

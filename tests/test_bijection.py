@@ -1,4 +1,7 @@
+import hashlib
 import random
+import tracemalloc
+from collections import deque
 from functools import lru_cache
 
 import pytest
@@ -290,6 +293,7 @@ class TestFixedPoints:
         """Building from the unit grammar finds what testing every
         uvv-avoiding path finds, in the same order and classes."""
         old = tuple(w for w in generate(n, AVOID_UVV) if sigma(w) == w)
+        assert list(_grammar(n)) == [(w, _classify(w)) for w in old]
         counts = fixed_points(n, include_paths=True)
         assert counts.paths == old
         classes = [_classify(w) for w in old]
@@ -306,6 +310,27 @@ class TestFixedPoints:
         assert counts.paths == tuple(word for word, _ in stream)
         classes = [cls for _, cls in stream]
         assert (counts.a, counts.b, counts.c) == tuple(classes.count(cls) for cls in "ABC")
+
+    def test_grammar_stream_digest(self):
+        """The (word, class) stream for n <= 11, pinned by its SHA-256."""
+        digest = hashlib.sha256()
+        for n in range(12):
+            for word, cls in _grammar(n):
+                digest.update(f"{word} {cls}\n".encode())
+        assert digest.hexdigest() == (
+            "52659c751d78fdf870d39e013a42aa68595beb81deacba181d43c7f70a7f92ef"
+        )
+
+    def test_grammar_streams_in_little_memory(self):
+        # 73,783 words of length 10, read one at a time; the walk holds a
+        # level per open u, not the words of the shorter lengths
+        tracemalloc.start()
+        try:
+            deque(_grammar(10), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_sigma_runs_once_per_fixed_point(self, monkeypatch):
         calls = []

@@ -125,6 +125,12 @@ class TestErrorsAndDeterminism:
         code, out, err = run(capsys, command, "--n", "2", "--avoid", avoid)
         assert (code, out, err) == (2, "", "error: empty pattern\n")
 
+    def test_order_past_sys_maxsize_exits_2(self, capsys):
+        order = str(10**30)
+        code, out, err = run(capsys, "series", "--gf", "G", "--order", order)
+        assert (code, out) == (2, "")
+        assert err == f"error: order must be at most sys.maxsize, not {order}\n"
+
     def test_bad_eval_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--eval", "1,2")
         assert code == 2 and "--eval" in err

@@ -14,6 +14,7 @@ and review the diff.
 import hashlib
 import itertools
 import json
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -107,12 +108,17 @@ class TestGenerate:
         with pytest.raises(ValueError):
             list(generate(-1))
 
-    @pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None, sys.maxsize + 1, 10**30])
     def test_length_that_is_not_an_int(self, n):
-        # 1.5 never reaches length 0, so the walk would never end
-        with pytest.raises(ValueError, match="length n must be an int"):
+        # 1.5 never reaches length 0, so the walk would never end; no word
+        # has more than sys.maxsize steps
+        if type(n) is int:
+            message = f"^length n must be at most sys.maxsize, not {n}$"
+        else:
+            message = "length n must be an int"
+        with pytest.raises(ValueError, match=message):
             generate(n)
-        with pytest.raises(ValueError, match="length n must be an int"):
+        with pytest.raises(ValueError, match=message):
             weight_sum(n, AVOID_UVV)
 
     def test_avoid_that_is_a_str(self):

@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import pytest
 
@@ -189,9 +190,15 @@ class TestClosedFormsAgainstOneAnother:
 
 class TestInputChecks:
     @pytest.mark.parametrize("entry", LENGTH_ENTRY_POINTS)
-    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None, sys.maxsize + 1, 10**30])
     def test_length_must_be_an_int(self, entry, n):
-        with pytest.raises(ValueError, match="length n must be an int"):
+        # past sys.maxsize no list or range can take the length; math.comb
+        # raised OverflowError there
+        if type(n) is int:
+            message = f"^length n must be at most sys.maxsize, not {n}$"
+        else:
+            message = "length n must be an int"
+        with pytest.raises(ValueError, match=message):
             entry(n)
 
     @pytest.mark.parametrize("entry", LENGTH_ENTRY_POINTS)

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -64,9 +65,14 @@ class TestExpand:
         with pytest.raises(ValueError, match="unknown generating function kind"):
             expand(kind, 4)
 
-    @pytest.mark.parametrize("order", [2.0, "3", None, True])
+    @pytest.mark.parametrize("order", [2.0, "3", None, True, sys.maxsize + 1, 10**30])
     def test_order_that_is_not_an_int(self, order):
-        with pytest.raises(ValueError, match="order must be an int"):
+        # past sys.maxsize the solver's padding raised OverflowError
+        if type(order) is int:
+            message = f"^order must be at most sys.maxsize, not {order}$"
+        else:
+            message = "order must be an int"
+        with pytest.raises(ValueError, match=message):
             expand("G", order)
 
     @pytest.mark.parametrize("kind", KINDS)
