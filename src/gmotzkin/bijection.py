@@ -259,8 +259,10 @@ def _grammar(n: int) -> Iterator[tuple[str, str]]:
     before its first unit: B if its last unit is uv, C if it is one unit
     that starts with u (its K would be primitive), A otherwise.  A stack
     entry is (word, length left, read, below): the top level's ``read``,
-    and the levels under it as linked tuples (read, below), so ``below`` is
-    None on the path's level.  Four step rules make the grammar:
+    and the levels under it as linked tuples (read, below, full), so
+    ``below`` is None on the path's level; ``full`` says that every level
+    from this one down to the path's level, that one left out, is nonempty.
+    Four step rules make the grammar:
 
       u  is refused right after a uv (in class B);
       d  closes only an empty level, which makes the unit ud;
@@ -279,8 +281,19 @@ def _grammar(n: int) -> Iterator[tuple[str, str]]:
     Children are taken in step order (u < d < h < v: the u child is
     followed directly, the others pushed as v, h, d), and no yielded word
     is a prefix of another, so the words come in ``generate``'s order.
-    With no length left, the forced v-run is taken in a loop.  The stack
-    holds at most three words per step of the current one: O(n) words.
+
+    With no length left only v can follow, and the forced v-run completes
+    just when the top level is the path's, or is empty and sits directly on
+    the path's level (uv), or is in class A over levels that are all full
+    (each u K v leaves the level below in class A, and an empty one in C,
+    which v may not close).  So a child that would have no length left is
+    dropped before it is pushed unless its v-run completes: h and d with
+    one unit left need the top level to be the path's or ``below`` to be
+    full, and the u child needs the top level to be the path's.  Every
+    entry with no length left then takes its v-run to the path's level and
+    yields, so the walk meets no dead end there; the pruned subtrees held
+    no word, so the stream is unchanged.  The stack holds at most three
+    words per step of the current one: O(n) words.
     """
     stack = [("", n, None, None)]
     pop = stack.pop
@@ -292,17 +305,17 @@ def _grammar(n: int) -> Iterator[tuple[str, str]]:
                 closed = CLASS_A if below[0] else CLASS_C
                 if read in (None, CLASS_A):  # uv, or u K v
                     push((word + "v", rem, closed if read else CLASS_B, below[1]))
-            push((word + "h", rem - 1, CLASS_A, below))
-            if below and not read:  # ud
-                push((word + "d", rem - 1, closed, below[1]))
-            if read == CLASS_B:
-                break  # the u child is refused
+            if rem > 1 or not below or below[2]:  # else their v-runs stop short
+                push((word + "h", rem - 1, CLASS_A, below))
+                if below and not read:  # ud
+                    push((word + "d", rem - 1, closed, below[1]))
+            if read == CLASS_B or rem == 1 and below:
+                break  # the u child is refused, or its v-run would stop short
             word += "u"
             rem -= 1
-            read, below = None, (read, below)
-        else:  # no length left: the forced v-run
-            while below and read in (None, CLASS_A):
+            read, below = None, (read, below, not below or bool(read) and below[2])
+        else:  # no length left: the forced v-run, which the pruning lets complete
+            while below:
                 word += "v"
                 read, below = (CLASS_A if below[0] else CLASS_C) if read else CLASS_B, below[1]
-            if not below:  # every u is closed
-                yield word, read or CLASS_A
+            yield word, read or CLASS_A

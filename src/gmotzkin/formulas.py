@@ -34,26 +34,32 @@ sum the same multinomial terms (n+1)!/(e! j! (n+1-e-j)!) of
 factorised its own way, so their agreement checks the loop bounds and the
 factorisations, not the algebra.
 
-Each closed-form sum except ``g_uvv_closed`` form 2 is taken in the basis
-a, b, k with k = c - b^2: its terms accumulate in a dict keyed (ea, eb, j),
-which stands for a^ea b^eb k^j, and ``_from_k_basis`` maps it into
-Z[a, b, c] by one Taylor shift y -> y - 1 for each group of keys with the
-same a^ea and b-degree eb + 2j.  Form 2 still expands every (c - b^2)^j
-term by term by signed binomial rows, so forms 1 and 2 reach Z[a, b, c] by
+Each closed-form sum is homogeneous of degree n, with a and b of degree 1
+and c (and k) of degree 2, so a term is fixed by its powers of a and c (or
+k): the power of b is what remains of n.  So every sum is carried as rows
+by the power of a, a list per ea = 0..n indexed j = 0..(n - ea)//2, from
+the loop that makes its terms to the polynomial, which is built once.
+Except in ``g_uvv_closed`` form 2, the sum is taken in the basis a, b, k
+with k = c - b^2: rows[ea][j] stands for a^ea b^(n-ea-2j) k^j, and
+``_from_k_basis`` maps the rows into Z[a, b, c] by one Taylor shift
+y -> y - 1 per row.  Form 2 still expands every (c - b^2)^j term by term
+by signed binomial rows, into a per-ea accumulator whose entry i is the
+coefficient of a^ea b^(n-ea-2i) c^i, so forms 1 and 2 reach Z[a, b, c] by
 two different algorithms.
 
 ``g_uvv_closed`` forms 3-5 and ``gbar_uvv_closed`` forms 1-3 share
 ``_t_extraction``, [t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1)
 (1 - bt)^(-(n+1)) with no division for G and two for Gbar, each a running
-pass over the rows of the middle factor's terms; each of its three
-expansion orders is its own term list, so the forms stay three summations
-(g form 3 and gbar form 1 share code but meet different oracles).  Its last
-factor binom(n+m, m) has m >= 0, so ``math.comb`` serves.  Forms 1-2 take
-j <= min(k, n - k), so n - k - j >= 0 and their binom(n+k-j, 2k) has top
->= lower index >= 0 and is at least 1: ``math.comb`` serves there too, and
-only ``f_closed`` keeps ``binom``.  Every entry point raises ``ValueError``
-for a length n that is a bool, not an int, or negative, and for an unknown
-form.
+pass along the rows of the middle factor's terms.  Each of its three
+expansion orders is its own loop, with its own binomial factorisation,
+adding each term into its row as it makes it, so the forms stay three
+summations (g form 3 and gbar form 1 share code but meet different
+oracles).  Its last factor binom(n+m, m) has m >= 0, so ``math.comb``
+serves.  Forms 1-2 take j <= min(k, n - k), so n - k - j >= 0 and their
+binom(n+k-j, 2k) has top >= lower index >= 0 and is at least 1:
+``math.comb`` serves there too, and only ``f_closed`` keeps ``binom``.
+Every entry point raises ``ValueError`` for a length n that is a bool, not
+an int, or negative, and for an unknown form.
 """
 
 from __future__ import annotations
@@ -88,74 +94,74 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _from_k_basis(sums: dict[Monomial, int]) -> Polynomial:
-    """The sum of coeff * a^ea * b^eb * k^j over the (ea, eb, j) keys of sums,
-    with k = c - b^2, by one Taylor shift per group of keys.
+def _from_k_basis(rows: list[list[int]], n: int) -> Polynomial:
+    """The homogeneous sum of degree n over ea and j of
+    rows[ea][j] * a^ea * b^(n-ea-2j) * k^j, with k = c - b^2, by one Taylor
+    shift per row; each rows[ea] has at most (n - ea)//2 + 1 entries and is
+    overwritten.
 
-    With s = eb + 2j and y = c/b^2, a^ea b^eb k^j = a^ea b^s (y - 1)^j.  So
-    the keys sharing (ea, s) form one polynomial p(y) = p_0 + ... + p_d y^d,
-    and their sum is a^ea b^s p(y - 1).  Repeated synthetic division by
-    y + 1 writes p(y) = sum_i q_i (y + 1)^i in place: pass i = 0..d-1 runs
-    k = d-1 down to i with p_k -= p_(k+1) and leaves the remainder q_i at
-    index i, d(d+1)/2 subtractions in all.  So p(y - 1) = sum_i q_i y^i, and
-    q_i y^i is q_i a^ea b^(s-2i) c^i.  That exponent of b is at least the eb
-    of the group's key with j = d, so never negative, and distinct (ea, s, i)
-    give distinct monomials.  The keys need not be homogeneous, and their
-    coefficients may be zero."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for (ea, eb, j), coeff in sums.items():
-        p = groups.setdefault((ea, eb + 2 * j), [])
-        if len(p) <= j:
-            p.extend([0] * (j + 1 - len(p)))
-        p[j] += coeff
-    acc: dict[Monomial, int] = {}
-    for (ea, s), p in groups.items():
+    A term of degree n is fixed by its exponents of a and k, since its
+    exponent of b is what remains of n.  With y = c/b^2,
+    a^ea b^(n-ea-2j) k^j = a^ea b^(n-ea) (y - 1)^j, so one row is one
+    polynomial p(y) = p_0 + ... + p_d y^d, and its sum is
+    a^ea b^(n-ea) p(y - 1).  Repeated synthetic division by y + 1 writes
+    p(y) = sum_i q_i (y + 1)^i in place: pass i = 0..d-1 runs k = d-1 down
+    to i with p_k -= p_(k+1) and leaves the remainder q_i at index i,
+    d(d+1)/2 subtractions in all.  So p(y - 1) = sum_i q_i y^i, and q_i y^i
+    is q_i a^ea b^(n-ea-2i) c^i.  That exponent of b is at least
+    n - ea - 2d >= 0, since d <= (n - ea)//2, and distinct (ea, i) give
+    distinct monomials, so the terms are built once, zeros dropped."""
+    terms: dict[Monomial, int] = {}
+    for ea, p in enumerate(rows):
         d = len(p) - 1
         for i in range(d):
             for k in range(d - 1, i - 1, -1):
                 p[k] -= p[k + 1]
         for i, q in enumerate(p):
-            acc[ea, s - 2 * i, i] = q
-    return Polynomial(acc)
+            if q:
+                terms[ea, n - ea - 2 * i, i] = q
+    return Polynomial._of(terms)
 
 
-def _t_extraction(n: int, order: int, divisions: int) -> dict[Monomial, int]:
-    """[t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1) (1 - bt)^(-(n+1)),
-    keyed (ea, eb, j) for a^ea b^eb k^j; expansion order 1, 2 or 3 expands
-    the middle factor into terms (e, j, coeff) standing for coeff a^e k^j
-    t^(e+2j), once per call.
+def _t_extraction(n: int, order: int, divisions: int) -> list[list[int]]:
+    """[t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1) (1 - bt)^(-(n+1))
+    as rows by the power of a: rows[e][j] is the coefficient of
+    a^e b^(n-e-2j) k^j, for e = 0..n and j = 0..(n-e)//2, the rows that
+    ``_from_k_basis`` reads.  Expansion order 1, 2 or 3 expands the middle
+    factor's terms coeff a^e k^j t^(e+2j) in its own loop order and
+    binomial factorisation, and adds each into rows[e][j] as it makes it.
 
-    Each term adds its coeff into row j at index e, so the middle factor is
-    the sum of k^j t^(2j) x_j(at) with x_j(z) = sum_e x_(j,e) z^e.  Dividing
-    by 1 + at divides every x_j by 1 + z: one running pass x_e -= x_(e-1),
-    e ascending.  Then [t^n] keeps from k^j t^(2j) x_(j,e) (at)^e only b^m
-    t^m, m = n - e - 2j, of (1 - bt)^(-(n+1)) = sum_m binom(n+m, m) b^m t^m.
-    So each row is needed for e <= n - 2j alone, the index its terms stop
-    at, and each (e, j) is multiplied by binom(n+m, m) once, after the
-    divisions.  Two divisions give gbar_uvv_closed's shift sum, since
+    So the middle factor is the sum of k^j t^(2j) x_j(at) with
+    x_j(z) = sum_e rows[e][j] z^e.  Dividing by 1 + at divides every x_j by
+    1 + z: one running pass x_(j,e) -= x_(j,e-1), e ascending, which takes
+    row e - 1 from row e entry by entry.  Then [t^n] keeps from
+    k^j t^(2j) x_(j,e) (at)^e only b^m t^m, m = n - e - 2j, of
+    (1 - bt)^(-(n+1)) = sum_m binom(n+m, m) b^m t^m.  So x_j is needed for
+    e <= n - 2j alone, the index its terms stop at, and each (e, j) is
+    multiplied by binom(n+m, m) once, after the divisions.  Two divisions
+    give gbar_uvv_closed's shift sum, since
     1/(1 + z)^2 = sum_i (-1)^i (i + 1) z^i."""
+    rows = [[0] * ((n - e) // 2 + 1) for e in range(n + 1)]
     if order == 1:
-        terms = [(e, j, comb(n + 1, j) * comb(n + 1 - j, e))
-                 for j in range(n // 2 + 1) for e in range(n - 2 * j + 1)]
+        for j in range(n // 2 + 1):
+            cj = comb(n + 1, j)
+            for e in range(n - 2 * j + 1):
+                rows[e][j] += cj * comb(n + 1 - j, e)
     elif order == 2:
-        terms = [(e, j, comb(n + 1, e) * comb(n + 1 - e, j))
-                 for e in range(n + 1) for j in range((n - e) // 2 + 1)]
+        for e, row in enumerate(rows):
+            ce = comb(n + 1, e)
+            for j in range(len(row)):
+                row[j] += ce * comb(n + 1 - e, j)
     else:
-        terms = [(p - j, j, comb(n + 1, p) * comb(p, j))
-                 for p in range(n + 1) for j in range(min(p, n - p) + 1)]
-    rows = [[0] * (n - 2 * j + 1) for j in range(n // 2 + 1)]
-    for e, j, coeff in terms:
-        rows[j][e] += coeff
+        for p in range(n + 1):
+            cp = comb(n + 1, p)
+            for j in range(min(p, n - p) + 1):
+                rows[p - j][j] += cp * comb(p, j)
+    for _ in range(divisions):
+        for e in range(1, n + 1):
+            rows[e] = [x - y for x, y in zip(rows[e], rows[e - 1])]
     tails = [comb(n + m, m) for m in range(n + 1)]
-    sums: dict[Monomial, int] = {}
-    for j, x in enumerate(rows):
-        for _ in range(divisions):
-            for e in range(1, len(x)):
-                x[e] -= x[e - 1]
-        for e, v in enumerate(x):
-            m = n - e - 2 * j
-            sums[e, m, j] = v * tails[m]
-    return sums
+    return [[x * t for x, t in zip(row, tails[n - e::-2])] for e, row in enumerate(rows)]
 
 
 def _check_form(form: int, count: int) -> None:
@@ -189,9 +195,15 @@ def schroder_weight(n: int) -> Polynomial:
 def g_uvv_closed(n: int, form: int) -> Polynomial:
     """G_n^uvv(a,b,c) by one of five equivalent coefficient extractions.
 
-    Forms 1 and 2 expand 1/(1-ax) C(x(b + (c-b^2)x)/(1-ax)^2) directly;
-    form 1 leaves the (c - b^2) powers to ``_from_k_basis``, and form 2
-    expands them term by term with signed binomial rows.  Forms
+    Forms 1 and 2 expand 1/(1-ax) C(x(b + (c-b^2)x)/(1-ax)^2) directly,
+    with terms C_k binom(k, j) binom(n+k-j, 2k) a^(n-k-j) b^(k-j) (c-b^2)^j;
+    the power of a fixes k + j, so each term is one row entry.  Form 1
+    writes it into rows[n - k - j][j] and leaves the (c - b^2) powers to
+    ``_from_k_basis``.  Form 2 expands them term by term with signed
+    binomial rows, adding coeff * r into entry i of row n - k - j, the
+    coefficient of a^(n-k-j) b^(k+j-2i) c^i, and builds the polynomial
+    from those rows itself; its b exponent is at least k - j >= 0, since
+    i <= j, and distinct (ea, i) give distinct monomials.  Forms
     3 to 5 come from coefficient extraction in the series T = x G^uvv via
     its defining equation T (1 - bT) = x (1 + aT + (c - b^2) T^2), reading
     [t^n] (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) in the three
@@ -200,22 +212,24 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
     _check_length(n)
     _check_form(form, 5)
     if form >= 3:
-        return _from_k_basis(_t_extraction(n, form - 2, 0)).div_exact(n + 1)
+        return _from_k_basis(_t_extraction(n, form - 2, 0), n).div_exact(n + 1)
     catalans = [catalan(k) for k in range(n + 1)]
     signed_rows = [[(-1) ** (j - i) * comb(j, i) for i in range(j + 1)]
                    for j in range(n // 2 + 1)] if form == 2 else []
-    sums: dict[Monomial, int] = {}
+    rows = [[0] * ((n - ea) // 2 + 1) for ea in range(n + 1)]
     for k in range(n + 1):
         for j in range(min(k, n - k) + 1):
-            ea = n - k - j
             coeff = catalans[k] * comb(k, j) * comb(n + k - j, 2 * k)
+            row = rows[n - k - j]
             if form == 1:
-                sums[ea, k - j, j] = coeff
+                row[j] = coeff
             else:
                 for i, r in enumerate(signed_rows[j]):
-                    key = (ea, k + j - 2 * i, i)
-                    sums[key] = sums.get(key, 0) + coeff * r
-    return _from_k_basis(sums) if form == 1 else Polynomial(sums)
+                    row[i] += coeff * r
+    if form == 1:
+        return _from_k_basis(rows, n)
+    return Polynomial._of({(ea, n - ea - 2 * i, i): q for ea, row in enumerate(rows)
+                           for i, q in enumerate(row) if q})
 
 
 def gbar_uvv_closed(n: int, form: int) -> Polynomial:
@@ -224,12 +238,13 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
     Form f is ``g_uvv_closed`` form f + 2 with the extra factor 1/(1 + at)^2:
     the alternating shift sum over i >= 0 of (-1)^i (i + 1) a^i [t^(n-i)],
     which ``_t_extraction`` in expansion order f takes as two running
-    divisions by 1 + at of each row of its terms, O(n^2) steps in all.
-    The whole sum is divided by n + 1 at the end.
+    divisions by 1 + at along its rows by the power of a, O(n^2) steps in
+    all.  ``_from_k_basis`` maps the rows into Z[a, b, c], and the whole
+    sum is divided by n + 1 at the end.
     """
     _check_length(n)
     _check_form(form, 3)
-    return _from_k_basis(_t_extraction(n, form, 2)).div_exact(n + 1)
+    return _from_k_basis(_t_extraction(n, form, 2), n).div_exact(n + 1)
 
 
 def relation_checks(n: int) -> dict[str, bool]:

@@ -11,7 +11,9 @@ this module is exact integer arithmetic:
                  int exponents, none negative, and int coefficients, no
                  bools); results computed here come from
                  ``Polynomial._of``, which drops zero coefficients and
-                 trusts the exponents.
+                 trusts the exponents, and so do the closed forms of
+                 ``formulas``, whose docstrings show their exponents
+                 nonnegative.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 

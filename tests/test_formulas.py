@@ -1,7 +1,11 @@
 import functools
+import hashlib
+import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmotzkin.enumeration import Constraints, weight_sum
 from gmotzkin.formulas import (
@@ -18,7 +22,7 @@ from gmotzkin.formulas import (
     schroder_weight,
     specialization_checks,
 )
-from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C
+from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, Polynomial
 
 A, B = VAR_A, VAR_B
 
@@ -139,6 +143,19 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="unknown form"):
                 gbar_uvv_closed(3, form)
 
+    def test_closed_form_digest(self):
+        """Every form's JSON for n <= 70 (g) and n <= 60 (gbar), pinned by
+        its SHA-256."""
+        digest = hashlib.sha256()
+        for closed, max_n, forms in ((g_uvv_closed, 70, 5), (gbar_uvv_closed, 60, 3)):
+            for n in range(max_n + 1):
+                for form in range(1, forms + 1):
+                    line = json.dumps(closed(n, form).to_json_obj()) + "\n"
+                    digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "e818f4bddc430cdb77b95a3d46d972c44cccfce1eba0d6e9440bc186c6e175ee"
+        )
+
 
 RELATION_POINTS = [(1, 2, 3), (-3, 4, 16), (2, -1, 5)]
 RELATION_MAX_N = 40
@@ -219,31 +236,47 @@ class TestInputChecks:
 
 
 class TestKBasis:
-    """``_from_k_basis`` reads a key (ea, eb, j) as a^ea b^eb (c - b^2)^j."""
+    """``_from_k_basis(rows, n)`` reads rows[ea][j] as the coefficient of
+    a^ea b^(n-ea-2j) (c - b^2)^j, a term of degree n."""
 
     @pytest.mark.parametrize("j", range(13))
     def test_power_of_k(self, j):
         power = ONE
         for _ in range(j):
             power = power * (VAR_C - B * B)
-        assert _from_k_basis({(0, 0, j): 1}) == power
+        assert _from_k_basis([[0] * j + [1]], 2 * j) == power
 
     def test_shifted_and_scaled_keys_add(self):
         k = VAR_C - B * B
-        expected = (A * A * B * k * k).scaled(3) + (B * k).scaled(-5)
-        assert _from_k_basis({(2, 1, 2): 3, (0, 1, 1): -5}) == expected
-        # the first three keys share one Taylor shift, group (ea, eb + 2j) = (0, 4)
+        # two rows, a^0 and a^2, of degree 7
+        expected = (A * A * B * k * k).scaled(3) + (B * B * B * B * B * k).scaled(-5)
+        assert _from_k_basis([[0, -5], [0, 0, 0], [0, 0, 3]], 7) == expected
+        # row a^0 holds three terms and takes one Taylor shift; row a^1 holds one
         expected = (B * B * B * B).scaled(2) + (B * B * k).scaled(-3) + (k * k).scaled(5)
         expected += (A * B * k).scaled(7)
-        sums = {(0, 4, 0): 2, (0, 2, 1): -3, (0, 0, 2): 5, (1, 1, 1): 7}
-        assert _from_k_basis(sums) == expected
+        assert _from_k_basis([[2, -3, 5], [0, 7]], 4) == expected
 
     def test_cancelling_terms_leave_no_zero_coefficient(self):
-        # b^2 + (c - b^2) = c, and a key whose sum is 0 adds nothing
-        p = _from_k_basis({(0, 2, 0): 1, (0, 0, 1): 1, (1, 0, 3): 0})
+        # b^2 + (c - b^2) = c, and rows of zeros add nothing
+        p = _from_k_basis([[1, 1], [0], [0]], 2)
         assert p == VAR_C
         assert [mono for mono, _ in p.terms()] == [(0, 0, 1)]
-        assert _from_k_basis({(0, 2, 0): -1, (0, 0, 1): -1, (0, 0, 0): 0}) == -VAR_C
+        assert _from_k_basis([[-1, -1], [0], [0]], 2) == -VAR_C
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_equal_the_sum_in_polynomial_arithmetic(self, data):
+        n = data.draw(st.integers(0, 9), label="n")
+        rows = [data.draw(st.lists(st.integers(-9, 9), max_size=(n - ea) // 2 + 1))
+                for ea in range(data.draw(st.integers(0, n + 1)))]
+        expected = ZERO
+        for ea, row in enumerate(rows):
+            for j, coeff in enumerate(row):
+                term = Polynomial.monomial(ea, n - ea - 2 * j, 0, coeff)
+                for _ in range(j):
+                    term = term * (VAR_C - B * B)
+                expected += term
+        assert _from_k_basis([row[:] for row in rows], n) == expected
 
 
 class TestRelations:
