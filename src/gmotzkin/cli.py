@@ -143,7 +143,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
 def _cmd_fixed_points(args: argparse.Namespace) -> int:
     counts = bijection.fixed_points(args.n, include_paths=args.list_paths)
     print(f"F={counts.f} a={counts.a} b={counts.b} c={counts.c}")
-    if args.list_paths and counts.paths is not None:
+    if args.list_paths:
         print("\n".join(counts.paths))
     return 0
 

@@ -38,26 +38,31 @@ Each closed-form sum is homogeneous of degree n, with a and b of degree 1
 and c (and k) of degree 2, so a term is fixed by its powers of a and c (or
 k): the power of b is what remains of n.  So every sum is carried as rows
 by the power of a, a list per ea = 0..n indexed j = 0..(n - ea)//2, from
-the loop that makes its terms to the polynomial, which is built once.
+the loop that makes its terms to the polynomial, which ``_of_rows`` builds
+once: entry i of row ea is the coefficient of a^ea b^(n-ea-2i) c^i.
 Except in ``g_uvv_closed`` form 2, the sum is taken in the basis a, b, k
 with k = c - b^2: rows[ea][j] stands for a^ea b^(n-ea-2j) k^j, and
 ``_from_k_basis`` maps the rows into Z[a, b, c] by one Taylor shift
 y -> y - 1 per row.  Form 2 still expands every (c - b^2)^j term by term
-by signed binomial rows, into a per-ea accumulator whose entry i is the
-coefficient of a^ea b^(n-ea-2i) c^i, so forms 1 and 2 reach Z[a, b, c] by
-two different algorithms.
+by signed binomial rows, into a per-ea accumulator that is already in
+Z[a, b, c], so forms 1 and 2 reach Z[a, b, c] by two different
+algorithms.
 
 ``g_uvv_closed`` forms 3-5 and ``gbar_uvv_closed`` forms 1-3 share
 ``_t_extraction``, [t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1)
-(1 - bt)^(-(n+1)) with no division for G and two for Gbar, each a running
-pass along the rows of the middle factor's terms.  Each of its three
-expansion orders is its own loop, with its own binomial factorisation,
-adding each term into its row as it makes it, so the forms stay three
-summations (g form 3 and gbar form 1 share code but meet different
-oracles).  Its last factor binom(n+m, m) has m >= 0, so ``math.comb``
-serves.  Forms 1-2 take j <= min(k, n - k), so n - k - j >= 0 and their
-binom(n+k-j, 2k) has top >= lower index >= 0 and is at least 1:
-``math.comb`` serves there too, and only ``f_closed`` keeps ``binom``.
+(1 - bt)^(-(n+1)) / (n + 1) with no division by 1 + at for G and two for
+Gbar, each a running pass along the rows of the middle factor's terms.
+Each of its three expansion orders is its own loop, with its own binomial
+factorisation, adding each term into its row as it makes it, so the forms
+stay three summations (g form 3 and gbar form 1 share code but meet
+different oracles).  Lagrange inversion's factor 1/(n + 1) is divided out
+of the integer rows, exactly or by ``ValueError``, before the Taylor
+shift, which is unimodular over Z and so keeps divisibility.  The last
+factor's binom(n+m, m) has m >= 0, so ``math.comb`` serves.  Forms 1-2
+take j <= min(k, n - k), so n - k - j >= 0 and their binom(n+k-j, 2k) has
+top >= lower index >= 0 and is at least 1: ``math.comb`` serves there
+too.  ``binom`` serves ``f_closed`` and the division-free Narayana numbers
+of ``dyck_weight``, whose lower index reaches -1.
 Every entry point raises ``ValueError`` for a length n that is a bool, not
 an int, or negative, and for an unknown form.
 """
@@ -67,7 +72,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .paths import _check_length
-from .polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, Monomial, Polynomial
+from .polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, Polynomial
 
 
 def binom(m: int, r: int) -> int:
@@ -94,6 +99,16 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _of_rows(rows: list[list[int]], n: int) -> Polynomial:
+    """The homogeneous sum of degree n over ea and i of
+    rows[ea][i] * a^ea * b^(n-ea-2i) * c^i, each row holding at most
+    (n - ea)//2 + 1 entries, so every exponent of b is nonnegative; distinct
+    (ea, i) give distinct monomials, so the terms are built once, zeros
+    dropped."""
+    return Polynomial._of({(ea, n - ea - 2 * i, i): q for ea, row in enumerate(rows)
+                           for i, q in enumerate(row) if q})
+
+
 def _from_k_basis(rows: list[list[int]], n: int) -> Polynomial:
     """The homogeneous sum of degree n over ea and j of
     rows[ea][j] * a^ea * b^(n-ea-2j) * k^j, with k = c - b^2, by one Taylor
@@ -108,28 +123,23 @@ def _from_k_basis(rows: list[list[int]], n: int) -> Polynomial:
     p(y) = sum_i q_i (y + 1)^i in place: pass i = 0..d-1 runs k = d-1 down
     to i with p_k -= p_(k+1) and leaves the remainder q_i at index i,
     d(d+1)/2 subtractions in all.  So p(y - 1) = sum_i q_i y^i, and q_i y^i
-    is q_i a^ea b^(n-ea-2i) c^i.  That exponent of b is at least
-    n - ea - 2d >= 0, since d <= (n - ea)//2, and distinct (ea, i) give
-    distinct monomials, so the terms are built once, zeros dropped."""
-    terms: dict[Monomial, int] = {}
-    for ea, p in enumerate(rows):
+    is q_i a^ea b^(n-ea-2i) c^i: the shifted rows are ``_of_rows``' rows."""
+    for p in rows:
         d = len(p) - 1
         for i in range(d):
             for k in range(d - 1, i - 1, -1):
                 p[k] -= p[k + 1]
-        for i, q in enumerate(p):
-            if q:
-                terms[ea, n - ea - 2 * i, i] = q
-    return Polynomial._of(terms)
+    return _of_rows(rows, n)
 
 
 def _t_extraction(n: int, order: int, divisions: int) -> list[list[int]]:
-    """[t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1) (1 - bt)^(-(n+1))
-    as rows by the power of a: rows[e][j] is the coefficient of
-    a^e b^(n-e-2j) k^j, for e = 0..n and j = 0..(n-e)//2, the rows that
-    ``_from_k_basis`` reads.  Expansion order 1, 2 or 3 expands the middle
-    factor's terms coeff a^e k^j t^(e+2j) in its own loop order and
-    binomial factorisation, and adds each into rows[e][j] as it makes it.
+    """[t^n] (1 + at)^(-divisions) (1 + at + kt^2)^(n+1) (1 - bt)^(-(n+1)),
+    divided by n + 1, as rows by the power of a: rows[e][j] is the
+    coefficient of a^e b^(n-e-2j) k^j, for e = 0..n and j = 0..(n-e)//2,
+    the rows that ``_from_k_basis`` reads.  Expansion order 1, 2 or 3
+    expands the middle factor's terms coeff a^e k^j t^(e+2j) in its own
+    loop order and binomial factorisation, and adds each into rows[e][j] as
+    it makes it.
 
     So the middle factor is the sum of k^j t^(2j) x_j(at) with
     x_j(z) = sum_e rows[e][j] z^e.  Dividing by 1 + at divides every x_j by
@@ -140,7 +150,14 @@ def _t_extraction(n: int, order: int, divisions: int) -> list[list[int]]:
     e <= n - 2j alone, the index its terms stop at, and each (e, j) is
     multiplied by binom(n+m, m) once, after the divisions.  Two divisions
     give gbar_uvv_closed's shift sum, since
-    1/(1 + z)^2 = sum_i (-1)^i (i + 1) z^i."""
+    1/(1 + z)^2 = sum_i (-1)^i (i + 1) z^i.
+
+    Lagrange inversion puts the factor 1/(n + 1) in front of [t^n], and
+    each entry is divided by it here, in the basis a, b, k.  The Taylor
+    shift that takes a row into Z[a, b, c] is unimodular over Z (its
+    inverse y -> y + 1 has integer coefficients too), so every entry is
+    divisible by n + 1 exactly when every coefficient in Z[a, b, c] is;
+    an entry that is not raises ``ValueError``, naming it and n + 1."""
     rows = [[0] * ((n - e) // 2 + 1) for e in range(n + 1)]
     if order == 1:
         for j in range(n // 2 + 1):
@@ -161,7 +178,14 @@ def _t_extraction(n: int, order: int, divisions: int) -> list[list[int]]:
         for e in range(1, n + 1):
             rows[e] = [x - y for x, y in zip(rows[e], rows[e - 1])]
     tails = [comb(n + m, m) for m in range(n + 1)]
-    return [[x * t for x, t in zip(row, tails[n - e::-2])] for e, row in enumerate(rows)]
+    for e, row in enumerate(rows):
+        for j, t in enumerate(tails[n - e::-2]):
+            q, r = divmod(row[j] * t, n + 1)
+            if r:
+                raise ValueError(f"coefficient {row[j] * t} of a^{e} b^{n - e - 2 * j} k^{j}"
+                                 f" is not divisible by n + 1 = {n + 1}")
+            row[j] = q
+    return rows
 
 
 def _check_form(form: int, count: int) -> None:
@@ -170,16 +194,29 @@ def _check_form(form: int, count: int) -> None:
 
 
 def dyck_weight(n: int) -> Polynomial:
-    """C_n(a,b) as a polynomial (Narayana refinement of the Catalan numbers)."""
+    """C_n(a,b) = sum_k N(n,k) a^k b^(n-k), by the Narayana numbers
+    N(n,k) = binom(n,k) binom(n,k-1)/n, which refine the Catalan numbers,
+    taken with no division as
+    N(n,k) = binom(n-1,k-1)^2 - binom(n-1,k) binom(n-1,k-2), k = 1..n.
+
+    With m = n - 1, binom(m,k) = binom(m,k-1) (m-k+1)/k and
+    binom(m,k-2) = binom(m,k-1) (k-1)/(m-k+2), so the right side is
+    binom(m,k-1)^2 (k(m-k+2) - (m-k+1)(k-1)) / (k(m-k+2)), whose bracket
+    is m + 1 = n: binom(m,k-1)^2 n / (k(n-k+1)).  And
+    binom(n,k) = binom(m,k-1) n/k, binom(n,k-1) = binom(m,k-1) n/(n-k+1),
+    so the left side is the same.  The ratios hold at the ends too:
+    ``binom`` gives binom(m,-1) = 0 at k = 1 and binom(m,n) = 0 at k = n,
+    where k - 1 and m - k + 1 vanish.  C_0 = 1."""
     _check_length(n)
-    terms = {(k, n - k, 0): comb(n, k - 1) * comb(n, k) for k in range(1, n + 1)}
-    return Polynomial(terms).div_exact(n) if n else ONE
+    m = n - 1
+    return Polynomial._of({(k, n - k, 0): binom(m, k - 1) ** 2 - binom(m, k) * binom(m, k - 2)
+                           for k in range(1, n + 1)}) if n else ONE
 
 
 def motzkin_weight(n: int) -> Polynomial:
     """M_n(a,b) = sum binom(n, 2k) C_k a^(n-2k) b^k."""
     _check_length(n)
-    return Polynomial(
+    return Polynomial._of(
         {(n - 2 * k, k, 0): comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1)}
     )
 
@@ -187,7 +224,7 @@ def motzkin_weight(n: int) -> Polynomial:
 def schroder_weight(n: int) -> Polynomial:
     """S_n(a,b) = sum binom(n+k, 2k) C_k a^(n-k) b^k."""
     _check_length(n)
-    return Polynomial(
+    return Polynomial._of(
         {(n - k, k, 0): comb(n + k, 2 * k) * catalan(k) for k in range(n + 1)}
     )
 
@@ -201,18 +238,19 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
     writes it into rows[n - k - j][j] and leaves the (c - b^2) powers to
     ``_from_k_basis``.  Form 2 expands them term by term with signed
     binomial rows, adding coeff * r into entry i of row n - k - j, the
-    coefficient of a^(n-k-j) b^(k+j-2i) c^i, and builds the polynomial
-    from those rows itself; its b exponent is at least k - j >= 0, since
-    i <= j, and distinct (ea, i) give distinct monomials.  Forms
-    3 to 5 come from coefficient extraction in the series T = x G^uvv via
-    its defining equation T (1 - bT) = x (1 + aT + (c - b^2) T^2), reading
-    [t^n] (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) in the three
-    expansion orders of ``_t_extraction``, each divided by n + 1.
+    coefficient of a^(n-k-j) b^(k+j-2i) c^i, so its rows go straight to
+    ``_of_rows`` with no Taylor shift; row n - k - j has j + 1 entries or
+    more, since j <= (n - (n - k - j))//2.  Forms 3 to 5 come from
+    coefficient extraction in the series T = x G^uvv via its defining
+    equation T (1 - bT) = x (1 + aT + (c - b^2) T^2): by Lagrange inversion
+    G_n^uvv = [t^n] (1 + at + (c-b^2)t^2)^(n+1) (1 - bt)^(-(n+1)) / (n + 1),
+    which ``_t_extraction`` reads in its three expansion orders, dividing by
+    n + 1 in the basis a, b, k, and ``_from_k_basis`` shifts into Z[a, b, c].
     """
     _check_length(n)
     _check_form(form, 5)
     if form >= 3:
-        return _from_k_basis(_t_extraction(n, form - 2, 0), n).div_exact(n + 1)
+        return _from_k_basis(_t_extraction(n, form - 2, 0), n)
     catalans = [catalan(k) for k in range(n + 1)]
     signed_rows = [[(-1) ** (j - i) * comb(j, i) for i in range(j + 1)]
                    for j in range(n // 2 + 1)] if form == 2 else []
@@ -228,8 +266,7 @@ def g_uvv_closed(n: int, form: int) -> Polynomial:
                     row[i] += coeff * r
     if form == 1:
         return _from_k_basis(rows, n)
-    return Polynomial._of({(ea, n - ea - 2 * i, i): q for ea, row in enumerate(rows)
-                           for i, q in enumerate(row) if q})
+    return _of_rows(rows, n)
 
 
 def gbar_uvv_closed(n: int, form: int) -> Polynomial:
@@ -239,12 +276,12 @@ def gbar_uvv_closed(n: int, form: int) -> Polynomial:
     the alternating shift sum over i >= 0 of (-1)^i (i + 1) a^i [t^(n-i)],
     which ``_t_extraction`` in expansion order f takes as two running
     divisions by 1 + at along its rows by the power of a, O(n^2) steps in
-    all.  ``_from_k_basis`` maps the rows into Z[a, b, c], and the whole
-    sum is divided by n + 1 at the end.
+    all, and divides every entry by n + 1 before ``_from_k_basis`` maps
+    the rows into Z[a, b, c].
     """
     _check_length(n)
     _check_form(form, 3)
-    return _from_k_basis(_t_extraction(n, form, 2), n).div_exact(n + 1)
+    return _from_k_basis(_t_extraction(n, form, 2), n)
 
 
 def relation_checks(n: int) -> dict[str, bool]:

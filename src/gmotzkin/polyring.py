@@ -13,7 +13,9 @@ this module is exact integer arithmetic:
                  ``Polynomial._of``, which drops zero coefficients and
                  trusts the exponents, and so do the closed forms of
                  ``formulas``, whose docstrings show their exponents
-                 nonnegative.
+                 nonnegative.  ``scaled`` multiplies by an int; the ring
+                 has no division, since the closed forms divide by n + 1
+                 in their integer rows before they build a polynomial.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
                  product of polynomials is one product of ints.
 
@@ -142,21 +144,6 @@ class Polynomial:
         if type(k) is not int:
             raise ValueError(f"scaled takes an int, not {k!r}")
         return Polynomial._of({mono: coeff * k for mono, coeff in self._terms.items()})
-
-    def div_exact(self, k: int) -> "Polynomial":
-        """Divide every coefficient by k, requiring exact divisibility;
-        ValueError names a k that is a bool or no int."""
-        if type(k) is not int:
-            raise ValueError(f"div_exact takes an int, not {k!r}")
-        if k == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        out = {}
-        for mono, coeff in self._terms.items():
-            q, r = divmod(coeff, k)
-            if r:
-                raise ValueError(f"coefficient {coeff} of {mono} not divisible by {k}")
-            out[mono] = q
-        return Polynomial._of(out)
 
     # -- evaluation and substitution ----------------------------------------
 

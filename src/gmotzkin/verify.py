@@ -40,7 +40,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Callable
 
-from . import bijection, formulas, samples
+from . import bijection, formulas
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
 from .enumeration import generate, weight_sum
 from .paths import (
@@ -70,10 +70,16 @@ from .series import PowerSeries, expand
 # First eleven fixed-point counts of sigma, frozen as independent test data.
 FIXED_POINT_COUNTS = [1, 2, 5, 13, 39, 125, 421, 1478, 5329, 19658, 73783]
 
+# A uvv-avoiding path of length 28 and its image under sigma, a uvu-avoiding
+# path of the same length: a frozen instance of the bijection touching every
+# recursion case, which criterion 5 maps both ways.
+BIJECTION_SAMPLE_INPUT = "uuudvvuudvuuuuuvdvvvhuuhdvuuuvhvuvuuhudvvv"
+BIJECTION_SAMPLE_OUTPUT = "uudduuvduuuuvvddhuhuvduuuvhvuuhuddvv"
+
 _B2 = VAR_B * VAR_B
 
 
-class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+class CheckResult(namedtuple("CheckResult", "name ok detail")):
     """One criterion's outcome: its name, whether it passed, and a detail
     str, printed by ``line`` only on failure."""
 
@@ -329,11 +335,11 @@ class Harness:
     @_criterion("sample bijection pair", "28-step input and image")
     def criterion_5(self) -> str | None:
         """The frozen 28-step worked example maps and inverts exactly."""
-        got = bijection.sigma(samples.BIJECTION_SAMPLE_INPUT)
-        if got != samples.BIJECTION_SAMPLE_OUTPUT:
+        got = bijection.sigma(BIJECTION_SAMPLE_INPUT)
+        if got != BIJECTION_SAMPLE_OUTPUT:
             return f"sigma gave {got}"
-        back = bijection.sigma_inv(samples.BIJECTION_SAMPLE_OUTPUT)
-        if back != samples.BIJECTION_SAMPLE_INPUT:
+        back = bijection.sigma_inv(BIJECTION_SAMPLE_OUTPUT)
+        if back != BIJECTION_SAMPLE_INPUT:
             return f"sigma_inv gave {back}"
         return None
 

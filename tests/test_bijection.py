@@ -36,8 +36,7 @@ from gmotzkin.paths import (
     first_return_blocks,
     is_primitive,
 )
-from gmotzkin.samples import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT
-from gmotzkin.verify import FIXED_POINT_COUNTS
+from gmotzkin.verify import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT, FIXED_POINT_COUNTS
 
 
 def reference_sigma(word: str) -> str:

@@ -1,12 +1,14 @@
 import functools
 import hashlib
 import json
+import math
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmotzkin import formulas
 from gmotzkin.enumeration import Constraints, weight_sum
 from gmotzkin.formulas import (
     _from_k_basis,
@@ -23,6 +25,7 @@ from gmotzkin.formulas import (
     specialization_checks,
 )
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, Polynomial
+from gmotzkin.verify import Harness
 
 A, B = VAR_A, VAR_B
 
@@ -98,6 +101,15 @@ class TestClassicalWeights:
         values = [schroder_weight(n).eval(1, 1, 0) for n in range(6)]
         assert values == [1, 2, 6, 22, 90, 394]
 
+    def test_dyck_weight_is_the_narayana_polynomial(self):
+        for n in range(1, 61):
+            terms = {}
+            for k in range(1, n + 1):
+                q, r = divmod(math.comb(n, k) * math.comb(n, k - 1), n)
+                assert r == 0, (n, k)
+                terms[k, n - k, 0] = q
+            assert dyck_weight(n) == Polynomial(terms), n
+
     @pytest.mark.parametrize("n", range(7))
     def test_dyck_specializes_to_catalan(self, n):
         assert dyck_weight(n).eval(1, 1, 0) == catalan(n)
@@ -107,6 +119,21 @@ class TestClassicalWeights:
         # (a,b)-Motzkin paths are exactly the v-free paths with d weighted b
         oracle = weight_sum(n, Constraints(avoid=("v",)))
         assert oracle.substitute("c", B) == motzkin_weight(n)
+
+
+# binom(2n, n) = (n + 1) Cat(n), so with it one too large at n = OFF_N the
+# t-extraction's first row entry, a^0 b^n k^0, is 1 mod n + 1.
+OFF_N = 4
+OFF_MESSAGE = (f"coefficient {math.comb(2 * OFF_N, OFF_N) + 1} of a^0 b^{OFF_N} k^0"
+               f" is not divisible by n + 1 = {OFF_N + 1}")
+
+
+@pytest.fixture
+def central_binomial_plus_one(monkeypatch):
+    def comb(m, r):
+        return math.comb(m, r) + (m == 2 * OFF_N and r == OFF_N)
+
+    monkeypatch.setattr(formulas, "comb", comb)
 
 
 class TestClosedForms:
@@ -142,6 +169,19 @@ class TestClosedForms:
         for form in (4, 0, True, 1.0, "1"):
             with pytest.raises(ValueError, match="unknown form"):
                 gbar_uvv_closed(3, form)
+
+    @pytest.mark.parametrize("closed, form", [(g_uvv_closed, 3), (g_uvv_closed, 4), (g_uvv_closed, 5),
+                                              (gbar_uvv_closed, 1), (gbar_uvv_closed, 2),
+                                              (gbar_uvv_closed, 3)])
+    def test_a_sum_not_divisible_by_n_plus_1_raises(self, central_binomial_plus_one, closed, form):
+        with pytest.raises(ValueError) as err:
+            closed(OFF_N, form)
+        assert str(err.value) == OFF_MESSAGE
+
+    def test_criterion_1_reports_a_sum_not_divisible_by_n_plus_1(self, central_binomial_plus_one):
+        result = Harness(max_n=OFF_N).criterion_1()
+        assert not result.ok
+        assert result.detail == f"ValueError: {OFF_MESSAGE}"
 
     def test_closed_form_digest(self):
         """Every form's JSON for n <= 70 (g) and n <= 60 (gbar), pinned by

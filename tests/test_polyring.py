@@ -83,11 +83,6 @@ class TestPolynomial:
         assert (A * A).substitute("a", A + B) == A * A + (A * B).scaled(2) + B * B
         assert (A * B).substitute("b", B) == A * B
 
-    def test_div_exact(self):
-        assert (A.scaled(6) + B.scaled(9)).div_exact(3) == A.scaled(2) + B.scaled(3)
-        with pytest.raises(ValueError):
-            A.scaled(3).div_exact(2)
-
     def test_str_canonical_order(self):
         p = C + (B * B).scaled(2) + (A * B).scaled(3) + A * A
         assert str(p) == "a^2 + 3*a*b + 2*b^2 + c"
@@ -127,9 +122,6 @@ class TestPolynomial:
             (lambda: Polynomial({(1, 2, 3, 4): 1}), "monomials must be exponent triples, not (1, 2, 3, 4)"),
             (lambda: A.scaled(1.5), "scaled takes an int, not 1.5"),
             (lambda: A.scaled(True), "scaled takes an int, not True"),
-            (lambda: A.scaled(2).div_exact(2.0), "div_exact takes an int, not 2.0"),
-            (lambda: A.div_exact("2"), "div_exact takes an int, not '2'"),
-            (lambda: A.div_exact(True), "div_exact takes an int, not True"),
             (lambda: Polynomial([1, 2]), "terms must be a Mapping or None, not [1, 2]"),
             (lambda: Polynomial(5), "terms must be a Mapping or None, not 5"),
             (lambda: Polynomial("ab"), "terms must be a Mapping or None, not 'ab'"),
@@ -140,7 +132,7 @@ class TestPolynomial:
         ids=[
             "float exponent", "bool exponent", "float constant", "str coefficient", "bool coefficient",
             "int monomial", "pair monomial", "quadruple monomial",
-            "float factor", "bool factor", "float divisor", "str divisor", "bool divisor",
+            "float factor", "bool factor",
             "list terms", "int terms", "str terms", "zero terms", "empty list terms", "empty str terms",
         ],
     )
