@@ -17,7 +17,8 @@ this module is exact integer arithmetic:
                  has no division, since the closed forms divide by n + 1
                  in their integer rows before they build a polynomial.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
-                 product of polynomials is one product of ints.
+                 product of polynomials is one product of ints; packing
+                 and unpacking touch each term once.
 
 Monomials are totally ordered lexicographically on (ea, eb, ec),
 descending.  All textual and JSON output lists terms in that order, which
@@ -30,12 +31,15 @@ Series in a formal variable x are not held here: ``series`` gives each as
 a tuple of Polynomial coefficients, x being the position in the tuple, not
 a fourth ring variable.  Products of polynomials are formed by ``dot``,
 which sums a run of polynomial products into one term map; it serves
-``formulas`` and criterion 3 of ``verify``.  Generating functions are not
-solved here: ``series.solve`` computes the root of D S = P + Q S^2 one
-coefficient at a time on ints packed by ``KroneckerCodec``, and checks it
-by packing the result anew.  Criterion 9 of ``verify`` checks the solved
-series' identities on ints too, with sums and products of its own, not
-with the solver's recurrence or rows.
+``formulas`` and criterion 3 of ``verify``.  ``substitute`` sends one
+variable to a polynomial the same way: each term, times the cached power
+of the replacement that it needs, is added into one term map, with no
+polynomial built per term.  Generating functions are not solved here:
+``series.solve`` computes the root of D S = P + Q S^2 by a linear
+recurrence for R = D - 2QS on ints packed by ``KroneckerCodec``, and
+certifies it by packing the result anew.  Criterion 9 of ``verify`` checks
+the solved series' identities on ints too, with sums and products of its
+own, not with the solver's recurrence or rows.
 """
 
 from __future__ import annotations
@@ -164,22 +168,27 @@ class Polynomial:
 
     def substitute(self, var: str, replacement: "Polynomial") -> "Polynomial":
         """Ring homomorphism sending ``var`` to ``replacement``, fixing the
-        others; ValueError names a replacement that is no Polynomial."""
-        idx = _VAR_INDEX.get(var)
+        others; ValueError names a var that is none of "a", "b", "c" and a
+        replacement that is no Polynomial."""
+        idx = _VAR_INDEX.get(var) if isinstance(var, str) else None
         if idx is None:
             raise ValueError(f"unknown variable {var!r}, expected one of a, b, c")
         if not isinstance(replacement, Polynomial):
             raise ValueError(f"substitute takes a Polynomial replacement, not {replacement!r}")
-        powers: list[Polynomial] = [Polynomial.const(1)]
-        pairs = []
+        powers: list[Polynomial] = [ONE]
+        out: dict[Monomial, int] = {}
+        get = out.get
         for mono, coeff in self._terms.items():
             e = mono[idx]
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
             rest = list(mono)
             rest[idx] = 0
-            pairs.append((Polynomial._of({tuple(rest): coeff}), powers[e]))
-        return dot(pairs)
+            a1, b1, c1 = rest
+            for (a2, b2, c2), k2 in powers[e]._terms.items():
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                out[key] = get(key, 0) + coeff * k2
+        return Polynomial._of(out)
 
     # -- input/output --------------------------------------------------------
 
@@ -274,10 +283,15 @@ class KroneckerCodec:
     does not fit its slot, a degree that reaches the stride, and a value
     that leaves its slots or has a monomial with a negative a-exponent.
     Digits travel as binary strings, so both directions take time linear
-    in the packed size.
+    in the packed size: each digit is stored biased by 2^(width-1), and
+    the bias of a run of slots is an int shifted off one cached value, not
+    a string of zero digits parsed anew.  ``unpack`` reads only the slots
+    that a value of its degree can fill, b^eb c^ec with eb <= degree -
+    2 ec, and compares the rest of each row of slots (one power of c) with
+    zero digits at once.
     """
 
-    __slots__ = ("width", "stride", "_zero", "_format")
+    __slots__ = ("width", "stride", "_zero", "_format", "_bias_slots", "_bias_value")
 
     def __init__(self, bound: int, stride: int):
         for name, value in (("bound", bound), ("stride", stride)):
@@ -289,6 +303,18 @@ class KroneckerCodec:
         self.stride = stride
         self._zero = "1" + "0" * (width - 1)  # the digit 0, biased by 2^(width-1)
         self._format = f"0{width}b"
+        self._bias_slots = self._bias_value = 0
+
+    def _bias(self, count: int) -> int:
+        """2^(width-1) in each of ``count`` slots, the packed value of their
+        biased zero digits: the low slots of one cached value, which grows
+        by doubling, so its cost stays linear in the largest count asked."""
+        if count > self._bias_slots:
+            self._bias_slots = max(count, 2 * self._bias_slots)
+            w = self.width
+            repunit = ((1 << (w * self._bias_slots)) - 1) // ((1 << w) - 1)
+            self._bias_value = repunit << (w - 1)
+        return self._bias_value >> (self.width * (self._bias_slots - count))
 
     def _slots(self, degree: int) -> int:
         """The number of slots a value of this degree spans."""
@@ -314,36 +340,46 @@ class KroneckerCodec:
                 raise ValueError(f"coefficient {coeff} does not fit a {self.width}-bit slot")
             digits[eb + self.stride * ec] = format(coeff + half, self._format)
         digits.reverse()
-        return int("".join(digits), 2) - int(self._zero * count, 2)
+        return int("".join(digits), 2) - self._bias(count)
 
     def pack_row(self, row: Iterable[Polynomial], g: int, shift: int) -> list[int]:
         """A row packed coefficientwise, its x^n coefficient at degree g n + shift."""
         return [self.pack(c, g * n + shift) for n, c in enumerate(row)]
 
     def unpack(self, value: int, degree: int) -> Polynomial:
-        """The polynomial of ``degree`` whose packed value is ``value``."""
+        """The polynomial of ``degree`` whose packed value is ``value``.
+
+        Only the slots of b^eb c^ec with eb + 2 ec <= degree are read; the
+        rest of each row of slots (one power of c) is compared with zero
+        digits at once, and a nonzero one is named."""
         count = self._slots(degree)
         if not count:
             if value:
                 raise ValueError(f"nonzero value at negative degree {degree}")
             return Polynomial()
         w, stride, zero = self.width, self.stride, self._zero
-        biased = value + int(zero * count, 2)
+        biased = value + self._bias(count)
         if biased < 0 or biased.bit_length() > w * count:
             raise ValueError(f"value leaves its {count} slots of {w} bits")
         bits = format(biased, f"0{w * count}b")
         half = 1 << (w - 1)
         terms: dict[Monomial, int] = {}
-        end = len(bits)
-        for index in range(count):
-            digit = bits[end - w : end]
-            end -= w
-            if digit != zero:
-                ec, eb = divmod(index, stride)
-                ea = degree - eb - 2 * ec
-                if ea < 0:
-                    raise ValueError(f"b^{eb} c^{ec} in a value of degree {degree}: a^{ea}")
-                terms[ea, eb, ec] = int(digit, 2) - half
+        for ec in range(degree // 2 + 1):
+            top = degree - 2 * ec  # the largest eb in this row
+            end = len(bits) - w * stride * ec  # slot b^0 c^ec ends here
+            for eb in range(top + 1):
+                digit = bits[end - w : end]
+                end -= w
+                if digit != zero:
+                    terms[top - eb, eb, ec] = int(digit, 2) - half
+            # the row's slots past eb = top, up to the row's or the value's end
+            rest = min(stride * (ec + 1), count) - stride * ec - top - 1
+            if rest > 0 and bits[end - w * rest : end] != zero * rest:
+                eb = top + 1
+                while bits[end - w : end] == zero:
+                    end -= w
+                    eb += 1
+                raise ValueError(f"b^{eb} c^{ec} in a value of degree {degree}: a^{top - eb}")
         return Polynomial._of(terms)
 
 

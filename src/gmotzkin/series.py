@@ -30,53 +30,103 @@ So ``verify``'s Gbar relation x Gbar (1 + aT) = T and its F-vs-A relation
 F = (1+x)^2 A + x^3 - x check this solver's output independently.
 
 ``solve`` returns a ``PowerSeries``, a record whose one field ``coeffs`` is
-the tuple of Polynomial coefficients s_0, ..., s_order.  It computes the
-root online, one coefficient at a time (the "relaxed" method of van der
-Hoeven, *Relax, but don't be too lazy*, 2002):
+the tuple of Polynomial coefficients s_0, ..., s_order.
 
-    s_n = P_n - sum_{i>=1} D_i s_{n-i} + sum_{i>=0} Q_i (S^2)_{n-i}.
+The root.  Write Q = x^v Q~ with Q~_0 != 0.  Every row is quadratic, so
+R = D - 2QS is a square root of the discriminant:
 
-Every term on the right is already final, and (S^2)_m is kept as a running
-list, each summed once over the symmetric half.  Contractivity is checked
-structurally: only Q_0 != 0 (as for T) asks for (S^2)_n at step n, which is
-free of s_n only if s_0 = 0, so Q_0 != 0 with s_0 != 0 raises
-DivergenceError.
+    R^2 - Delta = -4Q (D S - P - Q S^2),      Delta = D^2 - 4PQ,
+
+and R^2 = Delta at the root.  Delta_0 = 1, since D_0 = 1 and P_0 Q_0 = 0:
+a row with Q_0 != 0 is contractive only if s_0 = 0, which makes P_0 = 0,
+so Q_0 != 0 with P_0 != 0 raises DivergenceError.  So r_0 = 1, and R is
+D-finite (Stanley, *Enumerative Combinatorics* vol. 2, sec. 6.4; Flajolet
+& Sedgewick, *Analytic Combinatorics*, App. B.4): from 2 R R' = Delta',
+times R, 2 Delta R' = Delta' R, whose x^(m-1) coefficient is
+
+    sum_{i>=0} Delta_i (2m - 3i) r_{m-i} = 0,    that is
+    2m r_m = -sum_{i>=1} Delta_i (2m - 3i) r_{m-i}.
+
+It has deg Delta terms: 1 for C, 2 for G, G_uvv, T and Gbar_uvv, 4 for
+G_uvu, 6 for A and 8 for F.  ``solve`` runs it through x^(order + v) and
+reads s_n off the x^(n + v) coefficient of 2 Q S = D - R:
+
+    s_n = ((D - R)_{n+v} / 2 - sum_{i>=1} Q~_i s_{n-i}) / Q~_0.
+
+So a coefficient costs deg Delta + deg Q~ products of a short row entry
+by a long coefficient, and order N costs O(N) products, where squaring S
+costs O(N^2).  A row with Q = 0 has S = P/D, s_n = P_n - sum_{i>=1} D_i
+s_{n-i}; ``solve`` takes that branch and its certificate checks D S = P
+directly.
 
 Grading.  Give a and b degree 1 and c degree 2.  Every row above is then
 homogeneous: with g and delta fixed by the row, P_n has degree g n + delta,
-Q_n degree g n - delta and D_n degree g n, so by induction s_n is
-homogeneous of degree g n + delta.  That is g = 1 for the kinds in a, b, c
-(delta = -1 for T, 0 for the others) and g = 0 for C, F and A.  ``solve``
-reads (g, delta) off the row; a row with no such grading raises ValueError.
+Q_n degree g n - delta and D_n degree g n, so s_n is homogeneous of degree
+g n + delta, and Delta_n and r_n of degree g n.  That is g = 1 for the
+kinds in a, b, c (delta = -1 for T, 0 for the others) and g = 0 for C, F
+and A.  ``solve`` reads (g, delta) off the row; a row with no such grading
+raises ValueError.
 
 Packing.  A homogeneous polynomial is determined by its value at a = 1,
 since a's exponent is its degree less eb + 2 ec.  So ``solve`` packs each
 coefficient's (b, c) polynomial into one Python int with
 ``polyring.KroneckerCodec`` (Kronecker substitution: Harvey, *Faster
 polynomial multiplication via multipoint Kronecker substitution*, JSC
-2009): signed slots of one width, b^eb c^ec in slot eb + stride * ec, the
-stride above every degree.  Packing is a ring homomorphism, so the
-recurrence runs unchanged on the ints, each coefficient product one bigint
-multiply, and only s_n is unpacked.  Factors such as c - b^2 have negative
-coefficients, and an overfull slot would corrupt the result silently, so
-the codec is given a proven bound and turns it into the width: the same
-recurrence run on the l1 norms of P, Q and D (with ||D_i|| for -D_i) is a
-majorant of ||s_n||, by induction, as the norm is subadditive and
-submultiplicative.  A value that does not unpack raises DivergenceError.
+2009): signed slots of one width, b^eb c^ec in slot eb + stride * ec.
+Packing is evaluation at a = 1, b = 2^w, c = 2^(w stride), a ring
+homomorphism into Z, so the recurrences run unchanged on the ints, each
+product one bigint multiply.  Every division in them is exact at the packed
+point, whatever the width: r_m and s_n are integer polynomials (s_n by the
+fixed-point form s_n = P_n - sum_{i>=1} D_i s_{n-i} + sum_i Q_i
+(S^2)_{n-i}, which divides by nothing, and r by R = D - 2QS), so their
+packed values are ints obeying the same identities, and the quotient by 2m,
+by 2 or by the packed Q~_0 (1, b or a + b) is that int.  The packed Q~_0 is
+nonzero because Q~_0 fits the slots and its degree g v - delta is below the
+stride; the stride exceeds g (order + v) + |delta|, every degree that is
+packed or tested.  The width only has to hold s, the one series that is
+unpacked; r is never unpacked.  Factors such as c - b^2 have negative
+coefficients, and an overfull slot would corrupt s silently, so the codec
+is given a proven bound and turns it into the width: the root of the row of
+l1 norms (P_i, Q_i by their norms, D by 1 - sum_{i>=1} ||D_i|| x^i), solved
+by the same code on plain ints, majorises ||s_n||, by induction on the
+fixed-point form, as the norm is subadditive and submultiplicative.  A
+value that does not unpack raises DivergenceError.  A row entry such as
+c - b^2 packs to an int with few nonzero slots spread over a long span, so
+``_c_rows`` cuts it into its rows by the power of c, and its product with
+a long coefficient becomes a few short products and shifts.
 
-Check.  After solving, D S == P + Q S^2 is checked at full order.  The
-check packs the unpacked s_n again, under a bound of its own: the residual
-(D S)_n - P_n - (Q S^2)_n is homogeneous of degree g n + delta and has no
-coefficient larger than the same sums taken over the operands' l1 norms,
-so it packs to 0 only if it is 0.  A slot too narrow in the solve
-therefore shows up as DivergenceError, never as a wrong series.
-``verify`` checks the solver again with code of its own: substitutions in
+Certificate.  After solving, ``_check`` packs the unpacked s_n anew, with
+a codec, a bound and a Delta of its own, forms R = D - 2QS through
+x^(order + v) and requires r_0 = 1 (and Delta_0 = 1) and the recurrence's
+residual sum_i Delta_i (2m - 3i) r_{m-i} = 0 for m = 1..order + v.  Lemma:
+this holds exactly when D S = P + Q S^2 through x^order.  Let M = order + v.
+If the residuals vanish, 2 Delta R' - Delta' R = 0 mod x^M, and since
+
+    (R^2 / Delta)' = R (2 Delta R' - Delta' R) / Delta^2,
+
+R^2 / Delta is constant mod x^(M+1), equal to r_0^2 / Delta_0 = 1.  So
+R^2 = Delta, Q (D S - P - Q S^2) = 0 mod x^(M+1), and as Q = x^v Q~ with
+Q~_0 != 0 in the domain Z[a, b, c], D S - P - Q S^2 = 0 mod x^(order+1).
+Conversely the root has R^2 = Delta mod x^(M+1) and R a unit, so the
+same identity gives the residuals 0.  S^2 is never formed, so the
+certificate is linear work too.  Each residual is homogeneous of degree
+g m with coefficients at most 3 M ||Delta||_1 max_j ||r_j|| in size, both
+bounded by sums over the operands' l1 norms; the certificate's width holds
+that bound and every operand, so a residual packs to 0 only if it is 0.
+A slot too narrow in the solve therefore shows up as DivergenceError,
+never as a wrong series.
+
+``verify`` checks the solved series again with code of its own, which
+shares nothing with this solve or certificate: substitutions in
 ``Polynomial`` arithmetic, and one table of six series identities, whose
 residuals it evaluates on ints packed by the codec, F and A at degree 0.
+Those residuals form products of series, so they stay O(N^2) in the
+order N.
 
-No radicals are ever manipulated; closed forms involving square roots are
-certified instead by checking the defining equations' residuals, which
-``verify`` does independently of this solver.
+No radical is formed symbolically: R, the square root of Delta, is only
+ever a power series of integer polynomials, and closed forms involving
+square roots are certified by checking the defining equations' residuals,
+which ``verify`` does independently of this solver.
 """
 
 from __future__ import annotations
@@ -129,8 +179,8 @@ def solve(
 
     Raises ValueError if the order is not an int in 0..sys.maxsize or the
     row has no grading (see the module docstring), and DivergenceError if
-    D_0 != 1, if Q_0 != 0 and s_0 != 0, or if the solution fails the
-    full-order check.
+    D_0 != 1, if Q_0 != 0 and P_0 != 0, or if the solution fails the
+    certificate.
     """
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError(f"order must be an int, not {order!r}")
@@ -138,18 +188,19 @@ def solve(
         raise ValueError("order must be nonnegative")
     if order > sys.maxsize:
         raise ValueError(f"order must be at most sys.maxsize, not {order}")
-    ps, qs, ds = (list(row[: order + 1]) for row in (p, q, d))
+    top = order + (_valuation(q) or 0)
+    ps, qs, ds = (list(row[: top + 1]) for row in (p, q, d))
     if not ds or ds[0] != ONE:
         raise DivergenceError("the solution fails D S = P + Q S^2 unless D_0 = 1")
     g, delta = _grading(ps, qs, ds)
-    stride = max(g * order, 0) + abs(delta) + 1
+    stride = max(g * top, 0) + abs(delta) + 1
     p_norm, q_norm, d_norm = ([c.norm() for c in row] for row in (ps, qs, ds))
-    majorant = _recurrence(p_norm, d_norm, q_norm, order)
+    majorant = _root(p_norm, q_norm, [1] + [-n for n in d_norm[1:]], order, 0)
     codec = KroneckerCodec(max(majorant + q_norm + d_norm), stride)
     p_int, q_int, d_int = (
         codec.pack_row(row, g, shift) for row, shift in ((ps, delta), (qs, -delta), (ds, 0))
     )
-    values = _recurrence(p_int, [-v for v in d_int], q_int, order)
+    values = _root(p_int, q_int, d_int, order, codec.width * stride)
     try:
         s = [codec.unpack(v, g * n + delta) for n, v in enumerate(values)]
     except ValueError as err:  # a slot too narrow for the majorant's bound
@@ -184,56 +235,78 @@ def _grading(
     return 0, 0
 
 
-def _recurrence(p: list[int], minus_d: list[int], q: list[int], order: int) -> list[int]:
-    """s_n = p_n + sum_{i>=1} minus_d_i s_{n-i} + sum_{i>=0} q_i (S^2)_{n-i}
-    for n = 0..order, over ints; rows may stop short of the order.
+def _valuation(row: Sequence) -> int | None:
+    """The index v of the row's first nonzero entry, Q = x^v Q~; None if Q = 0."""
+    return next((i for i, c in enumerate(row) if c), None)
 
-    On packed coefficients this is the solver.  On l1 norms, with ||D_i|| as
-    minus_d, it is a majorant: ||s_n|| is at most its n-th value, by
-    induction, since the norm is subadditive and submultiplicative.
+
+def _c_rows(value: int, c_bits: int) -> list[tuple[int, int]]:
+    """(part, at) pairs with value = sum of part << at: a packed value cut
+    into its rows of slots, one per power of c = 2^c_bits, each part
+    balanced in [-2^(c_bits-1), 2^(c_bits-1)) and nonzero.  A row entry
+    has a few short parts, so a product with it is a few short products
+    and shifts, where one bigint product would run over every slot between
+    its powers of c.  c_bits below 2 leaves the value whole, as for plain
+    ints."""
+    if c_bits < 2:
+        return [(value, 0)] if value else []
+    parts = []
+    half, mask = 1 << (c_bits - 1), (1 << c_bits) - 1
+    at = 0
+    while value:
+        part = ((value + half) & mask) - half
+        if part:
+            parts.append((part, at))
+        value = (value - part) >> c_bits
+        at += c_bits
+    return parts
+
+
+def _product(f: list[int], h: list[int], top: int, c_bits: int) -> list[int]:
+    """Coefficients 0..top of the product of two polynomials in x over ints,
+    f's entries cut by ``_c_rows``; f is the short one, and c_bits = 0
+    multiplies short rows whole."""
+    out = [0] * (top + 1)
+    for i, a in enumerate(f[: top + 1]):
+        for part, at in _c_rows(a, c_bits):
+            for j, b in enumerate(h[: top + 1 - i]):
+                out[i + j] += (part * b) << at
+    return out
+
+
+def _root(p: list[int], q: list[int], d: list[int], order: int, c_bits: int) -> list[int]:
+    """s_0, ..., s_order of the root of D S = P + Q S^2 over ints, d_0 = 1:
+    R = D - 2QS by its recurrence, then S from 2QS = D - R (see the module
+    docstring); S = P/D if Q = 0.  Every division is exact.
+
+    On coefficients packed with c = 2^c_bits this is the solver.  On l1
+    norms, with -||D_i|| as d_i for i >= 1 and c_bits = 0, it is the
+    majorant of the module docstring.
     """
-    p = p + [0] * (order + 1 - len(p))
-    d_terms = [(i, v) for i, v in enumerate(minus_d) if i and v]
-    q_terms = [(i, v) for i, v in enumerate(q) if v]
-    s: list[int] = []
-    sq: list[int] = []  # (S^2)_m; entry n lacks 2 s_0 s_n until s_n is known
+    v = _valuation(q)
+    if v is None:
+        s: list[int] = []
+        for n in range(order + 1):
+            tail = sum(d[i] * s[n - i] for i in range(1, min(n, len(d) - 1) + 1))
+            s.append((p[n] if n < len(p) else 0) - tail)
+        return s
+    if v == 0 and p and p[0]:
+        raise DivergenceError("Q_0 != 0 needs s_0 = 0; the equation is not contractive")
+    top = order + v
+    disc = [x - 4 * y for x, y in zip(_product(d, d, top, 0), _product(p, q, top, 0))]
+    disc_terms = [(i, *part) for i, c in enumerate(disc) if i and c for part in _c_rows(c, c_bits)]
+    r = [1]
+    for m in range(1, top + 1):
+        tail = sum((c * (2 * m - 3 * i) * r[m - i]) << at for i, c, at in disc_terms if i <= m)
+        r.append(-tail // (2 * m))
+    d = d + [0] * (top + 1 - len(d))
+    q0 = q[v]
+    q_terms = [(i - v, *part) for i, c in enumerate(q) if i > v and c for part in _c_rows(c, c_bits)]
+    s = []
     for n in range(order + 1):
-        half = sum(s[i] * s[n - i] for i in range(1, (n + 1) // 2))
-        mid = s[n // 2] * s[n // 2] if n % 2 == 0 and n else 0
-        sq.append(2 * half + mid)
-        value = (
-            p[n]
-            + sum(v * s[n - i] for i, v in d_terms if i <= n)
-            + sum(v * sq[n - i] for i, v in q_terms if i <= n)
-        )
-        s.append(value)
-        if n == 0:
-            if q and q[0] and value:
-                raise DivergenceError("Q_0 != 0 needs s_0 = 0; the equation is not contractive")
-            two_s0 = 2 * value
-            sq[0] = value * value
-        else:
-            sq[n] += two_s0 * value
+        half = (d[n + v] - r[n + v]) // 2
+        s.append((half - sum((c * s[n - i]) << at for i, c, at in q_terms if i <= n)) // q0)
     return s
-
-
-def _sides(
-    p: list[int], q: list[int], d: list[int], s: list[int]
-) -> tuple[list[int], list[int]]:
-    """(D S)_n and P_n + (Q S^2)_n for every n of S, over ints; on l1
-    norms, bounds on the l1 norms of both."""
-    order = len(s) - 1
-    p = p + [0] * (order + 1 - len(p))
-    d_terms = [(i, v) for i, v in enumerate(d) if v]
-    q_terms = [(i, v) for i, v in enumerate(q) if v]
-    sq = [
-        2 * sum(s[i] * s[n - i] for i in range((n + 1) // 2))
-        + (s[n // 2] * s[n // 2] if n % 2 == 0 else 0)
-        for n in range(order + 1)
-    ]
-    lhs = [sum(v * s[n - i] for i, v in d_terms if i <= n) for n in range(order + 1)]
-    rhs = [p[n] + sum(v * sq[n - i] for i, v in q_terms if i <= n) for n in range(order + 1)]
-    return lhs, rhs
 
 
 def _check(
@@ -245,20 +318,40 @@ def _check(
     delta: int,
     stride: int,
 ) -> None:
-    """Raise DivergenceError unless D S == P + Q S^2 through the order,
-    with the solution packed anew under a width of its own (see the module
-    docstring)."""
-    norms = [[c.norm() for c in row] for row in (ps, qs, ds, s)]
-    lhs, rhs = _sides(*norms)
-    bound = max([a + b for a, b in zip(lhs, rhs)] + norms[1] + norms[2])
-    codec = KroneckerCodec(bound, stride)
+    """Raise DivergenceError unless D S == P + Q S^2 through the order of S,
+    by the certificate of the module docstring, with S packed anew under a
+    codec and a bound of its own.  The rows run through x^(order + v)."""
+    order = len(s) - 1
+    v = _valuation(qs)
+    p_norm, q_norm, d_norm, s_norm = ([c.norm() for c in row] for row in (ps, qs, ds, s))
+    if v is None:  # residuals (D S - P)_n
+        residual = sum(d_norm) * max(s_norm) + max(p_norm, default=0)
+    else:  # residuals sum_i Delta_i (2m - 3i) r_(m-i) of R = D - 2QS
+        top = order + v
+        r_norm = max(d_norm) + 2 * sum(q_norm) * max(s_norm)
+        disc_norm = sum(d_norm) ** 2 + 4 * sum(p_norm) * sum(q_norm)
+        residual = 3 * top * disc_norm * r_norm
+    codec = KroneckerCodec(max(p_norm + q_norm + d_norm + s_norm + [residual]), stride)
     p_int, q_int, d_int, s_int = (
         codec.pack_row(row, g, shift)
         for row, shift in ((ps, delta), (qs, -delta), (ds, 0), (s, delta))
     )
-    lhs, rhs = _sides(p_int, q_int, d_int, s_int)
-    if lhs != rhs:
-        raise DivergenceError(f"solution fails D S = P + Q S^2 through x^{len(s) - 1}")
+    c_bits = codec.width * stride
+    if v is None:
+        p_int += [0] * (order + 1 - len(p_int))
+        ok = _product(d_int, s_int, order, c_bits) == p_int[: order + 1]
+    else:
+        d_int += [0] * (top + 1 - len(d_int))
+        r = [x - 2 * y for x, y in zip(d_int, _product(q_int, s_int, top, c_bits))]
+        squares, products = _product(d_int, d_int, top, 0), _product(p_int, q_int, top, 0)
+        disc = [x - 4 * y for x, y in zip(squares, products)]
+        terms = [(i, *part) for i, c in enumerate(disc) if c for part in _c_rows(c, c_bits)]
+        ok = r[0] == disc[0] == 1 and not any(
+            sum((c * (2 * m - 3 * i) * r[m - i]) << at for i, c, at in terms if i <= m)
+            for m in range(1, top + 1)
+        )
+    if not ok:
+        raise DivergenceError(f"solution fails D S = P + Q S^2 through x^{order}")
 
 
 def expand(kind: str, order: int) -> PowerSeries:

@@ -182,6 +182,27 @@ class TestPolynomial:
         )
 
 
+    @given(polynomials, st.sampled_from("abc"), polynomials)
+    def test_substitute_is_the_sum_over_terms(self, p, var, replacement):
+        # the definition: each term's other variables times a power of the replacement
+        idx = "abc".index(var)
+        pairs = []
+        for mono, coeff in p.terms():
+            rest = list(mono)
+            power = ONE
+            for _ in range(rest[idx]):
+                power = power * replacement
+            rest[idx] = 0
+            pairs.append((Polynomial.monomial(*rest, coeff), power))
+        assert p.substitute(var, replacement) == dot(pairs)
+
+    @pytest.mark.parametrize("var", ["x", "", "ab", "A", 0, None, ["a"]])
+    def test_substitute_refuses_an_unknown_variable(self, var):
+        with pytest.raises(ValueError) as err:
+            (A * B).substitute(var, B)
+        assert str(err.value) == f"unknown variable {var!r}, expected one of a, b, c"
+
+
 class TestPowerSeries:
     def test_invert_geometric(self):
         assert inverse(consts(1, -1, 0, 0)) == consts(1, 1, 1, 1)
@@ -289,6 +310,15 @@ class TestKroneckerCodec:
             codec = KroneckerCodec((1 << bits) - 1, degree + 1 + rng.randrange(3))
             assert codec.unpack(codec.pack(poly, degree), degree) == poly
 
+    def test_one_codec_round_trips_degrees_in_any_order(self):
+        # the cached bias grows by doubling and serves smaller counts after
+        rng = random.Random(34)
+        codec = KroneckerCodec((1 << 70) - 1, 13)
+        degrees = [*range(13), *rng.sample(range(13), 13), 12, 0, 7]
+        for degree in degrees:
+            poly = random_homogeneous(rng, degree, 70)
+            assert codec.unpack(codec.pack(poly, degree), degree) == poly
+
     def test_slot_extremes(self):
         codec = KroneckerCodec((1 << 64) - 1, 5)
         low, high = -(1 << 64), (1 << 64) - 1
@@ -363,6 +393,27 @@ class TestKroneckerCodec:
         # slot 3 is b^3, which a value of degree 2 cannot hold
         with pytest.raises(ValueError, match="a\\^-1"):
             codec.unpack(1 << 24, 2)
+
+    @pytest.mark.parametrize(
+        "digits, message",
+        [
+            ({12: 1}, "b^5 c^1 in a value of degree 5: a^-2"),
+            ({6: -3}, "b^6 c^0 in a value of degree 5: a^-1"),
+            ({13: 2, 11: -1}, "b^4 c^1 in a value of degree 5: a^-1"),
+            ({6: 1, 12: 1}, "b^6 c^0 in a value of degree 5: a^-1"),
+        ],
+    )
+    def test_digit_outside_the_triangle_is_named(self, digits, message):
+        # degree 5, stride 7: row c^0 holds b^0..b^5 in slots 0-5, row c^1
+        # b^0..b^3 in slots 7-10, row c^2 b^0, b^1 in slots 14, 15; slots
+        # 6 and 11-13 must be zero, and the lowest nonzero one is named
+        codec = KroneckerCodec(127, 7)
+        poly = A * A * A * A * A + (B * C * C).scaled(-3) + (A * B * B * C).scaled(2)
+        value = codec.pack(poly, 5) + sum(z << (codec.width * k) for k, z in digits.items())
+        with pytest.raises(ValueError) as err:
+            codec.unpack(value, 5)
+        assert str(err.value) == message
+        assert codec.unpack(codec.pack(poly, 5), 5) == poly
 
     def test_value_outside_its_slots_raises(self):
         codec = KroneckerCodec(127, 4)

@@ -126,6 +126,12 @@ class TestHighOrder:
             for form in range(1, 6):
                 assert s.coeffs[n] == g_uvv_closed(n, form), (n, form)
 
+    def test_g_uvv_matches_closed_form_at_order_100(self):
+        s = expand("G_uvv", 100)
+        for n in range(96, 101):
+            for form in range(1, 6):
+                assert s.coeffs[n] == g_uvv_closed(n, form), (n, form)
+
     def test_gbar_uvv_matches_closed_form_at_order_36(self):
         s = expand("Gbar_uvv", 36)
         for n in range(32, 37):
@@ -195,6 +201,53 @@ class TestPackedSolver:
         assert s.coeffs == tuple(
             Polynomial.monomial(0, 0, n, catalan(n)) for n in range(7)
         )
+
+
+class TestCertificate:
+    """series._check, the certificate, refuses a series with one changed
+    coefficient; it is called with the arguments that solve passes it."""
+
+    ORDER = 20
+
+    @staticmethod
+    def check_arguments(monkeypatch, row, order):
+        seen = []
+        real = series._check
+
+        def spy(*args):
+            seen.append(args)
+            real(*args)
+
+        monkeypatch.setattr(series, "_check", spy)
+        solve(*row, order)
+        (args,) = seen
+        return args
+
+    @staticmethod
+    def changes(e):
+        """+1 or -1 at degree 0, else a^e and -a^(e mod 2) c^(e div 2)."""
+        return [Polynomial.monomial(e, 0, 0), Polynomial.monomial(e % 2, 0, e // 2, -1)]
+
+    @pytest.mark.parametrize(
+        "row",
+        [*(series._EQUATIONS[kind] for kind in KINDS), ([ONE], [], [ONE, -A])],
+        ids=[*KINDS, "Q = 0"],
+    )
+    @pytest.mark.parametrize("n", [1, ORDER // 2, ORDER])
+    def test_one_changed_coefficient_fails(self, monkeypatch, row, n):
+        ps, qs, ds, s, g, delta, stride = self.check_arguments(monkeypatch, row, self.ORDER)
+        series._check(ps, qs, ds, s, g, delta, stride)
+        for change in self.changes(g * n + delta):
+            changed = list(s)
+            changed[n] += change
+            with pytest.raises(DivergenceError, match="fails D S = P"):
+                series._check(ps, qs, ds, changed, g, delta, stride)
+
+    def test_q_zero_row_is_p_over_d(self):
+        # S = 1 / (1 - a x - c x^2): s_n = a s_(n-1) + c s_(n-2)
+        s = solve([ONE], [ZERO, ZERO], [ONE, -A, -C], 12).coeffs
+        assert s[:2] == (ONE, A)
+        assert all(s[n] == A * s[n - 1] + C * s[n - 2] for n in range(2, 13))
 
 
 class TestIdentities:
