@@ -253,8 +253,8 @@ def catalan_by_convolution(n):
 
 
 class TestFixedPoint:
-    """The online solver's root of D S = P + Q S^2, the equation's unique
-    series fixed point."""
+    """The solver's root of D S = P + Q S^2, the equation's unique series
+    fixed point."""
 
     def test_geometric(self):
         s = solve([ONE], [], [ONE, -ONE], 3)

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 
@@ -248,6 +249,60 @@ class TestCertificate:
         s = solve([ONE], [ZERO, ZERO], [ONE, -A, -C], 12).coeffs
         assert s[:2] == (ONE, A)
         assert all(s[n] == A * s[n - 1] + C * s[n - 2] for n in range(2, 13))
+
+
+class TestRandomRows:
+    """solve against the fixed-point sum, computed in Polynomial arithmetic,
+    on random graded rows: g = 0, 1, 2, a shifted grading, Q = x^v Q~ with
+    v = 0, 1, 2, and Q = 0."""
+
+    ORDER = 6
+
+    @staticmethod
+    def homogeneous(rng, degree):
+        """Zero, or up to three monomials of ``degree`` with small coefficients."""
+        monos = [
+            (degree - eb - 2 * ec, eb, ec)
+            for ec in range(degree // 2 + 1)
+            for eb in range(degree - 2 * ec + 1)
+        ]
+        chosen = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+        return Polynomial({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in chosen})
+
+    def random_row(self, rng):
+        g = rng.randint(0, 2)
+        delta = rng.randint(-1, 1) if g else 0
+        v = rng.choice((None, 0, 1, 2))
+        if v is not None and g * v - delta < 0:
+            v += 1
+        maybe = lambda e: self.homogeneous(rng, e) if e >= 0 and rng.random() < 0.7 else ZERO
+        p = [maybe(g * n + delta) for n in range(rng.randint(1, 3))]
+        q = [] if v is None else [ZERO] * v + [self.homogeneous(rng, g * v - delta)] + [
+            maybe(g * (v + i) - delta) for i in range(1, rng.randint(1, 3))
+        ]
+        d = [ONE] + [maybe(g * n) for n in range(1, rng.randint(1, 4))]
+        if v == 0:
+            p[0] = ZERO
+        return p, q, d
+
+    @staticmethod
+    def fixed_point_sum(p, q, d, order):
+        """s_n = P_n - sum_{i>=1} D_i s_(n-i) + sum_i Q_i (S^2)_(n-i); with
+        Q_0 != 0, s_0 = 0, so (S^2)_n lacks s_n."""
+        at = lambda row, i: row[i] if i < len(row) else ZERO
+        s = []
+        for n in range(order + 1):
+            pairs = [(-at(d, i), s[n - i]) for i in range(1, n + 1)]
+            for i in range(n + 1):
+                m = n - i
+                pairs += [(at(q, i), s[j] * s[m - j]) for j in range(m + 1) if j < n and m - j < n]
+            s.append(at(p, n) + dot(pairs))
+        return s
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_solve_equals_the_fixed_point_sum(self, seed):
+        row = self.random_row(random.Random(seed))
+        assert list(solve(*row, self.ORDER).coeffs) == self.fixed_point_sum(*row, self.ORDER)
 
 
 class TestIdentities:
