@@ -181,7 +181,6 @@ class TestPolynomial:
             va, vb, vb * vb + vc
         )
 
-
     @given(polynomials, st.sampled_from("abc"), polynomials)
     def test_substitute_is_the_sum_over_terms(self, p, var, replacement):
         # the definition: each term's other variables times a power of the replacement

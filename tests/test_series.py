@@ -244,12 +244,6 @@ class TestCertificate:
             with pytest.raises(DivergenceError, match="fails D S = P"):
                 series._check(ps, qs, ds, changed, g, delta, stride)
 
-    def test_q_zero_row_is_p_over_d(self):
-        # S = 1 / (1 - a x - c x^2): s_n = a s_(n-1) + c s_(n-2)
-        s = solve([ONE], [ZERO, ZERO], [ONE, -A, -C], 12).coeffs
-        assert s[:2] == (ONE, A)
-        assert all(s[n] == A * s[n - 1] + C * s[n - 2] for n in range(2, 13))
-
 
 class TestRandomRows:
     """solve against the fixed-point sum, computed in Polynomial arithmetic,
@@ -260,7 +254,7 @@ class TestRandomRows:
 
     @staticmethod
     def homogeneous(rng, degree):
-        """Zero, or up to three monomials of ``degree`` with small coefficients."""
+        """One to three monomials of ``degree``, with small coefficients."""
         monos = [
             (degree - eb - 2 * ec, eb, ec)
             for ec in range(degree // 2 + 1)
