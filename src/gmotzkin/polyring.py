@@ -31,10 +31,10 @@ Series in a formal variable x are not held here: ``series`` gives each as
 a tuple of Polynomial coefficients, x being the position in the tuple, not
 a fourth ring variable.  Products of polynomials are formed by ``dot``,
 which sums a run of polynomial products into one term map; it serves
-``formulas`` and criterion 3 of ``verify``.  ``substitute`` sends one
-variable to a polynomial the same way: each term, times the cached power
-of the replacement that it needs, is added into one term map, with no
-polynomial built per term.  Generating functions are not solved here:
+``Polynomial.__mul__`` and the tests' reference sums.  ``substitute``
+sends one variable to a polynomial the same way: each term, times the
+cached power of the replacement that it needs, is added into one term
+map, with no polynomial built per term.  Generating functions are not solved here:
 ``series.solve`` computes the root of D S = P + Q S^2 by a linear
 recurrence for R = D - 2QS on ints packed by ``KroneckerCodec``, and
 certifies it by packing the result anew.  Criterion 9 of ``verify`` checks
@@ -250,18 +250,6 @@ def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
                 mono = (a1 + a2, b1 + b2, c1 + c2)
                 out[mono] = get(mono, 0) + k1 * k2
     return Polynomial._of(out)
-
-
-def graded_degree(poly: Polynomial) -> int:
-    """The degree of a nonzero homogeneous polynomial, a and b of degree 1
-    and c of degree 2; ValueError if it is zero, not homogeneous or no
-    Polynomial."""
-    if not isinstance(poly, Polynomial):
-        raise ValueError(f"graded_degree takes a Polynomial, not {poly!r}")
-    degrees = {ea + eb + 2 * ec for ea, eb, ec in poly._terms}
-    if len(degrees) != 1:
-        raise ValueError(f"{poly} is not a nonzero homogeneous polynomial")
-    return degrees.pop()
 
 
 class KroneckerCodec:

@@ -2,7 +2,7 @@
 
 Every generating function here is the power-series root S of one equation
 
-    D S = P + Q S^2,        D_0 = 1,
+    D S = P + Q S^2,        D_0 = 1,  Q != 0,
 
 over exact integer polynomials, with P, Q and D given by a few low-order
 coefficients (k = c - b^2):
@@ -55,17 +55,18 @@ reads s_n off the x^(n + v) coefficient of 2 Q S = D - R:
 
 So a coefficient costs deg Delta + deg Q~ products of a short row entry
 by a long coefficient, and order N costs O(N) products, where squaring S
-costs O(N^2).  A row with Q = 0 has S = P/D, s_n = P_n - sum_{i>=1} D_i
-s_{n-i}; ``solve`` takes that branch and its certificate checks D S = P
-directly.
+costs O(N^2).  ``solve`` takes quadratic rows only: Q = 0 raises
+ValueError, as does an order for which R's row, order + v + 1 long,
+would pass sys.maxsize.
 
 Grading.  Give a and b degree 1 and c degree 2.  Every row above is then
 homogeneous: with g and delta fixed by the row, P_n has degree g n + delta,
 Q_n degree g n - delta and D_n degree g n, so s_n is homogeneous of degree
 g n + delta, and Delta_n and r_n of degree g n.  That is g = 1 for the
 kinds in a, b, c (delta = -1 for T, 0 for the others) and g = 0 for C, F
-and A.  ``solve`` reads (g, delta) off the row; a row with no such grading
-raises ValueError.
+and A.  ``solve`` reads (g, delta) off one term of each nonzero entry,
+and packing checks every term of every entry against it, so a row with no
+such grading raises ValueError.
 
 Packing.  A homogeneous polynomial is determined by its value at a = 1,
 since a's exponent is its degree less eb + 2 ec.  So ``solve`` packs each
@@ -118,7 +119,7 @@ never as a wrong series.
 
 ``verify`` checks the solved series again with code of its own, which
 shares nothing with this solve or certificate: substitutions in
-``Polynomial`` arithmetic, and one table of six series identities, whose
+``Polynomial`` arithmetic, and one table of five series identities, whose
 residuals it evaluates on ints packed by the codec, F and A at degree 0.
 Those residuals form products of series, so they stay O(N^2) in the
 order N.
@@ -144,7 +145,6 @@ from .polyring import (
     DivergenceError,
     KroneckerCodec,
     Polynomial,
-    graded_degree,
 )
 
 _K = VAR_C - VAR_B * VAR_B
@@ -175,10 +175,12 @@ PowerSeries = namedtuple("PowerSeries", "coeffs")
 def solve(
     p: Sequence[Polynomial], q: Sequence[Polynomial], d: Sequence[Polynomial], order: int
 ) -> PowerSeries:
-    """The series S through x^order with D S = P + Q S^2, where D_0 = 1.
+    """The series S through x^order with D S = P + Q S^2, where D_0 = 1 and
+    Q != 0.
 
-    Raises ValueError if the order is not an int in 0..sys.maxsize or the
-    row has no grading (see the module docstring), and DivergenceError if
+    Raises ValueError if the order is not an int in 0..sys.maxsize, if Q =
+    0, if order + v + 1 passes sys.maxsize for Q = x^v Q~, or if the row
+    has no grading (see the module docstring), and DivergenceError if
     D_0 != 1, if Q_0 != 0 and P_0 != 0, or if the solution fails the
     certificate.
     """
@@ -188,7 +190,12 @@ def solve(
         raise ValueError("order must be nonnegative")
     if order > sys.maxsize:
         raise ValueError(f"order must be at most sys.maxsize, not {order}")
-    top = order + (_valuation(q) or 0)
+    v = _valuation(q)
+    if v is None:
+        raise ValueError("Q must be nonzero: solve takes quadratic rows only")
+    if order + v + 1 > sys.maxsize:  # R's row runs through x^(order + v)
+        raise ValueError(f"order must be at most sys.maxsize - {v + 1} for this row, not {order}")
+    top = order + v
     ps, qs, ds = (list(row[: top + 1]) for row in (p, q, d))
     if not ds or ds[0] != ONE:
         raise DivergenceError("the solution fails D S = P + Q S^2 unless D_0 = 1")
@@ -214,17 +221,18 @@ def _grading(
 ) -> tuple[int, int]:
     """(g, delta) with deg P_n = g n + delta, deg Q_n = g n - delta, deg D_n = g n.
 
-    A nonzero coefficient of index n and degree e says e = g n + w delta,
-    with w = 1, -1, 0 in P, Q, D.  Two independent equations fix (g,
-    delta); if all are multiples of one, any solution of it will do.
-    Packing then checks every coefficient against the grading.
+    A nonzero coefficient of index n whose first term has degree e says
+    e = g n + w delta, with w = 1, -1, 0 in P, Q, D.  Two independent
+    equations fix (g, delta); if all are multiples of one, any solution of
+    it will do.  Packing then checks every term of every coefficient
+    against the grading.
     """
-    eqs = [
-        (n, w, graded_degree(c))
-        for w, row in ((1, ps), (-1, qs), (0, ds))
-        for n, c in enumerate(row)
-        if c and (n or w)
-    ]
+    eqs = []
+    for w, row in ((1, ps), (-1, qs), (0, ds)):
+        for n, c in enumerate(row):
+            if c and (n or w):
+                (ea, eb, ec), _ = next(c.terms())
+                eqs.append((n, w, ea + eb + 2 * ec))
     for n1, w1, e1 in eqs:
         for n2, w2, e2 in eqs:
             det = n1 * w2 - n2 * w1
@@ -236,7 +244,8 @@ def _grading(
 
 
 def _valuation(row: Sequence) -> int | None:
-    """The index v of the row's first nonzero entry, Q = x^v Q~; None if Q = 0."""
+    """The index v of the row's first nonzero entry, Q = x^v Q~; None if
+    Q = 0, which ``solve`` refuses."""
     return next((i for i, c in enumerate(row) if c), None)
 
 
@@ -277,19 +286,13 @@ def _product(f: list[int], h: list[int], top: int, c_bits: int) -> list[int]:
 def _root(p: list[int], q: list[int], d: list[int], order: int, c_bits: int) -> list[int]:
     """s_0, ..., s_order of the root of D S = P + Q S^2 over ints, d_0 = 1:
     R = D - 2QS by its recurrence, then S from 2QS = D - R (see the module
-    docstring); S = P/D if Q = 0.  Every division is exact.
+    docstring), Q != 0.  Every division is exact.
 
     On coefficients packed with c = 2^c_bits this is the solver.  On l1
     norms, with -||D_i|| as d_i for i >= 1 and c_bits = 0, it is the
     majorant of the module docstring.
     """
     v = _valuation(q)
-    if v is None:
-        s: list[int] = []
-        for n in range(order + 1):
-            tail = sum(d[i] * s[n - i] for i in range(1, min(n, len(d) - 1) + 1))
-            s.append((p[n] if n < len(p) else 0) - tail)
-        return s
     if v == 0 and p and p[0]:
         raise DivergenceError("Q_0 != 0 needs s_0 = 0; the equation is not contractive")
     top = order + v
@@ -319,37 +322,30 @@ def _check(
     stride: int,
 ) -> None:
     """Raise DivergenceError unless D S == P + Q S^2 through the order of S,
-    by the certificate of the module docstring, with S packed anew under a
-    codec and a bound of its own.  The rows run through x^(order + v)."""
+    Q != 0, by the certificate of the module docstring, with S packed anew
+    under a codec and a bound of its own: the residuals sum_i Delta_i
+    (2m - 3i) r_(m-i) of R = D - 2QS.  The rows run through x^(order + v)."""
     order = len(s) - 1
-    v = _valuation(qs)
+    top = order + _valuation(qs)
     p_norm, q_norm, d_norm, s_norm = ([c.norm() for c in row] for row in (ps, qs, ds, s))
-    if v is None:  # residuals (D S - P)_n
-        residual = sum(d_norm) * max(s_norm) + max(p_norm, default=0)
-    else:  # residuals sum_i Delta_i (2m - 3i) r_(m-i) of R = D - 2QS
-        top = order + v
-        r_norm = max(d_norm) + 2 * sum(q_norm) * max(s_norm)
-        disc_norm = sum(d_norm) ** 2 + 4 * sum(p_norm) * sum(q_norm)
-        residual = 3 * top * disc_norm * r_norm
+    r_norm = max(d_norm) + 2 * sum(q_norm) * max(s_norm)
+    disc_norm = sum(d_norm) ** 2 + 4 * sum(p_norm) * sum(q_norm)
+    residual = 3 * top * disc_norm * r_norm
     codec = KroneckerCodec(max(p_norm + q_norm + d_norm + s_norm + [residual]), stride)
     p_int, q_int, d_int, s_int = (
         codec.pack_row(row, g, shift)
         for row, shift in ((ps, delta), (qs, -delta), (ds, 0), (s, delta))
     )
     c_bits = codec.width * stride
-    if v is None:
-        p_int += [0] * (order + 1 - len(p_int))
-        ok = _product(d_int, s_int, order, c_bits) == p_int[: order + 1]
-    else:
-        d_int += [0] * (top + 1 - len(d_int))
-        r = [x - 2 * y for x, y in zip(d_int, _product(q_int, s_int, top, c_bits))]
-        squares, products = _product(d_int, d_int, top, 0), _product(p_int, q_int, top, 0)
-        disc = [x - 4 * y for x, y in zip(squares, products)]
-        terms = [(i, *part) for i, c in enumerate(disc) if c for part in _c_rows(c, c_bits)]
-        ok = r[0] == disc[0] == 1 and not any(
-            sum((c * (2 * m - 3 * i) * r[m - i]) << at for i, c, at in terms if i <= m)
-            for m in range(1, top + 1)
-        )
+    d_int += [0] * (top + 1 - len(d_int))
+    r = [x - 2 * y for x, y in zip(d_int, _product(q_int, s_int, top, c_bits))]
+    squares, products = _product(d_int, d_int, top, 0), _product(p_int, q_int, top, 0)
+    disc = [x - 4 * y for x, y in zip(squares, products)]
+    terms = [(i, *part) for i, c in enumerate(disc) if c for part in _c_rows(c, c_bits)]
+    ok = r[0] == disc[0] == 1 and not any(
+        sum((c * (2 * m - 3 * i) * r[m - i]) << at for i, c, at in terms if i <= m)
+        for m in range(1, top + 1)
+    )
     if not ok:
         raise DivergenceError(f"solution fails D S = P + Q S^2 through x^{order}")
 

@@ -150,9 +150,6 @@ _IDENTITIES = (
     ("F quadratic residual is nonzero", 0, "xFF + 1 + 3x + 3xx + xxx + 2xxF + 4xxxF + xxxxF", "F + 2xF"),
     # F + x = (1 + x)^2 A + x^3
     ("F vs A relation fails", 0, "F + x", "A + 2xA + xxA + xxx"),
-    # F = 1 + x + 2x^2 F + x A F; unreachable, as given F = (1 + x)^2 A + x^3 - x
-    # it is the F quadratic divided by the unit (1 + x)^2
-    ("F convolution residual is nonzero", 0, "F", "1 + x + 2xxF + xAF"),
 )
 
 

@@ -131,6 +131,13 @@ class TestErrorsAndDeterminism:
         assert (code, out) == (2, "")
         assert err == f"error: order must be at most sys.maxsize, not {order}\n"
 
+    def test_order_whose_row_passes_sys_maxsize_exits_2(self, capsys):
+        # G's row runs through x^(order + 1), one term past sys.maxsize
+        code, out, err = run(capsys, "series", "--gf", "G", "--order", str(sys.maxsize))
+        assert (code, out) == (2, "")
+        message = f"order must be at most sys.maxsize - 2 for this row, not {sys.maxsize}"
+        assert err == f"error: {message}\n"
+
     def test_bad_eval_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--eval", "1,2")
         assert code == 2 and "--eval" in err

@@ -10,13 +10,10 @@ from gmotzkin.polyring import (
     VAR_B,
     VAR_C,
     ZERO,
-    DivergenceError,
     KroneckerCodec,
     Polynomial,
     dot,
-    graded_degree,
 )
-from gmotzkin.series import solve
 
 A, B, C = VAR_A, VAR_B, VAR_C
 
@@ -151,10 +148,9 @@ class TestPolynomial:
             (lambda: dot([(A, A, A)]), "dot takes pairs of Polynomials, not "
              "(Polynomial(a), Polynomial(a), Polynomial(a))"),
             (lambda: dot(5), "dot takes an iterable of pairs, not 5"),
-            (lambda: graded_degree(5), "graded_degree takes a Polynomial, not 5"),
         ],
         ids=["substitute", "dot right", "dot left", "dot no pair", "dot triple",
-             "dot not iterable", "graded_degree"],
+             "dot not iterable"],
     )
     def test_rejects_what_is_not_a_polynomial(self, make, message):
         with pytest.raises(ValueError) as err:
@@ -200,91 +196,6 @@ class TestPolynomial:
         with pytest.raises(ValueError) as err:
             (A * B).substitute(var, B)
         assert str(err.value) == f"unknown variable {var!r}, expected one of a, b, c"
-
-
-class TestPowerSeries:
-    def test_invert_geometric(self):
-        assert inverse(consts(1, -1, 0, 0)) == consts(1, 1, 1, 1)
-
-    def test_invert_one(self):
-        one = consts(1, 0, 0, 0, 0)
-        assert inverse(one) == one
-
-    def test_invert_alternating(self):
-        assert inverse([ONE, B, ZERO]) == [ONE, -B, B * B]
-
-    def test_invert_non_unit(self):
-        with pytest.raises(DivergenceError):
-            inverse(consts(2, 1, 0))
-        with pytest.raises(DivergenceError):
-            inverse([B, ONE, ZERO])
-
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=6), st.sampled_from([1, -1]))
-    def test_invert_property(self, tail, lead):
-        s = consts(lead, *tail)
-        if lead == 1:
-            assert product(s, inverse(s)) == consts(1, *[0] * len(tail))
-        else:  # the solver assumes D_0 = 1
-            with pytest.raises(DivergenceError):
-                inverse(s)
-
-
-def consts(*values):
-    """Series coefficients, the integer constants ``values``."""
-    return [Polynomial.const(v) for v in values]
-
-
-def product(s, t):
-    """The coefficients of S T through the length of s; t is at least as long."""
-    return [dot((s[i], t[n - i]) for i in range(n + 1)) for n in range(len(s))]
-
-
-def inverse(s):
-    """The coefficients of 1/S, by solving S X = 1."""
-    return list(solve([ONE], [], s, len(s) - 1).coeffs)
-
-
-def catalan_by_convolution(n):
-    vals = [1]
-    for _ in range(n):
-        vals.append(sum(vals[i] * vals[-1 - i] for i in range(len(vals))))
-    return vals[n]
-
-
-class TestFixedPoint:
-    """The solver's root of D S = P + Q S^2, the equation's unique series
-    fixed point."""
-
-    def test_geometric(self):
-        s = solve([ONE], [], [ONE, -ONE], 3)
-        assert list(s.coeffs) == consts(1, 1, 1, 1)
-
-    def test_catalan_equation_matches_convolution_oracle(self):
-        s = solve([ONE], [ZERO, ONE], [ONE], 8)
-        expected = [catalan_by_convolution(n) for n in range(9)]
-        assert list(s.coeffs) == consts(*expected)
-
-    def test_weighted_path_equation(self):
-        # independently derived by listing the paths of length 0, 1 and 2
-        s = solve([ONE], [ZERO, B, C], [ONE, -A], 2)
-        assert s.coeffs[0] == ONE
-        assert s.coeffs[1] == A + B
-        assert s.coeffs[2] == A * A + (A * B).scaled(3) + (B * B).scaled(2) + C
-
-    def test_constant_square_term_with_zero_constant_root(self):
-        # S = x + S^2 is x C(x): Q_0 != 0 is contractive because s_0 = 0
-        s = solve([ZERO, ONE], [ONE], [ONE], 6)
-        assert list(s.coeffs) == consts(0, 1, 1, 2, 5, 14, 42)
-
-    def test_divergence(self):
-        # S = 1 + S^2: s_n would need (S^2)_n, which contains 2 s_0 s_n
-        with pytest.raises(DivergenceError, match="not contractive"):
-            solve([ONE], [ONE], [ONE], 3)
-
-    def test_failed_full_order_check(self):
-        # D_0 = 2 breaks the recurrence, which assumes D_0 = 1
-        with pytest.raises(DivergenceError, match="fails D S = P"):
-            solve([ONE], [ZERO, ONE], [ONE + ONE], 3)
 
 
 def random_homogeneous(rng, degree, bits):
@@ -380,8 +291,6 @@ class TestKroneckerCodec:
             codec.pack(C, 1)  # c has degree 2
         with pytest.raises(ValueError, match="not homogeneous"):
             codec.pack(ONE, -1)
-        with pytest.raises(ValueError, match="not a nonzero homogeneous"):
-            graded_degree(A + C)
 
     def test_degree_must_be_below_the_stride(self):
         with pytest.raises(ValueError, match="stride"):
@@ -421,8 +330,6 @@ class TestKroneckerCodec:
         with pytest.raises(ValueError, match="negative degree"):
             codec.unpack(1, -1)
 
-    def test_graded_degree_and_norm(self):
-        assert graded_degree(A * B + C) == 2
-        assert graded_degree(ONE) == 0
+    def test_norm(self):
         assert (A.scaled(3) - (B * B).scaled(-4)).norm() == 7
         assert ZERO.norm() == 0

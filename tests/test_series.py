@@ -76,6 +76,13 @@ class TestExpand:
         with pytest.raises(ValueError, match=message):
             expand("G", order)
 
+    @pytest.mark.parametrize("kind,v", [("G", 1), ("T", 0)])
+    def test_order_whose_row_passes_sys_maxsize(self, kind, v):
+        # R's row runs through x^(order + v), longer than a list can be
+        message = f"^order must be at most sys.maxsize - {v + 1} for this row, not {sys.maxsize}$"
+        with pytest.raises(ValueError, match=message):
+            expand(kind, sys.maxsize)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_all_kinds_expand(self, kind):
         coeffs = expand(kind, 4).coeffs
@@ -149,6 +156,44 @@ class TestHighOrder:
         assert [p.eval(0, 0, 0) for p in expand("A", 200).coeffs] == a
 
 
+class TestFixedPoint:
+    """The solver's root of D S = P + Q S^2, the equation's unique series
+    fixed point."""
+
+    def test_catalan_equation_matches_convolution_oracle(self):
+        s = solve([ONE], [ZERO, ONE], [ONE], 8)
+        expected = [catalan_by_convolution(n) for n in range(9)]
+        assert list(s.coeffs) == consts(*expected)
+
+    def test_weighted_path_equation(self):
+        # independently derived by listing the paths of length 0, 1 and 2
+        s = solve([ONE], [ZERO, B, C], [ONE, -A], 2)
+        assert s.coeffs[0] == ONE
+        assert s.coeffs[1] == A + B
+        assert s.coeffs[2] == A * A + (A * B).scaled(3) + (B * B).scaled(2) + C
+
+    def test_constant_square_term_with_zero_constant_root(self):
+        # S = x + S^2 is x C(x): Q_0 != 0 is contractive because s_0 = 0
+        s = solve([ZERO, ONE], [ONE], [ONE], 6)
+        assert list(s.coeffs) == consts(0, 1, 1, 2, 5, 14, 42)
+
+    def test_divergence(self):
+        # S = 1 + S^2: s_n would need (S^2)_n, which contains 2 s_0 s_n
+        with pytest.raises(DivergenceError, match="not contractive"):
+            solve([ONE], [ONE], [ONE], 3)
+
+    def test_failed_full_order_check(self):
+        # D_0 = 2 breaks the recurrence, which assumes D_0 = 1
+        with pytest.raises(DivergenceError, match="fails D S = P"):
+            solve([ONE], [ZERO, ONE], [ONE + ONE], 3)
+
+    @pytest.mark.parametrize("q", [[], [ZERO], [ZERO, ZERO]], ids=["[]", "[0]", "[0, 0]"])
+    def test_zero_q_is_refused(self, q):
+        message = "^Q must be nonzero: solve takes quadratic rows only$"
+        with pytest.raises(ValueError, match=message):
+            solve([ONE], q, [ONE, -A], 3)
+
+
 def needed_width(s):
     """The least balanced slot width holding every coefficient of s."""
     return 1 + max(k if k >= 0 else ~k for c in s.coeffs for _, k in c.terms()).bit_length()
@@ -196,6 +241,12 @@ class TestPackedSolver:
         with pytest.raises(ValueError, match="homogeneous"):
             solve(*row, 6)
 
+    def test_non_homogeneous_entry_of_p_raises(self):
+        # P_1 = a + c: the grading read off a gives it degree 1, and packing
+        # finds c
+        with pytest.raises(ValueError, match="^a \\+ c is not homogeneous of degree 1$"):
+            solve([ONE, A + C], [ZERO, B], [ONE, -A], 6)
+
     def test_grading_with_g_2(self):
         # S = 1 + x c S^2 is the Catalan series in x c
         s = solve([ONE], [ZERO, C], [ONE], 6)
@@ -229,11 +280,7 @@ class TestCertificate:
         """+1 or -1 at degree 0, else a^e and -a^(e mod 2) c^(e div 2)."""
         return [Polynomial.monomial(e, 0, 0), Polynomial.monomial(e % 2, 0, e // 2, -1)]
 
-    @pytest.mark.parametrize(
-        "row",
-        [*(series._EQUATIONS[kind] for kind in KINDS), ([ONE], [], [ONE, -A])],
-        ids=[*KINDS, "Q = 0"],
-    )
+    @pytest.mark.parametrize("row", [series._EQUATIONS[kind] for kind in KINDS], ids=KINDS)
     @pytest.mark.parametrize("n", [1, ORDER // 2, ORDER])
     def test_one_changed_coefficient_fails(self, monkeypatch, row, n):
         ps, qs, ds, s, g, delta, stride = self.check_arguments(monkeypatch, row, self.ORDER)
@@ -247,8 +294,8 @@ class TestCertificate:
 
 class TestRandomRows:
     """solve against the fixed-point sum, computed in Polynomial arithmetic,
-    on random graded rows: g = 0, 1, 2, a shifted grading, Q = x^v Q~ with
-    v = 0, 1, 2, and Q = 0."""
+    on random graded rows: g = 0, 1, 2, a shifted grading, and Q = x^v Q~
+    with v = 0, 1, 2."""
 
     ORDER = 6
 
@@ -266,12 +313,12 @@ class TestRandomRows:
     def random_row(self, rng):
         g = rng.randint(0, 2)
         delta = rng.randint(-1, 1) if g else 0
-        v = rng.choice((None, 0, 1, 2))
-        if v is not None and g * v - delta < 0:
+        v = rng.choice((0, 1, 2))
+        if g * v - delta < 0:
             v += 1
         maybe = lambda e: self.homogeneous(rng, e) if e >= 0 and rng.random() < 0.7 else ZERO
         p = [maybe(g * n + delta) for n in range(rng.randint(1, 3))]
-        q = [] if v is None else [ZERO] * v + [self.homogeneous(rng, g * v - delta)] + [
+        q = [ZERO] * v + [self.homogeneous(rng, g * v - delta)] + [
             maybe(g * (v + i) - delta) for i in range(1, rng.randint(1, 3))
         ]
         d = [ONE] + [maybe(g * n) for n in range(1, rng.randint(1, 4))]
@@ -343,6 +390,13 @@ class TestIdentities:
         t = list(expand("T", n - 1).coeffs)
         x_gbar = padded([ZERO, *expand("Gbar_uvv", self.ORDER).coeffs], n)
         assert product(x_gbar, add(padded([ONE], n), [A * p for p in t])) == t
+
+
+def catalan_by_convolution(n):
+    vals = [1]
+    for _ in range(n):
+        vals.append(sum(vals[i] * vals[-1 - i] for i in range(len(vals))))
+    return vals[n]
 
 
 def consts(*values):

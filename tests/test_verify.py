@@ -292,6 +292,8 @@ def test_series_residuals_name_the_failing_identity(monkeypatch, kind, n, term, 
         ("G_uvv", 5, "first-return equation residual is nonzero"),
         ("T", 7, "T equation residual is nonzero"),
         ("Gbar_uvv", 3, "Gbar relation fails"),
+        ("F", 4, "F quadratic residual is nonzero"),
+        ("A", 6, "F vs A relation fails"),
     ],
 )
 def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, n, message):
