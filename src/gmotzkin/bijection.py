@@ -79,7 +79,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .paths import _check_avoids, _check_length, first_return_blocks, is_primitive
+from .paths import _check_avoids, _check_length, _is_primitive, first_return_blocks
 
 
 def sigma(word: str) -> str:
@@ -201,7 +201,7 @@ def _classify(word: str) -> str:
     """Class A/B/C of a fixed point of sigma."""
     if word.endswith("uv"):
         return CLASS_B
-    if is_primitive(word):
+    if _is_primitive(word):
         return CLASS_C
     return CLASS_A
 

@@ -16,8 +16,8 @@ word as it cuts it into blocks.  ``_check_avoids`` holds the rule that a
 path must avoid a pattern, for the decompositions and for ``bijection``'s
 maps; ``parse_pattern`` checks a pattern word, and ``_check_length`` a
 path length, for ``enumeration``, ``formulas`` and ``bijection``'s
-``fixed_points``.  Every other function in this module assumes its
-argument is already a valid word.
+``fixed_points``.  Every public function checks its input; ``_heights``,
+``_is_primitive`` and ``_max_strip`` assume a valid word.
 
 Weights: an (a, b, c)-weighting assigns u -> 1, h -> a, v -> b, d -> c,
 and the weight of a path is the product over its steps, i.e. the monomial
@@ -138,7 +138,7 @@ def parse_pattern(text: str) -> str:
     return word
 
 
-def heights(word: str) -> list[int]:
+def _heights(word: str) -> list[int]:
     """Running heights, one entry per prefix (len(word) + 1 values)."""
     out = [0]
     h = 0
@@ -148,7 +148,7 @@ def heights(word: str) -> list[int]:
     return out
 
 
-def is_primitive(word: str) -> bool:
+def _is_primitive(word: str) -> bool:
     """Nonempty, starts with u, and touches height 0 only at the end."""
     if not word or word[0] != "u":
         return False
@@ -161,26 +161,29 @@ def is_primitive(word: str) -> bool:
     return False  # unreachable for valid words
 
 
-def _max_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]:
+def _max_strip(word: str, close: str) -> tuple[int, str]:
     """Largest i with word == "u"*i + core + close*i, core valid at elevation i.
 
     The core must start and end at elevation i and never dip below it.  No
-    i can exceed the run-length bound: the length of the leading u run, of
-    the closing run, and (for a nonempty core) (len(word) - 1) // 2.  Up to
-    that bound the two runs fix the heights: the height is p at position p
-    and at position len(word) - p for every p <= bound, since the word
-    starts and ends at height 0.  For i <= bound the core therefore starts
-    and ends at elevation i, and its heights within the two runs are at
-    least i.  Only the heights from position bound to len(word) - bound,
-    between the runs, can cap i, so the largest valid i is the least of
-    them; it is at most hs[bound], which is bound.
+    i can exceed the run-length bound: the length of the leading u run and
+    of the closing run.  Up to that bound the two runs fix the heights: the
+    height is p at position p and at position len(word) - p for every p <=
+    bound, since the word starts and ends at height 0.  For i <= bound the
+    core therefore starts and ends at elevation i, and its heights within
+    the two runs are at least i.  Only the heights from position bound to
+    len(word) - bound, between the runs, can cap i, so the largest valid i
+    is the least of them; it is at most hs[bound], which is bound.
+
+    The core is empty only when the two runs fill the word, u^k close^k.
+    ``decompose_forward`` passes close = v, and u^k v^k contains uvv for
+    k >= 2 and is "uv" for k = 1, which it dispatches before the strip; so
+    its cores are nonempty.  ``decompose_inverse`` takes the empty core of
+    u^k d^k.
     """
-    hs = heights(word)
+    hs = _heights(word)
     u_run = len(word) - len(word.lstrip("u"))
     close_run = len(word) - len(word.rstrip(close))
     bound = min(u_run, close_run)
-    if not allow_empty_core:
-        bound = min(bound, (len(word) - 1) // 2)
     i = min(hs[bound : len(word) - bound + 1])
     return i, word[i : len(word) - i]
 
@@ -280,10 +283,10 @@ def decompose_forward(word: str) -> Decomposition:
         if rest[0] == "h":
             return Decomposition(CASE2, 0, (rest[1:],))
         return Decomposition(CASE3, 0, (blocks[1], rest[len(blocks[1]) :]))
-    i, core = _max_strip(prefix, "v", allow_empty_core=False)
+    i, core = _max_strip(prefix, "v")
     if core == "ud":
         return Decomposition(CASE4, i, (rest,))
-    if is_primitive(core):
+    if _is_primitive(core):
         if not core.endswith("d"):
             raise PathError("maximal strip left a primitive core ending in v")
         return Decomposition(CASE5, i, (core[1:-1], rest))
@@ -313,14 +316,14 @@ def decompose_inverse(word: str) -> Decomposition:
         return Decomposition(CASE_II, 0, (rest[1:],))
     if prefix.endswith("v"):
         return Decomposition(CASE_III, 0, (prefix[1:-1], rest))
-    j, core = _max_strip(prefix, "d", allow_empty_core=True)
+    j, core = _max_strip(prefix, "d")
     if j < 1:
         raise PathError("u/d strip of a d-ending primitive prefix must peel a layer")
     if (
         core
         and not core.endswith("uuvv")
         and not core.endswith("uv")
-        and is_primitive(core)
+        and _is_primitive(core)
     ):
         return Decomposition(CASE_V, j, (core[1:-1], rest))
     return Decomposition(CASE_IV, j, (core, rest))

@@ -29,17 +29,15 @@ survive JSON readers with fixed-width integers.
 
 Series in a formal variable x are not held here: ``series`` gives each as
 a tuple of Polynomial coefficients, x being the position in the tuple, not
-a fourth ring variable.  Products of polynomials are formed by ``dot``,
-which sums a run of polynomial products into one term map; it serves
-``Polynomial.__mul__`` and the tests' reference sums.  ``substitute``
-sends one variable to a polynomial the same way: each term, times the
-cached power of the replacement that it needs, is added into one term
-map, with no polynomial built per term.  Generating functions are not solved here:
-``series.solve`` computes the root of D S = P + Q S^2 by a linear
-recurrence for R = D - 2QS on ints packed by ``KroneckerCodec``, and
-certifies it by packing the result anew.  Criterion 9 of ``verify`` checks
-the solved series' identities on ints too, with sums and products of its
-own, not with the solver's recurrence or rows.
+a fourth ring variable.  ``substitute`` sends one variable to a
+polynomial: each term, times the cached power of the replacement that it
+needs, is added into one term map, with no polynomial built per term.
+Generating functions are not solved here: ``series.solve`` computes the
+root of D S = P + Q S^2 by a linear recurrence for R = D - 2QS on ints
+packed by ``KroneckerCodec``, and certifies it by packing the result
+anew.  Criterion 9 of ``verify`` checks the solved series' identities on
+ints too, with sums and products of its own, not with the solver's
+recurrence or rows.
 """
 
 from __future__ import annotations
@@ -140,7 +138,14 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return dot(((self, other),))
+        out: dict[Monomial, int] = {}
+        get = out.get
+        right = other._terms.items()
+        for (a1, b1, c1), k1 in self._terms.items():
+            for (a2, b2, c2), k2 in right:
+                mono = (a1 + a2, b1 + b2, c1 + c2)
+                out[mono] = get(mono, 0) + k1 * k2
+        return Polynomial._of(out)
 
     def scaled(self, k: int) -> "Polynomial":
         """The polynomial times the int k: the one way to scale; ValueError
@@ -224,32 +229,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def dot(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """The sum of p * q over ``pairs``, accumulated in a single term map;
-    ValueError names ``pairs`` if it is not iterable, an item that is no
-    pair, or a factor that is no Polynomial."""
-    out: dict[Monomial, int] = {}
-    get = out.get
-    try:
-        items = iter(pairs)
-    except TypeError:
-        raise ValueError(f"dot takes an iterable of pairs, not {pairs!r}") from None
-    for item in items:
-        try:
-            p, q = item
-        except (TypeError, ValueError):
-            raise ValueError(f"dot takes pairs of Polynomials, not {item!r}") from None
-        if not (isinstance(p, Polynomial) and isinstance(q, Polynomial)):
-            bad = q if isinstance(p, Polynomial) else p
-            raise ValueError(f"dot takes pairs of Polynomials, not {bad!r}")
-        right = q._terms.items()
-        for (a1, b1, c1), k1 in p._terms.items():
-            for (a2, b2, c2), k2 in right:
-                mono = (a1 + a2, b1 + b2, c1 + c2)
-                out[mono] = get(mono, 0) + k1 * k2
-    return Polynomial._of(out)
 
 
 class KroneckerCodec:

@@ -9,7 +9,7 @@ A word that is no path raises ``PathError``.
 
 from __future__ import annotations
 
-from .paths import RUN, first_return_blocks, heights
+from .paths import RUN, _heights, first_return_blocks
 
 # SVG scale: pixels per lattice unit, and the blank border around the path.
 _UNIT = 20
@@ -23,7 +23,7 @@ def render_ascii(word: str) -> str:
     the path down to the axis.
     """
     first_return_blocks(word)
-    hs = heights(word)
+    hs = _heights(word)
     top = max(hs)
     rows = max(top, 1)
     grid = [[" "] * max(len(word), 1) for _ in range(rows)]
@@ -43,7 +43,7 @@ def render_ascii(word: str) -> str:
 def render_svg(word: str) -> str:
     """SVG 1.1 drawing with one line per step and one circle per vertex."""
     first_return_blocks(word)
-    hs = heights(word)
+    hs = _heights(word)
     top = max(hs)
     xs = [0]
     for ch in word:

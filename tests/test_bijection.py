@@ -31,10 +31,10 @@ from gmotzkin.paths import (
     CASE_IV,
     CASE_V,
     PathError,
+    _is_primitive,
     decompose_forward,
     decompose_inverse,
     first_return_blocks,
-    is_primitive,
 )
 from gmotzkin.verify import BIJECTION_SAMPLE_INPUT, BIJECTION_SAMPLE_OUTPUT, FIXED_POINT_COUNTS
 
@@ -111,7 +111,7 @@ def _reference_block(block: str) -> str:
     if case == CASE_III:
         if peeled:
             return "u" + inner + "d"
-        return "uv" + inner if is_primitive(inner) else "u" + inner + "v"
+        return "uv" + inner if _is_primitive(inner) else "u" + inner + "v"
     if peeled:
         return "u" * (2 * j) + inner + "d" + "v" * (2 * j - 1)
     return "u" * (2 * j) + inner + "v" * (2 * j)
@@ -225,7 +225,7 @@ class TestSigma:
         # status: uvud is not primitive, yet its image uudv is.  The inverse
         # direction therefore tests primitivity of the preimage, not of the
         # interior itself; both round trips below depend on that.
-        assert not is_primitive("uvud") and is_primitive(sigma("uvud"))
+        assert not _is_primitive("uvud") and _is_primitive(sigma("uvud"))
         assert sigma_inv("uuudvv") == "uuvudv"
         assert sigma("uuvudv") == "uuudvv"
         assert sigma_inv("uuudvd") == "uuuvudvv"

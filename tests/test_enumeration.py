@@ -121,6 +121,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match=message):
             weight_sum(n, AVOID_UVV)
 
+    def test_length_sys_maxsize_is_taken(self):
+        # the longest length a word can have; the walk is not started
+        generate(sys.maxsize)
+
     def test_avoid_that_is_a_str(self):
         # a str would be read as the one-step patterns u, v, v
         for avoid in ("uvv", "u"):

@@ -343,6 +343,10 @@ class TestFixedPointCounts:
     def test_recurrence(self, n):
         assert fixed_point_sequences(n)[0][n] == FIXED_POINT_COUNTS[n]
 
+    @pytest.mark.parametrize("nmax", range(13))
+    def test_sequences_run_through_nmax(self, nmax):
+        assert [len(seq) for seq in fixed_point_sequences(nmax)] == [nmax + 1] * 4
+
     def test_sequences_are_consistent(self):
         f, a, b, c = fixed_point_sequences(10)
         assert f == FIXED_POINT_COUNTS

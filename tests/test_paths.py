@@ -6,19 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gmotzkin
-from gmotzkin import enumeration
+from gmotzkin import bijection, enumeration, paths, render
 from gmotzkin.bijection import sigma, sigma_inv
 from gmotzkin.paths import (
     RISE,
     Decomposition,
     PathError,
     _check_steps,
+    _heights,
+    _is_primitive,
     _max_strip,
     decompose_forward,
     decompose_inverse,
     first_return_blocks,
-    heights,
-    is_primitive,
     parse_pattern,
     parse_word,
 )
@@ -58,7 +58,7 @@ def first_return_split(word: str) -> tuple[str, str]:
 class TestParse:
     def test_simple(self):
         assert parse_word("ud") == "ud"
-        assert heights("ud") == [0, 1, 0]
+        assert _heights("ud") == [0, 1, 0]
 
     def test_whitespace_ignored(self):
         assert parse_word(" u u\nd v ") == "uudv"
@@ -125,24 +125,30 @@ class TestParse:
         assert word.count("u") == word.count("d") + word.count("v")
 
 
-# Every exported function that takes a word or a text first.
-WORD_ENTRY_POINTS = sorted(
-    name
-    for name, value in vars(gmotzkin).items()
-    if inspect.isfunction(value)
+# Every public function of paths, render and bijection, and every exported
+# one, that takes a word or a text first.
+WORD_ENTRY_POINTS = {
+    name: value
+    for module in (paths, render, bijection, gmotzkin)
+    for name, value in vars(module).items()
+    if not name.startswith("_")
+    and inspect.isfunction(value)
     and next(iter(inspect.signature(value).parameters), None) in ("word", "text")
-)
+}
 
 
 def test_word_entry_points_are_found():
-    assert {"parse_word", "parse_pattern", "sigma", "decompose_forward"} <= set(WORD_ENTRY_POINTS)
+    assert {
+        "parse_word", "parse_pattern", "first_return_blocks", "sigma", "decompose_forward",
+        "render_ascii", "render_svg",
+    } <= set(WORD_ENTRY_POINTS)
 
 
-@pytest.mark.parametrize("name", WORD_ENTRY_POINTS)
+@pytest.mark.parametrize("name", sorted(WORD_ENTRY_POINTS))
 @pytest.mark.parametrize("word", ["ux", 5], ids=repr)
 def test_exported_word_entry_point_rejects_a_bad_word(name, word):
     with pytest.raises(PathError):
-        getattr(gmotzkin, name)(word)
+        WORD_ENTRY_POINTS[name](word)
 
 
 class StrSubclass(str):
@@ -150,18 +156,12 @@ class StrSubclass(str):
     sends it to the checks that name the fault."""
 
 
-# The word entry points: the exported ones and those of the modules.
-WORD_ENTRIES = {name: getattr(gmotzkin, name) for name in WORD_ENTRY_POINTS} | {
-    "first_return_blocks": first_return_blocks,
-}
-
-
-@pytest.mark.parametrize("name", sorted(WORD_ENTRIES))
+@pytest.mark.parametrize("name", sorted(WORD_ENTRY_POINTS))
 @pytest.mark.parametrize(
     "word", ["", "h", "uvh", "uuvdhv", "uvuv", "uvv", "uudv", " ud", "ux", "du", "uu"]
 )
 def test_a_str_subclass_gives_what_a_str_gives(name, word):
-    entry = WORD_ENTRIES[name]
+    entry = WORD_ENTRY_POINTS[name]
 
     def outcome(w):
         try:
@@ -174,11 +174,11 @@ def test_a_str_subclass_gives_what_a_str_gives(name, word):
 
 class TestStructure:
     def test_is_primitive(self):
-        assert is_primitive("uv")
-        assert is_primitive("ud")
-        assert not is_primitive("h")
-        assert not is_primitive("uvuv")
-        assert not is_primitive("")
+        assert _is_primitive("uv")
+        assert _is_primitive("ud")
+        assert not _is_primitive("h")
+        assert not _is_primitive("uvuv")
+        assert not _is_primitive("")
 
     def test_first_return_split(self):
         assert first_return_split("uvhh") == ("uv", "hh")
@@ -231,43 +231,42 @@ class TestStructure:
     def test_first_return_prefix_is_primitive_or_h(self, word):
         prefix, rest = first_return_split(word)
         assert prefix + rest == word
-        assert prefix == "h" or is_primitive(prefix)
+        assert prefix == "h" or _is_primitive(prefix)
 
     def test_max_elevation_strip(self):
-        assert _max_strip("uudv", "v", allow_empty_core=False) == (1, "ud")
-        assert _max_strip("uuvuudvv", "v", allow_empty_core=False) == (1, "uvuudv")
-        assert _max_strip("uv", "v", allow_empty_core=False) == (0, "uv")
+        assert _max_strip("uudv", "v") == (1, "ud")
+        assert _max_strip("uuvuudvv", "v") == (1, "uvuudv")
+        # decompose_forward dispatches uv before the strip, which would empty it
+        assert _max_strip("uv", "v") == (1, "")
 
     def test_max_ud_strip(self):
-        assert _max_strip("uuvd", "d", allow_empty_core=True) == (1, "uv")
-        assert _max_strip("ud", "d", allow_empty_core=True) == (1, "")
-        assert _max_strip("uhv", "d", allow_empty_core=True) == (0, "uhv")
+        assert _max_strip("uuvd", "d") == (1, "uv")
+        assert _max_strip("ud", "d") == (1, "")
+        assert _max_strip("uhv", "d") == (0, "uhv")
 
-    @given(st.sampled_from([w for w in ALL_SMALL if is_primitive(w)]))
+    @given(st.sampled_from([w for w in ALL_SMALL if _is_primitive(w)]))
     def test_strip_maximality(self, word):
-        i, core = _max_strip(word, "v", allow_empty_core=False)
+        i, core = _max_strip(word, "v")
         assert "u" * i + core + "v" * i == word
         # one more layer is impossible: a run is exhausted or the core dips
         deeper = i + 1
-        hs = heights(word)
+        hs = _heights(word)
         can_peel = (
             word[:deeper] == "u" * deeper
             and word[len(word) - deeper :] == "v" * deeper
-            and len(word) > 2 * deeper
+            and len(word) >= 2 * deeper
             and all(h >= deeper for h in hs[deeper : len(word) - deeper + 1])
         )
         assert not can_peel
 
 
-def reference_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int, str]:
+def reference_strip(word: str, close: str) -> tuple[int, str]:
     """The strip by its definition: the largest i with word ==
     "u"*i + core + close*i, core a valid path at elevation i, searched
     downward from the largest i the word's length allows."""
     for i in range(len(word) // 2, -1, -1):
         core = word[i : len(word) - i]
         if word != "u" * i + core + close * i:
-            continue
-        if not core and not allow_empty_core:
             continue
         try:
             parse_word(core)  # a core valid at elevation i is a path on its own
@@ -280,13 +279,11 @@ def reference_strip(word: str, close: str, allow_empty_core: bool) -> tuple[int,
 @pytest.mark.parametrize("n", range(9))
 def test_strips_match_their_definition(n):
     for word in enumeration.generate(n):
-        if not is_primitive(word):
+        if not _is_primitive(word):
             continue
-        strip = _max_strip(word, "v", allow_empty_core=False)
-        assert strip == reference_strip(word, "v", False), word
+        assert _max_strip(word, "v") == reference_strip(word, "v"), word
         if word.endswith("d"):
-            strip = _max_strip(word, "d", allow_empty_core=True)
-            assert strip == reference_strip(word, "d", True), word
+            assert _max_strip(word, "d") == reference_strip(word, "d"), word
 
 
 @pytest.mark.parametrize("fn", [decompose_forward, decompose_inverse])
@@ -365,6 +362,16 @@ class TestDecomposeForward:
         (Decomposition("Case3", 0, "ud"), "parts must be a tuple, not 'ud'"),
         (Decomposition("Base", 0, 5), "parts must be a tuple, not 5"),
         (Decomposition(["Base"], 0, ("h",)), "unknown case ['Base']"),
+        # every case that peels no layer, at elevation 1
+        *(
+            (
+                Decomposition(case, 1, ("",) * count),
+                f"case {case} peels no layer, so its elevation must be 0, not 1",
+            )
+            for case, count in [
+                ("Case1", 1), ("Case2", 1), ("Case3", 2), ("CaseI", 1), ("CaseII", 1), ("CaseIII", 2),
+            ]
+        ),
     ],
 )
 def test_reassemble_refuses_a_record_its_case_does_not_take(record, message):

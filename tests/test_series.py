@@ -22,7 +22,6 @@ from gmotzkin.polyring import (
     DivergenceError,
     KroneckerCodec,
     Polynomial,
-    dot,
 )
 from gmotzkin.series import KINDS, expand, solve
 
@@ -291,6 +290,14 @@ class TestCertificate:
             with pytest.raises(DivergenceError, match="fails D S = P"):
                 series._check(ps, qs, ds, changed, g, delta, stride)
 
+    def test_twice_the_catalan_series_fails(self, monkeypatch):
+        # the residuals of R = D - 2QS for m >= 2 leave r_1 free, and 2 C is
+        # the series with r_1 = -4: only the m = 1 residual refuses it
+        ps, qs, ds, s, g, delta, stride = self.check_arguments(monkeypatch, series._EQUATIONS["C"], 12)
+        twice = [c.scaled(2) for c in s]
+        with pytest.raises(DivergenceError, match="fails D S = P"):
+            series._check(ps, qs, ds, twice, g, delta, stride)
+
 
 class TestRandomRows:
     """solve against the fixed-point sum, computed in Polynomial arithmetic,
@@ -337,7 +344,7 @@ class TestRandomRows:
             for i in range(n + 1):
                 m = n - i
                 pairs += [(at(q, i), s[j] * s[m - j]) for j in range(m + 1) if j < n and m - j < n]
-            s.append(at(p, n) + dot(pairs))
+            s.append(at(p, n) + sum((f * g for f, g in pairs), ZERO))
         return s
 
     @pytest.mark.parametrize("seed", range(40))
@@ -416,4 +423,4 @@ def add(*series):
 
 def product(s, t):
     """The coefficients of S T through the length of s; t is at least as long."""
-    return [dot((s[i], t[n - i]) for i in range(n + 1)) for n in range(len(s))]
+    return [sum((s[i] * t[n - i] for i in range(n + 1)), ZERO) for n in range(len(s))]

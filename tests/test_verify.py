@@ -33,7 +33,7 @@ from gmotzkin.paths import (
     CASE_IV,
     CASE_V,
     Decomposition,
-    heights,
+    _heights,
 )
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
@@ -100,7 +100,7 @@ def test_is_path_is_the_heights_definition(n):
     # are no paths, wherever the x stands
     for steps in itertools.product("udhv", repeat=n):
         word = "".join(steps)
-        hs = heights(word)
+        hs = _heights(word)
         assert verify._is_path(word) is (min(hs) == 0 == hs[-1]), word
         for i in range(n + 1):
             assert verify._is_path(word[:i] + "x" + word[i:]) is False
@@ -140,11 +140,23 @@ def c_as_b(pairs):
 @pytest.mark.parametrize(
     "change,error",
     [
-        (lambda words: words[:1] + words[2:], "sigma fixes 'uhv', fixed_points lists 'uvh' there"),
-        (lambda words: words[:-1], "sigma fixes 'hh', fixed_points lists None there"),
-        (lambda words: words[:2] + words[1:], "sigma fixes 'uvh', fixed_points lists 'uhv' there"),
-        (lambda words: words + words[-1:], "fixed_points lists 'hh' after the last path sigma fixes"),
-        (lambda words: words[1:2] + words[:1] + words[2:], "sigma fixes 'ud', fixed_points lists 'uhv' there"),
+        (
+            lambda words: words[:1] + words[2:],
+            "sigma fixes ('uhv', 'C'), fixed_points lists ('uvh', 'A') there",
+        ),
+        (lambda words: words[:-1], "sigma fixes ('hh', 'A'), fixed_points lists None there"),
+        (
+            lambda words: words[:2] + words[1:],
+            "sigma fixes ('uvh', 'A'), fixed_points lists ('uhv', 'C') there",
+        ),
+        (
+            lambda words: words + words[-1:],
+            "fixed_points lists ('hh', 'A') after the last path sigma fixes",
+        ),
+        (
+            lambda words: words[1:2] + words[:1] + words[2:],
+            "sigma fixes ('ud', 'C'), fixed_points lists ('uhv', 'C') there",
+        ),
     ],
     ids=["drops a word", "drops the last word", "repeats a word", "repeats the last word", "swaps two words"],
 )
@@ -155,7 +167,18 @@ def test_sweep_reads_fixed_points_word_for_word(monkeypatch, change, error):
 
 def test_sweep_checks_the_classes_of_fixed_points(monkeypatch):
     patch_grammar(monkeypatch, c_as_b)
-    assert Harness().sweep(2).error == "classes (2, 1, 2) != fixed_points (2, 3, 0)"
+    assert Harness().sweep(2).error == "sigma fixes ('ud', 'C'), fixed_points lists ('ud', 'B') there"
+
+
+def test_sweep_checks_each_class_not_only_their_totals(monkeypatch):
+    # uvh (A) and huv (B) trade classes: the counts by class stay (2, 1, 2)
+    def swap(pairs):
+        classes = dict(pairs)
+        other = {"uvh": "huv", "huv": "uvh"}
+        return [(word, classes[other.get(word, word)]) for word, _ in pairs]
+
+    patch_grammar(monkeypatch, swap)
+    assert Harness().sweep(2).error == "sigma fixes ('uvh', 'A'), fixed_points lists ('uvh', 'B') there"
 
 
 def test_a_walk_that_meets_no_fixed_point_fails(monkeypatch):
@@ -177,7 +200,7 @@ def test_fixed_points_that_lists_a_word_sigma_moves_fails_criterion_4(monkeypatc
     monkeypatch.setattr(bijection, "sigma_inv", lambda p: swap.get(p) or real_sigma_inv(p))
     result = Harness(max_n=2).criterion_4()
     assert not result.ok
-    assert result.detail == "n=2: sigma fixes 'hh', fixed_points lists 'uvh' there"
+    assert result.detail == "n=2: sigma fixes ('hh', 'A'), fixed_points lists ('uvh', 'A') there"
 
 
 @pytest.mark.parametrize(
@@ -258,13 +281,15 @@ def perturbed_expand(kind, n, term):
 @pytest.mark.parametrize(
     "kind,n,term,message",
     [
-        ("G_uvv", 5, A * B * B * C, "first-return equation residual is nonzero"),
-        ("T", 7, Polynomial.monomial(0, 6, 0), "T equation residual is nonzero"),
-        ("Gbar_uvv", 3, Polynomial.monomial(3, 0, 0), "Gbar relation fails"),
+        ("G_uvv", 5, A * B * B * C, "first-return equation residual is nonzero at x^5"),
+        ("T", 7, Polynomial.monomial(0, 6, 0), "T equation residual is nonzero at x^7"),
+        # Gbar_n stands at x^(n + 1) in x Gbar (1 + a T) = T
+        ("Gbar_uvv", 3, Polynomial.monomial(3, 0, 0), "Gbar relation fails at x^4"),
+        # T_0 + 1 is nonzero at T_0's degree -1, so it fails to pack: no power
         ("T", 0, Polynomial.const(1), "T equation residual is nonzero"),
-        ("Gbar_uvv", 8, -C * C * C * C, "Gbar relation fails"),
-        ("F", 4, Polynomial.const(1), "F quadratic residual is nonzero"),
-        ("A", 6, Polynomial.const(1), "F vs A relation fails"),
+        ("Gbar_uvv", 8, -C * C * C * C, "Gbar relation fails at x^9"),
+        ("F", 4, Polynomial.const(1), "F quadratic residual is nonzero at x^4"),
+        ("A", 6, Polynomial.const(1), "F vs A relation fails at x^6"),
         # F_3 + a and A_3 + a are not constants, but equal F_3 and A_3 at a = 0
         ("F", 3, A, "F quadratic residual is nonzero"),
         ("A", 3, A, "F vs A relation fails"),
@@ -309,7 +334,7 @@ def test_series_residuals_need_every_term_of_an_identity(monkeypatch):
     assert rhs.endswith(" + cxxGG")
     dropped = (message, extra, lhs, rhs.removesuffix(" + cxxGG"))
     monkeypatch.setattr(verify, "_IDENTITIES", (dropped, *verify._IDENTITIES[1:]))
-    assert Harness(series_order=8)._series_residuals() == message
+    assert Harness(series_order=8)._series_residuals() == f"{message} at x^2"
 
 
 @pytest.mark.parametrize("term,letter", [("qG", "q"), ("G2", "2"), ("xB", "B")])
