@@ -49,12 +49,17 @@ u-block, as in uvhuvud), and ``sigma_inv`` tests the whole word.
 
 One pass.  Both maps read the word once with a stack of levels, one per
 open u.  A d or v closing the u maps the block it ends into the parent
-level, so nesting costs no recursion.  A level holding one block keeps its
-peeled layers and core and, in ``sigma_inv``, whether its image is
-primitive.  A ``sigma`` level flags a last lone uv (Case3); a ``sigma_inv``
-level reads a last uv or uuvv block off its image, uv or uvuv.  ``sigma``
-checks that no Case5 Q'' ends in uv and no Case6 Q'' in uv or uuvv, and
-raises AssertionError otherwise, also under ``python -O``.
+level, so nesting costs no recursion.  A ``sigma`` level holding one block
+keeps its peeled layers and core, and every ``sigma`` level flags a last
+lone uv (Case3).  A ``sigma_inv`` level keeps its block images and, while
+it holds one block, whether its image is primitive; it reads a last uv or
+uuvv block off its image, uv or uvuv.  A further u...d layer, j to j + 1
+in the table above, adds uu in front and vv behind, and needs no state:
+the single block's image is ud or starts with uu, so it never ends in uv
+or uuvv, and the close that maps u core d to uu inv(core) vv for such a
+core maps the layer to uu image vv.  ``sigma`` checks that no Case5 Q''
+ends in uv and no Case6 Q'' in uv or uuvv, and raises AssertionError
+otherwise, also under ``python -O``.
 
 Fixed points.  sigma maps a path unit by unit, so a path is fixed exactly
 when every unit is h, uv, ud or u K v with K a nonempty class-A fixed
@@ -141,22 +146,22 @@ def _image(layers: int, core: str | None) -> str:
 def sigma_inv(word: str) -> str:
     """Preimage of a uvu-avoiding path; raises PathError if the input has a uvu."""
     _check_avoids(word, "uvu")
-    # The open level: block images; its single block's u...d layers, primitive image.
-    images, layers, primitive = [], None, False
-    stack = []  # the levels around it
+    # The open level: block images; whether its single block's image is primitive.
+    images, primitive = [], False
+    stack = []  # the block images of the levels around it
     try:
         for step in word:
             if step == "u":
-                stack.append((images, layers, primitive))
-                images, layers, primitive = [], None, False
+                stack.append(images)
+                images, primitive = [], False
                 continue
             if step == "h":
                 images.append("h")
-                layers, primitive = None, False
+                primitive = False
                 continue
             parent = stack.pop()
             if not images:  # ud (CaseIV), or uv
-                block, image = ((1, "d", 0), "ud") if step == "d" else (None, "uv")
+                image = "u" + step
             else:
                 inner, tail, last = "".join(images), "v", images[-1]
                 # P'' or the core loses a uuvv or uv suffix; P'' = uv stays.
@@ -165,19 +170,12 @@ def sigma_inv(word: str) -> str:
                 elif last == "uv" and (step == "d" or len(images) > 1):
                     inner, tail = inner[:-2], "d"
                 if step == "v":  # CaseIII
-                    block = None
                     image = "uv" + inner if primitive and tail == "v" else "u" + inner + tail
-                else:  # CaseIV, CaseV
-                    if layers:  # one more u...d layer
-                        block = (layers[0] + 2, layers[1], layers[2] + 2)
-                    else:
-                        block = (2, inner + tail, 1)
-                    image = "u" * block[0] + block[1] + "v" * block[2]
-            images, layers, primitive = parent
-            if images:
-                layers, primitive = None, False
-            else:  # only uv R is not primitive
-                layers, primitive = block, image == "uv" or image[1] != "v"
+                else:  # CaseIV, CaseV; a further u...d layer adds uu...vv
+                    image = "uu" + inner + tail + "v"
+            images = parent
+            # only uv R is not primitive
+            primitive = not images and (image == "uv" or image[1] != "v")
             images.append(image)
     except IndexError:  # a step dips below the axis
         first_return_blocks(word)  # raises parse_word's message

@@ -239,6 +239,15 @@ class TestSigma:
         for p in generate(n, AVOID_UVU):
             assert sigma_inv(p) == reference_sigma_inv(p)
 
+    @pytest.mark.parametrize("tail", ["", "h"])
+    @pytest.mark.parametrize("core", ["", "uv", "uuvv", "h", "udud", "uhv"])
+    @pytest.mark.parametrize("j", range(1, 13))
+    def test_sigma_inv_of_nested_ud_layers_equals_the_reference(self, j, core, tail):
+        # each u...d layer past the first wraps the block's image in uu...vv;
+        # "uhv" is a CaseV core
+        p = "u" * j + core + "d" * j + tail
+        assert sigma_inv(p) == reference_sigma_inv(p)
+
     @settings(max_examples=50)
     @given(random_paths("uvv"))
     def test_sigma_equals_the_reference_beyond_exhaustive_reach(self, q):

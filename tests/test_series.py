@@ -353,6 +353,72 @@ class TestRandomRows:
         assert list(solve(*row, self.ORDER).coeffs) == self.fixed_point_sum(*row, self.ORDER)
 
 
+class TestBounds:
+    """The bounds that solve and its certificate give KroneckerCodec, each
+    against what it bounds, computed apart from them: with a right series
+    every residual is 0 whatever the width, so no other test sees a bound
+    that is too small."""
+
+    ORDER = 20
+
+    @staticmethod
+    def recorded_bounds(monkeypatch):
+        """The bounds of the codecs built from now on, in order."""
+        bounds = []
+
+        def codec(bound, stride):
+            bounds.append(bound)
+            return KroneckerCodec(bound, stride)
+
+        monkeypatch.setattr(series, "KroneckerCodec", codec)
+        return bounds
+
+    @staticmethod
+    def residuals(ps, qs, ds, s):
+        """sum_i Delta_i (2m - 3i) r_(m-i) for m = 1..order + v, with R = D -
+        2QS and Delta = D^2 - 4PQ, in Polynomial arithmetic."""
+        at = lambda row, i: row[i] if i < len(row) else ZERO
+        conv = lambda f, h, m: sum((at(f, i) * at(h, m - i) for i in range(m + 1)), ZERO)
+        top = len(s) - 1 + next(i for i, c in enumerate(qs) if c)
+        r = [at(ds, m) - conv(qs, s, m).scaled(2) for m in range(top + 1)]
+        disc = [conv(ds, ds, m) - conv(ps, qs, m).scaled(4) for m in range(top + 1)]
+        return [
+            sum(((disc[i] * r[m - i]).scaled(2 * m - 3 * i) for i in range(m + 1)), ZERO)
+            for m in range(1, top + 1)
+        ]
+
+    def assert_majorant_bounds_the_series(self, monkeypatch, row, order):
+        bounds = self.recorded_bounds(monkeypatch)
+        s = solve(*row, order)
+        solve_bound, _ = bounds
+        assert solve_bound >= max(c.norm() for c in s.coeffs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_majorant_bounds_every_coefficient(self, monkeypatch, kind):
+        self.assert_majorant_bounds_the_series(monkeypatch, series._EQUATIONS[kind], self.ORDER)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_majorant_bounds_every_coefficient_of_a_random_row(self, monkeypatch, seed):
+        row = TestRandomRows().random_row(random.Random(seed))
+        self.assert_majorant_bounds_the_series(monkeypatch, row, self.ORDER)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, ORDER // 2, ORDER])
+    def test_certificate_bound_holds_every_residual(self, monkeypatch, kind, n):
+        args = TestCertificate.check_arguments(monkeypatch, series._EQUATIONS[kind], self.ORDER)
+        ps, qs, ds, s, g, delta, stride = args
+        assert not any(self.residuals(ps, qs, ds, s))
+        # a change larger than every coefficient, so that the residuals
+        # outgrow every operand that the certificate packs
+        changed = list(s)
+        changed[n] += Polynomial.monomial(g * n + delta, 0, 0, 1 + max(c.norm() for c in s))
+        bounds = self.recorded_bounds(monkeypatch)
+        with pytest.raises(DivergenceError, match="fails D S = P"):
+            series._check(ps, qs, ds, changed, g, delta, stride)
+        (bound,) = bounds
+        assert bound >= max(c.norm() for c in self.residuals(ps, qs, ds, changed))
+
+
 class TestIdentities:
     ORDER = 12
 

@@ -585,6 +585,10 @@ FAILURE_DETAILS = {
         "n=0: {'brute force': 1, 'closed form': 0, 'recurrence': 1, 'series': 1, "
         "'frozen table': 1}",
     ),
+    # closed form 1 against the series past all_nmax: criterion 7 alone
+    "specialization series": (
+        7, 10, verify, "expand", perturbed_expand("G_uvv", 9, A), "n=9: (1, 0, 2) series",
+    ),
     "weight relation": (
         8, 1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + C,
         "n=1: schroder_eq_shifted_dyck",
