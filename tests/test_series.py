@@ -107,17 +107,25 @@ class TestExpand:
         assert expand("Gbar_uvv", n).coeffs[n] == weight_sum(n, cons)
 
     def test_verify_expands_each_series_once(self, monkeypatch):
-        calls = Counter()
+        # one expansion per kind, at the largest order any check reads:
+        # max(series_order + 1, avoid_nmax)
+        calls, orders = Counter(), set()
         real_expand = series.expand
 
         def counted(kind, order):
-            calls[kind, order] += 1
+            calls[kind] += 1
+            orders.add(order)
             return real_expand(kind, order)
 
         monkeypatch.setattr(series, "expand", counted)
         monkeypatch.setattr(verify, "expand", counted)
         assert all(r.ok for r in verify.Harness(max_n=3, series_order=8).run_all())
-        assert calls and max(calls.values()) == 1, calls
+        assert calls == Counter(set(KINDS) - {"C"}), calls
+        assert orders == {9}
+        calls.clear()
+        orders.clear()
+        assert all(r.ok for r in verify.Harness(max_n=6, series_order=2).run_all())
+        assert calls == Counter(set(KINDS) - {"C"}) and orders == {6}, (calls, orders)
 
 
 class TestHighOrder:

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from gmotzkin import bijection, cli, enumeration, formulas, verify
-from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV
+from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, NO_CONSTRAINTS
 from gmotzkin.paths import (
     BASE,
     BASE_INV,
@@ -35,7 +35,7 @@ from gmotzkin.paths import (
     Decomposition,
     _heights,
 )
-from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, DivergenceError, Polynomial
+from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
 from gmotzkin.verify import Harness
 
@@ -48,8 +48,8 @@ real_expand = verify.expand
 def test_sweep_passes_on_the_real_bijection():
     rec = Harness(max_n=3).sweep(3)
     assert rec.error is None
-    assert rec._fields == ("size", "a", "b", "c", "error")
-    assert (rec.size, rec.a, rec.b, rec.c) == (22, 7, 4, 2)
+    assert rec._fields == ("a", "b", "c", "error")
+    assert (rec.a, rec.b, rec.c) == (7, 4, 2)
 
 
 def test_image_with_uvu(monkeypatch):
@@ -265,11 +265,12 @@ A, B, C = VAR_A, VAR_B, VAR_C
 
 
 def perturbed_expand(kind, n, term):
-    """``expand`` with ``term`` added to coefficient n of ``kind``."""
+    """``expand`` with ``term`` added to coefficient n of ``kind``, in an
+    expansion that reaches it."""
 
     def expand(k, order):
         s = real_expand(k, order)
-        if k != kind:
+        if k != kind or n > order:
             return s
         coeffs = list(s.coeffs)
         coeffs[n] = coeffs[n] + term
@@ -574,10 +575,6 @@ FAILURE_DETAILS = {
     "c = b^2": (
         3, 2, verify, "expand", perturbed_expand("G_uvu", 2, A), "series c=b^2 fails at n=2",
     ),
-    "class size": (
-        4, 1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + ONE,
-        "n=0: class size 1 != Schroeder 2",
-    ),
     "sample sigma": (5, 0, bijection, "sigma", lambda q: "uv", "sigma gave uv"),
     "sample sigma_inv": (5, 0, bijection, "sigma_inv", lambda p: "uv", "sigma_inv gave uv"),
     "fixed-point count": (
@@ -608,6 +605,37 @@ def test_each_failure_detail_names_what_failed(monkeypatch, name):
     monkeypatch.setattr(module, attr, replacement)
     result = getattr(Harness(max_n=max_n, series_order=3), f"criterion_{k}")()
     assert (result.ok, result.detail) == (False, detail)
+
+
+def test_criterion_3_reads_the_series_past_series_order(monkeypatch):
+    # the series run through x^max(series_order + 1, avoid_nmax), here x^4
+    monkeypatch.setattr(verify, "expand", perturbed_expand("G", 3, A))
+    result = Harness(max_n=4, series_order=1).criterion_3()
+    assert (result.ok, result.detail) == (False, "series c->b^2+c fails at n=3")
+
+
+@pytest.mark.parametrize(
+    "max_n,module,attr,replacement,failed",
+    [
+        # the Schroeder weights that criterion 4's class size check read
+        (
+            1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + ONE,
+            [("specialization table", "n=0: (a,b,b^2) Schroeder polynomial"),
+             ("weight relations", "n=1: schroder_eq_shifted_dyck")],
+        ),
+        # the oracle rows that criterion 3 read, here G_2 + a
+        (
+            2, verify, "weight_sum",
+            lambda n, con: real_weight_sum(n, con) + (A if (n, con) == (2, NO_CONSTRAINTS) else ZERO),
+            [("series vs oracle", "G coefficient 2 != oracle")],
+        ),
+    ],
+    ids=["Schroeder weight + 1", "oracle G_2 + a"],
+)
+def test_faults_of_the_dropped_rows_still_fail(monkeypatch, max_n, module, attr, replacement, failed):
+    monkeypatch.setattr(module, attr, replacement)
+    results = Harness(max_n=max_n, series_order=3).run_all()
+    assert [(r.name, r.detail) for r in results if not r.ok] == failed
 
 
 # The detail of each criterion of a passing Harness(max_n=3, series_order=8).
