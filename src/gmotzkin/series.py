@@ -26,8 +26,9 @@ from another:
             (1 + 2x - 2x^2 - 4x^3 - x^4) F = (1+x)^3 + x F^2 and divide
             by (1+x)^3.
 
-So ``verify``'s Gbar relation x Gbar (1 + aT) = T and its F-vs-A relation
-F = (1+x)^2 A + x^3 - x check this solver's output independently.
+So ``verify``'s Gbar relation x Gbar (1 + aT) = T, its F-vs-A relation
+F = (1+x)^2 A + x^3 - x and its T relation T = x G_uvv check this
+solver's output independently.
 
 ``solve`` returns a ``PowerSeries``, a record whose one field ``coeffs`` is
 the tuple of Polynomial coefficients s_0, ..., s_order.
@@ -119,15 +120,17 @@ never as a wrong series.
 
 ``verify`` checks the solved series again with code of its own, which
 shares nothing with this solve or certificate: substitutions in
-``Polynomial`` arithmetic, and one table of five series identities, whose
-residuals it evaluates on ints packed by the codec, F and A at degree 0.
-Those residuals form products of series, so they stay O(N^2) in the
-order N.
+``Polynomial`` arithmetic, and three relations between kinds.  It does not
+restate any row, which the certificate already holds each expansion to.
+Of those relations only the Gbar relation forms a product of series, one
+product H T on ints packed by the codec, so it alone is O(N^2) in the
+order N; F vs A and T = x G_uvv are linear and compared unpacked.
 
 No radical is formed symbolically: R, the square root of Delta, is only
 ever a power series of integer polynomials, and closed forms involving
-square roots are certified by checking the defining equations' residuals,
-which ``verify`` does independently of this solver.
+square roots are certified by the residuals of their defining rows, which
+the certificate above checks, and independently by ``verify``'s checks of
+the series against the oracle, the closed forms and each other.
 """
 
 from __future__ import annotations

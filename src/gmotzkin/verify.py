@@ -32,9 +32,10 @@ shape allows, read off its first steps and, past the peeled layers, off
 the kind of its core.  ``reassemble`` alone refuses a record of an
 unknown case or with parts or an elevation that ``paths._CASES`` does not
 give its case, and the checkers report that refusal first.  Its series
-identities are one table, ``_IDENTITIES``, over the series of
-``_SERIES``; ``_sides`` evaluates each on l1 norms, for a slot width, and
-then on Kronecker-packed ints.
+checks are the three relations between kinds, written out in
+``Harness._series_residuals``: the Gbar relation on Kronecker-packed ints,
+and F vs A and T = x G_uvv on the polynomials themselves.  No kind's own
+equation is restated, since ``expand`` certifies each against its row.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .paths import (
     decompose_forward,
     decompose_inverse,
 )
-from .polyring import VAR_B, VAR_C, KroneckerCodec, Polynomial
+from .polyring import ONE, VAR_B, VAR_C, ZERO, KroneckerCodec, Polynomial
 from .series import PowerSeries, expand
 
 # First eleven fixed-point counts of sigma, frozen as independent test data.
@@ -128,34 +129,6 @@ _CLOSED_FORMS = (
 )
 
 
-# Criterion 9's series by letter: (kind, orders past series_order, g, shift),
-# the x^n coefficient homogeneous of degree g n + shift.  T runs one order
-# further, so that the Gbar relation through x^(order + 1) reaches Gbar_order.
-_SERIES = {
-    "G": ("G_uvv", 0, 1, 0),
-    "T": ("T", 1, 1, -1),
-    "H": ("Gbar_uvv", 0, 1, 0),
-    "F": ("F", 0, 0, 0),
-    "A": ("A", 0, 0, 0),
-}
-
-# Criterion 9's identities, checked in turn: (message, orders past
-# series_order, left side, right side).  A term is an optional int factor
-# times letters: a, b, c, x and the series of ``_SERIES``.
-_IDENTITIES = (
-    # G + b^2 x^2 G^2 = 1 + a x G + b x G^2 + c x^2 G^2   (G = G_uvv)
-    ("first-return equation residual is nonzero", 0, "G + bbxxGG", "1 + axG + bxGG + cxxGG"),
-    # T + b^2 x T^2 = x + a x T + b T^2 + c x T^2
-    ("T equation residual is nonzero", 1, "T + bbxTT", "x + axT + bTT + cxTT"),
-    # x H (1 + a T) = T   (H = Gbar_uvv)
-    ("Gbar relation fails", 1, "xH + axHT", "T"),
-    # x F^2 + (1 + x)^3 + (2x^2 + 4x^3 + x^4) F = (1 + 2x) F
-    ("F quadratic residual is nonzero", 0, "xFF + 1 + 3x + 3xx + xxx + 2xxF + 4xxxF + xxxxF", "F + 2xF"),
-    # F + x = (1 + x)^2 A + x^3
-    ("F vs A relation fails", 0, "F + x", "A + 2xA + xxA + xxx"),
-)
-
-
 class Harness:
     """Runs the verification checks with shared caches."""
 
@@ -185,7 +158,7 @@ class Harness:
         expanded on first use.  Each check reads the coefficients it needs
         off this one expansion: criterion 2 through all_nmax, criteria 6
         and 7 through avoid_nmax, criterion 3 all of them and criterion 9
-        each row through its orders past series_order."""
+        T through series_order + 1 and the others through series_order."""
         if kind not in self._series:
             self._series[kind] = expand(kind, max(self.series_order + 1, self.avoid_nmax))
         return self._series[kind]
@@ -348,8 +321,12 @@ class Harness:
         the recurrence's.  ``fixed_point_sequences`` builds b and c from a
         by the class relations c_n = a_{n-1} (n >= 3), c_2 = 2 and b_n =
         a_{n-1} + c_{n-1}, with seeds a_0..a_4 = 1, 1, 2, 7, 23, so the
-        relations are checked through that match.  A sweep that failed
-        reports its own error, not counts it stopped short of."""
+        relations are checked through that match.  For n <= all_nmax the
+        counts of ``bijection.fixed_points(n)`` are read too: their total f
+        as one more value, and their classes against the recurrence, so its
+        own counting is checked, not only the grammar that the sweep reads.
+        A sweep that failed reports its own error, not counts it stopped
+        short of."""
         nmax = self.avoid_nmax
         f_series = self.series("F")
         f_seq, a_seq, b_seq, c_seq = formulas.fixed_point_sequences(nmax)
@@ -363,15 +340,19 @@ class Harness:
                 "recurrence": f_seq[n],
                 "series": f_series.coeffs[n].eval(0, 0, 0),
             }
+            classes = {"classes": (rec.a, rec.b, rec.c)}
+            if n <= self.all_nmax:
+                counts = bijection.fixed_points(n)
+                values["fixed_points"] = counts.f
+                classes["fixed_points classes"] = (counts.a, counts.b, counts.c)
             if n < len(FIXED_POINT_COUNTS):
                 values["frozen table"] = FIXED_POINT_COUNTS[n]
             if len(set(values.values())) != 1:
                 return f"n={n}: {values}"
-            if (rec.a, rec.b, rec.c) != (a_seq[n], b_seq[n], c_seq[n]):
-                return (
-                    f"n={n}: classes {(rec.a, rec.b, rec.c)} != recurrence "
-                    f"{(a_seq[n], b_seq[n], c_seq[n])}"
-                )
+            recurrence = (a_seq[n], b_seq[n], c_seq[n])
+            for label, got in classes.items():
+                if got != recurrence:
+                    return f"n={n}: {label} {got} != recurrence {recurrence}"
         return None
 
     @_criterion("specialization table", "7 rows, n = 0..{avoid_nmax}")
@@ -418,9 +399,27 @@ class Harness:
     )
     def criterion_9(self) -> str | None:
         """Decomposition records of both classes for n <= all_nmax, and the
-        series residuals.  sigma's Case5/Case6 invariants are criterion 4's:
-        its sweep maps every uvv-avoiding path with n <= avoid_nmax, which
-        covers all_nmax."""
+        series relations between kinds of ``_series_residuals``.  sigma's
+        Case5/Case6 invariants are criterion 4's: its sweep maps every
+        uvv-avoiding path with n <= avoid_nmax, which covers all_nmax.
+
+        No kind's own equation is restated here.  Each is a row D S = P +
+        Q S^2 of ``series``, and ``expand`` certifies every expansion
+        against its row through its order (the certificate lemma of the
+        ``series`` docstring), so the row holds on every series read here.
+        A wrong row, one whose root is not the kind's series, still fails:
+          G_uvv     criterion 2 holds its series to the oracle for n <=
+                    all_nmax, criterion 3 to G's and G_uvu's series
+                    through the whole expansion, and T = x G_uvv to T;
+          T         x Gbar (1 + aT) = T has one root T for the true Gbar,
+                    so a wrong T fails the Gbar relation (and T = x G_uvv);
+          Gbar_uvv  the same relation gives Gbar = T / (x (1 + aT)) for
+                    the true T, so a wrong Gbar fails it (and criterion 2);
+          F, A      F + x = (1 + x)^2 A + x^3 gives each from the other,
+                    so a wrong one fails F vs A, and criterion 6 holds F
+                    to the fixed-point counts for n <= avoid_nmax.
+        So the first-return equation, the T equation and the F quadratic
+        are implied, and are not checked here."""
         for n in range(self.all_nmax + 1):
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
@@ -433,54 +432,68 @@ class Harness:
         return self._series_residuals()
 
     def _series_residuals(self) -> str | None:
-        """The series identities of criterion 9: None, or the message of the
-        first in ``_IDENTITIES`` that fails, with the first power of x at
+        """Criterion 9's relations between kinds, in turn: None, or the
+        message of the first that fails, with the first power of x at
         which its two sides differ (none if a series fails to pack).
 
-        Each series is read through x^(order + its orders past series_order)
-        only, off the harness's longer expansion, so that no coefficient it
-        packs has a degree above order.
+          Gbar relation  x Gbar (1 + aT) = T through x^(order + 1);
+          F vs A         F + x = (1 + x)^2 A + x^3 through x^order;
+          T relation     T = x G_uvv through x^(order + 1).
 
-        Grade a and b by 1 and c by 2.  ``KroneckerCodec.pack_row`` sends each
-        coefficient of a series of ``_SERIES``, homogeneous of degree
-        g n + shift, to its value at a = 1, b = 2^w, c = 2^(w s), with
-        stride s = order + 1; F and A, of degree 0, pack to themselves.  Each
-        series is packed just before its first identity.  ``pack`` raises
-        for a coefficient that is not homogeneous of its degree (for F and
-        A, not an integer constant), which fails that identity: taken in
-        turn, each identity has only homogeneous solutions.  Packing is a
-        ring homomorphism, so the packed n-th coefficient of a side is the
-        value of that side's n-th coefficient L_n, a homogeneous polynomial
-        of degree e <= order.  Its monomial a^ea b^eb c^ec lands in slot
-        eb + s ec; eb <= e < s, so distinct monomials of degree e land in
-        distinct slots.  Every term stands on the side where its sign is
-        positive, and the same sides run on l1 norms bound ||L_n||, since
-        the norm is subadditive and submultiplicative (||a|| = ||b|| =
-        ||c|| = 1); the codec puts 2^(w-1) above that bound, so every
-        coefficient of L_n is a balanced digit in [-2^(w-1), 2^(w-1)), and
-        so is every coefficient of every series, each a term of some side.
-        Balanced digits are unique, so the two sides' ints are equal exactly
-        when their polynomials are, and nothing is unpacked.
+        Each series is read off the harness's longer expansion, T through
+        x^(order + 1) and the others through x^order, so that no
+        coefficient packed below has a degree above order.
+
+        The Gbar relation is compared on packed ints.  Grade a and b by 1
+        and c by 2: a step's degree is its x-length, so Gbar_n, a weight
+        sum over paths of x-length n, is homogeneous of degree n, and T_n
+        = G_uvv_(n-1) of degree n - 1.  ``KroneckerCodec.pack_row`` sends
+        each to its value at a = 1, b = 2^w, c = 2^(w s), with stride s =
+        order + 1, and raises for a coefficient that is not homogeneous of
+        its degree, which fails the relation.  Packing is a ring
+        homomorphism, so the packed x^n coefficient of each side is the
+        value of that side's coefficient L_n, homogeneous of degree n - 1
+        <= order.  Its monomial a^ea b^eb c^ec lands in slot eb + s ec;
+        eb <= n - 1 < s, so distinct monomials land in distinct slots.  The
+        left side's sum and product, run on l1 norms, bound ||L_n||, since
+        the norm is subadditive and submultiplicative (||a|| = 1); the
+        codec puts 2^(w-1) above that bound and ||T_n||, so every
+        coefficient of either side is a balanced digit in [-2^(w-1),
+        2^(w-1)), and so is every coefficient of Gbar and T, each a term
+        of a side.  Balanced digits are unique, so the two sides' ints are
+        equal exactly when their polynomials are, and nothing is unpacked.
+
+        F vs A and the T relation are linear, so they are compared on the
+        ``Polynomial`` coefficients themselves, with no packing.
         """
         order = self.series_order
-        coeffs = {s: self.series(k).coeffs[: order + e + 1] for s, (k, e, *_) in _SERIES.items()}
-        norms = {s: [p.norm() for p in ps] for s, ps in coeffs.items()}
-        bound = max(max(side) for i in _IDENTITIES for side in _sides(i, norms, 1, 1, order))
+        h = self.series("Gbar_uvv").coeffs[: order + 1]
+        t = self.series("T").coeffs[: order + 2]
+        # x H (1 + a T) = T, H = Gbar_uvv: at x^n, H_(n-1) + a (H T)_(n-1)
+        # on the left and T_n on the right, first on norms, then packed
+        norm_h, norm_t = [p.norm() for p in h], [p.norm() for p in t]
+        bound = max(*norm_t, *map(int.__add__, norm_h, _convolve(norm_h, norm_t)))
         codec = KroneckerCodec(bound, order + 1)
-        b, c = 1 << codec.width, 1 << (codec.width * codec.stride)
-        packed: dict[str, list[int]] = {}
-        for identity in _IDENTITIES:
-            message, _, lhs, rhs = identity
-            try:
-                for s in _SERIES.keys() & set(lhs + rhs) - packed.keys():
-                    g, shift = _SERIES[s][2:]
-                    packed[s] = codec.pack_row(coeffs[s], g, shift)
-            except ValueError:  # a coefficient not homogeneous of its degree
-                return message
-            left, right = _sides(identity, packed, b, c, order)
-            if left != right:
-                n = next(n for n, (x, y) in enumerate(zip(left, right)) if x != y)
-                return f"{message} at x^{n}"
+        try:
+            packed_h, packed_t = codec.pack_row(h, 1, 0), codec.pack_row(t, 1, -1)
+        except ValueError:  # a coefficient not homogeneous of its degree
+            return "Gbar relation fails"
+        # F + x - x^3 = (1 + x)^2 A, with A_n at a2[n + 2]
+        f, a = (self.series(k).coeffs[: order + 1] for k in ("F", "A"))
+        a2, x_terms = [ZERO, ZERO, *a], {1: ONE, 3: -ONE}
+        relations = (
+            ("Gbar relation", [0, *map(int.__add__, packed_h, _convolve(packed_h, packed_t))], packed_t),
+            (
+                "F vs A relation",
+                [f_n + x_terms.get(n, ZERO) for n, f_n in enumerate(f)],
+                [a2[n + 2] + a2[n + 1].scaled(2) + a2[n] for n in range(order + 1)],
+            ),
+            ("T relation", [ZERO, *self.series("G_uvv").coeffs[: order + 1]], t),
+        )
+        for name, left, right in relations:
+            n = next((n for n, (x, y) in enumerate(zip(left, right)) if x != y), None)
+            if n is not None:
+                return f"{name} fails at x^{n}"
         return None
 
     def run_all(self) -> list[CheckResult]:
@@ -500,54 +513,8 @@ def _is_path(word: str) -> bool:
     return height == 0
 
 
-def _sides(
-    identity: tuple[str, int, str, str], values: dict[str, list[int]], b: int, c: int, order: int
-) -> list[list[int]]:
-    """The two sides of an ``_IDENTITIES`` entry through x^(order + its
-    orders past series_order), at a = 1 and the given b and c, each series
-    letter read off ``values``.  Each distinct product of series is formed
-    once.  On l1 norms, with b = c = 1, the sides bound the l1 norms of the
-    true sides; on packed values, with b and c packed, they are the true
-    sides packed.  ValueError for a letter outside a, b, c, x and
-    ``_SERIES``."""
-    _, extra, *sides = identity
-    length = order + extra + 1
-    factors = {"a": 1, "b": b, "c": c}
-    products = {"": [1]}
-    out = []
-    for side in sides:
-        total = [0] * length
-        for term in side.split(" + "):
-            letters = term.lstrip("0123456789")
-            k, key = int(term[: len(term) - len(letters)] or 1), ""
-            for letter in letters:
-                if letter in factors:
-                    k *= factors[letter]
-                elif letter in _SERIES:
-                    key += letter
-                elif letter != "x":
-                    raise ValueError(f"unknown letter {letter!r} in term {term!r}")
-            key = "".join(sorted(key))
-            if key not in products:
-                prod = values[key[0]][: min(length, *(len(values[s]) for s in key))]
-                for s in key[1:]:
-                    prod = _convolve(prod, prod if key == 2 * s else values[s])
-                products[key] = prod
-            for n, v in zip(range(letters.count("x"), length), products[key]):
-                total[n] += k * v
-        out.append(total)
-    return out
-
-
 def _convolve(s: list[int], t: list[int]) -> list[int]:
-    """(S T)_n for n < len(s), over ints; t is at least as long as s.  A
-    square (t is s) multiplies each pair of coefficients once."""
-    if t is s:
-        return [
-            2 * sum(s[i] * s[n - i] for i in range((n + 1) // 2))
-            + (s[n // 2] * s[n // 2] if n % 2 == 0 else 0)
-            for n in range(len(s))
-        ]
+    """(S T)_n for n < len(s), over ints; t is at least as long as s."""
     return [sum(s[i] * t[n - i] for i in range(n + 1)) for n in range(len(s))]
 
 

@@ -458,6 +458,14 @@ class TestIdentities:
         )
         assert g == rhs
 
+    def test_t_equation_residual(self):
+        # T (1 - a x) = x + (b + (c - b^2) x) T^2
+        t = list(expand("T", self.ORDER).coeffs)
+        n = len(t)
+        lhs = product(padded([ONE, -A], n), t)
+        rhs = add(padded([ZERO, ONE], n), product(padded([B, C - B2], n), product(t, t)))
+        assert lhs == rhs
+
     def test_f_quadratic_residual(self):
         # x F^2 + (1 + x)^3 = (1 + 2x - 2x^2 - 4x^3 - x^4) F
         f = list(expand("F", self.ORDER).coeffs)

@@ -2,11 +2,11 @@
 
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
-checks that the sweep names it.  The packed series residuals of criterion 9
-are broken the same way, by patching one coefficient of an expansion or one
-line of its identity table, and its decomposition checks by patching the
-records that the decompositions return; every other failure detail of the
-criteria is reached by patching one route.
+checks that the sweep names it.  The series relations of criterion 9 are
+broken the same way, by patching one coefficient of an expansion, and its
+decomposition checks by patching the records that the decompositions
+return; every other failure detail of the criteria is reached by patching
+one route.
 A check that raises must fail its own criterion and leave the others to run,
 and the harness must refuse bounds that are no nonnegative int.
 """
@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from gmotzkin import bijection, cli, enumeration, formulas, verify
+from gmotzkin import bijection, cli, enumeration, formulas, series, verify
 from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, NO_CONSTRAINTS
 from gmotzkin.paths import (
     BASE,
@@ -248,6 +248,34 @@ def test_criterion_6_names_classes_that_miss_the_recurrence(monkeypatch):
     assert result.detail == "n=2: classes (2, 3, 0) != recurrence (2, 1, 2)"
 
 
+@pytest.mark.parametrize(
+    "change,detail",
+    [
+        (
+            lambda counts: counts._replace(a=counts.a + 1),
+            "n=2: {'brute force': 5, 'closed form': 5, 'recurrence': 5, 'series': 5, "
+            "'fixed_points': 6, 'frozen table': 5}",
+        ),
+        # the total still right, two classes off by one
+        (
+            lambda counts: counts._replace(a=counts.a + 1, b=counts.b - 1),
+            "n=2: fixed_points classes (3, 0, 2) != recurrence (2, 1, 2)",
+        ),
+    ],
+    ids=["f", "classes"],
+)
+def test_criterion_6_reads_the_counts_of_fixed_points(monkeypatch, change, detail):
+    real_fixed_points = bijection.fixed_points
+
+    def fixed_points(n):
+        counts = real_fixed_points(n)
+        return change(counts) if n == 2 else counts
+
+    monkeypatch.setattr(bijection, "fixed_points", fixed_points)
+    result = Harness(max_n=3).criterion_6()
+    assert (result.ok, result.detail) == (False, detail)
+
+
 def test_tables_and_criterion_7_read_one_specialization_check(monkeypatch, capsys):
     # M_n + c vanishes at c = 0, so only the polynomial Motzkin row fails
     real_motzkin = formulas.motzkin_weight
@@ -282,18 +310,20 @@ def perturbed_expand(kind, n, term):
 @pytest.mark.parametrize(
     "kind,n,term,message",
     [
-        ("G_uvv", 5, A * B * B * C, "first-return equation residual is nonzero at x^5"),
-        ("T", 7, Polynomial.monomial(0, 6, 0), "T equation residual is nonzero at x^7"),
+        # G_uvv_n stands at x^(n + 1) in T = x G_uvv
+        ("G_uvv", 5, A * B * B * C, "T relation fails at x^6"),
+        ("T", 7, Polynomial.monomial(0, 6, 0), "Gbar relation fails at x^7"),
         # Gbar_n stands at x^(n + 1) in x Gbar (1 + a T) = T
         ("Gbar_uvv", 3, Polynomial.monomial(3, 0, 0), "Gbar relation fails at x^4"),
         # T_0 + 1 is nonzero at T_0's degree -1, so it fails to pack: no power
-        ("T", 0, Polynomial.const(1), "T equation residual is nonzero"),
+        ("T", 0, Polynomial.const(1), "Gbar relation fails"),
         ("Gbar_uvv", 8, -C * C * C * C, "Gbar relation fails at x^9"),
-        ("F", 4, Polynomial.const(1), "F quadratic residual is nonzero at x^4"),
+        ("F", 4, Polynomial.const(1), "F vs A relation fails at x^4"),
         ("A", 6, Polynomial.const(1), "F vs A relation fails at x^6"),
-        # F_3 + a and A_3 + a are not constants, but equal F_3 and A_3 at a = 0
-        ("F", 3, A, "F quadratic residual is nonzero"),
-        ("A", 3, A, "F vs A relation fails"),
+        # F and A are compared unpacked, so a term that is not a constant
+        # fails at its power
+        ("F", 3, A, "F vs A relation fails at x^3"),
+        ("A", 3, A, "F vs A relation fails at x^3"),
     ],
     ids=[
         "G_uvv_5 + ab^2c",
@@ -315,43 +345,27 @@ def test_series_residuals_name_the_failing_identity(monkeypatch, kind, n, term, 
 @pytest.mark.parametrize(
     "kind,n,message",
     [
-        ("G_uvv", 5, "first-return equation residual is nonzero"),
-        ("T", 7, "T equation residual is nonzero"),
+        ("G_uvv", 5, "T relation fails at x^6"),
+        ("T", 7, "Gbar relation fails"),
         ("Gbar_uvv", 3, "Gbar relation fails"),
-        ("F", 4, "F quadratic residual is nonzero"),
-        ("A", 6, "F vs A relation fails"),
+        ("F", 4, "F vs A relation fails at x^4"),
+        ("A", 6, "F vs A relation fails at x^6"),
     ],
 )
 def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, n, message):
-    # a - 1 is 0 at a = 1, where the residuals are packed; the codec's
-    # homogeneity guard must catch it, without a traceback.
+    # a - 1 is 0 at a = 1, where the Gbar relation is packed; the codec's
+    # homogeneity guard must catch it in T and Gbar, without a traceback.
+    # G_uvv, F and A are compared unpacked, at the term's power.
     a_minus_1 = A - Polynomial.const(1)
     monkeypatch.setattr(verify, "expand", perturbed_expand(kind, n, a_minus_1))
     assert Harness(series_order=8)._series_residuals() == message
 
 
-def test_series_residuals_need_every_term_of_an_identity(monkeypatch):
-    message, extra, lhs, rhs = verify._IDENTITIES[0]
-    assert rhs.endswith(" + cxxGG")
-    dropped = (message, extra, lhs, rhs.removesuffix(" + cxxGG"))
-    monkeypatch.setattr(verify, "_IDENTITIES", (dropped, *verify._IDENTITIES[1:]))
-    assert Harness(series_order=8)._series_residuals() == f"{message} at x^2"
-
-
-@pytest.mark.parametrize("term,letter", [("qG", "q"), ("G2", "2"), ("xB", "B")])
-def test_series_residuals_reject_an_unknown_letter(monkeypatch, term, letter):
-    monkeypatch.setattr(verify, "_IDENTITIES", (("message", 0, "G", f"1 + {term}"),))
-    with pytest.raises(ValueError, match=f"^unknown letter '{letter}' in term '{term}'$"):
-        Harness(series_order=2)._series_residuals()
-
-
 @pytest.mark.parametrize("s", [[1], [1, -2], [0, 3, -1, 4], [2, 0, 0, 5, -7, 1]])
 def test_convolve_squares_like_a_product(s):
-    # the square of s pairs each two coefficients once; a copy takes the
-    # general sum over every pair
-    square = verify._convolve(s, s)
-    assert square == verify._convolve(s, list(s))
-    assert square == [
+    # the general product, here of s with a copy of itself, against the
+    # double sum over every pair of coefficients
+    assert verify._convolve(s, list(s)) == [
         sum(s[i] * s[j] for i in range(len(s)) for j in range(len(s)) if i + j == n)
         for n in range(len(s))
     ]
@@ -580,7 +594,7 @@ FAILURE_DETAILS = {
     "fixed-point count": (
         6, 1, formulas, "f_closed", lambda n: 0,
         "n=0: {'brute force': 1, 'closed form': 0, 'recurrence': 1, 'series': 1, "
-        "'frozen table': 1}",
+        "'fixed_points': 1, 'frozen table': 1}",
     ),
     # closed form 1 against the series past all_nmax: criterion 7 alone
     "specialization series": (
@@ -614,27 +628,79 @@ def test_criterion_3_reads_the_series_past_series_order(monkeypatch):
     assert (result.ok, result.detail) == (False, "series c->b^2+c fails at n=3")
 
 
+def patched_row(kind, entry, row):
+    """A patch that gives ``kind`` a wrong P, Q or D (entry 0, 1 or 2) in
+    ``series._EQUATIONS``, which ``expand`` then certifies as its row."""
+
+    def patch(monkeypatch):
+        rows = list(series._EQUATIONS[kind])
+        rows[entry] = row
+        monkeypatch.setitem(series._EQUATIONS, kind, tuple(rows))
+
+    return patch
+
+
+def patched(module, attr, replacement):
+    """A patch that sets ``module.attr`` to ``replacement``."""
+    return lambda monkeypatch: monkeypatch.setattr(module, attr, replacement)
+
+
+B6, B9 = Polynomial.monomial(0, 6, 0), Polynomial.monomial(0, 9, 0)
+
+
 @pytest.mark.parametrize(
-    "max_n,module,attr,replacement,failed",
+    "patch,max_n,series_order,failed",
     [
         # the Schroeder weights that criterion 4's class size check read
         (
-            1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + ONE,
+            patched(formulas, "schroder_weight", lambda n: real_schroder_weight(n) + ONE), 1, 3,
             [("specialization table", "n=0: (a,b,b^2) Schroeder polynomial"),
              ("weight relations", "n=1: schroder_eq_shifted_dyck")],
         ),
         # the oracle rows that criterion 3 read, here G_2 + a
         (
-            2, verify, "weight_sum",
-            lambda n, con: real_weight_sum(n, con) + (A if (n, con) == (2, NO_CONSTRAINTS) else ZERO),
+            patched(
+                verify, "weight_sum",
+                lambda n, con: real_weight_sum(n, con) + (A if (n, con) == (2, NO_CONSTRAINTS) else ZERO),
+            ),
+            2, 3,
             [("series vs oracle", "G coefficient 2 != oracle")],
         ),
+        # the rows that criterion 9 does not restate, each wrong past the
+        # oracle's bounds: expand certifies the wrong row, and the checks
+        # that read its series still fail
+        (
+            patched_row("G_uvv", 1, [ZERO, B, C - B * B, *[ZERO] * 6, B9]), 6, 12,
+            [("substitution identities", "series c->b^2+c fails at n=9"),
+             ("structural suite", "T relation fails at x^10")],
+        ),
+        (
+            patched_row("T", 1, [B, C]), 6, 12,
+            [("structural suite", "Gbar relation fails at x^3")],
+        ),
+        (
+            patched_row("F", 0, [Polynomial.const(k) for k in (1, 3, 3, 1, 0, 0, 0, 0, 0, 1)]),
+            6, 12,
+            [("structural suite", "F vs A relation fails at x^9")],
+        ),
+        # a fault in T alone, which T's own equation would name
+        (
+            patched(verify, "expand", perturbed_expand("T", 7, B6)), 6, 12,
+            [("structural suite", "Gbar relation fails at x^7")],
+        ),
     ],
-    ids=["Schroeder weight + 1", "oracle G_2 + a"],
+    ids=[
+        "Schroeder weight + 1",
+        "oracle G_2 + a",
+        "G_uvv Q_9 = b^9",
+        "T Q = b + cx",
+        "F P = (1 + x)^3 + x^9",
+        "T_7 + b^6",
+    ],
 )
-def test_faults_of_the_dropped_rows_still_fail(monkeypatch, max_n, module, attr, replacement, failed):
-    monkeypatch.setattr(module, attr, replacement)
-    results = Harness(max_n=max_n, series_order=3).run_all()
+def test_faults_of_the_dropped_rows_still_fail(monkeypatch, patch, max_n, series_order, failed):
+    patch(monkeypatch)
+    results = Harness(max_n=max_n, series_order=series_order).run_all()
     assert [(r.name, r.detail) for r in results if not r.ok] == failed
 
 
