@@ -35,9 +35,8 @@ needs, is added into one term map, with no polynomial built per term.
 Generating functions are not solved here: ``series.solve`` computes the
 root of D S = P + Q S^2 by a linear recurrence for R = D - 2QS on ints
 packed by ``KroneckerCodec``, and certifies it by packing the result
-anew.  Criterion 9 of ``verify`` checks the Gbar relation between solved
-series on packed ints too, with one product of its own, not with the
-solver's recurrence or rows; its linear relations need no packing.
+anew.  No other module packs: criterion 9 of ``verify`` proves its
+relations between kinds on the rows, in ``Polynomial`` arithmetic.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ from another:
             (1 + 2x - 2x^2 - 4x^3 - x^4) F = (1+x)^3 + x F^2 and divide
             by (1+x)^3.
 
-So ``verify``'s Gbar relation x Gbar (1 + aT) = T, its F-vs-A relation
-F = (1+x)^2 A + x^3 - x and its T relation T = x G_uvv check this
-solver's output independently.
+``row`` gives a kind's (P, Q, D).  ``verify`` proves its Gbar relation
+x Gbar (1 + aT) = T, its F-vs-A relation F = (1+x)^2 A + x^3 - x and its
+T relation T = x G_uvv on these rows, by putting one kind's root into
+another kind's row: finite algebra, which holds at every order.
 
 ``solve`` returns a ``PowerSeries``, a record whose one field ``coeffs`` is
 the tuple of Polynomial coefficients s_0, ..., s_order.
@@ -120,11 +121,11 @@ never as a wrong series.
 
 ``verify`` checks the solved series again with code of its own, which
 shares nothing with this solve or certificate: substitutions in
-``Polynomial`` arithmetic, and three relations between kinds.  It does not
-restate any row, which the certificate already holds each expansion to.
-Of those relations only the Gbar relation forms a product of series, one
-product H T on ints packed by the codec, so it alone is O(N^2) in the
-order N; F vs A and T = x G_uvv are linear and compared unpacked.
+``Polynomial`` arithmetic on the expansions, and the three relations
+between kinds above, proved on the rows as identities of polynomials in x
+and S.  It does not restate any row, which the certificate already holds
+each expansion to, and it packs nothing: the Kronecker format stays inside
+this module and ``polyring``.
 
 No radical is formed symbolically: R, the square root of Delta, is only
 ever a power series of integer polynomials, and closed forms involving
@@ -327,7 +328,9 @@ def _check(
     """Raise DivergenceError unless D S == P + Q S^2 through the order of S,
     Q != 0, by the certificate of the module docstring, with S packed anew
     under a codec and a bound of its own: the residuals sum_i Delta_i
-    (2m - 3i) r_(m-i) of R = D - 2QS.  The rows run through x^(order + v)."""
+    (2m - 3i) r_(m-i) of R = D - 2QS.  The rows run through x^(order + v).
+    Packing raises ValueError for an s_n that is not homogeneous of its
+    degree g n + delta, as every s_n of the root is."""
     order = len(s) - 1
     top = order + _valuation(qs)
     p_norm, q_norm, d_norm, s_norm = ([c.norm() for c in row] for row in (ps, qs, ds, s))
@@ -353,8 +356,14 @@ def _check(
         raise DivergenceError(f"solution fails D S = P + Q S^2 through x^{order}")
 
 
-def expand(kind: str, order: int) -> PowerSeries:
-    """Expand one generating function through x^order."""
+def row(kind: str) -> tuple[tuple[Polynomial, ...], ...]:
+    """The row (P, Q, D) of one generating function, each entry the tuple
+    of its low-order coefficients."""
     if not isinstance(kind, str) or kind not in _EQUATIONS:
         raise ValueError(f"unknown generating function kind {kind!r}")
-    return solve(*_EQUATIONS[kind], order)
+    return tuple(map(tuple, _EQUATIONS[kind]))
+
+
+def expand(kind: str, order: int) -> PowerSeries:
+    """Expand one generating function through x^order."""
+    return solve(*row(kind), order)

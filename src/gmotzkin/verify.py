@@ -11,13 +11,12 @@ raises is its FAIL, so every criterion of ``run_all`` reports.
 
 ``Harness`` caches oracle weight sums by (class, n), series expansions by
 kind and the bijection sweep by n, so one ``run_all`` computes each of these
-once however many checks read it.  Each kind is expanded at one order, the
-largest any check reads: series_order + 1, since criterion 9 reads T one
-order past series_order, or ``avoid_nmax`` if that is larger.  The sweep
-takes the size of the uvu-avoiding class from the weight-sum cache and
-walks only the uvv-avoiding class, mapping every path, so sigma's own
-Case5/Case6 invariants are checked there; the structural suite does not
-sweep, and walks both classes again for the decompositions.  So at full
+once however many checks read it.  Each kind is expanded at one order,
+series_order + 1 or ``avoid_nmax`` if that is larger, and criterion 3 reads
+all of it.  The sweep takes the size of the uvu-avoiding class from the
+weight-sum cache and walks only the uvv-avoiding class, mapping every path,
+so sigma's own Case5/Case6 invariants are checked there; the structural
+suite does not sweep, and walks both classes again for the decompositions.  So at full
 bounds the uvv-avoiding class is walked three times for n <= 8 and twice
 for n = 9, 10 (weight sum, sweep, structural suite), and the uvu-avoiding
 class twice for n <= 8 and once for n = 9, 10 (weight sum, structural
@@ -32,10 +31,11 @@ shape allows, read off its first steps and, past the peeled layers, off
 the kind of its core.  ``reassemble`` alone refuses a record of an
 unknown case or with parts or an elevation that ``paths._CASES`` does not
 give its case, and the checkers report that refusal first.  Its series
-checks are the three relations between kinds, written out in
-``Harness._series_residuals``: the Gbar relation on Kronecker-packed ints,
-and F vs A and T = x G_uvv on the polynomials themselves.  No kind's own
-equation is restated, since ``expand`` certifies each against its row.
+checks are the three relations between kinds, proved once for every order
+as identities of the rows that ``series.row`` gives, in exact arithmetic on
+polynomials in x and S over Z[a, b, c].  It expands no series, and no
+kind's own equation is restated, since ``expand`` certifies each expansion
+against its row.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ from .paths import (
     decompose_forward,
     decompose_inverse,
 )
-from .polyring import ONE, VAR_B, VAR_C, ZERO, KroneckerCodec, Polynomial
-from .series import PowerSeries, expand
+from .polyring import VAR_A, VAR_B, VAR_C, ZERO, Polynomial
+from .series import PowerSeries, expand, row
 
 # First eleven fixed-point counts of sigma, frozen as independent test data.
 FIXED_POINT_COUNTS = [1, 2, 5, 13, 39, 125, 421, 1478, 5329, 19658, 73783]
@@ -81,6 +81,45 @@ BIJECTION_SAMPLE_INPUT = "uuudvvuudvuuuuuvdvvvhuuhdvuuuvhvuvuuhudvvv"
 BIJECTION_SAMPLE_OUTPUT = "uudduuvduuuuvvddhuhuvduuuvhvuuhuddvv"
 
 _B2 = VAR_B * VAR_B
+
+
+# Polynomials in x and S over Z[a, b, c], each a dict from (i, j), for
+# x^i S^j, to its nonzero Polynomial coefficient: the arithmetic of
+# criterion 9's relations between rows.
+def _in_x(*coeffs, j: int = 0) -> dict:
+    """The polynomial in x with these coefficients, Polynomials or ints, times S^j."""
+    polys = (c if isinstance(c, Polynomial) else Polynomial.const(c) for c in coeffs)
+    return {(i, j): c for i, c in enumerate(polys) if c}
+
+
+def _add(*terms: dict) -> dict:
+    out: dict[tuple[int, int], Polynomial] = {}
+    for key, c in (item for f in terms for item in f.items()):
+        out[key] = out.get(key, ZERO) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul(out: dict, *factors: dict) -> dict:
+    for f in factors:
+        out = _add(*({(i + k, j + l): c * e} for (i, j), c in out.items() for (k, l), e in f.items()))
+    return out
+
+
+def _row_at(kind: str, num: dict, den: dict) -> dict:
+    """M^2 (D S - P - Q S^2) at S = N/M, for the row (P, Q, D) of ``kind``:
+    D N M - P M^2 - Q N^2."""
+    p, q, d = (_in_x(*entry) for entry in row(kind))
+    return _add(_mul(d, num, den), _mul(_MINUS, p, den, den), _mul(_MINUS, q, num, num))
+
+
+_ONE, _MINUS, _X, _S = _in_x(1), _in_x(-1), _in_x(0, 1), _in_x(1, j=1)
+# Criterion 9's relations: (name, kind, N, M, factor, base), each the identity
+# M^2 E_kind(N/M) = factor E_base(S), where E_K(S) = D S - P - Q S^2 for K's row.
+_RELATIONS = (
+    ("Gbar relation", "Gbar_uvv", _S, _X | _in_x(0, VAR_A, j=1), _X, "T"),
+    ("F vs A relation", "F", _in_x(0, -1, 0, 1) | _in_x(1, 2, 1, j=1), _ONE, _in_x(1, 3, 3, 1), "A"),
+    ("T relation", "G_uvv", _S, _X, _X, "T"),
+)
 
 
 class CheckResult(namedtuple("CheckResult", "name ok detail")):
@@ -157,8 +196,8 @@ class Harness:
         """The series of ``kind`` through x^max(series_order + 1, avoid_nmax),
         expanded on first use.  Each check reads the coefficients it needs
         off this one expansion: criterion 2 through all_nmax, criteria 6
-        and 7 through avoid_nmax, criterion 3 all of them and criterion 9
-        T through series_order + 1 and the others through series_order."""
+        and 7 through avoid_nmax, and criterion 3 all of them, so that its
+        identities reach one order past series_order."""
         if kind not in self._series:
             self._series[kind] = expand(kind, max(self.series_order + 1, self.avoid_nmax))
         return self._series[kind]
@@ -280,14 +319,16 @@ class Harness:
         G_uvv(a,b,b^2) = G_uvu(a,b,b^2), checked directly on every series
         coefficient, through x^max(series_order + 1, avoid_nmax).  On the
         oracle rows n <= all_nmax they follow from criterion 2, which proves
-        each of the three series equal to the oracle there."""
+        each of the three series equal to the oracle there.  An expansion
+        that stops before x^(series_order + 1) fails, rather than narrowing
+        the check."""
         rows = zip(*(self.series(k).coeffs for k in ("G_uvv", "G", "G_uvu")))
         for n, (g_uvv, g_all, g_uvu) in enumerate(rows):
             if g_uvv.substitute("c", _B2 + VAR_C) != g_all:
                 return f"series c->b^2+c fails at n={n}"
             if g_uvv.substitute("c", _B2) != g_uvu.substitute("c", _B2):
                 return f"series c=b^2 fails at n={n}"
-        return None
+        return None if n > self.series_order else f"series stop at x^{n}"
 
     @_criterion("bijection suite", "n = 0..{avoid_nmax}")
     def criterion_4(self) -> str | None:
@@ -399,27 +440,43 @@ class Harness:
     )
     def criterion_9(self) -> str | None:
         """Decomposition records of both classes for n <= all_nmax, and the
-        series relations between kinds of ``_series_residuals``.  sigma's
-        Case5/Case6 invariants are criterion 4's: its sweep maps every
-        uvv-avoiding path with n <= avoid_nmax, which covers all_nmax.
+        relations between kinds, proved on their rows.  sigma's Case5/Case6
+        invariants are criterion 4's: its sweep maps every uvv-avoiding path
+        with n <= avoid_nmax, which covers all_nmax.
 
-        No kind's own equation is restated here.  Each is a row D S = P +
-        Q S^2 of ``series``, and ``expand`` certifies every expansion
-        against its row through its order (the certificate lemma of the
-        ``series`` docstring), so the row holds on every series read here.
-        A wrong row, one whose root is not the kind's series, still fails:
-          G_uvv     criterion 2 holds its series to the oracle for n <=
-                    all_nmax, criterion 3 to G's and G_uvu's series
-                    through the whole expansion, and T = x G_uvv to T;
-          T         x Gbar (1 + aT) = T has one root T for the true Gbar,
-                    so a wrong T fails the Gbar relation (and T = x G_uvv);
-          Gbar_uvv  the same relation gives Gbar = T / (x (1 + aT)) for
-                    the true T, so a wrong Gbar fails it (and criterion 2);
-          F, A      F + x = (1 + x)^2 A + x^3 gives each from the other,
-                    so a wrong one fails F vs A, and criterion 6 holds F
-                    to the fixed-point counts for n <= avoid_nmax.
-        So the first-return equation, the T equation and the F quadratic
-        are implied, and are not checked here."""
+        Write E_K(S) = D S - P - Q S^2 for the row (P, Q, D) of kind K.  Each
+        relation of ``_RELATIONS`` is an identity of polynomials in x and S,
+        checked term by term:
+
+          Gbar relation    x^2 (1 + aS)^2 E_Gbar_uvv(S / (x (1 + aS))) = x E_T(S)
+          F vs A relation  E_F((1 + x)^2 S + x^3 - x) = (1 + x)^3 E_A(S)
+          T relation       x^2 E_G_uvv(S / x) = x E_T(S)
+
+        A row with D_0 = 1 and Q_0 P_0 = 0 has exactly one power-series
+        root with Q_0 S_0 = 0: at x^0 it gives s_0 = P_0, and at x^n, n >=
+        1, s_n enters only as (D_0 - 2 Q_0 s_0) s_n = s_n, so s_0..s_(n-1)
+        fix it.  So T is the root of T's row with T_0 = 0, and each other
+        row, with Q_0 = 0, has one root.  Put S = T in the first and third
+        identity: the right sides vanish.  T_0 = 0, so T/x is a power
+        series, and 1 + aT is a unit, so T / (x (1 + aT)) is one too; x^2
+        and x^2 (1 + aT)^2 are nonzero, so these two series are roots of
+        Gbar_uvv's and G_uvv's rows, and so their roots: x Gbar (1 + aT) =
+        T and T = x G_uvv at every order.  Put S = A in the second: (1 +
+        x)^2 A + x^3 - x is a power series and a root of F's row, so it is
+        F.  ``expand`` certifies each expansion that the other criteria read
+        against its row (the certificate lemma of the ``series``
+        docstring), so the expansions obey these relations too.
+
+        A wrong row, one whose root is not the kind's series, fails:
+          G_uvv     the T relation, criterion 2 for n <= all_nmax and
+                    criterion 3 through the whole expansion;
+          T         the Gbar and T relations;
+          Gbar_uvv  the Gbar relation, and criterion 2;
+          F, A      F vs A, and criterion 6 holds F to the fixed-point
+                    counts for n <= avoid_nmax.
+        A failure names the relation and the first term x^i S^j, S written
+        as T or A, at which its two sides differ.  The rows do not depend
+        on series_order, so neither does this check's cost."""
         for n in range(self.all_nmax + 1):
             for q in generate(n, AVOID_UVV):
                 err = _check_forward_decomposition(q)
@@ -429,71 +486,11 @@ class Harness:
                 err = _check_inverse_decomposition(p)
                 if err:
                     return err
-        return self._series_residuals()
-
-    def _series_residuals(self) -> str | None:
-        """Criterion 9's relations between kinds, in turn: None, or the
-        message of the first that fails, with the first power of x at
-        which its two sides differ (none if a series fails to pack).
-
-          Gbar relation  x Gbar (1 + aT) = T through x^(order + 1);
-          F vs A         F + x = (1 + x)^2 A + x^3 through x^order;
-          T relation     T = x G_uvv through x^(order + 1).
-
-        Each series is read off the harness's longer expansion, T through
-        x^(order + 1) and the others through x^order, so that no
-        coefficient packed below has a degree above order.
-
-        The Gbar relation is compared on packed ints.  Grade a and b by 1
-        and c by 2: a step's degree is its x-length, so Gbar_n, a weight
-        sum over paths of x-length n, is homogeneous of degree n, and T_n
-        = G_uvv_(n-1) of degree n - 1.  ``KroneckerCodec.pack_row`` sends
-        each to its value at a = 1, b = 2^w, c = 2^(w s), with stride s =
-        order + 1, and raises for a coefficient that is not homogeneous of
-        its degree, which fails the relation.  Packing is a ring
-        homomorphism, so the packed x^n coefficient of each side is the
-        value of that side's coefficient L_n, homogeneous of degree n - 1
-        <= order.  Its monomial a^ea b^eb c^ec lands in slot eb + s ec;
-        eb <= n - 1 < s, so distinct monomials land in distinct slots.  The
-        left side's sum and product, run on l1 norms, bound ||L_n||, since
-        the norm is subadditive and submultiplicative (||a|| = 1); the
-        codec puts 2^(w-1) above that bound and ||T_n||, so every
-        coefficient of either side is a balanced digit in [-2^(w-1),
-        2^(w-1)), and so is every coefficient of Gbar and T, each a term
-        of a side.  Balanced digits are unique, so the two sides' ints are
-        equal exactly when their polynomials are, and nothing is unpacked.
-
-        F vs A and the T relation are linear, so they are compared on the
-        ``Polynomial`` coefficients themselves, with no packing.
-        """
-        order = self.series_order
-        h = self.series("Gbar_uvv").coeffs[: order + 1]
-        t = self.series("T").coeffs[: order + 2]
-        # x H (1 + a T) = T, H = Gbar_uvv: at x^n, H_(n-1) + a (H T)_(n-1)
-        # on the left and T_n on the right, first on norms, then packed
-        norm_h, norm_t = [p.norm() for p in h], [p.norm() for p in t]
-        bound = max(*norm_t, *map(int.__add__, norm_h, _convolve(norm_h, norm_t)))
-        codec = KroneckerCodec(bound, order + 1)
-        try:
-            packed_h, packed_t = codec.pack_row(h, 1, 0), codec.pack_row(t, 1, -1)
-        except ValueError:  # a coefficient not homogeneous of its degree
-            return "Gbar relation fails"
-        # F + x - x^3 = (1 + x)^2 A, with A_n at a2[n + 2]
-        f, a = (self.series(k).coeffs[: order + 1] for k in ("F", "A"))
-        a2, x_terms = [ZERO, ZERO, *a], {1: ONE, 3: -ONE}
-        relations = (
-            ("Gbar relation", [0, *map(int.__add__, packed_h, _convolve(packed_h, packed_t))], packed_t),
-            (
-                "F vs A relation",
-                [f_n + x_terms.get(n, ZERO) for n, f_n in enumerate(f)],
-                [a2[n + 2] + a2[n + 1].scaled(2) + a2[n] for n in range(order + 1)],
-            ),
-            ("T relation", [ZERO, *self.series("G_uvv").coeffs[: order + 1]], t),
-        )
-        for name, left, right in relations:
-            n = next((n for n, (x, y) in enumerate(zip(left, right)) if x != y), None)
-            if n is not None:
-                return f"{name} fails at x^{n}"
+        for name, kind, num, den, factor, base in _RELATIONS:
+            diff = _add(_row_at(kind, num, den), _mul(_MINUS, factor, _row_at(base, _S, _ONE)))
+            if diff:
+                i, j = min(diff)
+                return f"{name} fails at x^{i} {base}^{j}"
         return None
 
     def run_all(self) -> list[CheckResult]:
@@ -511,11 +508,6 @@ def _is_path(word: str) -> bool:
         if height < 0:
             return False
     return height == 0
-
-
-def _convolve(s: list[int], t: list[int]) -> list[int]:
-    """(S T)_n for n < len(s), over ints; t is at least as long as s."""
-    return [sum(s[i] * t[n - i] for i in range(n + 1)) for n in range(len(s))]
 
 
 def _check_forward_decomposition(word: str) -> str | None:

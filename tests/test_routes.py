@@ -182,6 +182,17 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_only_polyring_and_series_name_the_codec():
+    # Kronecker packing is the solver's format, so no other module reads it
+    naming = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "KroneckerCodec" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+    }
+    assert naming == {"polyring", "series"}
+
+
 def test_package_has_no_assert():
     files = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "formulas.py" in files

@@ -3,7 +3,7 @@
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.  The series relations of criterion 9 are
-broken the same way, by patching one coefficient of an expansion, and its
+broken the same way, by patching one row of ``series._EQUATIONS``, and its
 decomposition checks by patching the records that the decompositions
 return; every other failure detail of the criteria is reached by patching
 one route.
@@ -307,75 +307,6 @@ def perturbed_expand(kind, n, term):
     return expand
 
 
-@pytest.mark.parametrize(
-    "kind,n,term,message",
-    [
-        # G_uvv_n stands at x^(n + 1) in T = x G_uvv
-        ("G_uvv", 5, A * B * B * C, "T relation fails at x^6"),
-        ("T", 7, Polynomial.monomial(0, 6, 0), "Gbar relation fails at x^7"),
-        # Gbar_n stands at x^(n + 1) in x Gbar (1 + a T) = T
-        ("Gbar_uvv", 3, Polynomial.monomial(3, 0, 0), "Gbar relation fails at x^4"),
-        # T_0 + 1 is nonzero at T_0's degree -1, so it fails to pack: no power
-        ("T", 0, Polynomial.const(1), "Gbar relation fails"),
-        ("Gbar_uvv", 8, -C * C * C * C, "Gbar relation fails at x^9"),
-        ("F", 4, Polynomial.const(1), "F vs A relation fails at x^4"),
-        ("A", 6, Polynomial.const(1), "F vs A relation fails at x^6"),
-        # F and A are compared unpacked, so a term that is not a constant
-        # fails at its power
-        ("F", 3, A, "F vs A relation fails at x^3"),
-        ("A", 3, A, "F vs A relation fails at x^3"),
-    ],
-    ids=[
-        "G_uvv_5 + ab^2c",
-        "T_7 + b^6",
-        "Gbar_3 + a^3",
-        "T_0 + 1",
-        "Gbar_8 - c^4",
-        "F_4 + 1",
-        "A_6 + 1",
-        "F_3 + a",
-        "A_3 + a",
-    ],
-)
-def test_series_residuals_name_the_failing_identity(monkeypatch, kind, n, term, message):
-    monkeypatch.setattr(verify, "expand", perturbed_expand(kind, n, term))
-    assert Harness(series_order=8)._series_residuals() == message
-
-
-@pytest.mark.parametrize(
-    "kind,n,message",
-    [
-        ("G_uvv", 5, "T relation fails at x^6"),
-        ("T", 7, "Gbar relation fails"),
-        ("Gbar_uvv", 3, "Gbar relation fails"),
-        ("F", 4, "F vs A relation fails at x^4"),
-        ("A", 6, "F vs A relation fails at x^6"),
-    ],
-)
-def test_series_residuals_reject_a_term_that_vanishes_at_a_1(monkeypatch, kind, n, message):
-    # a - 1 is 0 at a = 1, where the Gbar relation is packed; the codec's
-    # homogeneity guard must catch it in T and Gbar, without a traceback.
-    # G_uvv, F and A are compared unpacked, at the term's power.
-    a_minus_1 = A - Polynomial.const(1)
-    monkeypatch.setattr(verify, "expand", perturbed_expand(kind, n, a_minus_1))
-    assert Harness(series_order=8)._series_residuals() == message
-
-
-@pytest.mark.parametrize("s", [[1], [1, -2], [0, 3, -1, 4], [2, 0, 0, 5, -7, 1]])
-def test_convolve_squares_like_a_product(s):
-    # the general product, here of s with a copy of itself, against the
-    # double sum over every pair of coefficients
-    assert verify._convolve(s, list(s)) == [
-        sum(s[i] * s[j] for i in range(len(s)) for j in range(len(s)) if i + j == n)
-        for n in range(len(s))
-    ]
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 8])
-def test_series_residuals_pass(order):
-    assert Harness(series_order=order)._series_residuals() is None
-
-
 real_decompose_forward = verify.decompose_forward
 real_decompose_inverse = verify.decompose_inverse
 
@@ -589,6 +520,11 @@ FAILURE_DETAILS = {
     "c = b^2": (
         3, 2, verify, "expand", perturbed_expand("G_uvu", 2, A), "series c=b^2 fails at n=2",
     ),
+    # expansions one term short of x^(series_order + 1), here x^4
+    "series stop": (
+        3, 2, verify, "expand", lambda kind, order: PowerSeries(real_expand(kind, order).coeffs[:-1]),
+        "series stop at x^3",
+    ),
     "sample sigma": (5, 0, bijection, "sigma", lambda q: "uv", "sigma gave uv"),
     "sample sigma_inv": (5, 0, bijection, "sigma_inv", lambda p: "uv", "sigma_inv gave uv"),
     "fixed-point count": (
@@ -645,7 +581,7 @@ def patched(module, attr, replacement):
     return lambda monkeypatch: monkeypatch.setattr(module, attr, replacement)
 
 
-B6, B9 = Polynomial.monomial(0, 6, 0), Polynomial.monomial(0, 9, 0)
+B9 = Polynomial.monomial(0, 9, 0)
 
 
 @pytest.mark.parametrize(
@@ -672,21 +608,16 @@ B6, B9 = Polynomial.monomial(0, 6, 0), Polynomial.monomial(0, 9, 0)
         (
             patched_row("G_uvv", 1, [ZERO, B, C - B * B, *[ZERO] * 6, B9]), 6, 12,
             [("substitution identities", "series c->b^2+c fails at n=9"),
-             ("structural suite", "T relation fails at x^10")],
+             ("structural suite", "T relation fails at x^9 T^2")],
         ),
         (
             patched_row("T", 1, [B, C]), 6, 12,
-            [("structural suite", "Gbar relation fails at x^3")],
+            [("structural suite", "Gbar relation fails at x^2 T^2")],
         ),
         (
             patched_row("F", 0, [Polynomial.const(k) for k in (1, 3, 3, 1, 0, 0, 0, 0, 0, 1)]),
             6, 12,
-            [("structural suite", "F vs A relation fails at x^9")],
-        ),
-        # a fault in T alone, which T's own equation would name
-        (
-            patched(verify, "expand", perturbed_expand("T", 7, B6)), 6, 12,
-            [("structural suite", "Gbar relation fails at x^7")],
+            [("structural suite", "F vs A relation fails at x^9 A^0")],
         ),
     ],
     ids=[
@@ -695,13 +626,31 @@ B6, B9 = Polynomial.monomial(0, 6, 0), Polynomial.monomial(0, 9, 0)
         "G_uvv Q_9 = b^9",
         "T Q = b + cx",
         "F P = (1 + x)^3 + x^9",
-        "T_7 + b^6",
     ],
 )
 def test_faults_of_the_dropped_rows_still_fail(monkeypatch, patch, max_n, series_order, failed):
     patch(monkeypatch)
     results = Harness(max_n=max_n, series_order=series_order).run_all()
     assert [(r.name, r.detail) for r in results if not r.ok] == failed
+
+
+@pytest.mark.parametrize(
+    "kind,entry,row,detail",
+    [
+        ("Gbar_uvv", 2, [ONE, -A], "Gbar relation fails at x^2 T^1"),
+        ("T", 0, [ZERO, ONE, A], "Gbar relation fails at x^3 T^0"),
+        ("G_uvv", 2, [ONE, -A, B], "T relation fails at x^3 T^1"),
+        ("F", 1, [ZERO, ONE, ONE], "F vs A relation fails at x^2 A^2"),
+        ("A", 2, [Polynomial.const(k) for k in (1, 1, -1, -2)], "F vs A relation fails at x^3 A^1"),
+    ],
+    ids=["Gbar_uvv D = 1 - ax", "T P = x + ax^2", "G_uvv D = 1 - ax + bx^2", "F Q = x + x^2", "A D_3 = -2"],
+)
+def test_criterion_9_names_the_relation_a_wrong_row_fails(monkeypatch, kind, entry, row, detail):
+    # criterion 9 reads the rows, not their expansions, so a wrong row
+    # fails it at any series order, here 0
+    patched_row(kind, entry, row)(monkeypatch)
+    result = Harness(max_n=0, series_order=0).criterion_9()
+    assert (result.ok, result.detail) == (False, detail)
 
 
 # The detail of each criterion of a passing Harness(max_n=3, series_order=8).
@@ -786,7 +735,6 @@ def test_a_check_that_raises_fails_its_criterion(monkeypatch):
                 "substitution identities",
                 "fixed points",
                 "specialization table",
-                "structural suite",
             ],
         ),
     ],
