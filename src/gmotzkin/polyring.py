@@ -238,7 +238,7 @@ class KroneckerCodec:
     b = 2^width, c = 2^(width * stride): the coefficient of b^eb c^ec
     becomes the signed (balanced) digit in slot eb + stride * ec.  Packing
     is a ring homomorphism, so sums and products of packed ints are exact.
-    ``pack_row`` packs a series row, its x^n coefficient at degree g n + shift.
+    ``pack_row`` packs a series row, its x^n coefficient at degree g n.
     ``unpack`` recovers a polynomial of a given degree from its packed value
     only if every coefficient lies in [-2^(width-1), 2^(width-1)) and the
     degree is below the stride.  So the caller proves a bound on the
@@ -308,9 +308,9 @@ class KroneckerCodec:
         digits.reverse()
         return int("".join(digits), 2) - self._bias(count)
 
-    def pack_row(self, row: Iterable[Polynomial], g: int, shift: int) -> list[int]:
-        """A row packed coefficientwise, its x^n coefficient at degree g n + shift."""
-        return [self.pack(c, g * n + shift) for n, c in enumerate(row)]
+    def pack_row(self, row: Iterable[Polynomial], g: int) -> list[int]:
+        """A row packed coefficientwise, its x^n coefficient at degree g n."""
+        return [self.pack(c, g * n) for n, c in enumerate(row)]
 
     def unpack(self, value: int, degree: int) -> Polynomial:
         """The polynomial of ``degree`` whose packed value is ``value``.

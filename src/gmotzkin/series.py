@@ -12,7 +12,7 @@ coefficients (k = c - b^2):
   G         1                          x(b + cx)      1 - ax                      all G-Motzkin paths
   G_uvv     1                          x(b + kx)      1 - ax                      uvv-avoiding paths
   G_uvu     1 + bx                     x(b + cx)      1 + (b-a)x - abx^2          uvu-avoiding paths
-  T         x                          b + kx         1 - ax                      T = x G_uvv
+  T         x                          b + kx         1 - ax                      x G_uvv, for verify
   F         (1+x)^3                    x              1 + 2x - 2x^2 - 4x^3 - x^4  fixed points
   Gbar_uvv  1                          x(a + b + kx)  1 + ax                      no h on the axis
   A         1 + x - x^2 - 2x^3 + 2x^4  x(1 + x)       1 + x - x^2 - 3x^3          class-A counts
@@ -29,27 +29,33 @@ from another:
 ``row`` gives a kind's (P, Q, D).  ``verify`` proves its Gbar relation
 x Gbar (1 + aT) = T, its F-vs-A relation F = (1+x)^2 A + x^3 - x and its
 T relation T = x G_uvv on these rows, by putting one kind's root into
-another kind's row: finite algebra, which holds at every order.
+another kind's row: finite algebra, which holds at every order.  So
+``expand`` gives T as 0 followed by G_uvv's expansion one order lower, and
+solves every other kind's row.  Those rows have Q_0 = 0, as each S^2 comes
+with at least one step, and s_n of degree g n (see Grading), as the paper
+weighs a path of length n by a^#h b^#v c^#d, of degree #h + #v + 2#d = n.
+T's row, with Q_0 = b and T_n of degree n - 1, has neither: ``verify``
+alone reads it, and ``solve`` refuses it.
 
 ``solve`` returns a ``PowerSeries``, a record whose one field ``coeffs`` is
 the tuple of Polynomial coefficients s_0, ..., s_order.
 
-The root.  Write Q = x^v Q~ with Q~_0 != 0.  Every row is quadratic, so
-R = D - 2QS is a square root of the discriminant:
+The root.  Write Q = x^v Q~ with Q~_0 != 0, where v >= 1 as Q_0 = 0.
+Every row is quadratic, so R = D - 2QS is a square root of the
+discriminant:
 
     R^2 - Delta = -4Q (D S - P - Q S^2),      Delta = D^2 - 4PQ,
 
-and R^2 = Delta at the root.  Delta_0 = 1, since D_0 = 1 and P_0 Q_0 = 0:
-a row with Q_0 != 0 is contractive only if s_0 = 0, which makes P_0 = 0,
-so Q_0 != 0 with P_0 != 0 raises DivergenceError.  So r_0 = 1, and R is
-D-finite (Stanley, *Enumerative Combinatorics* vol. 2, sec. 6.4; Flajolet
-& Sedgewick, *Analytic Combinatorics*, App. B.4): from 2 R R' = Delta',
-times R, 2 Delta R' = Delta' R, whose x^(m-1) coefficient is
+and R^2 = Delta at the root.  Q_0 = 0, so Delta_0 = D_0^2 = 1 and
+s_0 = P_0.  So r_0 = 1, and R is D-finite (Stanley, *Enumerative
+Combinatorics* vol. 2, sec. 6.4; Flajolet & Sedgewick, *Analytic
+Combinatorics*, App. B.4): from 2 R R' = Delta', times R,
+2 Delta R' = Delta' R, whose x^(m-1) coefficient is
 
     sum_{i>=0} Delta_i (2m - 3i) r_{m-i} = 0,    that is
     2m r_m = -sum_{i>=1} Delta_i (2m - 3i) r_{m-i}.
 
-It has deg Delta terms: 1 for C, 2 for G, G_uvv, T and Gbar_uvv, 4 for
+It has deg Delta terms: 1 for C, 2 for G, G_uvv and Gbar_uvv, 4 for
 G_uvu, 6 for A and 8 for F.  ``solve`` runs it through x^(order + v) and
 reads s_n off the x^(n + v) coefficient of 2 Q S = D - R:
 
@@ -57,18 +63,17 @@ reads s_n off the x^(n + v) coefficient of 2 Q S = D - R:
 
 So a coefficient costs deg Delta + deg Q~ products of a short row entry
 by a long coefficient, and order N costs O(N) products, where squaring S
-costs O(N^2).  ``solve`` takes quadratic rows only: Q = 0 raises
-ValueError, as does an order for which R's row, order + v + 1 long,
-would pass sys.maxsize.
+costs O(N^2).  ``solve`` takes quadratic rows with Q_0 = 0 only: Q = 0
+and Q_0 != 0 raise ValueError, as does an order for which R's row,
+order + v + 1 long, would pass sys.maxsize.
 
-Grading.  Give a and b degree 1 and c degree 2.  Every row above is then
-homogeneous: with g and delta fixed by the row, P_n has degree g n + delta,
-Q_n degree g n - delta and D_n degree g n, so s_n is homogeneous of degree
-g n + delta, and Delta_n and r_n of degree g n.  That is g = 1 for the
-kinds in a, b, c (delta = -1 for T, 0 for the others) and g = 0 for C, F
-and A.  ``solve`` reads (g, delta) off one term of each nonzero entry,
-and packing checks every term of every entry against it, so a row with no
-such grading raises ValueError.
+Grading.  Give a and b degree 1 and c degree 2.  Every row that ``solve``
+takes is then homogeneous: with g fixed by the row, P_n, Q_n and D_n have
+degree g n, so s_n, Delta_n and r_n are homogeneous of degree g n.  That
+is g = 1 for the kinds in a, b, c and g = 0 for C, F and A.  ``solve``
+reads g off the first term of Q_v, of degree g v, and packing checks every
+term of every entry against it, so a row with no such grading, a Q_v whose
+degree v does not divide among them, raises ValueError.
 
 Packing.  A homogeneous polynomial is determined by its value at a = 1,
 since a's exponent is its degree less eb + 2 ec.  So ``solve`` packs each
@@ -84,9 +89,9 @@ fixed-point form s_n = P_n - sum_{i>=1} D_i s_{n-i} + sum_i Q_i
 (S^2)_{n-i}, which divides by nothing, and r by R = D - 2QS), so their
 packed values are ints obeying the same identities, and the quotient by 2m,
 by 2 or by the packed Q~_0 (1, b or a + b) is that int.  The packed Q~_0 is
-nonzero because Q~_0 fits the slots and its degree g v - delta is below the
-stride; the stride exceeds g (order + v) + |delta|, every degree that is
-packed or tested.  The width only has to hold s, the one series that is
+nonzero because Q~_0 fits the slots and its degree g v is below the
+stride; the stride g (order + v) + 1 exceeds every degree that is packed
+or tested.  The width only has to hold s, the one series that is
 unpacked; r is never unpacked.  Factors such as c - b^2 have negative
 coefficients, and an overfull slot would corrupt s silently, so the codec
 is given a proven bound and turns it into the width: the root of the row of
@@ -179,72 +184,51 @@ PowerSeries = namedtuple("PowerSeries", "coeffs")
 def solve(
     p: Sequence[Polynomial], q: Sequence[Polynomial], d: Sequence[Polynomial], order: int
 ) -> PowerSeries:
-    """The series S through x^order with D S = P + Q S^2, where D_0 = 1 and
-    Q != 0.
+    """The series S through x^order with D S = P + Q S^2, where D_0 = 1,
+    Q_0 = 0 and Q != 0.
 
-    Raises ValueError if the order is not an int in 0..sys.maxsize, if Q =
-    0, if order + v + 1 passes sys.maxsize for Q = x^v Q~, or if the row
-    has no grading (see the module docstring), and DivergenceError if
-    D_0 != 1, if Q_0 != 0 and P_0 != 0, or if the solution fails the
-    certificate.
+    Raises ValueError if Q = 0 or Q_0 != 0, if the order is not an int in
+    0..sys.maxsize, if order + v + 1 passes sys.maxsize for Q = x^v Q~, or
+    if the row has no grading (see the module docstring), and
+    DivergenceError if D_0 != 1 or if the solution fails the certificate.
     """
+    v = _valuation(q)
+    if v is None:
+        raise ValueError("Q must be nonzero: solve takes quadratic rows only")
+    if v == 0:
+        raise ValueError(f"Q_0 must be 0, not {q[0]}: solve takes path rows only")
+    _check_order(order, v)
+    top = order + v
+    ps, qs, ds = (list(row[: top + 1]) for row in (p, q, d))
+    if not ds or ds[0] != ONE:
+        raise DivergenceError("the solution fails D S = P + Q S^2 unless D_0 = 1")
+    (ea, eb, ec), _ = next(qs[v].terms())
+    g = (ea + eb + 2 * ec) // v  # deg Q_v = g v; packing checks every term
+    stride = g * top + 1
+    p_norm, q_norm, d_norm = ([c.norm() for c in row] for row in (ps, qs, ds))
+    majorant = _root(p_norm, q_norm, [1] + [-n for n in d_norm[1:]], order, 0)
+    codec = KroneckerCodec(max(majorant + q_norm + d_norm), stride)
+    p_int, q_int, d_int = (codec.pack_row(row, g) for row in (ps, qs, ds))
+    values = _root(p_int, q_int, d_int, order, codec.width * stride)
+    try:
+        s = [codec.unpack(value, g * n) for n, value in enumerate(values)]
+    except ValueError as err:  # a slot too narrow for the majorant's bound
+        raise DivergenceError(f"a solved coefficient does not decode: {err}") from err
+    _check(ps, qs, ds, s, g, stride)
+    return PowerSeries(tuple(s))
+
+
+def _check_order(order: int, v: int) -> None:
+    """Raise ValueError unless the order is an int in 0..sys.maxsize and
+    R's row, through x^(order + v), is no longer than a list can be."""
     if isinstance(order, bool) or not isinstance(order, int):
         raise ValueError(f"order must be an int, not {order!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > sys.maxsize:
         raise ValueError(f"order must be at most sys.maxsize, not {order}")
-    v = _valuation(q)
-    if v is None:
-        raise ValueError("Q must be nonzero: solve takes quadratic rows only")
-    if order + v + 1 > sys.maxsize:  # R's row runs through x^(order + v)
+    if order + v + 1 > sys.maxsize:
         raise ValueError(f"order must be at most sys.maxsize - {v + 1} for this row, not {order}")
-    top = order + v
-    ps, qs, ds = (list(row[: top + 1]) for row in (p, q, d))
-    if not ds or ds[0] != ONE:
-        raise DivergenceError("the solution fails D S = P + Q S^2 unless D_0 = 1")
-    g, delta = _grading(ps, qs, ds)
-    stride = max(g * top, 0) + abs(delta) + 1
-    p_norm, q_norm, d_norm = ([c.norm() for c in row] for row in (ps, qs, ds))
-    majorant = _root(p_norm, q_norm, [1] + [-n for n in d_norm[1:]], order, 0)
-    codec = KroneckerCodec(max(majorant + q_norm + d_norm), stride)
-    p_int, q_int, d_int = (
-        codec.pack_row(row, g, shift) for row, shift in ((ps, delta), (qs, -delta), (ds, 0))
-    )
-    values = _root(p_int, q_int, d_int, order, codec.width * stride)
-    try:
-        s = [codec.unpack(v, g * n + delta) for n, v in enumerate(values)]
-    except ValueError as err:  # a slot too narrow for the majorant's bound
-        raise DivergenceError(f"a solved coefficient does not decode: {err}") from err
-    _check(ps, qs, ds, s, g, delta, stride)
-    return PowerSeries(tuple(s))
-
-
-def _grading(
-    ps: list[Polynomial], qs: list[Polynomial], ds: list[Polynomial]
-) -> tuple[int, int]:
-    """(g, delta) with deg P_n = g n + delta, deg Q_n = g n - delta, deg D_n = g n.
-
-    A nonzero coefficient of index n whose first term has degree e says
-    e = g n + w delta, with w = 1, -1, 0 in P, Q, D.  Two independent
-    equations fix (g, delta); if all are multiples of one, any solution of
-    it will do.  Packing then checks every term of every coefficient
-    against the grading.
-    """
-    eqs = []
-    for w, row in ((1, ps), (-1, qs), (0, ds)):
-        for n, c in enumerate(row):
-            if c and (n or w):
-                (ea, eb, ec), _ = next(c.terms())
-                eqs.append((n, w, ea + eb + 2 * ec))
-    for n1, w1, e1 in eqs:
-        for n2, w2, e2 in eqs:
-            det = n1 * w2 - n2 * w1
-            if det:
-                return (e1 * w2 - e2 * w1) // det, (n1 * e2 - n2 * e1) // det
-    for n, w, e in eqs:
-        return (0, w * e) if w else (e // n, 0)
-    return 0, 0
 
 
 def _valuation(row: Sequence) -> int | None:
@@ -297,8 +281,6 @@ def _root(p: list[int], q: list[int], d: list[int], order: int, c_bits: int) -> 
     majorant of the module docstring.
     """
     v = _valuation(q)
-    if v == 0 and p and p[0]:
-        raise DivergenceError("Q_0 != 0 needs s_0 = 0; the equation is not contractive")
     top = order + v
     disc = [x - 4 * y for x, y in zip(_product(d, d, top, 0), _product(p, q, top, 0))]
     disc_terms = [(i, *part) for i, c in enumerate(disc) if i and c for part in _c_rows(c, c_bits)]
@@ -322,7 +304,6 @@ def _check(
     ds: list[Polynomial],
     s: list[Polynomial],
     g: int,
-    delta: int,
     stride: int,
 ) -> None:
     """Raise DivergenceError unless D S == P + Q S^2 through the order of S,
@@ -330,7 +311,7 @@ def _check(
     under a codec and a bound of its own: the residuals sum_i Delta_i
     (2m - 3i) r_(m-i) of R = D - 2QS.  The rows run through x^(order + v).
     Packing raises ValueError for an s_n that is not homogeneous of its
-    degree g n + delta, as every s_n of the root is."""
+    degree g n, as every s_n of the root is."""
     order = len(s) - 1
     top = order + _valuation(qs)
     p_norm, q_norm, d_norm, s_norm = ([c.norm() for c in row] for row in (ps, qs, ds, s))
@@ -338,10 +319,7 @@ def _check(
     disc_norm = sum(d_norm) ** 2 + 4 * sum(p_norm) * sum(q_norm)
     residual = 3 * top * disc_norm * r_norm
     codec = KroneckerCodec(max(p_norm + q_norm + d_norm + s_norm + [residual]), stride)
-    p_int, q_int, d_int, s_int = (
-        codec.pack_row(row, g, shift)
-        for row, shift in ((ps, delta), (qs, -delta), (ds, 0), (s, delta))
-    )
+    p_int, q_int, d_int, s_int = (codec.pack_row(row, g) for row in (ps, qs, ds, s))
     c_bits = codec.width * stride
     d_int += [0] * (top + 1 - len(d_int))
     r = [x - 2 * y for x, y in zip(d_int, _product(q_int, s_int, top, c_bits))]
@@ -365,5 +343,10 @@ def row(kind: str) -> tuple[tuple[Polynomial, ...], ...]:
 
 
 def expand(kind: str, order: int) -> PowerSeries:
-    """Expand one generating function through x^order."""
+    """Expand one generating function through x^order.  T = x G_uvv, so
+    its expansion is 0 followed by G_uvv's through x^(order - 1)."""
+    if kind == "T":
+        _check_order(order, 0)  # the bound of T's own row, where v = 0
+        tail = solve(*row("G_uvv"), order - 1).coeffs if order else ()
+        return PowerSeries((ZERO, *tail))
     return solve(*row(kind), order)

@@ -313,7 +313,7 @@ class Harness:
                     return f"{kind} coefficient {n} != oracle"
         return None
 
-    @_criterion("substitution identities", "oracle n = 0..{all_nmax}, series order {series_order}")
+    @_criterion("substitution identities", "series order {series_order}")
     def criterion_3(self) -> str | None:
         """The two substitution identities, G_uvv(a,b,b^2+c) = G and
         G_uvv(a,b,b^2) = G_uvu(a,b,b^2), checked directly on every series
@@ -434,10 +434,7 @@ class Harness:
                     return f"n={n}: {label}"
         return None
 
-    @_criterion(
-        "structural suite",
-        "decompositions n <= {all_nmax}, residuals order {series_order}",
-    )
+    @_criterion("structural suite", "decompositions n <= {all_nmax}, 3 relations on the rows")
     def criterion_9(self) -> str | None:
         """Decomposition records of both classes for n <= all_nmax, and the
         relations between kinds, proved on their rows.  sigma's Case5/Case6

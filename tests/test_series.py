@@ -27,6 +27,8 @@ from gmotzkin.series import KINDS, expand, solve
 
 A, B, C = VAR_A, VAR_B, VAR_C
 B2 = B * B
+# the kinds whose rows solve takes; T's expansion is G_uvv's, shifted
+SOLVED = tuple(kind for kind in KINDS if kind != "T")
 
 
 class TestExpand:
@@ -56,6 +58,9 @@ class TestExpand:
         assert t.coeffs[0] == ZERO
         assert t.coeffs[1:] == g.coeffs
 
+    def test_t_at_order_0(self):
+        assert expand("T", 0).coeffs == (ZERO,)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             expand("Q", 4)
@@ -67,13 +72,15 @@ class TestExpand:
 
     @pytest.mark.parametrize("order", [2.0, "3", None, True, sys.maxsize + 1, 10**30])
     def test_order_that_is_not_an_int(self, order):
-        # past sys.maxsize the solver's padding raised OverflowError
+        # past sys.maxsize the solver's padding raised OverflowError; T's
+        # order is checked before G_uvv's row is solved one order lower
         if type(order) is int:
             message = f"^order must be at most sys.maxsize, not {order}$"
         else:
             message = "order must be an int"
-        with pytest.raises(ValueError, match=message):
-            expand("G", order)
+        for kind in ("G", "T"):
+            with pytest.raises(ValueError, match=message):
+                expand(kind, order)
 
     @pytest.mark.parametrize("kind,v", [("G", 1), ("T", 0)])
     def test_order_whose_row_passes_sys_maxsize(self, kind, v):
@@ -182,13 +189,14 @@ class TestFixedPoint:
         assert s.coeffs[2] == A * A + (A * B).scaled(3) + (B * B).scaled(2) + C
 
     def test_constant_square_term_with_zero_constant_root(self):
-        # S = x + S^2 is x C(x): Q_0 != 0 is contractive because s_0 = 0
-        s = solve([ZERO, ONE], [ONE], [ONE], 6)
-        assert list(s.coeffs) == consts(0, 1, 1, 2, 5, 14, 42)
+        # S = x + S^2 is x C(x), a shifted row like T's: solve takes rows
+        # with Q_0 = 0 only, and a shifted kind is its base's expansion
+        with pytest.raises(ValueError, match="^Q_0 must be 0, not 1: solve takes path rows only$"):
+            solve([ZERO, ONE], [ONE], [ONE], 6)
 
     def test_divergence(self):
-        # S = 1 + S^2: s_n would need (S^2)_n, which contains 2 s_0 s_n
-        with pytest.raises(DivergenceError, match="not contractive"):
+        # S = 1 + S^2 has no power-series root; Q_0 != 0 is refused first
+        with pytest.raises(ValueError, match="^Q_0 must be 0, not 1: "):
             solve([ONE], [ONE], [ONE], 3)
 
     def test_failed_full_order_check(self):
@@ -242,8 +250,10 @@ class TestPackedSolver:
         "row",
         [
             ([ONE], [ZERO, A + C], [ONE]),  # a + c is not homogeneous
-            ([ONE], [ZERO, B], [ONE, C]),  # D_1 sets g = 2, so Q_1 needs degree 2
-            ([ONE, A], [ZERO, ONE], [ONE]),  # P_1 sets g = 1, so Q_1 needs degree 1
+            ([ONE], [ZERO, B], [ONE, C]),  # Q_1 sets g = 1, so D_1 needs degree 1
+            ([ONE, A], [ZERO, ONE], [ONE]),  # Q_1 sets g = 0, so P_1 needs degree 0
+            ([ONE], [ZERO, ZERO, B], [ONE]),  # deg Q_2 = 1 is no multiple of v = 2
+            ([ONE], [ZERO, ZERO, A * C], [ONE]),  # nor is deg Q_2 = 3
         ],
     )
     def test_row_without_grading_raises(self, row):
@@ -251,8 +261,7 @@ class TestPackedSolver:
             solve(*row, 6)
 
     def test_non_homogeneous_entry_of_p_raises(self):
-        # P_1 = a + c: the grading read off a gives it degree 1, and packing
-        # finds c
+        # P_1 = a + c: Q_1 = b sets g = 1, and packing finds c, of degree 2
         with pytest.raises(ValueError, match="^a \\+ c is not homogeneous of degree 1$"):
             solve([ONE, A + C], [ZERO, B], [ONE, -A], 6)
 
@@ -297,30 +306,29 @@ class TestCertificate:
             (Polynomial.monomial(e + 1, 0, 0) - Polynomial.monomial(e, 0, 0), packing),
         ]
 
-    @pytest.mark.parametrize("row", [series._EQUATIONS[kind] for kind in KINDS], ids=KINDS)
+    @pytest.mark.parametrize("row", [series._EQUATIONS[kind] for kind in SOLVED], ids=SOLVED)
     @pytest.mark.parametrize("n", [1, ORDER // 2, ORDER])
     def test_one_changed_coefficient_fails(self, monkeypatch, row, n):
-        ps, qs, ds, s, g, delta, stride = self.check_arguments(monkeypatch, row, self.ORDER)
-        series._check(ps, qs, ds, s, g, delta, stride)
-        for change, (error, message) in self.changes(g * n + delta):
+        ps, qs, ds, s, g, stride = self.check_arguments(monkeypatch, row, self.ORDER)
+        series._check(ps, qs, ds, s, g, stride)
+        for change, (error, message) in self.changes(g * n):
             changed = list(s)
             changed[n] += change
             with pytest.raises(error, match=message):
-                series._check(ps, qs, ds, changed, g, delta, stride)
+                series._check(ps, qs, ds, changed, g, stride)
 
     def test_twice_the_catalan_series_fails(self, monkeypatch):
         # the residuals of R = D - 2QS for m >= 2 leave r_1 free, and 2 C is
         # the series with r_1 = -4: only the m = 1 residual refuses it
-        ps, qs, ds, s, g, delta, stride = self.check_arguments(monkeypatch, series._EQUATIONS["C"], 12)
+        ps, qs, ds, s, g, stride = self.check_arguments(monkeypatch, series._EQUATIONS["C"], 12)
         twice = [c.scaled(2) for c in s]
         with pytest.raises(DivergenceError, match="fails D S = P"):
-            series._check(ps, qs, ds, twice, g, delta, stride)
+            series._check(ps, qs, ds, twice, g, stride)
 
 
 class TestRandomRows:
     """solve against the fixed-point sum, computed in Polynomial arithmetic,
-    on random graded rows: g = 0, 1, 2, a shifted grading, and Q = x^v Q~
-    with v = 0, 1, 2."""
+    on random graded rows: g = 0, 1, 2 and Q = x^v Q~ with v = 1, 2."""
 
     ORDER = 6
 
@@ -337,31 +345,26 @@ class TestRandomRows:
 
     def random_row(self, rng):
         g = rng.randint(0, 2)
-        delta = rng.randint(-1, 1) if g else 0
-        v = rng.choice((0, 1, 2))
-        if g * v - delta < 0:
-            v += 1
-        maybe = lambda e: self.homogeneous(rng, e) if e >= 0 and rng.random() < 0.7 else ZERO
-        p = [maybe(g * n + delta) for n in range(rng.randint(1, 3))]
-        q = [ZERO] * v + [self.homogeneous(rng, g * v - delta)] + [
-            maybe(g * (v + i) - delta) for i in range(1, rng.randint(1, 3))
+        v = rng.choice((1, 2))
+        maybe = lambda e: self.homogeneous(rng, e) if rng.random() < 0.7 else ZERO
+        p = [maybe(g * n) for n in range(rng.randint(1, 3))]
+        q = [ZERO] * v + [self.homogeneous(rng, g * v)] + [
+            maybe(g * (v + i)) for i in range(1, rng.randint(1, 3))
         ]
         d = [ONE] + [maybe(g * n) for n in range(1, rng.randint(1, 4))]
-        if v == 0:
-            p[0] = ZERO
         return p, q, d
 
     @staticmethod
     def fixed_point_sum(p, q, d, order):
-        """s_n = P_n - sum_{i>=1} D_i s_(n-i) + sum_i Q_i (S^2)_(n-i); with
-        Q_0 != 0, s_0 = 0, so (S^2)_n lacks s_n."""
+        """s_n = P_n - sum_{i>=1} D_i s_(n-i) + sum_{i>=1} Q_i (S^2)_(n-i),
+        as Q_0 = 0."""
         at = lambda row, i: row[i] if i < len(row) else ZERO
         s = []
         for n in range(order + 1):
             pairs = [(-at(d, i), s[n - i]) for i in range(1, n + 1)]
-            for i in range(n + 1):
+            for i in range(1, n + 1):
                 m = n - i
-                pairs += [(at(q, i), s[j] * s[m - j]) for j in range(m + 1) if j < n and m - j < n]
+                pairs += [(at(q, i), s[j] * s[m - j]) for j in range(m + 1)]
             s.append(at(p, n) + sum((f * g for f, g in pairs), ZERO))
         return s
 
@@ -411,7 +414,7 @@ class TestBounds:
         solve_bound, _ = bounds
         assert solve_bound >= max(c.norm() for c in s.coeffs)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", SOLVED)
     def test_majorant_bounds_every_coefficient(self, monkeypatch, kind):
         self.assert_majorant_bounds_the_series(monkeypatch, series._EQUATIONS[kind], self.ORDER)
 
@@ -420,19 +423,19 @@ class TestBounds:
         row = TestRandomRows().random_row(random.Random(seed))
         self.assert_majorant_bounds_the_series(monkeypatch, row, self.ORDER)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", SOLVED)
     @pytest.mark.parametrize("n", [1, ORDER // 2, ORDER])
     def test_certificate_bound_holds_every_residual(self, monkeypatch, kind, n):
         args = TestCertificate.check_arguments(monkeypatch, series._EQUATIONS[kind], self.ORDER)
-        ps, qs, ds, s, g, delta, stride = args
+        ps, qs, ds, s, g, stride = args
         assert not any(self.residuals(ps, qs, ds, s))
         # a change larger than every coefficient, so that the residuals
         # outgrow every operand that the certificate packs
         changed = list(s)
-        changed[n] += Polynomial.monomial(g * n + delta, 0, 0, 1 + max(c.norm() for c in s))
+        changed[n] += Polynomial.monomial(g * n, 0, 0, 1 + max(c.norm() for c in s))
         bounds = self.recorded_bounds(monkeypatch)
         with pytest.raises(DivergenceError, match="fails D S = P"):
-            series._check(ps, qs, ds, changed, g, delta, stride)
+            series._check(ps, qs, ds, changed, g, stride)
         (bound,) = bounds
         assert bound >= max(c.norm() for c in self.residuals(ps, qs, ds, changed))
 

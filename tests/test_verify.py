@@ -657,13 +657,13 @@ def test_criterion_9_names_the_relation_a_wrong_row_fails(monkeypatch, kind, ent
 PASS_DETAILS = [
     ("closed forms vs oracle", "5 + 3 forms, n = 0..3"),
     ("series vs oracle", "4 kinds, n = 0..3"),
-    ("substitution identities", "oracle n = 0..3, series order 8"),
+    ("substitution identities", "series order 8"),
     ("bijection suite", "n = 0..3"),
     ("sample bijection pair", "28-step input and image"),
     ("fixed points", "four-way agreement, n = 0..3"),
     ("specialization table", "7 rows, n = 0..3"),
     ("weight relations", "n = 1..3"),
-    ("structural suite", "decompositions n <= 3, residuals order 8"),
+    ("structural suite", "decompositions n <= 3, 3 relations on the rows"),
 ]
 
 
