@@ -161,6 +161,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     nmax = args.max_n
     if nmax < 0:
         raise PathError("--max-n must be nonnegative")
+    if nmax > sys.maxsize:
+        raise PathError(f"--max-n must be at most sys.maxsize, not {nmax}")
     polys = [formulas.g_uvv_closed(n, 1) for n in range(nmax + 1)]
     print(f"uvv-avoiding weight specializations, n = 0..{nmax}")
     for label, point, oeis in _OEIS_ROWS:

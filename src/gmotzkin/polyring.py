@@ -17,8 +17,10 @@ this module is exact integer arithmetic:
                  has no division, since the closed forms divide by n + 1
                  in their integer rows before they build a polynomial.
   KroneckerCodec -- packs a homogeneous Polynomial into one int, so that a
-                 product of polynomials is one product of ints; packing
-                 and unpacking touch each term once.
+                 product of polynomials is one product of ints.  Its slots
+                 are whole bytes: packing and unpacking touch each term
+                 once, through ``int.to_bytes`` and ``int.from_bytes``,
+                 and a codec keeps no cache and never changes once built.
 
 Monomials are totally ordered lexicographically on (ea, eb, ec),
 descending.  All textual and JSON output lists terms in that order, which
@@ -243,21 +245,25 @@ class KroneckerCodec:
     only if every coefficient lies in [-2^(width-1), 2^(width-1)) and the
     degree is below the stride.  So the caller proves a bound on the
     |coefficients| of every value it packs, forms or unpacks, and the codec
-    sets width = bound.bit_length() + 1, whose digits hold [-bound, bound].
+    takes as width the least multiple of 8 bits whose digits hold
+    [-bound, bound]: width = 8 (bound.bit_length() // 8 + 1).
     Every guard raises ValueError, also under ``python -O``: a negative
     bound, a coefficient that is not homogeneous of the stated degree or
     does not fit its slot, a degree that reaches the stride, and a value
     that leaves its slots or has a monomial with a negative a-exponent.
-    Digits travel as binary strings, so both directions take time linear
-    in the packed size: each digit is stored biased by 2^(width-1), and
-    the bias of a run of slots is an int shifted off one cached value, not
-    a string of zero digits parsed anew.  ``unpack`` reads only the slots
+    A slot is width / 8 whole bytes, little-endian, so both directions take
+    time linear in the packed size: each digit is stored biased by
+    2^(width-1), ``pack`` writes the digits with ``int.to_bytes`` into a
+    run of zero digits and reads the run with one ``int.from_bytes``, and
+    ``unpack`` slices the ``to_bytes`` image of the biased value.  The bias
+    of a run of slots is the ``from_bytes`` of its zero digits; nothing in
+    a codec changes after it is built.  ``unpack`` reads only the slots
     that a value of its degree can fill, b^eb c^ec with eb <= degree -
     2 ec, and compares the rest of each row of slots (one power of c) with
     zero digits at once.
     """
 
-    __slots__ = ("width", "stride", "_zero", "_format", "_bias_slots", "_bias_value")
+    __slots__ = ("width", "stride", "_zero")
 
     def __init__(self, bound: int, stride: int):
         for name, value in (("bound", bound), ("stride", stride)):
@@ -265,22 +271,10 @@ class KroneckerCodec:
                 raise ValueError(f"a codec's {name} must be an int, not {value!r}")
         if bound < 0 or stride < 1:
             raise ValueError(f"a codec needs bound >= 0 and stride >= 1, not {bound}, {stride}")
-        self.width = width = bound.bit_length() + 1
+        self.width = width = 8 * (bound.bit_length() // 8 + 1)
         self.stride = stride
-        self._zero = "1" + "0" * (width - 1)  # the digit 0, biased by 2^(width-1)
-        self._format = f"0{width}b"
-        self._bias_slots = self._bias_value = 0
-
-    def _bias(self, count: int) -> int:
-        """2^(width-1) in each of ``count`` slots, the packed value of their
-        biased zero digits: the low slots of one cached value, which grows
-        by doubling, so its cost stays linear in the largest count asked."""
-        if count > self._bias_slots:
-            self._bias_slots = max(count, 2 * self._bias_slots)
-            w = self.width
-            repunit = ((1 << (w * self._bias_slots)) - 1) // ((1 << w) - 1)
-            self._bias_value = repunit << (w - 1)
-        return self._bias_value >> (self.width * (self._bias_slots - count))
+        # the digit 0, biased by 2^(width-1), as the bytes of one slot
+        self._zero = (1 << (width - 1)).to_bytes(width // 8, "little")
 
     def _slots(self, degree: int) -> int:
         """The number of slots a value of this degree spans."""
@@ -296,17 +290,18 @@ class KroneckerCodec:
         b = 2^width, c = 2^(width * stride)."""
         if not poly._terms:
             return 0
-        count = self._slots(degree)
+        zeros = self._zero * self._slots(degree)
+        size, stride = len(self._zero), self.stride
         half = 1 << (self.width - 1)
-        digits = [self._zero] * count
+        digits = bytearray(zeros)
         for (ea, eb, ec), coeff in poly._terms.items():
             if ea + eb + 2 * ec != degree:
                 raise ValueError(f"{poly} is not homogeneous of degree {degree}")
             if not -half <= coeff < half:
                 raise ValueError(f"coefficient {coeff} does not fit a {self.width}-bit slot")
-            digits[eb + self.stride * ec] = format(coeff + half, self._format)
-        digits.reverse()
-        return int("".join(digits), 2) - self._bias(count)
+            at = size * (eb + stride * ec)
+            digits[at : at + size] = (coeff + half).to_bytes(size, "little")
+        return int.from_bytes(digits, "little") - int.from_bytes(zeros, "little")
 
     def pack_row(self, row: Iterable[Polynomial], g: int) -> list[int]:
         """A row packed coefficientwise, its x^n coefficient at degree g n."""
@@ -324,26 +319,27 @@ class KroneckerCodec:
                 raise ValueError(f"nonzero value at negative degree {degree}")
             return Polynomial()
         w, stride, zero = self.width, self.stride, self._zero
-        biased = value + self._bias(count)
+        size = len(zero)
+        biased = value + int.from_bytes(zero * count, "little")
         if biased < 0 or biased.bit_length() > w * count:
             raise ValueError(f"value leaves its {count} slots of {w} bits")
-        bits = format(biased, f"0{w * count}b")
+        data = biased.to_bytes(size * count, "little")
         half = 1 << (w - 1)
         terms: dict[Monomial, int] = {}
         for ec in range(degree // 2 + 1):
             top = degree - 2 * ec  # the largest eb in this row
-            end = len(bits) - w * stride * ec  # slot b^0 c^ec ends here
+            at = size * stride * ec  # slot b^0 c^ec starts here
             for eb in range(top + 1):
-                digit = bits[end - w : end]
-                end -= w
+                digit = data[at : at + size]
+                at += size
                 if digit != zero:
-                    terms[top - eb, eb, ec] = int(digit, 2) - half
+                    terms[top - eb, eb, ec] = int.from_bytes(digit, "little") - half
             # the row's slots past eb = top, up to the row's or the value's end
             rest = min(stride * (ec + 1), count) - stride * ec - top - 1
-            if rest > 0 and bits[end - w * rest : end] != zero * rest:
+            if rest > 0 and data[at : at + size * rest] != zero * rest:
                 eb = top + 1
-                while bits[end - w : end] == zero:
-                    end -= w
+                while data[at : at + size] == zero:
+                    at += size
                     eb += 1
                 raise ValueError(f"b^{eb} c^{ec} in a value of degree {degree}: a^{top - eb}")
         return Polynomial._of(terms)

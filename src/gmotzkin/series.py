@@ -80,10 +80,14 @@ since a's exponent is its degree less eb + 2 ec.  So ``solve`` packs each
 coefficient's (b, c) polynomial into one Python int with
 ``polyring.KroneckerCodec`` (Kronecker substitution: Harvey, *Faster
 polynomial multiplication via multipoint Kronecker substitution*, JSC
-2009): signed slots of one width, b^eb c^ec in slot eb + stride * ec.
-Packing is evaluation at a = 1, b = 2^w, c = 2^(w stride), a ring
-homomorphism into Z, so the recurrences run unchanged on the ints, each
-product one bigint multiply.  Every division in them is exact at the packed
+2009): signed slots of one width w, a whole number of bytes, b^eb c^ec
+in slot eb + stride * ec, each digit written and read with
+``int.to_bytes`` and ``int.from_bytes``, so packing and unpacking are
+linear in the packed size.  Of the codec's layout, this module reads only
+``codec.width``, to cut packed values by the power of c.  Packing is
+evaluation at a = 1, b = 2^w, c = 2^(w stride), a ring homomorphism into
+Z, so the recurrences run unchanged on the ints, each product one bigint
+multiply.  Every division in them is exact at the packed
 point, whatever the width: r_m and s_n are integer polynomials (s_n by the
 fixed-point form s_n = P_n - sum_{i>=1} D_i s_{n-i} + sum_i Q_i
 (S^2)_{n-i}, which divides by nothing, and r by R = D - 2QS), so their
@@ -94,8 +98,9 @@ stride; the stride g (order + v) + 1 exceeds every degree that is packed
 or tested.  The width only has to hold s, the one series that is
 unpacked; r is never unpacked.  Factors such as c - b^2 have negative
 coefficients, and an overfull slot would corrupt s silently, so the codec
-is given a proven bound and turns it into the width: the root of the row of
-l1 norms (P_i, Q_i by their norms, D by 1 - sum_{i>=1} ||D_i|| x^i), solved
+is given a proven bound and turns it into the width, the least multiple
+of 8 bits whose balanced digits hold it: the root of the row of l1 norms
+(P_i, Q_i by their norms, D by 1 - sum_{i>=1} ||D_i|| x^i), solved
 by the same code on plain ints, majorises ||s_n||, by induction on the
 fixed-point form, as the norm is subadditive and submultiplicative.  A
 value that does not unpack raises DivergenceError.  A row entry such as

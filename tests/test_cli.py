@@ -138,6 +138,13 @@ class TestErrorsAndDeterminism:
         message = f"order must be at most sys.maxsize - 2 for this row, not {sys.maxsize}"
         assert err == f"error: {message}\n"
 
+    def test_max_n_past_sys_maxsize_exits_2(self, capsys):
+        # refused before any row is computed, as count and series refuse n
+        max_n = str(10**20)
+        code, out, err = run(capsys, "tables", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-n must be at most sys.maxsize, not {max_n}\n"
+
     def test_bad_eval_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--eval", "1,2")
         assert code == 2 and "--eval" in err

@@ -212,7 +212,7 @@ class TestKroneckerCodec:
             assert codec.unpack(codec.pack(poly, degree), degree) == poly
 
     def test_one_codec_round_trips_degrees_in_any_order(self):
-        # the cached bias grows by doubling and serves smaller counts after
+        # a codec keeps no state between calls: any degree, in any order
         rng = random.Random(34)
         codec = KroneckerCodec((1 << 70) - 1, 13)
         degrees = [*range(13), *rng.sample(range(13), 13), 12, 0, 7]
@@ -221,8 +221,10 @@ class TestKroneckerCodec:
             assert codec.unpack(codec.pack(poly, degree), degree) == poly
 
     def test_slot_extremes(self):
+        # a bound of 2^64 - 1 needs 65 bits, so the slot is 9 bytes
         codec = KroneckerCodec((1 << 64) - 1, 5)
-        low, high = -(1 << 64), (1 << 64) - 1
+        assert codec.width == 72
+        low, high = -(1 << 71), (1 << 71) - 1
         poly = Polynomial({(4, 0, 0): low, (3, 1, 0): high, (0, 0, 2): low, (0, 2, 1): high})
         assert codec.unpack(codec.pack(poly, 4), 4) == poly
         with pytest.raises(ValueError, match="does not fit"):
@@ -241,14 +243,56 @@ class TestKroneckerCodec:
 
     @pytest.mark.parametrize("width", [1, 2, 8, 65])
     def test_bound_sets_the_width(self, width):
-        # a bound of 2^(w-1) - 1 gives width w, whose digits end at the bound
+        # a bound of 2^(w-1) - 1 needs w bits, which round up to whole
+        # bytes; the digits hold the bound and end at 2^(width-1) - 1
         bound = (1 << (width - 1)) - 1
         codec = KroneckerCodec(bound, 3)
-        assert codec.width == width
+        assert codec.width == 8 * -(-width // 8)
         poly = Polynomial({(2, 0, 0): bound, (1, 1, 0): -bound, (0, 0, 1): bound})
         assert codec.unpack(codec.pack(poly, 2), 2) == poly
         with pytest.raises(ValueError, match="does not fit"):
-            codec.pack(Polynomial.monomial(0, 0, 1, bound + 1), 2)
+            codec.pack(Polynomial.monomial(0, 0, 1, 1 << (codec.width - 1)), 2)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "bound, width",
+        [
+            (bound, 8 * k if bound < 1 << (8 * k - 1) else 8 * k + 8)
+            for k in range(1, 10)
+            for bound in ((1 << (8 * k - 1)) - 1, 1 << (8 * k - 1), (1 << (8 * k)) - 1)
+        ],
+    )
+    def test_byte_slots(self, bound, width, stride):
+        # the least whole bytes that hold [-bound, bound]; at the top degree
+        # the stride allows, every monomial round-trips the bound's and the
+        # slot's extremes, one past the slot is refused, and products whose
+        # l1 norms the bound holds (at most 16 pairs of terms) unpack
+        codec = KroneckerCodec(bound, stride)
+        assert codec.width == width
+        degree = stride - 1
+        monos = [
+            (degree - eb - 2 * ec, eb, ec)
+            for ec in range(degree // 2 + 1)
+            for eb in range(degree - 2 * ec + 1)
+        ]
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        extremes = [bound, -bound, low, high]
+        for coeff in extremes:
+            poly = Polynomial({m: coeff for m in monos})
+            assert codec.unpack(codec.pack(poly, degree), degree) == poly
+        mixed = Polynomial({m: extremes[i % 4] for i, m in enumerate(monos)})
+        assert codec.unpack(codec.pack(mixed, degree), degree) == mixed
+        for coeff in (low - 1, high + 1):
+            with pytest.raises(ValueError, match="does not fit"):
+                codec.pack(Polynomial({monos[-1]: coeff}), degree)
+        rng = random.Random(bound * 8 + stride)
+        bits = (bound.bit_length() - 5) // 2
+        for _ in range(20):
+            dp = rng.randrange(stride)
+            dq = rng.randrange(stride - dp)
+            p, q = random_homogeneous(rng, dp, bits), random_homogeneous(rng, dq, bits)
+            assert p.norm() * q.norm() <= bound
+            assert codec.unpack(codec.pack(p, dp) * codec.pack(q, dq), dp + dq) == p * q
 
     def test_negative_bound_is_refused(self):
         with pytest.raises(ValueError, match="needs bound >= 0 and stride >= 1, not -1, 3"):

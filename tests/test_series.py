@@ -212,8 +212,9 @@ class TestFixedPoint:
 
 
 def needed_width(s):
-    """The least balanced slot width holding every coefficient of s."""
-    return 1 + max(k if k >= 0 else ~k for c in s.coeffs for _, k in c.terms()).bit_length()
+    """The least whole-byte balanced slot width holding every coefficient of s."""
+    top = max(k if k >= 0 else ~k for c in s.coeffs for _, k in c.terms())
+    return 8 * (top.bit_length() // 8 + 1)
 
 
 class TestPackedSolver:
@@ -222,8 +223,8 @@ class TestPackedSolver:
     @staticmethod
     def expand_with_solve_width(monkeypatch, kind, order, width):
         """expand(kind, order) with the solve's slots forced to ``width``
-        bits by a bound of 2^(width-1) - 1; the check's codec, built
-        second, keeps its own bound."""
+        bits, a multiple of 8, by a bound of 2^(width-1) - 1; the check's
+        codec, built second, keeps its own bound."""
         built = []
 
         def codec(bound, stride):
@@ -235,16 +236,18 @@ class TestPackedSolver:
 
     @pytest.mark.parametrize("kind", ["G_uvv", "T", "Gbar_uvv", "F"])
     def test_slot_one_bit_too_narrow_raises(self, kind, monkeypatch):
+        # slots are whole bytes, so the next narrower width is one byte less
         expected = expand(kind, 20)
         width = needed_width(expected)
         assert self.expand_with_solve_width(monkeypatch, kind, 20, width) == expected
         with pytest.raises(DivergenceError):
-            self.expand_with_solve_width(monkeypatch, kind, 20, width - 1)
+            self.expand_with_solve_width(monkeypatch, kind, 20, width - 8)
 
     def test_narrow_slot_that_decodes_fails_the_check(self, monkeypatch):
-        expected = expand("G_uvv", 12)
+        # a byte too narrow at order 20, G_uvv's s_n all unpack, wrongly
+        expected = expand("G_uvv", 20)
         with pytest.raises(DivergenceError, match="fails D S = P"):
-            self.expand_with_solve_width(monkeypatch, "G_uvv", 12, needed_width(expected) - 1)
+            self.expand_with_solve_width(monkeypatch, "G_uvv", 20, needed_width(expected) - 8)
 
     @pytest.mark.parametrize(
         "row",
