@@ -157,12 +157,19 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _max_n(args: argparse.Namespace) -> int:
+    """``--max-n`` of ``tables`` and ``verify``; PathError, before any work
+    starts, if it is negative or past sys.maxsize."""
     nmax = args.max_n
     if nmax < 0:
         raise PathError("--max-n must be nonnegative")
     if nmax > sys.maxsize:
         raise PathError(f"--max-n must be at most sys.maxsize, not {nmax}")
+    return nmax
+
+
+def _cmd_tables(args: argparse.Namespace) -> int:
+    nmax = _max_n(args)
     polys = [formulas.g_uvv_closed(n, 1) for n in range(nmax + 1)]
     print(f"uvv-avoiding weight specializations, n = 0..{nmax}")
     for label, point, oeis in _OEIS_ROWS:
@@ -182,9 +189,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise PathError("--max-n must be nonnegative")
-    harness = verify.Harness(max_n=args.max_n)
+    harness = verify.Harness(max_n=_max_n(args))
     results = harness.run_all()
     for result in results:
         print(result.line())

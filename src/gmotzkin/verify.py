@@ -13,10 +13,11 @@ raises is its FAIL, so every criterion of ``run_all`` reports.
 kind and the bijection sweep by n, so one ``run_all`` computes each of these
 once however many checks read it.  Each kind is expanded at one order,
 series_order + 1 or ``avoid_nmax`` if that is larger, and criterion 3 reads
-all of it.  The sweep takes the size of the uvu-avoiding class from the
-weight-sum cache and walks only the uvv-avoiding class, mapping every path,
-so sigma's own Case5/Case6 invariants are checked there; the structural
-suite does not sweep, and walks both classes again for the decompositions.  So at full
+all of it.  The sweep walks only the uvv-avoiding class, mapping every path,
+so sigma's own Case5/Case6 invariants are checked there, and takes the size
+of the uvu-avoiding class to be the large Schroeder number that criterion 8
+proves it is, so it reads no weight sum; the structural suite does not
+sweep, and walks both classes again for the decompositions.  So at full
 bounds the uvv-avoiding class is walked three times for n <= 8 and twice
 for n = 9, 10 (weight sum, sweep, structural suite), and the uvu-avoiding
 class twice for n <= 8 and once for n = 9, 10 (weight sum, structural
@@ -222,10 +223,13 @@ class Harness:
         rest, in one scan of the height that stops at the first dip below
         the axis.  sigma, sigma_inv, ``_classify`` and ``_grammar`` are read
         off ``bijection`` once per n, at call time.  The class size is the
-        oracle's weight sum at (1, 1, 1), in which each generated path
-        counts once; it comes from the ``sums`` cache, so the sweep walks
-        the class no more often than the weight sums do.  If ``count``
-        equals the class size, the images are the whole class.
+        large Schroeder number S_n(1,1), ``formulas.schroder_weight(n)`` at
+        (1, 1, 1): for n >= 1 criterion 8 checks the oracle's weight sum of
+        the class at c = b^2 against S_n(a,b), and at a = b = 1 that sum
+        counts each path once; at n = 0 the class holds only the empty
+        path, and S_0 = 1.  So the sweep walks no uvu-avoiding path and
+        reads no weight sum.  If ``count`` equals the class size, the
+        images are the whole class.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -243,7 +247,7 @@ class Harness:
         """
         if n in self._sweeps:
             return self._sweeps[n]
-        size = self.sums(AVOID_UVU, n).eval(1, 1, 1)
+        size = formulas.schroder_weight(n).eval(1, 1, 1)
         count = 0
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
@@ -334,11 +338,13 @@ class Harness:
     def criterion_4(self) -> str | None:
         """sigma is a weight-preserving bijection onto the uvu-avoiding class
         whose fixed points are the grammar's words; the sweep maps every
-        path, so sigma's Case5/Case6 invariants hold too.  That the class
-        has S_n(1,1) paths, the large Schroeder number, is criterion 8's:
-        it checks the class's weight sum at c = b^2 against S_n(a,b) for
-        n >= 1, which at a = b = 1 is the class size, and n = 0 has only
-        the empty path."""
+        path, so sigma's Case5/Case6 invariants hold too.  The sweep takes
+        the class size to be S_n(1,1), the large Schroeder number, and
+        criterion 8 proves it: it checks the class's weight sum at c = b^2
+        against S_n(a,b) for n >= 1, which at a = b = 1 counts the class,
+        and n = 0 has only the empty path.  So a wrong oracle weight sum of
+        the class fails criteria 2 and 8, not this one, and a wrong S_n
+        fails criteria 6, 7 and 8 as well as this one."""
         for n in range(self.avoid_nmax + 1):
             rec = self.sweep(n)
             if rec.error:
@@ -424,7 +430,11 @@ class Harness:
 
     @_criterion("weight relations", "n = 1..{avoid_nmax}")
     def criterion_8(self) -> str | None:
-        """Classical weight-family relations, including the uvu-class identity."""
+        """Classical weight-family relations, including the uvu-class
+        identity G_uvu(a,b,b^2) = S_n(a,b) on the oracle's weight sums.  At
+        a = b = 1 that identity makes S_n(1,1) the size of the uvu-avoiding
+        class, the size that criterion 4's sweep compares its image count
+        with; at n = 0 the class is the empty path alone, and S_0 = 1."""
         for n in range(1, self.avoid_nmax + 1):
             report = formulas.relation_checks(n)
             g_uvu = self.sums(AVOID_UVU, n).substitute("c", _B2)

@@ -145,6 +145,17 @@ class TestErrorsAndDeterminism:
         assert (code, out) == (2, "")
         assert err == f"error: --max-n must be at most sys.maxsize, not {max_n}\n"
 
+    def test_verify_max_n_past_sys_maxsize_exits_2(self, capsys, monkeypatch):
+        # refused before a Harness is built, let alone run
+        def harness(**bounds):
+            raise AssertionError(f"verify built a Harness with {bounds}")
+
+        monkeypatch.setattr(cli.verify, "Harness", harness)
+        max_n = str(10**20)
+        code, out, err = run(capsys, "verify", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-n must be at most sys.maxsize, not {max_n}\n"
+
     def test_bad_eval_exits_2(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--eval", "1,2")
         assert code == 2 and "--eval" in err

@@ -106,7 +106,10 @@ def test_is_path_is_the_heights_definition(n):
             assert verify._is_path(word[:i] + "x" + word[i:]) is False
 
 
-def test_sweep_shares_the_uvu_walk_with_the_weight_sums(monkeypatch):
+def test_sweep_walks_the_uvv_class_once_and_the_uvu_class_never(monkeypatch):
+    # the class size is S_n(1,1), which criterion 8 proves, so criteria 4
+    # and 6 walk each uvv-avoiding class once and compute no weight sum,
+    # whose walks ``enumeration.generate`` would count too
     walks = Counter()
 
     def generate(n, constraints=None):
@@ -115,10 +118,11 @@ def test_sweep_shares_the_uvu_walk_with_the_weight_sums(monkeypatch):
 
     monkeypatch.setattr(enumeration, "generate", generate)
     monkeypatch.setattr(verify, "generate", generate)
-    harness = Harness(max_n=4, series_order=4)
-    assert harness.criterion_3().ok
+    harness = Harness(max_n=4)
     assert harness.criterion_4().ok
-    assert [walks[AVOID_UVU, n] for n in range(5)] == [1] * 5
+    assert walks == Counter({(AVOID_UVV, n): 1 for n in range(5)})
+    assert harness.criterion_6().ok
+    assert walks == Counter({(AVOID_UVV, n): 1 for n in range(5)})
 
 
 real_grammar = bijection._grammar
@@ -587,11 +591,27 @@ B9 = Polynomial.monomial(0, 9, 0)
 @pytest.mark.parametrize(
     "patch,max_n,series_order,failed",
     [
-        # the Schroeder weights that criterion 4's class size check read
+        # the Schroeder weights, whose value at (1, 1, 1) is the class size
+        # of criterion 4's sweep: S_0 = 2, so the sweep's one image at n = 0
+        # fails criteria 4 and 6
         (
             patched(formulas, "schroder_weight", lambda n: real_schroder_weight(n) + ONE), 1, 3,
-            [("specialization table", "n=0: (a,b,b^2) Schroeder polynomial"),
+            [("bijection suite", "n=0: image has 1 paths, class has 2"),
+             ("fixed points", "n=0: image has 1 paths, class has 2"),
+             ("specialization table", "n=0: (a,b,b^2) Schroeder polynomial"),
              ("weight relations", "n=1: schroder_eq_shifted_dyck")],
+        ),
+        # the oracle's uvu class, G_uvu_2 + a: criterion 4 reads the class
+        # size as S_n(1,1), and criteria 2 and 8 hold the weight sums to the
+        # series and to S_n(a,b)
+        (
+            patched(
+                verify, "weight_sum",
+                lambda n, con: real_weight_sum(n, con) + (A if (n, con) == (2, AVOID_UVU) else ZERO),
+            ),
+            2, 3,
+            [("series vs oracle", "G_uvu coefficient 2 != oracle"),
+             ("weight relations", "n=2: uvu_class_eq_schroder")],
         ),
         # the oracle rows that criterion 3 read, here G_2 + a
         (
@@ -622,6 +642,7 @@ B9 = Polynomial.monomial(0, 9, 0)
     ],
     ids=[
         "Schroeder weight + 1",
+        "oracle G_uvu_2 + a",
         "oracle G_2 + a",
         "G_uvv Q_9 = b^9",
         "T Q = b + cx",
