@@ -16,15 +16,18 @@ series_order + 1 or ``avoid_nmax`` if that is larger, and criterion 3 reads
 all of it.  The sweep walks only the uvv-avoiding class, mapping every path,
 so sigma's own Case5/Case6 invariants are checked there, and takes the size
 of the uvu-avoiding class to be the large Schroeder number that criterion 8
-proves it is, so it reads no weight sum; the structural suite does not
-sweep, and walks both classes again for the decompositions.  So at full
-bounds the uvv-avoiding class is walked three times for n <= 8 and twice
-for n = 9, 10 (weight sum, sweep, structural suite), and the uvu-avoiding
-class twice for n <= 8 and once for n = 9, 10 (weight sum, structural
-suite).  ``max_n`` clamps the enumeration bounds for quicker runs; the
-stated full bounds are length 10 for avoidance classes (``avoid_nmax``), 8
-for the unconstrained class and the structural checks alike
-(``all_nmax``), and series order 30.
+proves it is, so it reads no weight sum.  It checks the images a chunk of
+paths at a time, with an exact filter of C-level calls, and runs a chunk
+path by path only to name the first failure that the filter or the round
+trip found in it, or to raise what sigma or sigma_inv raised.  The
+structural suite does not sweep, and walks both classes again for the
+decompositions.  So at full bounds the uvv-avoiding class is walked three
+times for n <= 8 and twice for n = 9, 10 (weight sum, sweep, structural
+suite), and the uvu-avoiding class twice for n <= 8 and once for n = 9,
+10 (weight sum, structural suite).  ``max_n`` clamps the enumeration
+bounds for quicker runs; the stated full bounds are length 10 for
+avoidance classes (``avoid_nmax``), 8 for the unconstrained class and the
+structural checks alike (``all_nmax``), and series order 30.
 
 The structural suite holds each path's decomposition record to one rule:
 it must reassemble to the path and carry the single case that the path's
@@ -44,6 +47,8 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import compress, islice, repeat
+from operator import add, eq, sub
 
 from . import bijection, formulas
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
@@ -216,13 +221,10 @@ class Harness:
         so the images are ``count`` distinct words.  Each is tested for
         membership directly: a word over udhv that never dips below the
         axis, ends on it, has x-length n and contains no uvu is exactly a
-        member of the uvu-avoiding class of length n.  The uvu test comes
-        first.  The weight test then fixes the x-length: ``generate`` yields
-        q with x-length n = #h + #v + 2#d, so p keeps q's weight exactly
-        when it has q's #h and #v + 2#d = n - #h.  ``_is_path`` tests the
-        rest, in one scan of the height that stops at the first dip below
-        the axis.  sigma, sigma_inv, ``_classify`` and ``_grammar`` are read
-        off ``bijection`` once per n, at call time.  The class size is the
+        member of the uvu-avoiding class of length n.  ``_image_error`` is
+        the one definition of these tests, in order, with the message of
+        each.  sigma, sigma_inv, ``_classify`` and ``_grammar`` are read off
+        ``bijection`` once per n, at call time.  The class size is the
         large Schroeder number S_n(1,1), ``formulas.schroder_weight(n)`` at
         (1, 1, 1): for n >= 1 criterion 8 checks the oracle's weight sum of
         the class at c = b^2 against S_n(a,b), and at a = b = 1 that sum
@@ -230,6 +232,19 @@ class Harness:
         path, and S_0 = 1.  So the sweep walks no uvu-avoiding path and
         reads no weight sum.  If ``count`` equals the class size, the
         images are the whole class.
+
+        The walk is taken ``_CHUNK`` paths at a time (``_check_chunk``).  A
+        chunk is mapped by sigma, held to ``_images_pass``, a filter of
+        C-level calls over the whole chunk that is true exactly when
+        ``_image_error`` passes every image up to the round trip (its
+        docstring gives the argument), and mapped back by sigma_inv.  Only a
+        chunk that fails there, or raises, is run again path by path through
+        ``_image_error``, which stops at its first failure or lets the same
+        exception escape at the same path.  So the sweep fails, and raises,
+        exactly where and as a path-by-path sweep would, and its fixed-point
+        counts on a failure are those of the paths before the one that
+        failed.  Each chunk gives a count, its fixed points in walk order and
+        its first failure.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -239,11 +254,11 @@ class Harness:
         Two strictly increasing sequences are equal exactly when their sets
         are, so q is fixed iff it is in the grammar, and the stream is in
         order, distinct and rightly classed; the counts by class are then
-        the grammar's too.  So sigma runs once per path, and the words that
-        ``fixed_points`` tests with sigma and lists are the ones checked
-        here.  A pair out of step does not stop the walk, so the image
-        checks and the count report first.  Every length has the fixed
-        point h^n, so a walk that meets none fails.
+        the grammar's too.  So sigma runs once per path of a sweep that
+        passes, and the words that ``fixed_points`` tests with sigma and
+        lists are the ones checked here.  A pair out of step does not stop
+        the walk, so the image checks and the count report first.  Every
+        length has the fixed point h^n, so a walk that meets none fails.
         """
         if n in self._sweeps:
             return self._sweeps[n]
@@ -254,29 +269,19 @@ class Harness:
         sigma, sigma_inv, classify = bijection.sigma, bijection.sigma_inv, bijection._classify
         grammar = bijection._grammar(n)
         mismatch = None  # the first fixed point that is not the next pair
-        for q in generate(n, AVOID_UVV):
-            p = sigma(q)
-            if "uvu" in p:
-                error = f"sigma({q}) = {p} contains uvu"
-                break
-            h = q.count("h")
-            if p.count("h") != h or p.count("v") + 2 * p.count("d") != n - h:
-                error = f"sigma({q}) = {p} changes the weight"
-                break
-            if not _is_path(p):
-                error = f"sigma({q}) = {p} outside the uvu-avoiding class"
-                break
-            if sigma_inv(p) != q:
-                error = f"sigma_inv(sigma({q})) = {sigma_inv(p)}"
-                break
-            count += 1
-            if p != q or mismatch:
+        walk = generate(n, AVOID_UVV)
+        while not error and (chunk := list(islice(walk, _CHUNK))):
+            images, error = _check_chunk(chunk, n, sigma, sigma_inv)
+            count += len(images)
+            if mismatch:
                 continue
-            cls = classify(q)
-            classes[cls] += 1
-            listed = next(grammar, None)
-            if listed != (q, cls):
-                mismatch = f"sigma fixes {(q, cls)!r}, fixed_points lists {listed!r} there"
+            for q in compress(chunk, map(eq, chunk, images)):
+                cls = classify(q)
+                classes[cls] += 1
+                listed = next(grammar, None)
+                if listed != (q, cls):
+                    mismatch = f"sigma fixes {(q, cls)!r}, fixed_points lists {listed!r} there"
+                    break
         a, b, c = classes.values()
         if error is None:
             left = next(grammar, None)  # a pair after the last fixed point
@@ -502,6 +507,99 @@ class Harness:
 
     def run_all(self) -> list[CheckResult]:
         return [getattr(self, f"criterion_{k}")() for k in range(1, 10)]
+
+
+# The sweep's paths per chunk: enough to spread the C-level calls of
+# ``_images_pass`` over many paths, few enough that a chunk's words, images
+# and joined strings stay well under a megabyte.
+_CHUNK = 1024
+
+# u rises, d and v fall and h is level: each path becomes a word of
+# parentheses, balanced exactly when the path is.
+_PARENS = str.maketrans("udv", "())", "h")
+
+
+def _check_chunk(
+    chunk: list[str], n: int, sigma: Callable[[str], str], sigma_inv: Callable[[str], str]
+) -> tuple[list[str], str | None]:
+    """The images of the paths of ``chunk`` up to its first failure, and what
+    failed or None.
+
+    The whole chunk is mapped by sigma, filtered by ``_images_pass`` and
+    mapped back by sigma_inv, with no Python loop of its own.  A chunk that
+    fails there, or raises, is run again path by path through
+    ``_image_error``, which names its first failure, or lets the exception
+    escape at the path where a path-by-path sweep meets it, so the outcome
+    is the path-by-path one."""
+    try:
+        images = list(map(sigma, chunk))
+        if _images_pass(chunk, images, n) and list(map(sigma_inv, images)) == chunk:
+            return images, None
+    except Exception:  # named, or raised again, by the path-by-path run
+        pass
+    images = []
+    for q in chunk:
+        p = sigma(q)
+        error = _image_error(q, p, n, sigma_inv)
+        if error:
+            return images, error
+        images.append(p)
+    return images, None
+
+
+def _image_error(q: str, p: str, n: int, sigma_inv: Callable[[str], str]) -> str | None:
+    """None, or what is wrong with p = sigma(q) for the uvv-avoiding path q of
+    length n: what an image must pass, in the order the sweep checks it.
+
+    No uvu comes first.  The weight test then fixes the x-length:
+    ``generate`` yields q with x-length n = #h + #v + 2#d, so p keeps q's
+    weight exactly when it has q's #h and #v + 2#d = n - #h.  ``_is_path``
+    tests the rest, and the round trip comes last, since sigma_inv refuses
+    a word that is no uvu-avoiding path."""
+    if "uvu" in p:
+        return f"sigma({q}) = {p} contains uvu"
+    h = q.count("h")
+    if p.count("h") != h or p.count("v") + 2 * p.count("d") != n - h:
+        return f"sigma({q}) = {p} changes the weight"
+    if not _is_path(p):
+        return f"sigma({q}) = {p} outside the uvu-avoiding class"
+    back = sigma_inv(p)
+    if back != q:
+        return f"sigma_inv(sigma({q})) = {back}"
+    return None
+
+
+def _images_pass(chunk: list[str], images: list[str], n: int) -> bool:
+    """True exactly when ``_image_error(q, p, n, ...)`` passes each pair of
+    ``chunk`` and ``images`` up to the round trip: each test is one C-level
+    call over the chunk, and each is exact.
+
+    - uvu: "uvu" holds no newline, so it is in the images joined by
+      newlines exactly when it is in one of them.
+    - The alphabet, image by image.  The path test needs it: a "(" or ")"
+      in an image, as in "(uv)", would pass that test.
+    - The weight, from the counts of each image, compared as whole lists.
+    - The path test.  Over udhv, ``_PARENS`` makes each image a word of
+      parentheses, balanced exactly when the image never dips below the
+      axis and ends on it.  Deleting "()" until none is left reduces each
+      word, and only it, since a newline parts it from its neighbours: a
+      balanced word to nothing, any other word to some ")" followed by
+      some "(".  So the images are all paths exactly when the joined words
+      reduce to the newlines alone."""
+    joined = "\n".join(images)
+    if "uvu" in joined or not all(map(STEPS.issuperset, images)):
+        return False
+    hs = list(map(str.count, chunk, repeat("h")))
+    if list(map(str.count, images, repeat("h"))) != hs:
+        return False
+    ds = list(map(str.count, images, repeat("d")))
+    vs = map(str.count, images, repeat("v"))
+    if list(map(add, vs, map(add, ds, ds))) != list(map(sub, repeat(n), hs)):
+        return False
+    parens = joined.translate(_PARENS)
+    while "()" in parens:
+        parens = parens.replace("()", "")
+    return parens == "\n" * (len(chunk) - 1)
 
 
 def _is_path(word: str) -> bool:

@@ -1,8 +1,9 @@
 """Acceptance suite: the nine headline checks at their full stated bounds.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
-captured output of a failing run).  All comparisons are exact; the full
-module is the slow part of the test suite and takes on the order of a
+captured output of a failing run).  Criteria 4 and 6 also assert their pass
+details, which name the bounds they ran to.  All comparisons are exact; the
+full module is the slow part of the test suite and takes on the order of a
 minute.
 """
 
@@ -16,9 +17,11 @@ def harness():
     return Harness()
 
 
-def _report(result: CheckResult) -> None:
+def _report(result: CheckResult, detail: str | None = None) -> None:
     print(result.line())
     assert result.ok, result.detail
+    if detail is not None:
+        assert result.detail == detail
 
 
 def test_criterion_1_closed_forms_vs_oracle(harness):
@@ -34,7 +37,7 @@ def test_criterion_3_substitution_identities(harness):
 
 
 def test_criterion_4_bijection_suite(harness):
-    _report(harness.criterion_4())
+    _report(harness.criterion_4(), "n = 0..10")
 
 
 def test_criterion_5_sample_pair(harness):
@@ -42,7 +45,7 @@ def test_criterion_5_sample_pair(harness):
 
 
 def test_criterion_6_fixed_points_four_ways(harness):
-    _report(harness.criterion_6())
+    _report(harness.criterion_6(), "four-way agreement, n = 0..10")
 
 
 def test_criterion_7_specialization_table(harness):

@@ -106,6 +106,63 @@ def test_is_path_is_the_heights_definition(n):
             assert verify._is_path(word[:i] + "x" + word[i:]) is False
 
 
+def passes_up_to_the_round_trip(q, p, n):
+    """Whether ``_image_error`` passes p as the image of q, with a sigma_inv
+    that always gives q back."""
+    return verify._image_error(q, p, n, lambda _: q) is None
+
+
+@pytest.fixture(scope="module")
+def filter_words():
+    """Every word of up to six letters over the steps, the parentheses that
+    ``_images_pass`` turns them into, a letter that is no step, and the
+    newline that joins the images of a chunk."""
+    return ["".join(w) for k in range(7) for w in itertools.product("udhv()x\n", repeat=k)]
+
+
+@pytest.mark.parametrize("q,n", [("", 0), ("h", 1), ("uv", 1), ("uhv", 2), ("uudv", 3)])
+def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q, n):
+    passed = [p for p in filter_words if verify._images_pass([q], [p], n)]
+    assert passed
+    assert [p for p in filter_words if passes_up_to_the_round_trip(q, p, n)] == passed
+
+
+@pytest.mark.parametrize(
+    "chunk,images,n,ok",
+    [
+        (["ud", "uhv", "hh"], ["ud", "huv", "hh"], 2, True),
+        # a path, each, only when joined to its neighbour
+        (["uhv", "uhv"], ["uhvu", "hv"], 2, False),
+        (["uv", "uv"], ["uuv", "v"], 1, False),
+        # a newline in an image, alone and beside a path
+        (["uv", "uv"], ["uv\n", "uv"], 1, False),
+        (["uv", "uv"], ["uv", "u\nv"], 1, False),
+        (["hh", "hh"], ["h\nh", "hh"], 2, False),
+        # parentheses that balance within an image or across the newline
+        (["uv"], ["(uv)"], 1, False),
+        (["uv", "uv"], ["uv(", ")uv"], 1, False),
+        (["hh", "hh"], ["h(h", "h)h"], 2, False),
+        # the one failure last in a chunk
+        (["ud", "hh", "uhv"], ["ud", "hh", "vhu"], 2, False),
+    ],
+    ids=[
+        "paths",
+        "joined uhvu hv",
+        "joined uuv v",
+        "newline after",
+        "newline inside",
+        "newline between hs",
+        "(uv)",
+        "( ) across",
+        "( ) across hs",
+        "below last",
+    ],
+)
+def test_images_pass_on_a_chunk_is_every_pair_passing(chunk, images, n, ok):
+    assert all(map(passes_up_to_the_round_trip, chunk, images, itertools.repeat(n))) is ok
+    assert verify._images_pass(chunk, images, n) is ok
+
+
 def test_sweep_walks_the_uvv_class_once_and_the_uvu_class_never(monkeypatch):
     # the class size is S_n(1,1), which criterion 8 proves, so criteria 4
     # and 6 walk each uvv-avoiding class once and compute no weight sum,
@@ -123,6 +180,102 @@ def test_sweep_walks_the_uvv_class_once_and_the_uvu_class_never(monkeypatch):
     assert walks == Counter({(AVOID_UVV, n): 1 for n in range(5)})
     assert harness.criterion_6().ok
     assert walks == Counter({(AVOID_UVV, n): 1 for n in range(5)})
+
+
+@pytest.fixture(scope="module")
+def walk_8():
+    """The uvv-avoiding paths of length 8 in walk order, and sigma's image of
+    each uvv-avoiding path of length <= 8 with its inverse: one walk and one
+    sigma per path, shared by the fault tests below, which patch sigma and
+    sigma_inv as lookups in these tables."""
+    walks = [list(real_generate(n, AVOID_UVV)) for n in range(9)]
+    images = {q: real_sigma(q) for walk in walks for q in walk}
+    return walks[8], images, {p: q for q, p in images.items()}
+
+
+FAR = 1500  # a path of the second chunk of the walk at n = 8
+
+# Each fault of sigma at one path, as its image of that path q, whose true
+# image is p.  h^8, the last path, has no weight-keeping image below the
+# axis, so that fault takes the path before it.
+IMAGE_FAULTS = {
+    "uvu": lambda q, p: p + "uvuv",
+    "weight": lambda q, p: p + "h",
+    "below the axis": lambda q, p: p[::-1],
+    "parentheses": lambda q, p: "(" + p + ")",
+    "newline": lambda q, p: p[:1] + "\n" + p[1:],
+    "raise": lambda q, p: raising_sigma(q),
+}
+
+
+# The details of criterion 4 for each fault at n = 8, as the path-by-path
+# sweep gave them.
+FAULT_DETAILS = [
+    ("uvu", FAR, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvuvuv contains uvu"),
+    ("uvu", -1, "n=8: sigma(hhhhhhhh) = hhhhhhhhuvuv contains uvu"),
+    ("weight", FAR, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvh changes the weight"),
+    ("weight", -1, "n=8: sigma(hhhhhhhh) = hhhhhhhhh changes the weight"),
+    ("below the axis", FAR, "n=8: sigma(uuuuvdvvuvud) = vduudvvvuuuu outside the uvu-avoiding class"),
+    ("below the axis", -2, "n=8: sigma(hhhhhhhuv) = vuhhhhhhh outside the uvu-avoiding class"),
+    ("parentheses", FAR, "n=8: sigma(uuuuvdvvuvud) = (uuuuvvvduudv) outside the uvu-avoiding class"),
+    ("parentheses", -1, "n=8: sigma(hhhhhhhh) = (hhhhhhhh) outside the uvu-avoiding class"),
+    ("newline", FAR, "n=8: sigma(uuuuvdvvuvud) = u\nuuuvvvduudv outside the uvu-avoiding class"),
+    ("newline", -1, "n=8: sigma(hhhhhhhh) = h\nhhhhhhh outside the uvu-avoiding class"),
+    ("raise", FAR, "AssertionError: a Case6 Q'' ends in uv in uuuuvdvvuvud"),
+    ("raise", -1, "AssertionError: a Case6 Q'' ends in uv in hhhhhhhh"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault,index,detail", FAULT_DETAILS, ids=[f"{fault}-{index}" for fault, index, _ in FAULT_DETAILS]
+)
+def test_sweep_names_a_fault_of_sigma_past_the_first_chunk(monkeypatch, walk_8, fault, index, detail):
+    walk, images, inverse = walk_8
+    bad = walk[index]
+    monkeypatch.setattr(
+        bijection, "sigma", lambda q: IMAGE_FAULTS[fault](q, images[q]) if q == bad else images[q]
+    )
+    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    assert Harness(max_n=8).criterion_4() == ("bijection suite", False, detail)
+
+
+@pytest.mark.parametrize(
+    "index,detail",
+    [
+        (FAR, "n=8: sigma_inv(sigma(uuuuvdvvuvud)) = uuuuvdvvuvudh"),
+        (-1, "n=8: sigma_inv(sigma(hhhhhhhh)) = hhhhhhhhh"),
+    ],
+    ids=["far", "last"],
+)
+def test_sweep_names_a_failed_round_trip_past_the_first_chunk(monkeypatch, walk_8, index, detail):
+    walk, images, inverse = walk_8
+    p = images[walk[index]]
+    monkeypatch.setattr(bijection, "sigma", images.__getitem__)
+    monkeypatch.setattr(bijection, "sigma_inv", lambda w: inverse[w] + "h" if w == p else inverse[w])
+    assert Harness(max_n=8).criterion_4() == ("bijection suite", False, detail)
+
+
+@pytest.mark.parametrize(
+    "index,detail",
+    [
+        (FAR, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvh changes the weight"),
+        (-2, "n=8: sigma(hhhhhhhuv) = hhhhhhhuvh changes the weight"),
+    ],
+    ids=["far", "last"],
+)
+def test_sweep_names_the_failure_before_a_later_raise_in_its_chunk(monkeypatch, walk_8, index, detail):
+    # the path after the failing one raises, in the same chunk
+    walk, images, inverse = walk_8
+    failing, raising = walk[index], walk[index + 1]
+
+    def sigma(q):
+        if q == raising:
+            raising_sigma(q)
+        return images[q] + "h" if q == failing else images[q]
+
+    monkeypatch.setattr(bijection, "sigma", sigma)
+    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    assert Harness(max_n=8).criterion_4() == ("bijection suite", False, detail)
 
 
 real_grammar = bijection._grammar
@@ -278,6 +431,24 @@ def test_criterion_6_reads_the_counts_of_fixed_points(monkeypatch, change, detai
     monkeypatch.setattr(bijection, "fixed_points", fixed_points)
     result = Harness(max_n=3).criterion_6()
     assert (result.ok, result.detail) == (False, detail)
+
+
+def test_criterion_6_reads_the_counts_of_fixed_points_at_all_nmax(monkeypatch):
+    # all_nmax, here 3, is the last length whose counts it reads
+    real_fixed_points = bijection.fixed_points
+    harness = Harness(max_n=3)
+
+    def fixed_points(n):
+        counts = real_fixed_points(n)
+        return counts._replace(a=counts.a + 1) if n == harness.all_nmax else counts
+
+    monkeypatch.setattr(bijection, "fixed_points", fixed_points)
+    result = harness.criterion_6()
+    assert (result.ok, result.detail) == (
+        False,
+        "n=3: {'brute force': 13, 'closed form': 13, 'recurrence': 13, 'series': 13, "
+        "'fixed_points': 14, 'frozen table': 13}",
+    )
 
 
 def test_tables_and_criterion_7_read_one_specialization_check(monkeypatch, capsys):
@@ -703,6 +874,11 @@ def test_check_result_is_immutable():
 
 def test_smallest_bounds_pass():
     assert all(r.ok for r in Harness(max_n=0, series_order=0).run_all())
+
+
+def test_the_default_bounds_are_the_stated_full_bounds():
+    harness = Harness()
+    assert (harness.avoid_nmax, harness.all_nmax, harness.series_order) == (10, 8, 30)
 
 
 @pytest.mark.parametrize(
