@@ -27,15 +27,6 @@ from .paths import PathError, parse_pattern, parse_word
 from .polyring import Polynomial
 from .series import KINDS, expand
 
-_OEIS_ROWS = [
-    # (label, (a, b, c), OEIS id printed as a display label only)
-    ("(0,1,1)", (0, 1, 1), "A000108"),
-    ("(1,0,1)", (1, 0, 1), "A001006"),
-    ("(1,1,1)", (1, 1, 1), "A006318"),
-    ("(1,0,2)", (1, 0, 2), "A025235"),
-    ("(-3,4,16)", (-3, 4, 16), "A059231"),
-]
-
 
 def _poly_out(poly: Polynomial, fmt: str) -> str:
     if fmt == "json":
@@ -172,7 +163,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     nmax = _max_n(args)
     polys = [formulas.g_uvv_closed(n, 1) for n in range(nmax + 1)]
     print(f"uvv-avoiding weight specializations, n = 0..{nmax}")
-    for label, point, oeis in _OEIS_ROWS:
+    for label, point, oeis in formulas.SPECIALIZATION_POINTS:
         values = " ".join(str(p.eval(*point)) for p in polys)
         print(f"  {label:<10} {oeis}: {values}")
     checks = [formulas.specialization_checks(n, g) for n, g in enumerate(polys)]

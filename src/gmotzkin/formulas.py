@@ -18,11 +18,13 @@ convention is validated wholesale by exact agreement with the enumeration
 oracle; any disagreement between alternative forms is a bug to surface,
 never to hide.
 
+This module is the one home of the specialization table, which the
+``tables`` command prints and ``verify``'s criterion 7 checks.  Its point
+rows, ``SPECIALIZATION_POINTS``, are the points (a, b, c) at which G_n^uvv
+gives the Catalan, Motzkin, large Schroeder, A025235 and A059231 numbers.
 ``relation_checks`` and ``specialization_checks`` test identities between
-the closed forms and return them by label; the second holds the polynomial
-rows of the specialization table, G_n^uvv(a,0,b) = M_n(a,b) and
-G_n^uvv(a,b,b^2) = S_n(a,b), which the ``tables`` command prints and
-``verify``'s criterion 7 checks.
+the closed forms and return them by label; the second holds the table's
+polynomial rows, G_n^uvv(a,0,b) = M_n(a,b) and G_n^uvv(a,b,b^2) = S_n(a,b).
 
 Several alternative summation forms are provided for the same quantity
 (``g_uvv_closed`` has five, ``gbar_uvv_closed`` three) and must agree
@@ -307,6 +309,16 @@ def relation_checks(n: int) -> dict[str, bool]:
         "schroder_eq_shifted_dyck": s == c_shift,
         "schroder_eq_shifted_motzkin": s == m,
     }
+
+
+SPECIALIZATION_POINTS = [
+    # (label, (a, b, c), OEIS id printed as a display label only)
+    ("(0,1,1)", (0, 1, 1), "A000108"),
+    ("(1,0,1)", (1, 0, 1), "A001006"),
+    ("(1,1,1)", (1, 1, 1), "A006318"),
+    ("(1,0,2)", (1, 0, 2), "A025235"),
+    ("(-3,4,16)", (-3, 4, 16), "A059231"),
+]
 
 
 def specialization_checks(n: int, g: Polynomial) -> dict[str, bool]:

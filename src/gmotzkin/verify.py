@@ -67,12 +67,13 @@ from .paths import (
     CASE_III,
     CASE_IV,
     CASE_V,
-    RISE,
     STEPS,
     Decomposition,
+    PathError,
     _is_primitive,
     decompose_forward,
     decompose_inverse,
+    first_return_blocks,
 )
 from .polyring import VAR_A, VAR_B, VAR_C, ZERO, Polynomial
 from .series import PowerSeries, expand, row
@@ -411,21 +412,22 @@ class Harness:
     def criterion_7(self) -> str | None:
         """Specializations of closed form 1 reproduce the classical families.
 
-        Four of the table's seven rows are checked directly: the polynomial
-        rows of ``formulas.specialization_checks``, which the ``tables``
-        command prints too, and the points (1,0,2) and (-3,4,16) against
-        the G_uvv series.  The three numeric rows follow from the
-        polynomial ones: g(a,0,b) = M_n(a,b) gives the Motzkin numbers at
-        (1,1), and g(a,b,b^2) = S_n(a,b) gives the large Schroeder numbers
-        at (1,1) and the Catalan numbers at (0,1), where S_n's only term
-        free of a is binom(2n,2n) C_n b^n.  Closed form 1 against the oracle
-        is criterion 1's.
+        All seven rows of the table that the ``tables`` command prints are
+        checked: the polynomial rows of ``formulas.specialization_checks``,
+        then each point of ``formulas.SPECIALIZATION_POINTS``, in table
+        order, against the G_uvv series.  The polynomial rows are what make
+        three of the point rows the classical numbers: g(a,0,b) = M_n(a,b)
+        gives the Motzkin numbers at (1,0,1), and g(a,b,b^2) = S_n(a,b)
+        gives the large Schroeder numbers at (1,1,1) and the Catalan
+        numbers at (0,1,1), where S_n's only term free of a is
+        binom(2n,2n) C_n b^n.  Closed form 1 against the oracle is
+        criterion 1's.
         """
         g_series = self.series("G_uvv")
         for n in range(self.avoid_nmax + 1):
             g = formulas.g_uvv_closed(n, 1)
             checks = list(formulas.specialization_checks(n, g).items())
-            for point in ((1, 0, 2), (-3, 4, 16)):
+            for _, point, _ in formulas.SPECIALIZATION_POINTS:
                 ok = g.eval(*point) == g_series.coeffs[n].eval(*point)
                 checks.append((f"{point} series", ok))
             for label, ok in checks:
@@ -553,15 +555,21 @@ def _image_error(q: str, p: str, n: int, sigma_inv: Callable[[str], str]) -> str
 
     No uvu comes first.  The weight test then fixes the x-length:
     ``generate`` yields q with x-length n = #h + #v + 2#d, so p keeps q's
-    weight exactly when it has q's #h and #v + 2#d = n - #h.  ``_is_path``
-    tests the rest, and the round trip comes last, since sigma_inv refuses
-    a word that is no uvu-avoiding path."""
+    weight exactly when it has q's #h and #v + 2#d = n - #h.  The package's
+    path check, ``first_return_blocks``, tests the rest: it raises
+    ``PathError`` for a word that is not over udhv, dips below the axis or
+    does not end on it.  The round trip comes last, since sigma_inv
+    refuses a word that is no uvu-avoiding path.  Only a chunk that failed
+    ``_images_pass`` or raised is run through here, so a sweep that
+    passes never calls it."""
     if "uvu" in p:
         return f"sigma({q}) = {p} contains uvu"
     h = q.count("h")
     if p.count("h") != h or p.count("v") + 2 * p.count("d") != n - h:
         return f"sigma({q}) = {p} changes the weight"
-    if not _is_path(p):
+    try:
+        first_return_blocks(p)
+    except PathError:
         return f"sigma({q}) = {p} outside the uvu-avoiding class"
     back = sigma_inv(p)
     if back != q:
@@ -600,19 +608,6 @@ def _images_pass(chunk: list[str], images: list[str], n: int) -> bool:
     while "()" in parens:
         parens = parens.replace("()", "")
     return parens == "\n" * (len(chunk) - 1)
-
-
-def _is_path(word: str) -> bool:
-    """True iff ``word`` is over udhv, never dips below the axis and ends on
-    it: one scan of the height, which stops at the first dip."""
-    if not STEPS.issuperset(word):
-        return False
-    height = 0
-    for step in word:
-        height += RISE[step]
-        if height < 0:
-            return False
-    return height == 0
 
 
 def _check_forward_decomposition(word: str) -> str | None:

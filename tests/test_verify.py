@@ -33,7 +33,9 @@ from gmotzkin.paths import (
     CASE_IV,
     CASE_V,
     Decomposition,
+    PathError,
     _heights,
+    first_return_blocks,
 )
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
@@ -94,6 +96,16 @@ def test_image_with_a_character_outside_the_alphabet(monkeypatch):
     assert error == "sigma(uv) = xv outside the uvu-avoiding class"
 
 
+def is_path(word):
+    """Whether ``first_return_blocks``, the sweep's path test, takes ``word``
+    as a path rather than raising PathError."""
+    try:
+        first_return_blocks(word)
+    except PathError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_is_path_is_the_heights_definition(n):
     # min over the running heights is 0 and the last is 0; words with an x
@@ -101,9 +113,9 @@ def test_is_path_is_the_heights_definition(n):
     for steps in itertools.product("udhv", repeat=n):
         word = "".join(steps)
         hs = _heights(word)
-        assert verify._is_path(word) is (min(hs) == 0 == hs[-1]), word
+        assert is_path(word) is (min(hs) == 0 == hs[-1]), word
         for i in range(n + 1):
-            assert verify._is_path(word[:i] + "x" + word[i:]) is False
+            assert is_path(word[:i] + "x" + word[i:]) is False
 
 
 def passes_up_to_the_round_trip(q, p, n):
@@ -677,6 +689,23 @@ def test_the_rule_admits_only_the_real_record(monkeypatch, target, constraints, 
 
 real_weight_sum = verify.weight_sum
 real_schroder_weight = formulas.schroder_weight
+real_t_extraction = formulas._t_extraction
+
+
+def broken_extraction(order, divisions):
+    """``formulas._t_extraction`` with b^2 added at n = 2 in expansion order
+    ``order`` with ``divisions`` divisions alone: of the forms that criterion
+    1 reads, this breaks only g_uvv form order + 2 (no division) or gbar_uvv
+    form order (two divisions)."""
+
+    def extraction(n, o, d):
+        rows = real_t_extraction(n, o, d)
+        if (n, o, d) == (2, order, divisions):
+            rows[0][0] += 1
+        return rows
+
+    return extraction
+
 
 # One failure detail of each check that no other test reaches: (criterion,
 # max_n, patched module, patched name, replacement, detail).
@@ -684,6 +713,15 @@ FAILURE_DETAILS = {
     "closed form": (
         1, 1, verify, "weight_sum", lambda n, con: real_weight_sum(n, con) + ONE,
         "g_uvv form 1 at n=0: 1 != 2",
+    ),
+    # the last form of each closed form, so that criterion 1 reads them all
+    "last g_uvv form": (
+        1, 3, formulas, "_t_extraction", broken_extraction(3, 0),
+        "g_uvv form 5 at n=2: a^2 + 3*a*b + 2*b^2 + c != a^2 + 3*a*b + b^2 + c",
+    ),
+    "last gbar_uvv form": (
+        1, 3, formulas, "_t_extraction", broken_extraction(3, 2),
+        "gbar_uvv form 3 at n=2: a*b + 2*b^2 + c != a*b + b^2 + c",
     ),
     "series coefficient": (
         2, 3, verify, "expand", perturbed_expand("Gbar_uvv", 2, A),
@@ -709,7 +747,7 @@ FAILURE_DETAILS = {
     ),
     # closed form 1 against the series past all_nmax: criterion 7 alone
     "specialization series": (
-        7, 10, verify, "expand", perturbed_expand("G_uvv", 9, A), "n=9: (1, 0, 2) series",
+        7, 10, verify, "expand", perturbed_expand("G_uvv", 9, A), "n=9: (1, 0, 1) series",
     ),
     "weight relation": (
         8, 1, formulas, "schroder_weight", lambda n: real_schroder_weight(n) + C,
@@ -729,6 +767,25 @@ def test_each_failure_detail_names_what_failed(monkeypatch, name):
     k, max_n, module, attr, replacement, detail = FAILURE_DETAILS[name]
     monkeypatch.setattr(module, attr, replacement)
     result = getattr(Harness(max_n=max_n, series_order=3), f"criterion_{k}")()
+    assert (result.ok, result.detail) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "term,detail",
+    [
+        # each term vanishes at every earlier point of the table, and not at
+        # its own
+        (ONE, "n=2: (0, 1, 1) series"),
+        (A, "n=2: (1, 0, 1) series"),
+        (A * B, "n=2: (1, 1, 1) series"),
+        (C - ONE, "n=2: (1, 0, 2) series"),
+        ((C - ONE) * (C - ONE - ONE), "n=2: (-3, 4, 16) series"),
+    ],
+    ids=["(0,1,1)", "(1,0,1)", "(1,1,1)", "(1,0,2)", "(-3,4,16)"],
+)
+def test_criterion_7_checks_each_point_of_the_table(monkeypatch, term, detail):
+    monkeypatch.setattr(verify, "expand", perturbed_expand("G_uvv", 2, term))
+    result = Harness(max_n=3, series_order=3).criterion_7()
     assert (result.ok, result.detail) == (False, detail)
 
 
