@@ -163,7 +163,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     nmax = _max_n(args)
     polys = [formulas.g_uvv_closed(n, 1) for n in range(nmax + 1)]
     print(f"uvv-avoiding weight specializations, n = 0..{nmax}")
-    for label, point, oeis in formulas.SPECIALIZATION_POINTS:
+    for point, oeis in formulas.SPECIALIZATION_POINTS:
+        label = str(point).replace(" ", "")
         values = " ".join(str(p.eval(*point)) for p in polys)
         print(f"  {label:<10} {oeis}: {values}")
     checks = [formulas.specialization_checks(n, g) for n, g in enumerate(polys)]

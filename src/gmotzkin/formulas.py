@@ -312,12 +312,12 @@ def relation_checks(n: int) -> dict[str, bool]:
 
 
 SPECIALIZATION_POINTS = [
-    # (label, (a, b, c), OEIS id printed as a display label only)
-    ("(0,1,1)", (0, 1, 1), "A000108"),
-    ("(1,0,1)", (1, 0, 1), "A001006"),
-    ("(1,1,1)", (1, 1, 1), "A006318"),
-    ("(1,0,2)", (1, 0, 2), "A025235"),
-    ("(-3,4,16)", (-3, 4, 16), "A059231"),
+    # ((a, b, c), OEIS id printed as a display label only)
+    ((0, 1, 1), "A000108"),
+    ((1, 0, 1), "A001006"),
+    ((1, 1, 1), "A006318"),
+    ((1, 0, 2), "A025235"),
+    ((-3, 4, 16), "A059231"),
 ]
 
 

@@ -19,13 +19,20 @@ of the uvu-avoiding class to be the large Schroeder number that criterion 8
 proves it is, so it reads no weight sum.  It checks the images a chunk of
 paths at a time, with an exact filter of C-level calls, and runs a chunk
 path by path only to name the first failure that the filter or the round
-trip found in it, or to raise what sigma or sigma_inv raised.  The
-structural suite does not sweep, and walks both classes again for the
-decompositions.  So at full bounds the uvv-avoiding class is walked three
-times for n <= 8 and twice for n = 9, 10 (weight sum, sweep, structural
-suite), and the uvu-avoiding class twice for n <= 8 and once for n = 9,
-10 (weight sum, structural suite).  ``max_n`` clamps the enumeration
-bounds for quicker runs; the stated full bounds are length 10 for
+trip found in it, or to raise what sigma or sigma_inv raised.  From n = 7,
+where the class has eight chunks or more, the sweep runs in S processes,
+one per CPU the process may use and at most one per four chunks: the
+calling process maps the chunks whose index i is 0 mod S, and a forked
+child for each k = 1..S-1 those with i = k mod S.  Each walks the whole
+class, and the caller merges their records in walk order, so the verdict
+and the first failure are those of one process alone.  The structural
+suite does not sweep, and walks both classes again for the
+decompositions.  So at full bounds the uvv-avoiding class is walked S + 2
+times for n <= 8 and S + 1 times for n = 9, 10 (weight sum, once in each
+process of the sweep, structural suite), with S = 1 for n <= 6 and S = 2
+on two CPUs for n = 7..10, and the uvu-avoiding class twice for n <= 8
+and once for n = 9, 10 (weight sum, structural suite).  ``max_n`` clamps
+the enumeration bounds for quicker runs; the stated full bounds are length 10 for
 avoidance classes (``avoid_nmax``), 8 for the unconstrained class and the
 structural checks alike (``all_nmax``), and series order 30.
 
@@ -45,9 +52,10 @@ against its row.
 from __future__ import annotations
 
 import functools
+import os
 from collections import namedtuple
-from collections.abc import Callable
-from itertools import compress, islice, repeat
+from collections.abc import Callable, Iterator
+from itertools import compress, count, islice, repeat
 from operator import add, eq, sub
 
 from . import bijection, formulas
@@ -219,7 +227,7 @@ class Harness:
         Together these prove that sigma is a bijection between the two
         classes without holding either class as a set.  ``generate`` yields
         each path once, and sigma_inv(sigma(q)) == q makes sigma injective,
-        so the images are ``count`` distinct words.  Each is tested for
+        so the images are ``images`` distinct words.  Each is tested for
         membership directly: a word over udhv that never dips below the
         axis, ends on it, has x-length n and contains no uvu is exactly a
         member of the uvu-avoiding class of length n.  ``_image_error`` is
@@ -231,7 +239,7 @@ class Harness:
         the class at c = b^2 against S_n(a,b), and at a = b = 1 that sum
         counts each path once; at n = 0 the class holds only the empty
         path, and S_0 = 1.  So the sweep walks no uvu-avoiding path and
-        reads no weight sum.  If ``count`` equals the class size, the
+        reads no weight sum.  If ``images`` equals the class size, the
         images are the whole class.
 
         The walk is taken ``_CHUNK`` paths at a time (``_check_chunk``).  A
@@ -246,6 +254,18 @@ class Harness:
         counts on a failure are those of the paths before the one that
         failed.  Each chunk gives a count, its fixed points in walk order and
         its first failure.
+
+        The chunks are mapped in ``_shards(size)`` processes, S: with S = 1,
+        in this one; otherwise this process maps the chunks of shard 0, i =
+        0 mod S, and a forked child each other shard k, i = k mod S, each
+        stopping at its own first failure (``_shard``).  ``_records`` hands
+        the records on in chunk order, taking chunk i's from shard i mod S,
+        and stops at the first failure, whose index is then the least of
+        all shards', or raises again what a shard raised there, with its
+        type and message.  So the loop below reads exactly the records of a
+        sweep in one process, and holds a record per shard at a time.  A
+        child that ends before its record fails the sweep with
+        ``ChildProcessError``; no child outlives the call.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -264,30 +284,32 @@ class Harness:
         if n in self._sweeps:
             return self._sweeps[n]
         size = formulas.schroder_weight(n).eval(1, 1, 1)
-        count = 0
+        images = 0
         classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
         error: str | None = None
-        sigma, sigma_inv, classify = bijection.sigma, bijection.sigma_inv, bijection._classify
+        classify = bijection._classify
         grammar = bijection._grammar(n)
         mismatch = None  # the first fixed point that is not the next pair
-        walk = generate(n, AVOID_UVV)
-        while not error and (chunk := list(islice(walk, _CHUNK))):
-            images, error = _check_chunk(chunk, n, sigma, sigma_inv)
-            count += len(images)
-            if mismatch:
-                continue
-            for q in compress(chunk, map(eq, chunk, images)):
-                cls = classify(q)
-                classes[cls] += 1
-                listed = next(grammar, None)
-                if listed != (q, cls):
-                    mismatch = f"sigma fixes {(q, cls)!r}, fixed_points lists {listed!r} there"
-                    break
+        records = _records(n, _shards(size), bijection.sigma, bijection.sigma_inv)
+        try:
+            for mapped, fixed, error in records:
+                images += mapped
+                if mismatch:
+                    continue
+                for q in fixed:
+                    cls = classify(q)
+                    classes[cls] += 1
+                    listed = next(grammar, None)
+                    if listed != (q, cls):
+                        mismatch = f"sigma fixes {(q, cls)!r}, fixed_points lists {listed!r} there"
+                        break
+        finally:
+            records.close()  # reaps the children now, however the loop ends
         a, b, c = classes.values()
         if error is None:
             left = next(grammar, None)  # a pair after the last fixed point
-            if count != size:
-                error = f"image has {count} paths, class has {size}"
+            if images != size:
+                error = f"image has {images} paths, class has {size}"
             elif not a + b + c:
                 error = "sigma fixes no path"
             elif mismatch:
@@ -427,7 +449,7 @@ class Harness:
         for n in range(self.avoid_nmax + 1):
             g = formulas.g_uvv_closed(n, 1)
             checks = list(formulas.specialization_checks(n, g).items())
-            for _, point, _ in formulas.SPECIALIZATION_POINTS:
+            for point, _ in formulas.SPECIALIZATION_POINTS:
                 ok = g.eval(*point) == g_series.coeffs[n].eval(*point)
                 checks.append((f"{point} series", ok))
             for label, ok in checks:
@@ -515,6 +537,110 @@ class Harness:
 # ``_images_pass`` over many paths, few enough that a chunk's words, images
 # and joined strings stay well under a megabyte.
 _CHUNK = 1024
+
+# The CPUs this process may run on; the sweep never runs on more processes.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _shards(size: int) -> int:
+    """How many processes sweep a class of ``size`` paths: one per four
+    chunks, at most one per CPU, and one where ``os.fork`` is missing or
+    another thread runs, since a forked copy of a threaded process can
+    deadlock.  A child costs a few ms to fork, feed through its pipe and
+    reap, so a class of fewer than eight chunks (n <= 6) stays in-process,
+    where a child cost more than it saved."""
+    shards = max(1, min(_CPUS, size // (4 * _CHUNK)))
+    if shards > 1:
+        import threading
+
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return 1
+    return shards
+
+
+def _shard(
+    n: int, shard: int, shards: int, sigma: Callable[[str], str], sigma_inv: Callable[[str], str]
+) -> Iterator[tuple[int, list[str], str | None]]:
+    """Shard ``shard`` of ``shards``: (count, fixed points, failure) for each
+    chunk of the walk at n whose index is ``shard`` mod ``shards``, in walk
+    order, from ``_check_chunk``.  It walks the whole class, mapping only its
+    own chunks, and stops after its first failure; an exception that
+    ``_check_chunk`` lets escape escapes here."""
+    walk = generate(n, AVOID_UVV)
+    skip = (shards - 1) * _CHUNK
+    next(islice(walk, shard * _CHUNK, shard * _CHUNK), None)
+    while chunk := list(islice(walk, _CHUNK)):
+        images, error = _check_chunk(chunk, n, sigma, sigma_inv)
+        yield len(images), list(compress(chunk, map(eq, chunk, images))), error
+        if error:
+            return
+        next(islice(walk, skip, skip), None)
+
+
+def _records(
+    n: int, shards: int, sigma: Callable[[str], str], sigma_inv: Callable[[str], str]
+) -> Iterator[tuple[int, list[str], str | None]]:
+    """The records of ``_shard`` for every chunk of the walk at n, in walk
+    order, up to the first failure, as one process sweeping alone gives
+    them.  A child's exception is raised again with its type and message.
+
+    The calling process maps shard 0 itself and forks a child for each
+    other shard, which streams its records through a pipe, pickled, and
+    then None, or the exception that its shard raised.  A shard's records
+    come in chunk order, so the one that chunk i needs is the next of
+    shard i mod ``shards``, and the merge holds one record at a time.  The
+    children are killed and reaped when the merge ends, however it ends."""
+    own = _shard(n, 0, shards, sigma, sigma_inv)
+    if shards == 1:
+        yield from own
+        return
+    import pickle
+    import signal
+
+    children = []  # (pid, reader) of shards 1, 2, ...
+    try:
+        for shard in range(1, shards):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        try:
+                            for record in _shard(n, shard, shards, sigma, sigma_inv):
+                                out.write(pickle.dumps(record))
+                                out.flush()
+                            record = None
+                        except Exception as err:
+                            record = err
+                        out.write(pickle.dumps(record))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        for i in count():
+            shard = i % shards
+            if shard == 0:
+                record = next(own, None)
+            else:
+                try:
+                    record = pickle.load(children[shard - 1][1])
+                except EOFError:
+                    error = f"sweep shard {shard} at n={n} ended before chunk {i}"
+                    raise ChildProcessError(error) from None
+            if record is None:
+                return
+            if isinstance(record, Exception):
+                raise record
+            yield record
+            if record[2]:
+                return
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
 
 # u rises, d and v fall and h is level: each path becomes a word of
 # parentheses, balanced exactly when the path is.

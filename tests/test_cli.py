@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import gmotzkin
-from gmotzkin import cli
+from gmotzkin import cli, formulas
 from gmotzkin.cli import main
 from gmotzkin.verify import FIXED_POINT_COUNTS
 
@@ -98,6 +98,12 @@ class TestCompute:
         assert code == 0
         assert "A006318: 1 2 6 22 90 394" in out
         assert "F_n: 1 2 5 13 39 125" in out
+
+    def test_tables_labels_each_point_by_its_coordinates(self, capsys, monkeypatch):
+        monkeypatch.setattr(formulas, "SPECIALIZATION_POINTS", [((1, 0, 3), "A000000")])
+        code, out, _ = run(capsys, "tables", "--max-n", "2")
+        assert code == 0
+        assert "  (1,0,3)    A000000: 1 1 4" in out.splitlines()
 
     def test_render_svg(self, capsys):
         code, out, _ = run(capsys, "render", "--path", "uhv", "--format", "svg")
@@ -253,6 +259,19 @@ class TestParserReuse:
             "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
         run = fresh_interpreter("-S", "-c", code)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+    def test_verify_up_to_n_6_loads_no_pickle_or_multiprocessing(self):
+        # the sweep forks only from n = 7, and imports what forking needs
+        # only then
+        code = (
+            "import sys\n"
+            "import gmotzkin.cli\n"
+            "from gmotzkin.verify import Harness\n"
+            "assert all(r.ok for r in Harness(max_n=6).run_all())\n"
+            "print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))\n"
+        )
+        run = fresh_interpreter("-c", code)
         assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 

@@ -2,7 +2,9 @@
 
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
-checks that the sweep names it.  The series relations of criterion 9 are
+checks that the sweep names it.  The fault rows at n = 8 run the sweep in
+one process and, on a host with two CPUs, in two, and expect the same
+detail and no child left behind.  The series relations of criterion 9 are
 broken the same way, by patching one row of ``series._EQUATIONS``, and its
 decomposition checks by patching the records that the decompositions
 return; every other failure detail of the criteria is reached by patching
@@ -12,6 +14,8 @@ and the harness must refuse bounds that are no nonnegative int.
 """
 
 import itertools
+import os
+import threading
 from collections import Counter
 
 import pytest
@@ -207,6 +211,36 @@ def walk_8():
 
 FAR = 1500  # a path of the second chunk of the walk at n = 8
 
+# The CPU counts that the fault rows run the sweep at.  At one it runs
+# in-process; at two, n = 7 and 8 each fork one child, which maps the odd
+# chunks, FAR's among them.  No test starts more processes than there are
+# CPUs, so a host with one runs the rows at one only.
+CPU_COUNTS = (1, 2) if (os.cpu_count() or 1) >= 2 else (1,)
+two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two CPUs")
+
+
+def criterion_4_at(monkeypatch, cpus):
+    """``Harness(max_n=8).criterion_4()`` with the sweep's CPUs patched to
+    ``cpus``, checking that n = 7 and 8 forked ``cpus - 1`` children each
+    and that no child is left once it returns."""
+    real_fork = os.fork
+    children = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_CPUS", cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    result = Harness(max_n=8).criterion_4()
+    assert len(children) == 2 * (cpus - 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
 # Each fault of sigma at one path, as its image of that path q, whose true
 # image is p.  h^8, the last path, has no weight-keeping image below the
 # axis, so that fault takes the path before it.
@@ -248,7 +282,8 @@ def test_sweep_names_a_fault_of_sigma_past_the_first_chunk(monkeypatch, walk_8, 
         bijection, "sigma", lambda q: IMAGE_FAULTS[fault](q, images[q]) if q == bad else images[q]
     )
     monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
-    assert Harness(max_n=8).criterion_4() == ("bijection suite", False, detail)
+    for cpus in CPU_COUNTS:
+        assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
 
 @pytest.mark.parametrize(
@@ -264,7 +299,8 @@ def test_sweep_names_a_failed_round_trip_past_the_first_chunk(monkeypatch, walk_
     p = images[walk[index]]
     monkeypatch.setattr(bijection, "sigma", images.__getitem__)
     monkeypatch.setattr(bijection, "sigma_inv", lambda w: inverse[w] + "h" if w == p else inverse[w])
-    assert Harness(max_n=8).criterion_4() == ("bijection suite", False, detail)
+    for cpus in CPU_COUNTS:
+        assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
 
 @pytest.mark.parametrize(
@@ -287,7 +323,85 @@ def test_sweep_names_the_failure_before_a_later_raise_in_its_chunk(monkeypatch, 
 
     monkeypatch.setattr(bijection, "sigma", sigma)
     monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
-    assert Harness(max_n=8).criterion_4() == ("bijection suite", False, detail)
+    for cpus in CPU_COUNTS:
+        assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
+
+
+@pytest.mark.parametrize(
+    "failing,raising,detail",
+    [
+        (FAR, 2500, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvh changes the weight"),
+        (2500, 3500, "n=8: sigma(uuuhuudvvvd) = uuhuuvdduvvh changes the weight"),
+    ],
+    ids=["child then parent", "parent then child"],
+)
+def test_sweep_names_the_least_of_faults_in_both_shards(monkeypatch, walk_8, failing, raising, detail):
+    # a weight fault and, a chunk later in the other shard, a raise: at two
+    # CPUs the child maps chunks 1 and 3 and the parent chunk 2
+    walk, images, inverse = walk_8
+    failing, raising = walk[failing], walk[raising]
+
+    def sigma(q):
+        if q == raising:
+            raising_sigma(q)
+        return images[q] + "h" if q == failing else images[q]
+
+    monkeypatch.setattr(bijection, "sigma", sigma)
+    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    for cpus in CPU_COUNTS:
+        assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
+
+
+@two_cpus
+def test_a_sharded_sweep_that_passes_leaves_no_child(monkeypatch):
+    # the rows above leave none after a child's or the parent's own raise
+    assert criterion_4_at(monkeypatch, 2) == ("bijection suite", True, "n = 0..8")
+
+
+@two_cpus
+def test_a_child_that_ends_without_its_records_fails_the_sweep(monkeypatch, walk_8):
+    walk, images, inverse = walk_8
+    monkeypatch.setattr(bijection, "sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
+    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    detail = "ChildProcessError: sweep shard 1 at n=8 ended before chunk 1"
+    assert criterion_4_at(monkeypatch, 2) == ("bijection suite", False, detail)
+
+
+def class_size(n):
+    return formulas.schroder_weight(n).eval(1, 1, 1)
+
+
+def test_the_sweep_forks_from_n_7_and_on_no_more_processes_than_cpus(monkeypatch):
+    # _shards only counts processes, it starts none
+    for cpus in (1, 2, 3, 8, 64, 10**6):
+        monkeypatch.setattr(verify, "_CPUS", cpus)
+        shards = [verify._shards(class_size(n)) for n in range(13)]
+        assert shards[:7] == [1] * 7
+        assert all(1 <= s <= cpus for s in shards)
+        assert shards[7] == min(cpus, 2)
+    monkeypatch.setattr(verify, "_CPUS", 2)
+    assert [verify._shards(class_size(n)) for n in range(7, 13)] == [2] * 6
+
+
+def test_the_sweep_forks_nothing_without_fork(monkeypatch):
+    monkeypatch.setattr(verify, "_CPUS", 2)
+    assert verify._shards(class_size(10)) == 2
+    monkeypatch.delattr(os, "fork")
+    assert verify._shards(class_size(10)) == 1
+
+
+def test_the_sweep_forks_nothing_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(verify, "_CPUS", 2)
+    assert verify._shards(class_size(10)) == 2
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert verify._shards(class_size(10)) == 1
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 real_grammar = bijection._grammar
