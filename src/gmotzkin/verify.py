@@ -19,22 +19,25 @@ of the uvu-avoiding class to be the large Schroeder number that criterion 8
 proves it is, so it reads no weight sum.  It checks the images a chunk of
 paths at a time, with an exact filter of C-level calls, and runs a chunk
 path by path only to name the first failure that the filter or the round
-trip found in it, or to raise what sigma or sigma_inv raised.  From n = 7,
-where the class has eight chunks or more, the sweep runs in S processes,
-one per CPU the process may use and at most one per four chunks: the
-calling process maps the chunks whose index i is 0 mod S, and a forked
-child for each k = 1..S-1 those with i = k mod S.  Each walks the whole
-class, and the caller merges their records in walk order, so the verdict
-and the first failure are those of one process alone.  The structural
-suite does not sweep, and walks both classes again for the
-decompositions.  So at full bounds the uvv-avoiding class is walked S + 2
-times for n <= 8 and S + 1 times for n = 9, 10 (weight sum, once in each
-process of the sweep, structural suite), with S = 1 for n <= 6 and S = 2
-on two CPUs for n = 7..10, and the uvu-avoiding class twice for n <= 8
-and once for n = 9, 10 (weight sum, structural suite).  ``max_n`` clamps
-the enumeration bounds for quicker runs; the stated full bounds are length 10 for
-avoidance classes (``avoid_nmax``), 8 for the unconstrained class and the
-structural checks alike (``all_nmax``), and series order 30.
+trip found in it, or to raise what sigma or sigma_inv raised.  Each
+process of the sweep runs one shard, the stream of ``_shard``: it reads
+sigma and sigma_inv off ``bijection`` when the shard starts, maps the
+chunks whose index i is its k mod S, and ends its own stream with None or
+with what was raised.  From n = 7, where the class has eight chunks or
+more, S is one per CPU the process may use and at most one per four
+chunks: the calling process runs shard 0, and a forked child each k =
+1..S-1.  Each walks the whole class, and the caller merges their streams
+in walk order, so the verdict and the first failure are those of one
+process alone.  The structural suite does not sweep, and walks both
+classes again for the decompositions.  So at full bounds the uvv-avoiding
+class is walked S + 2 times for n <= 8 and S + 1 times for n = 9, 10
+(weight sum, once in each process of the sweep, structural suite), with S
+= 1 for n <= 6 and S = 2 on two CPUs for n = 7..10, and the uvu-avoiding
+class twice for n <= 8 and once for n = 9, 10 (weight sum, structural
+suite).  ``max_n`` clamps the enumeration bounds for quicker runs; the
+stated full bounds are length 10 for avoidance classes (``avoid_nmax``), 8
+for the unconstrained class and the structural checks alike
+(``all_nmax``), and series order 30.
 
 The structural suite holds each path's decomposition record to one rule:
 it must reassemble to the path and carry the single case that the path's
@@ -232,15 +235,15 @@ class Harness:
         axis, ends on it, has x-length n and contains no uvu is exactly a
         member of the uvu-avoiding class of length n.  ``_image_error`` is
         the one definition of these tests, in order, with the message of
-        each.  sigma, sigma_inv, ``_classify`` and ``_grammar`` are read off
-        ``bijection`` once per n, at call time.  The class size is the
-        large Schroeder number S_n(1,1), ``formulas.schroder_weight(n)`` at
-        (1, 1, 1): for n >= 1 criterion 8 checks the oracle's weight sum of
-        the class at c = b^2 against S_n(a,b), and at a = b = 1 that sum
-        counts each path once; at n = 0 the class holds only the empty
-        path, and S_0 = 1.  So the sweep walks no uvu-avoiding path and
-        reads no weight sum.  If ``images`` equals the class size, the
-        images are the whole class.
+        each.  ``_classify`` and ``_grammar`` are read off ``bijection``
+        once per n, at call time, and sigma and sigma_inv once per shard,
+        when it starts.  The class size is the large Schroeder number
+        S_n(1,1), ``formulas.schroder_weight(n)`` at (1, 1, 1): for n >= 1
+        criterion 8 checks the oracle's weight sum of the class at c = b^2
+        against S_n(a,b), and at a = b = 1 that sum counts each path once;
+        at n = 0 the class holds only the empty path, and S_0 = 1.  So the
+        sweep walks no uvu-avoiding path and reads no weight sum.  If
+        ``images`` equals the class size, the images are the whole class.
 
         The walk is taken ``_CHUNK`` paths at a time (``_check_chunk``).  A
         chunk is mapped by sigma, held to ``_images_pass``, a filter of
@@ -255,17 +258,19 @@ class Harness:
         failed.  Each chunk gives a count, its fixed points in walk order and
         its first failure.
 
-        The chunks are mapped in ``_shards(size)`` processes, S: with S = 1,
-        in this one; otherwise this process maps the chunks of shard 0, i =
-        0 mod S, and a forked child each other shard k, i = k mod S, each
-        stopping at its own first failure (``_shard``).  ``_records`` hands
-        the records on in chunk order, taking chunk i's from shard i mod S,
-        and stops at the first failure, whose index is then the least of
-        all shards', or raises again what a shard raised there, with its
-        type and message.  So the loop below reads exactly the records of a
-        sweep in one process, and holds a record per shard at a time.  A
-        child that ends before its record fails the sweep with
-        ``ChildProcessError``; no child outlives the call.
+        The chunks are mapped in ``_shards(size)`` processes, S, each
+        running one shard: this process shard 0, the chunks i = 0 mod S,
+        and a forked child each other shard k, i = k mod S (none when S =
+        1).  Every shard reads sigma and sigma_inv when it starts and ends
+        its own stream, with None after its last record or its first
+        failure, or with the exception that escaped (``_shard``).
+        ``_records`` hands the records on in chunk order, taking chunk i's
+        from shard i mod S, and stops at the first failure, whose index is
+        then the least of all shards', or raises again what a shard raised
+        there, with its type and message.  So the loop below reads exactly
+        the records of a sweep in one process, and holds a record per shard
+        at a time.  A child that ends before its record fails the sweep
+        with ``ChildProcessError``; no child outlives the call.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -290,7 +295,7 @@ class Harness:
         classify = bijection._classify
         grammar = bijection._grammar(n)
         mismatch = None  # the first fixed point that is not the next pair
-        records = _records(n, _shards(size), bijection.sigma, bijection.sigma_inv)
+        records = _records(n, _shards(size))
         try:
             for mapped, fixed, error in records:
                 images += mapped
@@ -544,76 +549,78 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 
 def _shards(size: int) -> int:
     """How many processes sweep a class of ``size`` paths: one per four
-    chunks, at most one per CPU, and one where ``os.fork`` is missing or
+    chunks, at most one per CPU, and one where ``os.fork`` is missing,
     another thread runs, since a forked copy of a threaded process can
-    deadlock.  A child costs a few ms to fork, feed through its pipe and
+    deadlock, or SIGCHLD is not at its default, since the kernel or a
+    handler of its own may then reap a child before the merge kills and
+    reaps it.  A child costs a few ms to fork, feed through its pipe and
     reap, so a class of fewer than eight chunks (n <= 6) stays in-process,
     where a child cost more than it saved."""
     shards = max(1, min(_CPUS, size // (4 * _CHUNK)))
     if shards > 1:
+        import signal
         import threading
 
-        if not hasattr(os, "fork") or threading.active_count() > 1:
+        forks = hasattr(os, "fork") and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
+        if not forks or threading.active_count() > 1:
             return 1
     return shards
 
 
 def _shard(
-    n: int, shard: int, shards: int, sigma: Callable[[str], str], sigma_inv: Callable[[str], str]
-) -> Iterator[tuple[int, list[str], str | None]]:
-    """Shard ``shard`` of ``shards``: (count, fixed points, failure) for each
-    chunk of the walk at n whose index is ``shard`` mod ``shards``, in walk
-    order, from ``_check_chunk``.  It walks the whole class, mapping only its
-    own chunks, and stops after its first failure; an exception that
-    ``_check_chunk`` lets escape escapes here."""
+    n: int, shard: int, shards: int
+) -> Iterator[tuple[int, list[str], str | None] | Exception | None]:
+    """Shard ``shard`` of ``shards``, the stream that each process of the
+    sweep runs: (count, fixed points, failure) for each chunk of the walk at
+    n whose index is ``shard`` mod ``shards``, in walk order, from
+    ``_check_chunk`` with the sigma and sigma_inv that ``bijection`` holds
+    when the shard starts, up to its first failure; then None, or the
+    exception that ``_check_chunk`` let escape, ends the stream.  It walks
+    the whole class and builds every chunk, mapping only its own."""
+    sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
     walk = generate(n, AVOID_UVV)
-    skip = (shards - 1) * _CHUNK
-    next(islice(walk, shard * _CHUNK, shard * _CHUNK), None)
-    while chunk := list(islice(walk, _CHUNK)):
-        images, error = _check_chunk(chunk, n, sigma, sigma_inv)
-        yield len(images), list(compress(chunk, map(eq, chunk, images))), error
-        if error:
-            return
-        next(islice(walk, skip, skip), None)
+    chunks = iter(lambda: list(islice(walk, _CHUNK)), [])
+    try:
+        for chunk in islice(chunks, shard, None, shards):
+            images, error = _check_chunk(chunk, n, sigma, sigma_inv)
+            yield len(images), list(compress(chunk, map(eq, chunk, images))), error
+            if error:
+                break
+    except Exception as err:
+        yield err
+    else:
+        yield None
 
 
-def _records(
-    n: int, shards: int, sigma: Callable[[str], str], sigma_inv: Callable[[str], str]
-) -> Iterator[tuple[int, list[str], str | None]]:
+def _records(n: int, shards: int) -> Iterator[tuple[int, list[str], str | None]]:
     """The records of ``_shard`` for every chunk of the walk at n, in walk
     order, up to the first failure, as one process sweeping alone gives
-    them.  A child's exception is raised again with its type and message.
+    them.  An exception that ends a shard's stream is raised again with its
+    type and message.
 
-    The calling process maps shard 0 itself and forks a child for each
-    other shard, which streams its records through a pipe, pickled, and
-    then None, or the exception that its shard raised.  A shard's records
-    come in chunk order, so the one that chunk i needs is the next of
-    shard i mod ``shards``, and the merge holds one record at a time.  The
-    children are killed and reaped when the merge ends, however it ends."""
-    own = _shard(n, 0, shards, sigma, sigma_inv)
-    if shards == 1:
-        yield from own
-        return
-    import pickle
-    import signal
-
+    The calling process runs shard 0 itself and forks a child for each
+    other shard, which streams its shard through a pipe, pickled.  A
+    shard's records come in chunk order, so the one that chunk i needs is
+    the next of shard i mod ``shards``, and the merge holds one record at a
+    time; a child's stream that stops before its end is a
+    ``ChildProcessError``.  The children are killed and reaped when the
+    merge ends, however it ends."""
+    own = _shard(n, 0, shards)
     children = []  # (pid, reader) of shards 1, 2, ...
     try:
         for shard in range(1, shards):
+            import pickle  # only a sweep that forks imports these
+            import signal
+
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
                     os.close(read)
                     with open(write, "wb") as out:
-                        try:
-                            for record in _shard(n, shard, shards, sigma, sigma_inv):
-                                out.write(pickle.dumps(record))
-                                out.flush()
-                            record = None
-                        except Exception as err:
-                            record = err
-                        out.write(pickle.dumps(record))
+                        for record in _shard(n, shard, shards):
+                            out.write(pickle.dumps(record))
+                            out.flush()
                 finally:
                     os._exit(0)
             os.close(write)
@@ -621,7 +628,7 @@ def _records(
         for i in count():
             shard = i % shards
             if shard == 0:
-                record = next(own, None)
+                record = next(own)
             else:
                 try:
                     record = pickle.load(children[shard - 1][1])

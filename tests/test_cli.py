@@ -274,6 +274,18 @@ class TestParserReuse:
         run = fresh_interpreter("-c", code)
         assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
+    def test_verify_passes_while_sigchld_is_ignored(self):
+        # an ignored SIGCHLD, which exec keeps, has the kernel reap a child
+        # at once, so the sweep stays in-process rather than fail to reap
+        code = (
+            "import signal, sys\n"
+            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+            "import gmotzkin.cli\n"
+            "sys.exit(gmotzkin.cli.main(['verify', '--max-n', '8']))\n"
+        )
+        run = fresh_interpreter("-c", code)
+        assert (run.returncode, run.stdout.splitlines()[-1], run.stderr) == (0, "9/9 checks passed", "")
+
 
 class TestRunAsModule:
     def test_count(self):

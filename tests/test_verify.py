@@ -3,18 +3,20 @@
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.  The fault rows at n = 8 run the sweep in
-one process and, on a host with two CPUs, in two, and expect the same
-detail and no child left behind.  The series relations of criterion 9 are
-broken the same way, by patching one row of ``series._EQUATIONS``, and its
-decomposition checks by patching the records that the decompositions
-return; every other failure detail of the criteria is reached by patching
-one route.
+one process and, on a host with two or three CPUs, in two and in three, and
+expect the same detail and no child left behind; the shards' own streams
+are checked in one process, at up to four shards.  The series relations of
+criterion 9 are broken the same way, by patching one row of
+``series._EQUATIONS``, and its decomposition checks by patching the records
+that the decompositions return; every other failure detail of the criteria
+is reached by patching one route.
 A check that raises must fail its own criterion and leave the others to run,
 and the harness must refuse bounds that are no nonnegative int.
 """
 
 import itertools
 import os
+import signal
 import threading
 from collections import Counter
 
@@ -213,16 +215,22 @@ FAR = 1500  # a path of the second chunk of the walk at n = 8
 
 # The CPU counts that the fault rows run the sweep at.  At one it runs
 # in-process; at two, n = 7 and 8 each fork one child, which maps the odd
-# chunks, FAR's among them.  No test starts more processes than there are
-# CPUs, so a host with one runs the rows at one only.
-CPU_COUNTS = (1, 2) if (os.cpu_count() or 1) >= 2 else (1,)
+# chunks, FAR's among them; at three, n = 8 forks two, and the merge reads
+# from a second child, while n = 7, with nine chunks, still forks one.  No
+# test starts more processes than there are CPUs, so a host with one runs
+# the rows at one only.
+CPU_COUNTS = (1, 2, 3)[: min(3, os.cpu_count() or 1)]
 two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two CPUs")
+
+
+def class_size(n):
+    return formulas.schroder_weight(n).eval(1, 1, 1)
 
 
 def criterion_4_at(monkeypatch, cpus):
     """``Harness(max_n=8).criterion_4()`` with the sweep's CPUs patched to
-    ``cpus``, checking that n = 7 and 8 forked ``cpus - 1`` children each
-    and that no child is left once it returns."""
+    ``cpus``, checking that n = 7 and 8 forked a child for each shard past
+    the first and that no child is left once it returns."""
     real_fork = os.fork
     children = []
 
@@ -234,8 +242,9 @@ def criterion_4_at(monkeypatch, cpus):
 
     monkeypatch.setattr(verify, "_CPUS", cpus)
     monkeypatch.setattr(os, "fork", fork)
+    forks = sum(verify._shards(class_size(n)) - 1 for n in (7, 8))
     result = Harness(max_n=8).criterion_4()
-    assert len(children) == 2 * (cpus - 1)
+    assert len(children) == forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result
@@ -367,10 +376,6 @@ def test_a_child_that_ends_without_its_records_fails_the_sweep(monkeypatch, walk
     assert criterion_4_at(monkeypatch, 2) == ("bijection suite", False, detail)
 
 
-def class_size(n):
-    return formulas.schroder_weight(n).eval(1, 1, 1)
-
-
 def test_the_sweep_forks_from_n_7_and_on_no_more_processes_than_cpus(monkeypatch):
     # _shards only counts processes, it starts none
     for cpus in (1, 2, 3, 8, 64, 10**6):
@@ -402,6 +407,77 @@ def test_the_sweep_forks_nothing_while_another_thread_runs(monkeypatch):
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("handler", [signal.SIG_IGN, lambda signum, frame: None], ids=["ignored", "handled"])
+def test_the_sweep_forks_nothing_unless_sigchld_is_at_its_default(monkeypatch, handler):
+    # the kernel, or the handler, would reap a child before the merge kills
+    # and waits for it; this starts no process
+    monkeypatch.setattr(verify, "_CPUS", 2)
+    assert verify._shards(class_size(10)) == 2
+    default = signal.signal(signal.SIGCHLD, handler)
+    try:
+        assert verify._shards(class_size(10)) == 1
+    finally:
+        signal.signal(signal.SIGCHLD, default)
+    assert verify._shards(class_size(10)) == 2
+
+
+@pytest.fixture(scope="module")
+def one_stream():
+    """The stream of the sweep in one shard, at n = 7 and 8."""
+    return {n: list(verify._shard(n, 0, 1)) for n in (7, 8)}
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [7, 8])
+def test_the_shards_by_chunk_index_are_the_stream_of_one(one_stream, n, shards):
+    # each shard in this process, so at more shards than the host has CPUs too
+    whole = one_stream[n]
+    streams = [list(verify._shard(n, k, shards)) for k in range(shards)]
+    assert [stream[-1] for stream in streams] == [None] * shards
+    assert [streams[i % shards][i // shards] for i in range(len(whole) - 1)] == whole[:-1]
+    assert sum(map(len, streams)) == len(whole) - 1 + shards
+    assert whole[-1] is None
+
+
+BAD_CHUNK = 5  # the chunk of the walk at n = 8 that holds the fault below
+
+
+def shards_with_a_fault(monkeypatch, one_stream, shards, image):
+    """Each shard's stream at n = 8, with sigma patched to ``image`` at the
+    eighth path of chunk ``BAD_CHUNK``, and the records of one stream."""
+    bad = list(real_generate(8, AVOID_UVV))[BAD_CHUNK * verify._CHUNK + 7]
+    monkeypatch.setattr(bijection, "sigma", lambda q: image(q) if q == bad else real_sigma(q))
+    return [list(verify._shard(8, k, shards)) for k in range(shards)], one_stream[8][:-1]
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_a_shard_ends_its_stream_with_the_exception_sigma_raised(monkeypatch, one_stream, shards):
+    err = AssertionError("sigma raised")
+
+    def image(q):
+        raise err
+
+    streams, records = shards_with_a_fault(monkeypatch, one_stream, shards, image)
+    for k, stream in enumerate(streams):
+        if k == BAD_CHUNK % shards:
+            assert stream[:-1] == records[k:BAD_CHUNK:shards]
+            assert stream[-1] is err
+        else:
+            assert stream == records[k::shards] + [None]
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_a_shard_stops_at_its_first_failure(monkeypatch, one_stream, shards):
+    streams, records = shards_with_a_fault(monkeypatch, one_stream, shards, lambda q: real_sigma(q) + "h")
+    for k, stream in enumerate(streams):
+        if k == BAD_CHUNK % shards:
+            *earlier, (mapped, _, error), end = stream
+            assert earlier == records[k:BAD_CHUNK:shards]
+            assert (mapped, error.endswith("changes the weight"), end) == (7, True, None)
+        else:
+            assert stream == records[k::shards] + [None]
 
 
 real_grammar = bijection._grammar
