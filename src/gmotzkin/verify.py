@@ -7,7 +7,8 @@ known values.  All comparisons are exact; there are no tolerances.
 
 Each check returns None or what failed, and ``_criterion`` makes it into
 the criterion's PASS or FAIL ``CheckResult``; an exception the check
-raises is its FAIL, so every criterion of ``run_all`` reports.
+raises is its FAIL, named by ``_raised``, so every criterion of
+``run_all`` reports.
 
 ``Harness`` caches oracle weight sums by (class, n), series expansions by
 kind and the bijection sweep by n, so one ``run_all`` computes each of these
@@ -19,11 +20,13 @@ of the uvu-avoiding class to be the large Schroeder number that criterion 8
 proves it is, so it reads no weight sum.  It checks the images a chunk of
 paths at a time, with an exact filter of C-level calls, and runs a chunk
 path by path only to name the first failure that the filter or the round
-trip found in it, or to raise what sigma or sigma_inv raised.  Each
+trip found in it, or the path where sigma or sigma_inv raised.  Each
 process of the sweep runs one shard, the stream of ``_shard``: it reads
 sigma and sigma_inv off ``bijection`` when the shard starts, maps the
-chunks whose index i is its k mod S, and ends its own stream with None or
-with what was raised.  From n = 7, where the class has eight chunks or
+chunks whose index i is its k mod S, and streams only data, ending in
+None.  A raise is one more failure record, its text that of ``_raised``,
+so it is its n's failure, cached like any other, and reads the same on
+every CPU count.  From n = 7, where the class has eight chunks or
 more, S is one per CPU the process may use and at most one per four
 chunks: the calling process runs shard 0, and a forked child each k =
 1..S-1.  Each walks the whole class, and the caller merges their streams
@@ -59,7 +62,7 @@ import os
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from itertools import compress, count, islice, repeat
-from operator import add, eq, sub
+from operator import add, eq
 
 from . import bijection, formulas
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
@@ -157,11 +160,16 @@ class CheckResult(namedtuple("CheckResult", "name ok detail")):
 _Sweep = namedtuple("_Sweep", "a b c error")
 
 
+def _raised(err: Exception) -> str:
+    """What failed, when ``err`` was raised: its type and message."""
+    return f"{type(err).__name__}: {err}"
+
+
 def _criterion(name: str, passed: str):
     """Make a check, which returns None or what failed, into the criterion
     ``name``: PASS with ``passed`` formatted with the harness's bounds, or
     FAIL with what failed.  An exception the check raises is what failed,
-    named by its type and message."""
+    as ``_raised`` names it."""
 
     def wrap(check: Callable[[Harness], str | None]) -> Callable[[Harness], CheckResult]:
         @functools.wraps(check)
@@ -169,7 +177,7 @@ def _criterion(name: str, passed: str):
             try:
                 failure = check(self)
             except Exception as err:
-                failure = f"{type(err).__name__}: {err}"
+                failure = _raised(err)
             if failure is None:
                 return CheckResult(name, True, passed.format_map(vars(self)))
             return CheckResult(name, False, failure)
@@ -252,25 +260,28 @@ class Harness:
         docstring gives the argument), and mapped back by sigma_inv.  Only a
         chunk that fails there, or raises, is run again path by path through
         ``_image_error``, which stops at its first failure or lets the same
-        exception escape at the same path.  So the sweep fails, and raises,
-        exactly where and as a path-by-path sweep would, and its fixed-point
-        counts on a failure are those of the paths before the one that
-        failed.  Each chunk gives a count, its fixed points in walk order and
-        its first failure.
+        exception escape at the same path.  An exception that escapes is
+        the chunk's failure, its type and message (``_raised``), with no
+        count or fixed point.  So the sweep fails exactly where and as a
+        path-by-path sweep would, and a raise is its n's failure, cached
+        like any other, not raised again.  Its fixed-point counts on a
+        failure are those of the paths before the one that failed, or on a
+        raise those of the chunks before its chunk.  Each chunk gives a
+        count, its fixed points in walk order and its first failure.
 
         The chunks are mapped in ``_shards(size)`` processes, S, each
         running one shard: this process shard 0, the chunks i = 0 mod S,
         and a forked child each other shard k, i = k mod S (none when S =
         1).  Every shard reads sigma and sigma_inv when it starts and ends
-        its own stream, with None after its last record or its first
-        failure, or with the exception that escaped (``_shard``).
-        ``_records`` hands the records on in chunk order, taking chunk i's
-        from shard i mod S, and stops at the first failure, whose index is
-        then the least of all shards', or raises again what a shard raised
-        there, with its type and message.  So the loop below reads exactly
-        the records of a sweep in one process, and holds a record per shard
-        at a time.  A child that ends before its record fails the sweep
-        with ``ChildProcessError``; no child outlives the call.
+        its own stream with None, after its last record or its first
+        failure (``_shard``); a stream holds only data.  ``_records`` hands
+        the records on in chunk order, taking chunk i's from shard i mod S,
+        and stops at the first failure, whose index is then the least of
+        all shards'.  So the loop below reads exactly the records of a
+        sweep in one process, and holds a record per shard at a time, and
+        a failure's text is the same on every CPU count.  A child that ends
+        before its record fails the sweep with ``ChildProcessError``; no
+        child outlives the call.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -567,16 +578,15 @@ def _shards(size: int) -> int:
     return shards
 
 
-def _shard(
-    n: int, shard: int, shards: int
-) -> Iterator[tuple[int, list[str], str | None] | Exception | None]:
+def _shard(n: int, shard: int, shards: int) -> Iterator[tuple[int, list[str], str | None] | None]:
     """Shard ``shard`` of ``shards``, the stream that each process of the
     sweep runs: (count, fixed points, failure) for each chunk of the walk at
     n whose index is ``shard`` mod ``shards``, in walk order, from
     ``_check_chunk`` with the sigma and sigma_inv that ``bijection`` holds
-    when the shard starts, up to its first failure; then None, or the
-    exception that ``_check_chunk`` let escape, ends the stream.  It walks
-    the whole class and builds every chunk, mapping only its own."""
+    when the shard starts, up to its first failure; then None ends the
+    stream.  An exception that escapes is that failure, (0, [], its
+    ``_raised`` text), so the stream is plain data.  It walks the whole
+    class and builds every chunk, mapping only its own."""
     sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
     walk = generate(n, AVOID_UVV)
     chunks = iter(lambda: list(islice(walk, _CHUNK)), [])
@@ -587,16 +597,14 @@ def _shard(
             if error:
                 break
     except Exception as err:
-        yield err
-    else:
-        yield None
+        yield 0, [], _raised(err)
+    yield None
 
 
 def _records(n: int, shards: int) -> Iterator[tuple[int, list[str], str | None]]:
     """The records of ``_shard`` for every chunk of the walk at n, in walk
     order, up to the first failure, as one process sweeping alone gives
-    them.  An exception that ends a shard's stream is raised again with its
-    type and message.
+    them.  A shard's raise is its failure record, so no record is raised.
 
     The calling process runs shard 0 itself and forks a child for each
     other shard, which streams its shard through a pipe, pickled.  A
@@ -637,8 +645,6 @@ def _records(n: int, shards: int) -> Iterator[tuple[int, list[str], str | None]]
                     raise ChildProcessError(error) from None
             if record is None:
                 return
-            if isinstance(record, Exception):
-                raise record
             yield record
             if record[2]:
                 return
@@ -717,25 +723,29 @@ def _images_pass(chunk: list[str], images: list[str], n: int) -> bool:
 
     - uvu: "uvu" holds no newline, so it is in the images joined by
       newlines exactly when it is in one of them.
-    - The alphabet, image by image.  The path test needs it: a "(" or ")"
-      in an image, as in "(uv)", would pass that test.
-    - The weight, from the counts of each image, compared as whole lists.
+    - The alphabet, once on the joined images, over udhv and the newline.
+      The path test needs it: a "(" or ")" in an image, as in "(uv)",
+      would pass that test.  A newline inside an image passes here but not
+      the path test below, which no image holding one passes.
+    - The weight, from the counts of each image, compared as whole lists:
+      p keeps q's #h, and len(p) - #v = #u + #d + #h is n.  With the path
+      test's #u = #d + #v, that is #v + 2#d = n - #h, the weight test of
+      ``_image_error``; an image that fails the path test fails anyway.
     - The path test.  Over udhv, ``_PARENS`` makes each image a word of
       parentheses, balanced exactly when the image never dips below the
       axis and ends on it.  Deleting "()" until none is left reduces each
       word, and only it, since a newline parts it from its neighbours: a
       balanced word to nothing, any other word to some ")" followed by
-      some "(".  So the images are all paths exactly when the joined words
-      reduce to the newlines alone."""
+      some "(".  No deletion removes a newline, so a newline inside an
+      image leaves more than the len(chunk) - 1 that join the images.  So
+      the images are all paths exactly when the joined words reduce to the
+      joining newlines alone."""
     joined = "\n".join(images)
-    if "uvu" in joined or not all(map(STEPS.issuperset, images)):
+    if "uvu" in joined or not (STEPS | {"\n"}).issuperset(joined):
         return False
-    hs = list(map(str.count, chunk, repeat("h")))
-    if list(map(str.count, images, repeat("h"))) != hs:
+    if list(map(str.count, images, repeat("h"))) != list(map(str.count, chunk, repeat("h"))):
         return False
-    ds = list(map(str.count, images, repeat("d")))
-    vs = map(str.count, images, repeat("v"))
-    if list(map(add, vs, map(add, ds, ds))) != list(map(sub, repeat(n), hs)):
+    if list(map(len, images)) != list(map(add, map(str.count, images, repeat("v")), repeat(n))):
         return False
     parens = joined.translate(_PARENS)
     while "()" in parens:

@@ -156,12 +156,16 @@ def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q
         (["uv", "uv"], ["uv\n", "uv"], 1, False),
         (["uv", "uv"], ["uv", "u\nv"], 1, False),
         (["hh", "hh"], ["h\nh", "hh"], 2, False),
+        (["uv", "uv", "uv"], ["uv", "u\nv", "uv"], 1, False),
         # parentheses that balance within an image or across the newline
         (["uv"], ["(uv)"], 1, False),
         (["uv", "uv"], ["uv(", ")uv"], 1, False),
         (["hh", "hh"], ["h(h", "h)h"], 2, False),
         # the one failure last in a chunk
         (["ud", "hh", "uhv"], ["ud", "hh", "vhu"], 2, False),
+        # len - #v is n, with q's h, but #v + 2#d is not n - #h: no path
+        (["uv", "uv", "uv"], ["uv", "u", "uv"], 1, False),
+        (["ud", "uhv", "hh"], ["ud", "uhvvv", "hh"], 2, False),
     ],
     ids=[
         "paths",
@@ -170,10 +174,13 @@ def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q
         "newline after",
         "newline inside",
         "newline between hs",
+        "newline mid-chunk",
         "(uv)",
         "( ) across",
         "( ) across hs",
         "below last",
+        "len - v is n, u",
+        "len - v is n, uhvvv",
     ],
 )
 def test_images_pass_on_a_chunk_is_every_pair_passing(chunk, images, n, ok):
@@ -260,7 +267,21 @@ IMAGE_FAULTS = {
     "parentheses": lambda q, p: "(" + p + ")",
     "newline": lambda q, p: p[:1] + "\n" + p[1:],
     "raise": lambda q, p: raising_sigma(q),
+    "two args": lambda q, p: raise_two_args(q),
 }
+
+
+class TwoArgs(Exception):
+    """An exception whose ``__init__`` does not take its own ``args`` back,
+    so that pickle could not rebuild it in another process: the detail of
+    its raise must not depend on which process mapped the path."""
+
+    def __init__(self, word, why):
+        super().__init__(f"{why} at {word}")
+
+
+def raise_two_args(q):
+    raise TwoArgs(q, "bad")
 
 
 # The details of criterion 4 for each fault at n = 8, as the path-by-path
@@ -276,8 +297,9 @@ FAULT_DETAILS = [
     ("parentheses", -1, "n=8: sigma(hhhhhhhh) = (hhhhhhhh) outside the uvu-avoiding class"),
     ("newline", FAR, "n=8: sigma(uuuuvdvvuvud) = u\nuuuvvvduudv outside the uvu-avoiding class"),
     ("newline", -1, "n=8: sigma(hhhhhhhh) = h\nhhhhhhh outside the uvu-avoiding class"),
-    ("raise", FAR, "AssertionError: a Case6 Q'' ends in uv in uuuuvdvvuvud"),
-    ("raise", -1, "AssertionError: a Case6 Q'' ends in uv in hhhhhhhh"),
+    ("raise", FAR, "n=8: AssertionError: a Case6 Q'' ends in uv in uuuuvdvvuvud"),
+    ("raise", -1, "n=8: AssertionError: a Case6 Q'' ends in uv in hhhhhhhh"),
+    ("two args", FAR, "n=8: TwoArgs: bad at uuuuvdvvuvud"),
 ]
 
 
@@ -359,6 +381,35 @@ def test_sweep_names_the_least_of_faults_in_both_shards(monkeypatch, walk_8, fai
     monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
     for cpus in CPU_COUNTS:
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
+
+
+def test_criterion_6_reads_the_sweep_that_raised(monkeypatch, walk_8):
+    # the raise is n = 8's cached failure: criterion 6 merges no shard
+    # stream and forks no child
+    walk, images, inverse = walk_8
+    monkeypatch.setattr(bijection, "sigma", lambda q: raise_two_args(q) if q == walk[FAR] else images[q])
+    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(verify, "_CPUS", CPU_COUNTS[-1])
+    real_records, real_fork = verify._records, os.fork
+    merges, forks = [], []
+
+    def records(n, shards):
+        merges.append(n)
+        return real_records(n, shards)
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_records", records)
+    monkeypatch.setattr(os, "fork", fork)
+    harness = Harness(max_n=8)
+    assert harness.criterion_4() == ("bijection suite", False, "n=8: TwoArgs: bad at uuuuvdvvuvud")
+    assert merges == list(range(9))
+    swept = (list(merges), list(forks))
+    assert harness.criterion_6() == ("fixed points", False, "n=8: TwoArgs: bad at uuuuvdvvuvud")
+    assert (merges, forks) == swept
 
 
 @two_cpus
@@ -454,16 +505,16 @@ def shards_with_a_fault(monkeypatch, one_stream, shards, image):
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
 def test_a_shard_ends_its_stream_with_the_exception_sigma_raised(monkeypatch, one_stream, shards):
-    err = AssertionError("sigma raised")
-
+    # as a failure record with the exception's type and message, then None:
+    # a stream holds no exception object
     def image(q):
-        raise err
+        raise AssertionError("sigma raised")
 
     streams, records = shards_with_a_fault(monkeypatch, one_stream, shards, image)
     for k, stream in enumerate(streams):
         if k == BAD_CHUNK % shards:
-            assert stream[:-1] == records[k:BAD_CHUNK:shards]
-            assert stream[-1] is err
+            raised = (0, [], "AssertionError: sigma raised")
+            assert stream == records[k:BAD_CHUNK:shards] + [raised, None]
         else:
             assert stream == records[k::shards] + [None]
 
@@ -1155,10 +1206,12 @@ def diverging_expand(kind, order):
 
 
 def test_a_check_that_raises_fails_its_criterion(monkeypatch):
+    # criterion 5 calls sigma itself; the sweep of criterion 4 would make
+    # the raise its n's failure instead
     monkeypatch.setattr(bijection, "sigma", raising_sigma)
-    result = Harness(max_n=2).criterion_4()
-    assert (result.name, result.ok) == ("bijection suite", False)
-    assert result.detail == "AssertionError: a Case6 Q'' ends in uv in "
+    result = Harness(max_n=2).criterion_5()
+    assert (result.name, result.ok) == ("sample bijection pair", False)
+    assert result.detail == f"AssertionError: a Case6 Q'' ends in uv in {verify.BIJECTION_SAMPLE_INPUT}"
     monkeypatch.undo()
     monkeypatch.setattr(verify, "expand", diverging_expand)
     result = Harness(max_n=2).criterion_3()
