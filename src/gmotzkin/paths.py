@@ -42,8 +42,9 @@ from collections import namedtuple
 # Vertical displacement of each step kind.
 RISE = {"u": 1, "d": -1, "h": 0, "v": -1}
 
-# The step alphabet, for C-speed ``STEPS.issuperset(word)`` tests.
-STEPS = frozenset(RISE)
+# The step alphabet: ``word.lstrip(_STEPS)`` is empty exactly when every
+# character of a str is a step, and otherwise starts at the first that is not.
+_STEPS = "".join(RISE)
 
 # Horizontal displacement; only v stands still.
 RUN = {"u": 1, "d": 1, "h": 1, "v": 0}
@@ -92,13 +93,14 @@ def _check_steps(word: str) -> None:
     """Raise PathError naming the first character of ``word`` outside udhv.
 
     A plain str over udhv passes with one C-speed test; anything else,
-    a str subclass included, takes the checks that name the fault."""
-    if type(word) is str and STEPS.issuperset(word):
+    a str subclass included, takes the checks that name the fault, where
+    ``str.lstrip`` finds the first character that is no step."""
+    if type(word) is str and not word.lstrip(_STEPS):
         return
     _check_str(word)
-    if not STEPS.issuperset(word):
-        pos = next(i for i, ch in enumerate(word) if ch not in STEPS)
-        raise PathError(f"illegal character {word[pos]!r} at position {pos}")
+    rest = str.lstrip(word, _STEPS)
+    if rest:
+        raise PathError(f"illegal character {rest[0]!r} at position {len(word) - len(rest)}")
 
 
 def _check_str(text: object) -> None:
@@ -111,7 +113,7 @@ def _check_avoids(word: str, pattern: str) -> None:
     """PathError for a non-str or a step outside udhv; then, if ``word``
     contains ``pattern``, for a word that is no path, else for the pattern.
     ``_check_steps``'s one-test happy path is inlined, saving a call."""
-    if not (type(word) is str and STEPS.issuperset(word)):
+    if type(word) is not str or word.lstrip(_STEPS):
         _check_steps(word)
     if pattern in word:
         first_return_blocks(word)

@@ -20,27 +20,35 @@ of the uvu-avoiding class to be the large Schroeder number that criterion 8
 proves it is, so it reads no weight sum.  It checks the images a chunk of
 paths at a time, with an exact filter of C-level calls, and runs a chunk
 path by path only to name the first failure that the filter or the round
-trip found in it, or the path where sigma or sigma_inv raised.  Each
-process of the sweep runs one shard, the stream of ``_shard``: it reads
-sigma and sigma_inv off ``bijection`` when the shard starts, maps the
-chunks whose index i is its k mod S, and streams only data, ending in
-None.  A raise is one more failure record, its text that of ``_raised``,
-so it is its n's failure, cached like any other, and reads the same on
-every CPU count.  From n = 7, where the class has eight chunks or
-more, S is one per CPU the process may use and at most one per four
-chunks: the calling process runs shard 0, and a forked child each k =
-1..S-1.  Each walks the whole class, and the caller merges their streams
-in walk order, so the verdict and the first failure are those of one
-process alone.  The structural suite does not sweep, and walks both
-classes again for the decompositions.  So at full bounds the uvv-avoiding
-class is walked S + 2 times for n <= 8 and S + 1 times for n = 9, 10
-(weight sum, once in each process of the sweep, structural suite), with S
-= 1 for n <= 6 and S = 2 on two CPUs for n = 7..10, and the uvu-avoiding
-class twice for n <= 8 and once for n = 9, 10 (weight sum, structural
-suite).  ``max_n`` clamps the enumeration bounds for quicker runs; the
-stated full bounds are length 10 for avoidance classes (``avoid_nmax``), 8
-for the unconstrained class and the structural checks alike
-(``all_nmax``), and series order 30.
+trip found in it, or the path where sigma or sigma_inv raised.
+
+Every exhaustive walk is a job of one runner, ``_run``: each weight sum of
+the oracle (criteria 1, 2 and 8), each shard of the sweep (criterion 4),
+the counts of ``bijection.fixed_points`` at each length (criterion 6) and
+the decompositions of each class and length (criterion 9).  A criterion
+hands the runner every job it needs at once, and only those, and checks
+each result here as it checks one computed here, so the verdict and every
+detail are the same on every CPU count.  A job streams only data: its
+result, or a record of what failed, a raise's text that of ``_raised``,
+which is then its failure, cached like any other.  Where some job walks
+length 7 or more, the runner deals the jobs out, largest first, to one
+forked child per CPU the process may use, and this process only reads
+their records; below that, and on one CPU, every job runs here as it is
+read.  The sweep cuts the walk at n into S shards, shard k mapping the
+chunks whose index is k mod S, with S one per CPU and at most one per four
+chunks, so S = 1 for n <= 6; each shard walks the whole class, and their
+streams are merged in walk order, so the verdict and the first failure are
+those of one shard alone.  The structural suite does not sweep, and walks
+both classes again for the decompositions.  So at full bounds the
+uvv-avoiding class is walked S + 2 times for n <= 8 and S + 1 times for n
+= 9, 10 (weight sum, once in each shard of the sweep, structural suite),
+with S = 2 on two CPUs for n = 7..10, and the uvu-avoiding class twice
+for n <= 8 and once for n = 9, 10 (weight sum, structural suite); each
+walk is one job, and the jobs of a criterion run side by side.  ``max_n``
+clamps the enumeration bounds for quicker runs; the stated full bounds are
+length 10 for avoidance classes (``avoid_nmax``), 8 for the unconstrained
+class and the structural checks alike (``all_nmax``), and series order
+30.
 
 The structural suite holds each path's decomposition record to one rule:
 it must reassemble to the path and carry the single case that the path's
@@ -57,12 +65,13 @@ against its row.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Callable, Iterator
-from itertools import compress, count, islice, repeat
-from operator import add, eq
+from itertools import chain, compress, count, islice, repeat
+from operator import eq
 
 from . import bijection, formulas
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
@@ -81,7 +90,6 @@ from .paths import (
     CASE_III,
     CASE_IV,
     CASE_V,
-    STEPS,
     Decomposition,
     PathError,
     _is_primitive,
@@ -165,17 +173,24 @@ def _raised(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
+class _Failed(Exception):
+    """A job's failure, raised where its result is read: its message is
+    the failure's text, ``_raised``'s where the job ran."""
+
+
 def _criterion(name: str, passed: str):
     """Make a check, which returns None or what failed, into the criterion
     ``name``: PASS with ``passed`` formatted with the harness's bounds, or
     FAIL with what failed.  An exception the check raises is what failed,
-    as ``_raised`` names it."""
+    as ``_raised`` names it, or for ``_Failed`` its message."""
 
     def wrap(check: Callable[[Harness], str | None]) -> Callable[[Harness], CheckResult]:
         @functools.wraps(check)
         def criterion(self: Harness) -> CheckResult:
             try:
                 failure = check(self)
+            except _Failed as err:
+                failure = str(err)
             except Exception as err:
                 failure = _raised(err)
             if failure is None:
@@ -213,10 +228,22 @@ class Harness:
     # -- shared computations -------------------------------------------------
 
     def sums(self, constraints: Constraints, n: int) -> Polynomial:
-        key = (constraints, n)
-        if key not in self._sums:
-            self._sums[key] = weight_sum(n, constraints)
-        return self._sums[key]
+        """The oracle's weight sum of the class at n, ``weight_sum(n,
+        constraints)``, computed on first use (``_sum_all``).  One that
+        failed raises ``_Failed`` with what failed, each time it is read."""
+        if (constraints, n) not in self._sums:
+            self._sum_all([(constraints, n)])
+        got = self._sums[constraints, n]
+        if isinstance(got, str):
+            raise _Failed(got)
+        return got
+
+    def _sum_all(self, keys) -> None:
+        """Compute the weight sums of the (class, n) of ``keys`` not cached
+        yet, each a job of one runner call, and cache them or what failed."""
+        todo = [key for key in keys if key not in self._sums]
+        jobs = [(n, f"weight_sum({n}, {c})", _value, (weight_sum, n, c)) for c, n in todo]
+        self._sums.update(zip(todo, _results(jobs)))
 
     def series(self, kind: str) -> PowerSeries:
         """The series of ``kind`` through x^max(series_order + 1, avoid_nmax),
@@ -269,19 +296,18 @@ class Harness:
         raise those of the chunks before its chunk.  Each chunk gives a
         count, its fixed points in walk order and its first failure.
 
-        The chunks are mapped in ``_shards(size)`` processes, S, each
-        running one shard: this process shard 0, the chunks i = 0 mod S,
-        and a forked child each other shard k, i = k mod S (none when S =
-        1).  Every shard reads sigma and sigma_inv when it starts and ends
-        its own stream with None, after its last record or its first
-        failure (``_shard``); a stream holds only data.  ``_records`` hands
-        the records on in chunk order, taking chunk i's from shard i mod S,
-        and stops at the first failure, whose index is then the least of
-        all shards'.  So the loop below reads exactly the records of a
-        sweep in one process, and holds a record per shard at a time, and
-        a failure's text is the same on every CPU count.  A child that ends
-        before its record fails the sweep with ``ChildProcessError``; no
-        child outlives the call.
+        The walk is cut into S = ``_shards(size)`` shards, each a job of
+        the runner (``_sweep_all``): shard k maps the chunks i = k mod S,
+        reads sigma and sigma_inv when it starts and ends its own stream
+        with None, after its last record or its first failure
+        (``_shard``); a stream holds only data.  ``_merge`` reads the
+        records in chunk order, taking chunk i's from shard i mod S, and
+        stops at the first failure, whose index is then the least of all
+        shards'.  So it reads exactly the records of a sweep in one shard,
+        and a failure's text is the same on every CPU count.  A child that
+        ends before a shard's last record gives the shard a failure record
+        of its own, a ``ChildProcessError`` naming the shard, cached like
+        any other failure; no child outlives the runner's call.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -297,50 +323,41 @@ class Harness:
         the walk, so the image checks and the count report first.  Every
         length has the fixed point h^n, so a walk that meets none fails.
         """
-        if n in self._sweeps:
-            return self._sweeps[n]
-        size = formulas.schroder_weight(n).eval(1, 1, 1)
-        images = 0
-        classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
-        error: str | None = None
-        classify = bijection._classify
-        grammar = bijection._grammar(n)
-        mismatch = None  # the first fixed point that is not the next pair
-        records = _records(n, _shards(size))
-        try:
-            for mapped, fixed, error in records:
-                images += mapped
-                if mismatch:
-                    continue
-                for q in fixed:
-                    cls = classify(q)
-                    classes[cls] += 1
-                    listed = next(grammar, None)
-                    if listed != (q, cls):
-                        mismatch = f"sigma fixes {(q, cls)!r}, fixed_points lists {listed!r} there"
-                        break
-        finally:
-            records.close()  # reaps the children now, however the loop ends
-        a, b, c = classes.values()
-        if error is None:
-            left = next(grammar, None)  # a pair after the last fixed point
-            if images != size:
-                error = f"image has {images} paths, class has {size}"
-            elif not a + b + c:
-                error = "sigma fixes no path"
-            elif mismatch:
-                error = mismatch
-            elif left:
-                error = f"fixed_points lists {left!r} after the last path sigma fixes"
-        rec = _Sweep(a=a, b=b, c=c, error=error)
-        self._sweeps[n] = rec
-        return rec
+        if n not in self._sweeps:
+            self._sweep_all([n])
+        return self._sweeps[n]
+
+    def _sweep_all(self, ns) -> None:
+        """Sweep the n of ``ns`` in order, up to the first whose sweep
+        fails, as criteria 4 and 6 read them: the shards of those not swept
+        yet are the jobs of one runner call, merged n by n, and each n's
+        result is cached, a failure too."""
+        todo = []
+        for n in ns:
+            if n in self._sweeps and self._sweeps[n].error:
+                break
+            if n not in self._sweeps:
+                todo.append(n)
+        sizes = [formulas.schroder_weight(n).eval(1, 1, 1) for n in todo]  # S_n(1,1)
+        shards = [_shards(size) for size in sizes]
+        jobs = [
+            (n, f"sweep shard {k} at n={n}", _shard, (n, k, s))
+            for n, s in zip(todo, shards)
+            for k in range(s)
+        ]
+        with _run(jobs) as streams:
+            streams = iter(streams)
+            for n, size, s in zip(todo, sizes, shards):
+                self._sweeps[n] = _merge(n, size, list(islice(streams, s)))
+                if self._sweeps[n].error:
+                    break
 
     # -- criteria ------------------------------------------------------------
 
     @_criterion("closed forms vs oracle", "5 + 3 forms, n = 0..{avoid_nmax}")
     def criterion_1(self) -> str | None:
         """Closed forms for both restricted classes equal the oracle."""
+        self._sum_all((c, n) for n in range(self.avoid_nmax + 1) for *_, c in _CLOSED_FORMS)
         for n in range(self.avoid_nmax + 1):
             for label, closed, forms, constraints in _CLOSED_FORMS:
                 oracle = self.sums(constraints, n)
@@ -354,6 +371,7 @@ class Harness:
     def criterion_2(self) -> str | None:
         """Series coefficients of all four classes equal the oracle."""
         pairs = [("G_uvv", AVOID_UVV), ("Gbar_uvv", BAR_UVV), ("G", NO_CONSTRAINTS), ("G_uvu", AVOID_UVU)]
+        self._sum_all((c, n) for _, c in pairs for n in range(self.all_nmax + 1))
         for kind, constraints in pairs:
             coeffs = self.series(kind).coeffs
             for n in range(self.all_nmax + 1):
@@ -389,6 +407,7 @@ class Harness:
         and n = 0 has only the empty path.  So a wrong oracle weight sum of
         the class fails criteria 2 and 8, not this one, and a wrong S_n
         fails criteria 6, 7 and 8 as well as this one."""
+        self._sweep_all(range(self.avoid_nmax + 1))
         for n in range(self.avoid_nmax + 1):
             rec = self.sweep(n)
             if rec.error:
@@ -415,12 +434,19 @@ class Harness:
         relations are checked through that match.  For n <= all_nmax the
         counts of ``bijection.fixed_points(n)`` are read too: their total f
         as one more value, and their classes against the recurrence, so its
-        own counting is checked, not only the grammar that the sweep reads.
-        A sweep that failed reports its own error, not counts it stopped
-        short of."""
+        own counting is checked, not only the grammar that the sweep reads;
+        each length's count is a job of one runner call, as far as the
+        first sweep that failed.  That sweep reports its own error, not
+        counts it stopped short of."""
         nmax = self.avoid_nmax
         f_series = self.series("F")
         f_seq, a_seq, b_seq, c_seq = formulas.fixed_point_sequences(nmax)
+        self._sweep_all(range(nmax + 1))
+        swept = next((n for n in range(nmax + 1) if self._sweeps[n].error), nmax + 1)
+        counted = range(min(swept, self.all_nmax + 1))
+        fixed_points = _results(
+            [(n, f"fixed_points({n})", _value, (bijection.fixed_points, n)) for n in counted]
+        )
         for n in range(nmax + 1):
             rec = self.sweep(n)
             if rec.error:
@@ -433,7 +459,9 @@ class Harness:
             }
             classes = {"classes": (rec.a, rec.b, rec.c)}
             if n <= self.all_nmax:
-                counts = bijection.fixed_points(n)
+                counts = fixed_points[n]
+                if isinstance(counts, str):
+                    return counts
                 values["fixed_points"] = counts.f
                 classes["fixed_points classes"] = (counts.a, counts.b, counts.c)
             if n < len(FIXED_POINT_COUNTS):
@@ -480,6 +508,7 @@ class Harness:
         a = b = 1 that identity makes S_n(1,1) the size of the uvu-avoiding
         class, the size that criterion 4's sweep compares its image count
         with; at n = 0 the class is the empty path alone, and S_0 = 1."""
+        self._sum_all((AVOID_UVU, n) for n in range(1, self.avoid_nmax + 1))
         for n in range(1, self.avoid_nmax + 1):
             report = formulas.relation_checks(n)
             g_uvu = self.sums(AVOID_UVU, n).substitute("c", _B2)
@@ -528,16 +557,18 @@ class Harness:
                     counts for n <= avoid_nmax.
         A failure names the relation and the first term x^i S^j, S written
         as T or A, at which its two sides differ.  The rows do not depend
-        on series_order, so neither does this check's cost."""
-        for n in range(self.all_nmax + 1):
-            for q in generate(n, AVOID_UVV):
-                err = _check_forward_decomposition(q)
-                if err:
-                    return err
-            for p in generate(n, AVOID_UVU):
-                err = _check_inverse_decomposition(p)
-                if err:
-                    return err
+        on series_order, so neither does this check's cost.  The records of
+        each class and length are checked by one job of a runner call, in
+        the order shown."""
+        checks = ((AVOID_UVV, _check_forward_decomposition), (AVOID_UVU, _check_inverse_decomposition))
+        jobs = [
+            (n, f"decompositions at n={n} of {c}", _value, (_first_error, check, n, c))
+            for n in range(self.all_nmax + 1)
+            for c, check in checks
+        ]
+        for err in _results(jobs):
+            if err:
+                return err
         for name, kind, num, den, factor, base in _RELATIONS:
             diff = _add(_row_at(kind, num, den), _mul(_MINUS, factor, _row_at(base, _S, _ONE)))
             if diff:
@@ -554,37 +585,45 @@ class Harness:
 # and joined strings stay well under a megabyte.
 _CHUNK = 1024
 
-# The CPUs this process may run on; the sweep never runs on more processes.
+# The CPUs this process may run on; no call of the runner forks more children.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# The least length of a job that the runner forks for.  A job at n walks
+# about 5^n paths, and below n = 7, where the sweep's class has fewer than
+# eight chunks, a child costs more to fork, feed through its pipe and reap
+# than it saves.
+_FORK_N = 7
+
+
+def _can_fork() -> bool:
+    """Whether the runner may fork: on two CPUs or more, where ``os.fork``
+    exists, no other thread runs, since a forked copy of a threaded
+    process can deadlock, and SIGCHLD is at its default, since the kernel
+    or a handler of its own may then reap a child before the runner kills
+    and reaps it."""
+    if _CPUS < 2 or not hasattr(os, "fork"):
+        return False
+    import signal  # only a process that may fork imports these
+    import threading
+
+    return threading.active_count() == 1 and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
 
 
 def _shards(size: int) -> int:
-    """How many processes sweep a class of ``size`` paths: one per four
-    chunks, at most one per CPU, and one where ``os.fork`` is missing,
-    another thread runs, since a forked copy of a threaded process can
-    deadlock, or SIGCHLD is not at its default, since the kernel or a
-    handler of its own may then reap a child before the merge kills and
-    reaps it.  A child costs a few ms to fork, feed through its pipe and
-    reap, so a class of fewer than eight chunks (n <= 6) stays in-process,
-    where a child cost more than it saved."""
+    """How many shards the sweep cuts a class of ``size`` paths into: one
+    per four chunks, at most one per CPU, and one where the runner may not
+    fork (``_can_fork``).  Each shard walks the whole class, so a class of
+    fewer than eight chunks (n <= 6) is one shard."""
     shards = max(1, min(_CPUS, size // (4 * _CHUNK)))
-    if shards > 1:
-        import signal
-        import threading
-
-        forks = hasattr(os, "fork") and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL
-        if not forks or threading.active_count() > 1:
-            return 1
-    return shards
+    return shards if shards == 1 or _can_fork() else 1
 
 
 def _shard(n: int, shard: int, shards: int) -> Iterator[tuple[int, list[str], str | None] | None]:
-    """Shard ``shard`` of ``shards``, the stream that each process of the
-    sweep runs: (count, fixed points, failure) for each chunk of the walk at
-    n whose index is ``shard`` mod ``shards``, in walk order, from
-    ``_check_chunk`` with the sigma and sigma_inv that ``bijection`` holds
-    when the shard starts, up to its first failure; then None ends the
-    stream.  An exception that escapes is that failure, (0, [], its
+    """Shard ``shard`` of ``shards``, the stream of one job of the sweep:
+    (count, fixed points, failure) for each chunk of the walk at n whose
+    index is ``shard`` mod ``shards``, in walk order, from ``_check_chunk``
+    with the sigma and sigma_inv that ``bijection`` holds when the shard
+    starts, up to its first failure; then None ends the stream.  An exception that escapes is that failure, (0, [], its
     ``_raised`` text), so the stream is plain data.  It walks the whole
     class and builds every chunk, mapping only its own."""
     sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
@@ -601,53 +640,99 @@ def _shard(n: int, shard: int, shards: int) -> Iterator[tuple[int, list[str], st
     yield None
 
 
-def _records(n: int, shards: int) -> Iterator[tuple[int, list[str], str | None]]:
-    """The records of ``_shard`` for every chunk of the walk at n, in walk
-    order, up to the first failure, as one process sweeping alone gives
-    them.  A shard's raise is its failure record, so no record is raised.
-
-    The calling process runs shard 0 itself and forks a child for each
-    other shard, which streams its shard through a pipe, pickled.  A
-    shard's records come in chunk order, so the one that chunk i needs is
-    the next of shard i mod ``shards``, and the merge holds one record at a
-    time; a child's stream that stops before its end is a
-    ``ChildProcessError``.  The children are killed and reaped when the
-    merge ends, however it ends."""
-    own = _shard(n, 0, shards)
-    children = []  # (pid, reader) of shards 1, 2, ...
+def _value(func: Callable, *args) -> Iterator:
+    """The stream of a job with one result: ``func(*args)``, or the text of
+    what it raised (``_raised``), so that the stream holds only data."""
     try:
-        for shard in range(1, shards):
-            import pickle  # only a sweep that forks imports these
-            import signal
+        yield func(*args)
+    except Exception as err:
+        yield _raised(err)
 
+
+def _first_error(check: Callable[[str], str | None], n: int, constraints: Constraints) -> str | None:
+    """The first failure that ``check`` names over the class of length n in
+    walk order, or None."""
+    return next(filter(None, map(check, generate(n, constraints))), None)
+
+
+def _results(jobs: list) -> list:
+    """The one record of each of ``jobs``, ``_value`` jobs, in order, from
+    one call of the runner."""
+    with _run(jobs) as streams:
+        return [next(stream) for stream in streams]
+
+
+@contextlib.contextmanager
+def _run(jobs: list[tuple[int, str, Callable[..., Iterator], tuple]]) -> Iterator[list[Iterator]]:
+    """The streams of records of ``jobs``, one per job in order, to read
+    while the ``with`` block runs: ``verify``'s one runner, and its one
+    fork site.
+
+    A job is (n, label, stream, args), its records those of
+    ``stream(*args)``: plain data, since ``_shard`` and ``_value`` yield a
+    raise as a failure record.  A job at n walks about 5^n paths.  Where
+    no job is at ``_FORK_N`` or more, or the runner may not fork
+    (``_can_fork``), each stream is the generator itself, run in this
+    process as it is read.  Otherwise the jobs are dealt out largest
+    first, each to the one of min(``_CPUS``, len(jobs)) children with the
+    fewest paths so far; this process forks them all, runs no job and
+    reads their records as the streams ask for them.  Each child runs its
+    jobs in order and writes to its pipe, pickled, a pair (j, record) for
+    each record of job j and (j, ...) after its last.  A record read
+    before its stream asks for it is held until it does, so the streams
+    may be read in any order; read in order, as every caller reads them,
+    a child's records wait in its pipe.  A child that ends before a job's
+    last record gives that job one more, the ``_raised`` text of a
+    ``ChildProcessError`` naming it, which ends its stream.  The children
+    are killed and reaped when the block ends, however it ends."""
+    if max((job[0] for job in jobs), default=0) < _FORK_N or not _can_fork():
+        yield [stream(*args) for _, _, stream, args in jobs]
+        return
+    import pickle  # only a call that forks imports these
+    import signal
+
+    paths = [0] * min(_CPUS, len(jobs))  # the paths dealt to each child
+    owner = [0] * len(jobs)  # the child of each job
+    for j in sorted(range(len(jobs)), key=lambda j: -jobs[j][0]):
+        owner[j] = paths.index(min(paths))
+        paths[owner[j]] += 5 ** jobs[j][0]
+    held = [deque() for _ in jobs]  # the records of each job read ahead
+    children = []  # (pid, reader) of each child
+
+    def records(j: int) -> Iterator:
+        reader = children[owner[j]][1]
+        while True:
+            while not held[j]:
+                try:
+                    i, record = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    ended = f"the child running {jobs[j][1]} ended before its last record"
+                    yield _raised(ChildProcessError(ended))
+                    return
+                held[i].append(record)
+            record = held[j].popleft()
+            if record is ...:
+                return
+            yield record
+
+    try:
+        for child in range(len(paths)):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
                     os.close(read)
                     with open(write, "wb") as out:
-                        for record in _shard(n, shard, shards):
-                            out.write(pickle.dumps(record))
-                            out.flush()
+                        for j, (_, _, stream, args) in enumerate(jobs):
+                            if owner[j] == child:
+                                for record in chain(stream(*args), [...]):
+                                    out.write(pickle.dumps((j, record)))
+                                    out.flush()
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        for i in count():
-            shard = i % shards
-            if shard == 0:
-                record = next(own)
-            else:
-                try:
-                    record = pickle.load(children[shard - 1][1])
-                except EOFError:
-                    error = f"sweep shard {shard} at n={n} ended before chunk {i}"
-                    raise ChildProcessError(error) from None
-            if record is None:
-                return
-            yield record
-            if record[2]:
-                return
+        yield [records(j) for j in range(len(jobs))]
     finally:
         for pid, reader in children:
             reader.close()
@@ -655,9 +740,54 @@ def _records(n: int, shards: int) -> Iterator[tuple[int, list[str], str | None]]
             os.waitpid(pid, 0)
 
 
+def _merge(n: int, size: int, streams: list[Iterator]) -> _Sweep:
+    """The sweep at n of ``Harness.sweep``, of a class of ``size`` paths,
+    from the streams of its S shards: their records in chunk order, chunk
+    i's the next of shard i mod S, up to the first failure.  A record that
+    is a str, the runner's, is that failure, with no count or fixed
+    point."""
+    images = 0
+    classes = {bijection.CLASS_A: 0, bijection.CLASS_B: 0, bijection.CLASS_C: 0}
+    error: str | None = None
+    classify = bijection._classify
+    grammar = bijection._grammar(n)
+    mismatch = None  # the first fixed point that is not the next pair
+    for i in count():
+        record = next(streams[i % len(streams)])
+        if record is None:
+            break
+        mapped, fixed, error = (0, [], record) if isinstance(record, str) else record
+        images += mapped
+        if not mismatch:
+            for q in fixed:
+                cls = classify(q)
+                classes[cls] += 1
+                listed = next(grammar, None)
+                if listed != (q, cls):
+                    mismatch = f"sigma fixes {(q, cls)!r}, fixed_points lists {listed!r} there"
+                    break
+        if error:
+            break
+    a, b, c = classes.values()
+    if error is None:
+        left = next(grammar, None)  # a pair after the last fixed point
+        if images != size:
+            error = f"image has {images} paths, class has {size}"
+        elif not a + b + c:
+            error = "sigma fixes no path"
+        elif mismatch:
+            error = mismatch
+        elif left:
+            error = f"fixed_points lists {left!r} after the last path sigma fixes"
+    return _Sweep(a=a, b=b, c=c, error=error)
+
+
 # u rises, d and v fall and h is level: each path becomes a word of
 # parentheses, balanced exactly when the path is.
 _PARENS = str.maketrans("udv", "())", "h")
+# Each word's h's alone; and an h for each step of a word that is not v.
+_HS = str.maketrans("", "", "udv")
+_NOT_V = str.maketrans("ud", "hh", "v")
 
 
 def _check_chunk(
@@ -719,33 +849,37 @@ def _image_error(q: str, p: str, n: int, sigma_inv: Callable[[str], str]) -> str
 def _images_pass(chunk: list[str], images: list[str], n: int) -> bool:
     """True exactly when ``_image_error(q, p, n, ...)`` passes each pair of
     ``chunk`` and ``images`` up to the round trip: each test is one C-level
-    call over the chunk, and each is exact.
+    call over the images joined by newlines, and together they are exact.
 
-    - uvu: "uvu" holds no newline, so it is in the images joined by
-      newlines exactly when it is in one of them.
-    - The alphabet, once on the joined images, over udhv and the newline.
-      The path test needs it: a "(" or ")" in an image, as in "(uv)",
-      would pass that test.  A newline inside an image passes here but not
-      the path test below, which no image holding one passes.
-    - The weight, from the counts of each image, compared as whole lists:
-      p keeps q's #h, and len(p) - #v = #u + #d + #h is n.  With the path
-      test's #u = #d + #v, that is #v + 2#d = n - #h, the weight test of
-      ``_image_error``; an image that fails the path test fails anyway.
-    - The path test.  Over udhv, ``_PARENS`` makes each image a word of
+    - uvu: "uvu" holds no newline, so it is in the joined images exactly
+      when it is in one of them.
+    - No "(" or ")", which the path test below would read as a step.
+    - The path test.  ``_PARENS`` makes each image over udhv a word of
       parentheses, balanced exactly when the image never dips below the
       axis and ends on it.  Deleting "()" until none is left reduces each
       word, and only it, since a newline parts it from its neighbours: a
       balanced word to nothing, any other word to some ")" followed by
-      some "(".  No deletion removes a newline, so a newline inside an
-      image leaves more than the len(chunk) - 1 that join the images.  So
-      the images are all paths exactly when the joined words reduce to the
-      joining newlines alone."""
+      some "(".  No deletion removes a newline or any other character
+      outside udhv and the parentheses.  So the joined words reduce to the
+      len(chunk) - 1 joining newlines alone exactly when every image is a
+      path: an image holding a newline leaves one more, and an image
+      holding another stray character leaves that character.
+    - The weight, on images that pass the path test, so that the newlines
+      part the images as they part the paths of the chunk.  Deleting u, d
+      and v leaves each word's h's: the two joined strings are equal
+      exactly when each p has the #h of its q.  Deleting v and writing h
+      for u and d leaves len(p) - #v = #u + #d + #h h's of each image,
+      which must be n; with the path test's #u = #d + #v, that is #v + 2#d
+      = n - #h, the weight test of ``_image_error``.
+    An image that fails the path test makes the filter false whatever the
+    weight tests give, so the filter is true exactly when each image
+    passes each test."""
     joined = "\n".join(images)
-    if "uvu" in joined or not (STEPS | {"\n"}).issuperset(joined):
+    if "uvu" in joined or "(" in joined or ")" in joined:
         return False
-    if list(map(str.count, images, repeat("h"))) != list(map(str.count, chunk, repeat("h"))):
+    if joined.translate(_HS) != "\n".join(chunk).translate(_HS):
         return False
-    if list(map(len, images)) != list(map(add, map(str.count, images, repeat("v")), repeat(n))):
+    if joined.translate(_NOT_V) != "\n".join(repeat("h" * n, len(chunk))):
         return False
     parens = joined.translate(_PARENS)
     while "()" in parens:

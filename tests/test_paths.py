@@ -172,6 +172,50 @@ def test_a_str_subclass_gives_what_a_str_gives(name, word):
     assert outcome(StrSubclass(word)) == outcome(word)
 
 
+# Hostile words and the PathError that every entry point checking its word
+# over the steps gives each, pinned: (word, text) with the exceptions of the
+# rows below it.  Whitespace is no step of a path but is ignored by
+# parse_word and parse_pattern; the long word, (uv)^50000, is a path with
+# uvu in it.
+HOSTILE = {
+    "str subclass": (StrSubclass("uhxv"), "illegal character 'x' at position 2"),
+    "non-ASCII": ("uhév", "illegal character 'é' at position 2"),
+    "NUL": ("uh\x00v", "illegal character '\\x00' at position 2"),
+    "(": ("u(v", "illegal character '(' at position 1"),
+    "newline": ("u\nv", "illegal character '\\n' at position 1"),
+    "x": ("x", "illegal character 'x' at position 0"),
+    "empty": ("", None),
+    "10^5 steps": ("uv" * 50000, None),
+    "10^5 steps and x": ("uv" * 50000 + "x", "illegal character 'x' at position 100000"),
+}
+HOSTILE_EXCEPTIONS = {
+    ("newline", "parse_word"): None,
+    ("newline", "parse_pattern"): None,
+    ("empty", "parse_pattern"): "empty pattern",
+    ("10^5 steps", "decompose_inverse"): "path contains the pattern uvu",
+    ("10^5 steps", "sigma_inv"): "path contains the pattern uvu",
+}
+STEP_CHECKED = {
+    f.__name__: f
+    for f in (
+        parse_word, parse_pattern, first_return_blocks, decompose_forward, decompose_inverse, sigma, sigma_inv
+    )
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STEP_CHECKED))
+@pytest.mark.parametrize("name", HOSTILE)
+def test_a_hostile_word_gives_its_pinned_error(name, entry):
+    word, text = HOSTILE[name]
+    text = HOSTILE_EXCEPTIONS.get((name, entry), text)
+    if text is None:
+        STEP_CHECKED[entry](word)
+    else:
+        with pytest.raises(PathError) as err:
+            STEP_CHECKED[entry](word)
+        assert (type(err.value), str(err.value)) == (PathError, text)
+
+
 class TestStructure:
     def test_is_primitive(self):
         assert _is_primitive("uv")

@@ -3,9 +3,11 @@
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
 checks that the sweep names it.  The fault rows at n = 8 run the sweep in
-one process and, on a host with two or three CPUs, in two and in three, and
-expect the same detail and no child left behind; the shards' own streams
-are checked in one process, at up to four shards.  The series relations of
+one process and, on a host with two or three CPUs, in two and in three
+children, and expect the same detail and no child left behind; the shards'
+own streams are checked in one process, at up to four shards.  The job
+runner that spreads every criterion's walks over the children is held to
+its bound on live children, however a call ends.  The series relations of
 criterion 9 are broken the same way, by patching one row of
 ``series._EQUATIONS``, and its decomposition checks by patching the records
 that the decompositions return; every other failure detail of the criteria
@@ -16,6 +18,7 @@ and the harness must refuse bounds that are no nonnegative int.
 
 import itertools
 import os
+import pickle
 import signal
 import threading
 from collections import Counter
@@ -23,7 +26,7 @@ from collections import Counter
 import pytest
 
 from gmotzkin import bijection, cli, enumeration, formulas, series, verify
-from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, NO_CONSTRAINTS
+from gmotzkin.enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS
 from gmotzkin.paths import (
     BASE,
     BASE_INV,
@@ -163,6 +166,8 @@ def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q
         (["hh", "hh"], ["h(h", "h)h"], 2, False),
         # the one failure last in a chunk
         (["ud", "hh", "uhv"], ["ud", "hh", "vhu"], 2, False),
+        # a character that is neither a step, a parenthesis nor a newline
+        (["uhv", "hh"], ["uhv", "héh"], 2, False),
         # len - #v is n, with q's h, but #v + 2#d is not n - #h: no path
         (["uv", "uv", "uv"], ["uv", "u", "uv"], 1, False),
         (["ud", "uhv", "hh"], ["ud", "uhvvv", "hh"], 2, False),
@@ -179,6 +184,7 @@ def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q
         "( ) across",
         "( ) across hs",
         "below last",
+        "non-ASCII",
         "len - v is n, u",
         "len - v is n, uhvvv",
     ],
@@ -221,11 +227,12 @@ def walk_8():
 FAR = 1500  # a path of the second chunk of the walk at n = 8
 
 # The CPU counts that the fault rows run the sweep at.  At one it runs
-# in-process; at two, n = 7 and 8 each fork one child, which maps the odd
-# chunks, FAR's among them; at three, n = 8 forks two, and the merge reads
-# from a second child, while n = 7, with nine chunks, still forks one.  No
-# test starts more processes than there are CPUs, so a host with one runs
-# the rows at one only.
+# in-process; at two, criterion 4's one call of the runner forks two
+# children, and n = 7 and 8 each have two shards, the second of which maps
+# the odd chunks, FAR's among them; at three, it forks three, and n = 8 has
+# three shards, while n = 7, with nine chunks, still has two.  No test
+# starts more children than there are CPUs, so a host with one runs the
+# rows at one only.
 CPU_COUNTS = (1, 2, 3)[: min(3, os.cpu_count() or 1)]
 two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two shards need two CPUs")
 
@@ -235,9 +242,9 @@ def class_size(n):
 
 
 def criterion_4_at(monkeypatch, cpus):
-    """``Harness(max_n=8).criterion_4()`` with the sweep's CPUs patched to
-    ``cpus``, checking that n = 7 and 8 forked a child for each shard past
-    the first and that no child is left once it returns."""
+    """``Harness(max_n=8).criterion_4()`` with the runner's CPUs patched to
+    ``cpus``, checking that its one call forked a child per CPU, or none on
+    one, and that no child is left once it returns."""
     real_fork = os.fork
     children = []
 
@@ -249,9 +256,8 @@ def criterion_4_at(monkeypatch, cpus):
 
     monkeypatch.setattr(verify, "_CPUS", cpus)
     monkeypatch.setattr(os, "fork", fork)
-    forks = sum(verify._shards(class_size(n)) - 1 for n in (7, 8))
     result = Harness(max_n=8).criterion_4()
-    assert len(children) == forks
+    assert len(children) == (cpus if cpus > 1 else 0)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result
@@ -266,6 +272,7 @@ IMAGE_FAULTS = {
     "below the axis": lambda q, p: p[::-1],
     "parentheses": lambda q, p: "(" + p + ")",
     "newline": lambda q, p: p[:1] + "\n" + p[1:],
+    "non-ASCII": lambda q, p: p[:1] + "é" + p[1:],
     "raise": lambda q, p: raising_sigma(q),
     "two args": lambda q, p: raise_two_args(q),
 }
@@ -297,6 +304,7 @@ FAULT_DETAILS = [
     ("parentheses", -1, "n=8: sigma(hhhhhhhh) = (hhhhhhhh) outside the uvu-avoiding class"),
     ("newline", FAR, "n=8: sigma(uuuuvdvvuvud) = u\nuuuvvvduudv outside the uvu-avoiding class"),
     ("newline", -1, "n=8: sigma(hhhhhhhh) = h\nhhhhhhh outside the uvu-avoiding class"),
+    ("non-ASCII", FAR, "n=8: sigma(uuuuvdvvuvud) = uéuuuvvvduudv outside the uvu-avoiding class"),
     ("raise", FAR, "n=8: AssertionError: a Case6 Q'' ends in uv in uuuuvdvvuvud"),
     ("raise", -1, "n=8: AssertionError: a Case6 Q'' ends in uv in hhhhhhhh"),
     ("two args", FAR, "n=8: TwoArgs: bad at uuuuvdvvuvud"),
@@ -383,33 +391,41 @@ def test_sweep_names_the_least_of_faults_in_both_shards(monkeypatch, walk_8, fai
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
 
+def spy_runs(monkeypatch):
+    """The labels of the jobs of each call of the runner that has jobs, in
+    the order of the calls."""
+    real_run = verify._run
+    runs = []
+
+    def run(jobs):
+        if jobs:
+            runs.append([label for _, label, _, _ in jobs])
+        return real_run(jobs)
+
+    monkeypatch.setattr(verify, "_run", run)
+    return runs
+
+
+def sweep_jobs(max_n):
+    """The labels of the jobs of a sweep of n = 0..max_n in one call."""
+    return [
+        f"sweep shard {k} at n={n}" for n in range(max_n + 1) for k in range(verify._shards(class_size(n)))
+    ]
+
+
 def test_criterion_6_reads_the_sweep_that_raised(monkeypatch, walk_8):
-    # the raise is n = 8's cached failure: criterion 6 merges no shard
-    # stream and forks no child
+    # the raise is n = 8's cached failure: criterion 6 runs no sweep job,
+    # and counts the fixed points only up to n = 7
     walk, images, inverse = walk_8
     monkeypatch.setattr(bijection, "sigma", lambda q: raise_two_args(q) if q == walk[FAR] else images[q])
     monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
     monkeypatch.setattr(verify, "_CPUS", CPU_COUNTS[-1])
-    real_records, real_fork = verify._records, os.fork
-    merges, forks = [], []
-
-    def records(n, shards):
-        merges.append(n)
-        return real_records(n, shards)
-
-    def fork():
-        pid = real_fork()
-        forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(verify, "_records", records)
-    monkeypatch.setattr(os, "fork", fork)
+    runs = spy_runs(monkeypatch)
     harness = Harness(max_n=8)
     assert harness.criterion_4() == ("bijection suite", False, "n=8: TwoArgs: bad at uuuuvdvvuvud")
-    assert merges == list(range(9))
-    swept = (list(merges), list(forks))
+    assert runs == [sweep_jobs(8)]
     assert harness.criterion_6() == ("fixed points", False, "n=8: TwoArgs: bad at uuuuvdvvuvud")
-    assert (merges, forks) == swept
+    assert runs == [sweep_jobs(8), [f"fixed_points({n})" for n in range(8)]]
 
 
 @two_cpus
@@ -418,13 +434,31 @@ def test_a_sharded_sweep_that_passes_leaves_no_child(monkeypatch):
     assert criterion_4_at(monkeypatch, 2) == ("bijection suite", True, "n = 0..8")
 
 
+CHILD_ENDED = "n=8: ChildProcessError: the child running sweep shard 1 at n=8 ended before its last record"
+
+
 @two_cpus
 def test_a_child_that_ends_without_its_records_fails_the_sweep(monkeypatch, walk_8):
+    # at two CPUs only: on one, the sweep maps FAR in this process
     walk, images, inverse = walk_8
     monkeypatch.setattr(bijection, "sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
     monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
-    detail = "ChildProcessError: sweep shard 1 at n=8 ended before chunk 1"
-    assert criterion_4_at(monkeypatch, 2) == ("bijection suite", False, detail)
+    assert criterion_4_at(monkeypatch, 2) == ("bijection suite", False, CHILD_ENDED)
+
+
+@two_cpus
+def test_criterion_6_reads_the_sweep_whose_child_ended(monkeypatch, walk_8):
+    # the child's end is n = 8's cached failure: criterion 6 starts no
+    # second run of n = 8's sweep
+    walk, images, inverse = walk_8
+    monkeypatch.setattr(bijection, "sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
+    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(verify, "_CPUS", 2)
+    runs = spy_runs(monkeypatch)
+    harness = Harness(max_n=8)
+    assert harness.criterion_4() == ("bijection suite", False, CHILD_ENDED)
+    assert harness.criterion_6() == ("fixed points", False, CHILD_ENDED)
+    assert runs == [sweep_jobs(8), [f"fixed_points({n})" for n in range(8)]]
 
 
 def test_the_sweep_forks_from_n_7_and_on_no_more_processes_than_cpus(monkeypatch):
@@ -472,6 +506,95 @@ def test_the_sweep_forks_nothing_unless_sigchld_is_at_its_default(monkeypatch, h
     finally:
         signal.signal(signal.SIGCHLD, default)
     assert verify._shards(class_size(10)) == 2
+
+
+def count_children(monkeypatch):
+    """Track this process's live children through ``os.fork`` and
+    ``os.waitpid``; the list returned holds the most alive at once."""
+    real_fork, real_waitpid = os.fork, os.waitpid
+    live, most = set(), [0]
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            live.add(pid)
+            most[0] = max(most[0], len(live))
+        return pid
+
+    def waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        live.discard(reaped[0])
+        return reaped
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return most
+
+
+def in_the_children(fault):
+    """A patch that makes every job of the runner call ``fault`` when it
+    runs in a child: the oracle's weight sums, the counts of fixed points,
+    the decompositions' walks and the sweep's chunks."""
+    parent = os.getpid()
+
+    def patch(monkeypatch):
+        for module, name in (
+            (verify, "weight_sum"),
+            (bijection, "fixed_points"),
+            (verify, "_first_error"),
+            (verify, "_check_chunk"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, real=real: fault() if os.getpid() != parent else real(*args)
+            )
+
+    return patch
+
+
+def raise_here(*args):
+    raise RuntimeError("raised in this process")
+
+
+# How a call of the runner ends: each patch below makes every criterion that
+# forks fail, in this process or in its children.
+ENDINGS = {
+    "passes": lambda monkeypatch: None,
+    "a raise in this process": lambda monkeypatch: monkeypatch.setattr(pickle, "load", raise_here),
+    "a raise in a child": in_the_children(lambda: raising_sigma("a child")),
+    "a child that exits": in_the_children(lambda: os._exit(1)),
+}
+
+
+@two_cpus
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_the_runner_keeps_a_child_per_cpu_at_most_and_none_after(monkeypatch, ending):
+    # at n = 7 each criterion that walks a class forks; the children are
+    # counted from their fork to their reaping
+    most = count_children(monkeypatch)
+    ENDINGS[ending](monkeypatch)
+    for cpus in CPU_COUNTS[1:]:
+        monkeypatch.setattr(verify, "_CPUS", cpus)
+        for k in (1, 4, 6, 8, 9):
+            most[0] = 0
+            result = getattr(Harness(max_n=7), f"criterion_{k}")()
+            assert (k, result.ok, most[0]) == (k, ending == "passes", cpus)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_verify_benchmark_job_forks_nothing(monkeypatch):
+    # every job is at n <= 6, so each runs in this process, whatever the
+    # CPUs; a fork would fail the test before it started a process
+    monkeypatch.setattr(verify, "_CPUS", 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert all(r.ok for r in Harness(max_n=6, series_order=20).run_all())
+
+
+def test_criterion_1_alone_runs_only_its_weight_sums(monkeypatch):
+    runs = spy_runs(monkeypatch)
+    assert Harness(max_n=3).criterion_1().ok
+    assert runs == [[f"weight_sum({n}, {c})" for n in range(4) for c in (AVOID_UVV, BAR_UVV)]]
 
 
 @pytest.fixture(scope="module")
