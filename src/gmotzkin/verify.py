@@ -18,9 +18,10 @@ all of it.  The sweep walks only the uvv-avoiding class, mapping every path,
 so sigma's own Case5/Case6 invariants are checked there, and takes the size
 of the uvu-avoiding class to be the large Schroeder number that criterion 8
 proves it is, so it reads no weight sum.  It checks the images a chunk of
-paths at a time, with an exact filter of C-level calls, and runs a chunk
-path by path only to name the first failure that the filter or the round
-trip found in it, or the path where sigma or sigma_inv raised.
+paths at a time: each image test is one C-level transform of the chunk's
+images joined by newlines, and the first line where a transform misses its
+target names the failing path, so sigma maps each path once, and sigma_inv
+maps back only the images before the first failure.
 
 Every exhaustive walk is a job of one runner, ``_run``: each weight sum of
 the oracle (criteria 1, 2 and 8), each shard of the sweep (criterion 4),
@@ -29,8 +30,8 @@ the decompositions of each class and length (criterion 9).  A criterion
 hands the runner every job it needs at once, and only those, and checks
 each result here as it checks one computed here, so the verdict and every
 detail are the same on every CPU count.  A job streams only data: its
-result, or a record of what failed, a raise's text that of ``_raised``,
-which is then its failure, cached like any other.  Where some job walks
+records, then, if it raises, the text of the raise that the runner adds
+(``_raised``), its failure, cached like any other.  Where some job walks
 length 7 or more, the runner deals the jobs out, largest first, to one
 forked child per CPU the process may use, and this process only reads
 their records; below that, and on one CPU, every job runs here as it is
@@ -71,7 +72,7 @@ import os
 from collections import deque, namedtuple
 from collections.abc import Callable, Iterator
 from itertools import chain, compress, count, islice, repeat
-from operator import eq
+from operator import eq, ne
 
 from . import bijection, formulas
 from .enumeration import AVOID_UVU, AVOID_UVV, BAR_UVV, NO_CONSTRAINTS, Constraints
@@ -91,11 +92,9 @@ from .paths import (
     CASE_IV,
     CASE_V,
     Decomposition,
-    PathError,
     _is_primitive,
     decompose_forward,
     decompose_inverse,
-    first_return_blocks,
 )
 from .polyring import VAR_A, VAR_B, VAR_C, ZERO, Polynomial
 from .series import PowerSeries, expand, row
@@ -268,9 +267,9 @@ class Harness:
         so the images are ``images`` distinct words.  Each is tested for
         membership directly: a word over udhv that never dips below the
         axis, ends on it, has x-length n and contains no uvu is exactly a
-        member of the uvu-avoiding class of length n.  ``_image_error`` is
-        the one definition of these tests, in order, with the message of
-        each.  ``_classify`` and ``_grammar`` are read off ``bijection``
+        member of the uvu-avoiding class of length n.  ``_check_chunk``
+        holds the one definition of these tests, in order, with the message
+        of each.  ``_classify`` and ``_grammar`` are read off ``bijection``
         once per n, at call time, and sigma and sigma_inv once per shard,
         when it starts.  The class size is the large Schroeder number
         S_n(1,1), ``formulas.schroder_weight(n)`` at (1, 1, 1): for n >= 1
@@ -281,33 +280,36 @@ class Harness:
         ``images`` equals the class size, the images are the whole class.
 
         The walk is taken ``_CHUNK`` paths at a time (``_check_chunk``).  A
-        chunk is mapped by sigma, held to ``_images_pass``, a filter of
-        C-level calls over the whole chunk that is true exactly when
-        ``_image_error`` passes every image up to the round trip (its
-        docstring gives the argument), and mapped back by sigma_inv.  Only a
-        chunk that fails there, or raises, is run again path by path through
-        ``_image_error``, which stops at its first failure or lets the same
-        exception escape at the same path.  An exception that escapes is
-        the chunk's failure, its type and message (``_raised``), with no
-        count or fixed point.  So the sweep fails exactly where and as a
-        path-by-path sweep would, and a raise is its n's failure, cached
-        like any other, not raised again.  Its fixed-point counts on a
-        failure are those of the paths before the one that failed, or on a
-        raise those of the chunks before its chunk.  Each chunk gives a
-        count, its fixed points in walk order and its first failure.
+        chunk is mapped once by sigma, keeping the images before a raise.
+        Each image test is one transform of the images joined by newlines,
+        held to its target; where one misses it, its first differing line
+        is the image that fails it, and the least of these, the earlier test
+        winning a tie, is the chunk's first failing image.  Only the images
+        before it are mapped back by sigma_inv, and a path before it that
+        does not come back is the failure instead.  An exception that sigma
+        or sigma_inv raises escapes only where no path before the one it
+        raised at failed, and is then the chunk's failure, its type and
+        message (``_raised``), with no count or fixed point.  So the sweep
+        fails exactly where and as a path-by-path sweep would, and a raise
+        is its n's failure, cached like any other, not raised again.  Its
+        fixed-point counts on a failure are those of the paths before the
+        one that failed, or on a raise those of the chunks before its
+        chunk.  Each chunk gives a count, its fixed points in walk order and
+        its first failure.
 
         The walk is cut into S = ``_shards(size)`` shards, each a job of
         the runner (``_sweep_all``): shard k maps the chunks i = k mod S,
-        reads sigma and sigma_inv when it starts and ends its own stream
-        with None, after its last record or its first failure
-        (``_shard``); a stream holds only data.  ``_merge`` reads the
-        records in chunk order, taking chunk i's from shard i mod S, and
-        stops at the first failure, whose index is then the least of all
-        shards'.  So it reads exactly the records of a sweep in one shard,
-        and a failure's text is the same on every CPU count.  A child that
-        ends before a shard's last record gives the shard a failure record
-        of its own, a ``ChildProcessError`` naming the shard, cached like
-        any other failure; no child outlives the runner's call.
+        reads sigma and sigma_inv when it starts and ends its stream after
+        its last record or its first failure (``_shard``), or the runner
+        ends it with the text of what it raised; a stream holds only data.
+        ``_merge`` reads the records in chunk order, taking chunk i's from
+        shard i mod S, and stops at the first failure, whose index is then
+        the least of all shards'.  So it reads exactly the records of a
+        sweep in one shard, and a failure's text is the same on every CPU
+        count.  A child that ends before a shard's last record gives the
+        shard a failure record of its own, a ``ChildProcessError`` naming
+        the shard, cached like any other failure; no child outlives the
+        runner's call.
 
         ``bijection._grammar(n)`` streams the grammar's words with their
         classes in ``generate``'s order, from a pushdown walk that holds
@@ -581,8 +583,8 @@ class Harness:
 
 
 # The sweep's paths per chunk: enough to spread the C-level calls of
-# ``_images_pass`` over many paths, few enough that a chunk's words, images
-# and joined strings stay well under a megabyte.
+# ``_check_chunk``'s image tests over many paths, few enough that a chunk's
+# words, images and joined strings stay well under a megabyte.
 _CHUNK = 1024
 
 # The CPUs this process may run on; no call of the runner forks more children.
@@ -618,35 +620,26 @@ def _shards(size: int) -> int:
     return shards if shards == 1 or _can_fork() else 1
 
 
-def _shard(n: int, shard: int, shards: int) -> Iterator[tuple[int, list[str], str | None] | None]:
+def _shard(n: int, shard: int, shards: int) -> Iterator[tuple[int, list[str], str | None]]:
     """Shard ``shard`` of ``shards``, the stream of one job of the sweep:
     (count, fixed points, failure) for each chunk of the walk at n whose
     index is ``shard`` mod ``shards``, in walk order, from ``_check_chunk``
     with the sigma and sigma_inv that ``bijection`` holds when the shard
-    starts, up to its first failure; then None ends the stream.  An exception that escapes is that failure, (0, [], its
-    ``_raised`` text), so the stream is plain data.  It walks the whole
-    class and builds every chunk, mapping only its own."""
+    starts, up to its first failure.  It walks the whole class and builds
+    every chunk, mapping only its own."""
     sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
     walk = generate(n, AVOID_UVV)
     chunks = iter(lambda: list(islice(walk, _CHUNK)), [])
-    try:
-        for chunk in islice(chunks, shard, None, shards):
-            images, error = _check_chunk(chunk, n, sigma, sigma_inv)
-            yield len(images), list(compress(chunk, map(eq, chunk, images))), error
-            if error:
-                break
-    except Exception as err:
-        yield 0, [], _raised(err)
-    yield None
+    for chunk in islice(chunks, shard, None, shards):
+        images, error = _check_chunk(chunk, n, sigma, sigma_inv)
+        yield len(images), list(compress(chunk, map(eq, chunk, images))), error
+        if error:
+            return
 
 
 def _value(func: Callable, *args) -> Iterator:
-    """The stream of a job with one result: ``func(*args)``, or the text of
-    what it raised (``_raised``), so that the stream holds only data."""
-    try:
-        yield func(*args)
-    except Exception as err:
-        yield _raised(err)
+    """The stream of a job with one result, ``func(*args)``."""
+    yield func(*args)
 
 
 def _first_error(check: Callable[[str], str | None], n: int, constraints: Constraints) -> str | None:
@@ -662,6 +655,16 @@ def _results(jobs: list) -> list:
         return [next(stream) for stream in streams]
 
 
+def _plain(stream: Callable[..., Iterator], args: tuple) -> Iterator:
+    """The records of ``stream(*args)`` and, if it raises, one more, the
+    text of what it raised (``_raised``), which ends them: a job's records
+    as the runner gives them, plain data."""
+    try:
+        yield from stream(*args)
+    except Exception as err:
+        yield _raised(err)
+
+
 @contextlib.contextmanager
 def _run(jobs: list[tuple[int, str, Callable[..., Iterator], tuple]]) -> Iterator[list[Iterator]]:
     """The streams of records of ``jobs``, one per job in order, to read
@@ -669,14 +672,13 @@ def _run(jobs: list[tuple[int, str, Callable[..., Iterator], tuple]]) -> Iterato
     fork site.
 
     A job is (n, label, stream, args), its records those of
-    ``stream(*args)``: plain data, since ``_shard`` and ``_value`` yield a
-    raise as a failure record.  A job at n walks about 5^n paths.  Where
-    no job is at ``_FORK_N`` or more, or the runner may not fork
-    (``_can_fork``), each stream is the generator itself, run in this
-    process as it is read.  Otherwise the jobs are dealt out largest
-    first, each to the one of min(``_CPUS``, len(jobs)) children with the
-    fewest paths so far; this process forks them all, runs no job and
-    reads their records as the streams ask for them.  Each child runs its
+    ``_plain(stream, args)``: plain data, a raise's text the last of them.
+    A job at n walks about 5^n paths.  Where no job is at ``_FORK_N`` or
+    more, or the runner may not fork (``_can_fork``), each stream is that
+    generator, run in this process as it is read.  Otherwise the jobs are
+    dealt out largest first, each to the one of min(``_CPUS``, len(jobs))
+    children with the fewest paths so far; this process forks them all,
+    runs no job and reads their records as the streams ask for them.  Each child runs its
     jobs in order and writes to its pipe, pickled, a pair (j, record) for
     each record of job j and (j, ...) after its last.  A record read
     before its stream asks for it is held until it does, so the streams
@@ -686,7 +688,7 @@ def _run(jobs: list[tuple[int, str, Callable[..., Iterator], tuple]]) -> Iterato
     ``ChildProcessError`` naming it, which ends its stream.  The children
     are killed and reaped when the block ends, however it ends."""
     if max((job[0] for job in jobs), default=0) < _FORK_N or not _can_fork():
-        yield [stream(*args) for _, _, stream, args in jobs]
+        yield [_plain(stream, args) for _, _, stream, args in jobs]
         return
     import pickle  # only a call that forks imports these
     import signal
@@ -725,7 +727,7 @@ def _run(jobs: list[tuple[int, str, Callable[..., Iterator], tuple]]) -> Iterato
                     with open(write, "wb") as out:
                         for j, (_, _, stream, args) in enumerate(jobs):
                             if owner[j] == child:
-                                for record in chain(stream(*args), [...]):
+                                for record in chain(_plain(stream, args), [...]):
                                     out.write(pickle.dumps((j, record)))
                                     out.flush()
                 finally:
@@ -753,7 +755,7 @@ def _merge(n: int, size: int, streams: list[Iterator]) -> _Sweep:
     grammar = bijection._grammar(n)
     mismatch = None  # the first fixed point that is not the next pair
     for i in count():
-        record = next(streams[i % len(streams)])
+        record = next(streams[i % len(streams)], None)
         if record is None:
             break
         mapped, fixed, error = (0, [], record) if isinstance(record, str) else record
@@ -785,106 +787,91 @@ def _merge(n: int, size: int, streams: list[Iterator]) -> _Sweep:
 # u rises, d and v fall and h is level: each path becomes a word of
 # parentheses, balanced exactly when the path is.
 _PARENS = str.maketrans("udv", "())", "h")
-# Each word's h's alone; and an h for each step of a word that is not v.
+# What is left of each word once its steps are deleted; each word's h's
+# alone; and an h for each step of a word that is not v.
+_OFF_STEPS = str.maketrans("", "", "udhv")
 _HS = str.maketrans("", "", "udv")
 _NOT_V = str.maketrans("ud", "hh", "v")
+
+
+def _unmatched(words: str) -> str:
+    """What is left of ``words`` written in parentheses by ``_PARENS`` once
+    "()" is deleted until none is left: the sweep's path test.  No deletion
+    crosses a newline, so each line reduces alone, and a line over udhv
+    reduces to nothing exactly when it never dips below the axis and ends
+    on it, and otherwise to some ")" followed by some "("."""
+    parens = words.translate(_PARENS)
+    while "()" in parens:
+        parens = parens.replace("()", "")
+    return parens
 
 
 def _check_chunk(
     chunk: list[str], n: int, sigma: Callable[[str], str], sigma_inv: Callable[[str], str]
 ) -> tuple[list[str], str | None]:
     """The images of the paths of ``chunk`` up to its first failure, and what
-    failed or None.
+    failed or None; what sigma or sigma_inv raises escapes if no path before
+    the one it raised at failed.
 
-    The whole chunk is mapped by sigma, filtered by ``_images_pass`` and
-    mapped back by sigma_inv, with no Python loop of its own.  A chunk that
-    fails there, or raises, is run again path by path through
-    ``_image_error``, which names its first failure, or lets the exception
-    escape at the path where a path-by-path sweep meets it, so the outcome
-    is the path-by-path one."""
+    Each path is mapped once by sigma, in one C-level pass that keeps the
+    images before a raise (``list.extend`` keeps the items it has taken
+    when its iterator raises; CPython behaviour, which a test pins).  Each
+    image test is one transform of the images joined by newlines, held to
+    its target, in this order, as a path-by-path sweep applies them:
+
+    - over udhv: deleting the steps leaves only the joining newlines;
+    - a path: ``_unmatched`` leaves only those newlines too;
+    - no uvu: "uvu" holds no newline, so deleting it changes a line
+      exactly when the line contains it;
+    - the weight: deleting u, d and v leaves each image's h's, which must
+      be those of its path; deleting v and writing h for u and d leaves
+      #u + #d + #h h's, which must be n.  On a path #u = #d + #v, so this
+      is #v + 2#d = n - #h: ``generate`` yields q with x-length n = #h +
+      #v + 2#d, and p keeps q's weight exactly when it has q's #h and this.
+
+    A chunk whose transforms all equal their targets passes them.  Where
+    the first misses, the first image off udhv is found image by image, and
+    the other tests read only the images before it, since a newline in it
+    would shift the lines after it.  Each line of their transforms is then
+    that test on one image: the first image that fails a test is the least
+    of the tests' first differing lines, the earlier test winning a tie.
+    Every image before it is a path, so the weight test is exact there.
+    Only the images before it are mapped back by sigma_inv, which refuses
+    a word that is no uvu-avoiding path, and a path among them that does
+    not come back is the failure instead."""
+    images: list[str] = []
+    raised = None
     try:
-        images = list(map(sigma, chunk))
-        if _images_pass(chunk, images, n) and list(map(sigma_inv, images)) == chunk:
-            return images, None
-    except Exception:  # named, or raised again, by the path-by-path run
-        pass
-    images = []
-    for q in chunk:
-        p = sigma(q)
-        error = _image_error(q, p, n, sigma_inv)
-        if error:
-            return images, error
-        images.append(p)
+        images.extend(map(sigma, chunk))
+    except Exception as err:
+        raised = err
+    joined, fail, failure = "\n".join(images), len(images), None
+    if joined.translate(_OFF_STEPS) != "\n" * (fail - 1):  # an image off udhv, or holding a newline
+        fail = next(compress(count(), map(str.lstrip, images, repeat("udhv"))))
+        joined, failure = "\n".join(images[:fail]), "outside the uvu-avoiding class"
+    for what, got, target in (
+        ("outside the uvu-avoiding class", _unmatched(joined), "\n" * (fail - 1)),
+        ("contains uvu", joined.replace("uvu", ""), joined),
+        ("changes the weight", joined.translate(_HS), "\n".join(chunk[:fail]).translate(_HS)),
+        ("changes the weight", joined.translate(_NOT_V), "\n".join(repeat("h" * n, fail))),
+    ):
+        if got != target:
+            line = next(compress(count(), map(ne, got.split("\n"), target.split("\n"))))
+            if line < fail:
+                fail, failure = line, what
+    backs: list[str] = []
+    try:
+        backs.extend(map(sigma_inv, islice(images, fail)))
+    except Exception as err:  # at a path before the failing image: it comes first
+        raised, failure = err, None
+    if backs != chunk[: len(backs)]:
+        i = next(compress(count(), map(ne, backs, chunk)))
+        return images[:i], f"sigma_inv(sigma({chunk[i]})) = {backs[i]}"
+    if failure:
+        return images[:fail], f"sigma({chunk[fail]}) = {images[fail]} {failure}"
+    if raised is not None:
+        raise raised
     return images, None
-
-
-def _image_error(q: str, p: str, n: int, sigma_inv: Callable[[str], str]) -> str | None:
-    """None, or what is wrong with p = sigma(q) for the uvv-avoiding path q of
-    length n: what an image must pass, in the order the sweep checks it.
-
-    No uvu comes first.  The weight test then fixes the x-length:
-    ``generate`` yields q with x-length n = #h + #v + 2#d, so p keeps q's
-    weight exactly when it has q's #h and #v + 2#d = n - #h.  The package's
-    path check, ``first_return_blocks``, tests the rest: it raises
-    ``PathError`` for a word that is not over udhv, dips below the axis or
-    does not end on it.  The round trip comes last, since sigma_inv
-    refuses a word that is no uvu-avoiding path.  Only a chunk that failed
-    ``_images_pass`` or raised is run through here, so a sweep that
-    passes never calls it."""
-    if "uvu" in p:
-        return f"sigma({q}) = {p} contains uvu"
-    h = q.count("h")
-    if p.count("h") != h or p.count("v") + 2 * p.count("d") != n - h:
-        return f"sigma({q}) = {p} changes the weight"
-    try:
-        first_return_blocks(p)
-    except PathError:
-        return f"sigma({q}) = {p} outside the uvu-avoiding class"
-    back = sigma_inv(p)
-    if back != q:
-        return f"sigma_inv(sigma({q})) = {back}"
-    return None
-
-
-def _images_pass(chunk: list[str], images: list[str], n: int) -> bool:
-    """True exactly when ``_image_error(q, p, n, ...)`` passes each pair of
-    ``chunk`` and ``images`` up to the round trip: each test is one C-level
-    call over the images joined by newlines, and together they are exact.
-
-    - uvu: "uvu" holds no newline, so it is in the joined images exactly
-      when it is in one of them.
-    - No "(" or ")", which the path test below would read as a step.
-    - The path test.  ``_PARENS`` makes each image over udhv a word of
-      parentheses, balanced exactly when the image never dips below the
-      axis and ends on it.  Deleting "()" until none is left reduces each
-      word, and only it, since a newline parts it from its neighbours: a
-      balanced word to nothing, any other word to some ")" followed by
-      some "(".  No deletion removes a newline or any other character
-      outside udhv and the parentheses.  So the joined words reduce to the
-      len(chunk) - 1 joining newlines alone exactly when every image is a
-      path: an image holding a newline leaves one more, and an image
-      holding another stray character leaves that character.
-    - The weight, on images that pass the path test, so that the newlines
-      part the images as they part the paths of the chunk.  Deleting u, d
-      and v leaves each word's h's: the two joined strings are equal
-      exactly when each p has the #h of its q.  Deleting v and writing h
-      for u and d leaves len(p) - #v = #u + #d + #h h's of each image,
-      which must be n; with the path test's #u = #d + #v, that is #v + 2#d
-      = n - #h, the weight test of ``_image_error``.
-    An image that fails the path test makes the filter false whatever the
-    weight tests give, so the filter is true exactly when each image
-    passes each test."""
-    joined = "\n".join(images)
-    if "uvu" in joined or "(" in joined or ")" in joined:
-        return False
-    if joined.translate(_HS) != "\n".join(chunk).translate(_HS):
-        return False
-    if joined.translate(_NOT_V) != "\n".join(repeat("h" * n, len(chunk))):
-        return False
-    parens = joined.translate(_PARENS)
-    while "()" in parens:
-        parens = parens.replace("()", "")
-    return parens == "\n" * (len(chunk) - 1)
 
 
 def _check_forward_decomposition(word: str) -> str | None:

@@ -42,9 +42,7 @@ from gmotzkin.paths import (
     CASE_IV,
     CASE_V,
     Decomposition,
-    PathError,
     _heights,
-    first_return_blocks,
 )
 from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, DivergenceError, Polynomial
 from gmotzkin.series import PowerSeries
@@ -106,13 +104,9 @@ def test_image_with_a_character_outside_the_alphabet(monkeypatch):
 
 
 def is_path(word):
-    """Whether ``first_return_blocks``, the sweep's path test, takes ``word``
-    as a path rather than raising PathError."""
-    try:
-        first_return_blocks(word)
-    except PathError:
-        return False
-    return True
+    """Whether ``_unmatched``, the sweep's path test, leaves nothing of
+    ``word``."""
+    return verify._unmatched(word) == ""
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -127,30 +121,57 @@ def test_is_path_is_the_heights_definition(n):
             assert is_path(word[:i] + "x" + word[i:]) is False
 
 
-def passes_up_to_the_round_trip(q, p, n):
-    """Whether ``_image_error`` passes p as the image of q, with a sigma_inv
-    that always gives q back."""
-    return verify._image_error(q, p, n, lambda _: q) is None
+def image_failure(q, p, n):
+    """What the sweep names for p as the image of the path q of length n,
+    by its tests in order up to the round trip, or None: the reference,
+    one path at a time, that the chunk's tests are held to.  The path test
+    is the heights definition, and the weight test counts the steps:
+    ``generate`` yields q with x-length n = #h + #v + 2#d."""
+    if not set(p) <= set("udhv") or min(_heights(p)) < 0 or _heights(p)[-1]:
+        return "outside the uvu-avoiding class"
+    if "uvu" in p:
+        return "contains uvu"
+    h = q.count("h")
+    if p.count("h") != h or p.count("v") + 2 * p.count("d") != n - h:
+        return "changes the weight"
+    return None
+
+
+def reference(chunk, images, n):
+    """The images before the first pair of ``chunk`` and ``images`` that
+    fails ``image_failure``, and the sweep's text for it, or None."""
+    for i, (q, p) in enumerate(zip(chunk, images)):
+        what = image_failure(q, p, n)
+        if what:
+            return images[:i], f"sigma({q}) = {p} {what}"
+    return images, None
+
+
+def check_chunk(chunk, images, n):
+    """``_check_chunk`` of ``chunk``, with a sigma that gives ``images`` and
+    a sigma_inv that gives ``chunk`` back, each position by position."""
+    ps, qs = iter(images), iter(chunk)
+    return verify._check_chunk(chunk, n, lambda _: next(ps), lambda _: next(qs))
 
 
 @pytest.fixture(scope="module")
 def filter_words():
-    """Every word of up to six letters over the steps, the parentheses that
-    ``_images_pass`` turns them into, a letter that is no step, and the
-    newline that joins the images of a chunk."""
-    return ["".join(w) for k in range(7) for w in itertools.product("udhv()x\n", repeat=k)]
+    """Every word of up to five letters over the steps, the parentheses that
+    the path test turns them into, a letter that is no step, and the
+    newline that joins the images of a chunk; and every word of six steps,
+    so that every image of x-length 3 is among them."""
+    letters = {k: "udhv()x\n" for k in range(6)} | {6: "udhv"}
+    return ["".join(w) for k, alphabet in letters.items() for w in itertools.product(alphabet, repeat=k)]
 
 
-@pytest.mark.parametrize("q,n", [("", 0), ("h", 1), ("uv", 1), ("uhv", 2), ("uudv", 3)])
-def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q, n):
-    passed = [p for p in filter_words if verify._images_pass([q], [p], n)]
-    assert passed
-    assert [p for p in filter_words if passes_up_to_the_round_trip(q, p, n)] == passed
+WORD_ROWS = [("", 0), ("h", 1), ("uv", 1), ("uhv", 2), ("uudv", 3)]
 
 
 @pytest.mark.parametrize(
     "chunk,images,n,ok",
     [
+        # each word of ``filter_words`` as the image of the one path q
+        *[([q], None, n, None) for q, n in WORD_ROWS],
         (["ud", "uhv", "hh"], ["ud", "huv", "hh"], 2, True),
         # a path, each, only when joined to its neighbour
         (["uhv", "uhv"], ["uhvu", "hv"], 2, False),
@@ -173,6 +194,7 @@ def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q
         (["ud", "uhv", "hh"], ["ud", "uhvvv", "hh"], 2, False),
     ],
     ids=[
+        *[f"every word as sigma({q})" for q, _ in WORD_ROWS],
         "paths",
         "joined uhvu hv",
         "joined uuv v",
@@ -189,9 +211,15 @@ def test_images_pass_is_exactly_image_error_up_to_the_round_trip(filter_words, q
         "len - v is n, uhvvv",
     ],
 )
-def test_images_pass_on_a_chunk_is_every_pair_passing(chunk, images, n, ok):
-    assert all(map(passes_up_to_the_round_trip, chunk, images, itertools.repeat(n))) is ok
-    assert verify._images_pass(chunk, images, n) is ok
+def test_images_pass_on_a_chunk_is_every_pair_passing(filter_words, chunk, images, n, ok):
+    # the chunk's first failure, its index and text, is the reference's
+    if images is None:
+        results = [(check_chunk(chunk, [p], n), reference(chunk, [p], n)) for p in filter_words]
+        assert [got for got, want in results if got != want] == []
+        assert any(error is None for (_, error), _ in results)
+    else:
+        assert check_chunk(chunk, images, n) == reference(chunk, images, n)
+        assert (reference(chunk, images, n)[1] is None) is ok
 
 
 def test_sweep_walks_the_uvv_class_once_and_the_uvu_class_never(monkeypatch):
@@ -268,6 +296,7 @@ def criterion_4_at(monkeypatch, cpus):
 # axis, so that fault takes the path before it.
 IMAGE_FAULTS = {
     "uvu": lambda q, p: p + "uvuv",
+    "uvu, no path": lambda q, p: p + "uvu",
     "weight": lambda q, p: p + "h",
     "below the axis": lambda q, p: p[::-1],
     "parentheses": lambda q, p: "(" + p + ")",
@@ -291,11 +320,12 @@ def raise_two_args(q):
     raise TwoArgs(q, "bad")
 
 
-# The details of criterion 4 for each fault at n = 8, as the path-by-path
-# sweep gave them.
+# The details of criterion 4 for each fault at n = 8: those of a sweep that
+# tests each image in turn, in the order of ``image_failure``.
 FAULT_DETAILS = [
     ("uvu", FAR, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvuvuv contains uvu"),
     ("uvu", -1, "n=8: sigma(hhhhhhhh) = hhhhhhhhuvuv contains uvu"),
+    ("uvu, no path", FAR, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvuvu outside the uvu-avoiding class"),
     ("weight", FAR, "n=8: sigma(uuuuvdvvuvud) = uuuuvvvduudvh changes the weight"),
     ("weight", -1, "n=8: sigma(hhhhhhhh) = hhhhhhhhh changes the weight"),
     ("below the axis", FAR, "n=8: sigma(uuuuvdvvuvud) = vduudvvvuuuu outside the uvu-avoiding class"),
@@ -389,6 +419,36 @@ def test_sweep_names_the_least_of_faults_in_both_shards(monkeypatch, walk_8, fai
     monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
     for cpus in CPU_COUNTS:
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
+
+
+def test_list_extend_keeps_the_items_before_a_raise():
+    # CPython behaviour that ``_check_chunk`` reads: the images before the
+    # path where sigma raised, so that a failure before it still wins
+    items = []
+    with pytest.raises(ZeroDivisionError):
+        items.extend(map(lambda x: 6 // x, [1, 2, 0, 3]))
+    assert items == [6, 3]
+
+
+@pytest.mark.parametrize("raising", [None, FAR + 1], ids=["failure", "failure then raise"])
+def test_a_failing_chunk_calls_sigma_once_per_path(walk_8, raising):
+    # and none past a raise: the chunk is mapped once, and not again to
+    # name its failure
+    walk, images, inverse = walk_8
+    chunk, calls = walk[verify._CHUNK : 2 * verify._CHUNK], Counter()
+
+    def sigma(q):
+        calls[q] += 1
+        if raising and q == walk[raising]:
+            raising_sigma(q)
+        return images[q] + "h" if q == walk[FAR] else images[q]
+
+    got = verify._check_chunk(chunk, 8, sigma, inverse.__getitem__)
+    assert got == (
+        [images[q] for q in walk[verify._CHUNK : FAR]],
+        "sigma(uuuuvdvvuvud) = uuuuvvvduudvh changes the weight",
+    )
+    assert calls == Counter(chunk if raising is None else walk[verify._CHUNK : raising + 1])
 
 
 def spy_runs(monkeypatch):
@@ -609,37 +669,38 @@ def test_the_shards_by_chunk_index_are_the_stream_of_one(one_stream, n, shards):
     # each shard in this process, so at more shards than the host has CPUs too
     whole = one_stream[n]
     streams = [list(verify._shard(n, k, shards)) for k in range(shards)]
-    assert [stream[-1] for stream in streams] == [None] * shards
-    assert [streams[i % shards][i // shards] for i in range(len(whole) - 1)] == whole[:-1]
-    assert sum(map(len, streams)) == len(whole) - 1 + shards
-    assert whole[-1] is None
+    assert [streams[i % shards][i // shards] for i in range(len(whole))] == whole
+    assert sum(map(len, streams)) == len(whole)
 
 
 BAD_CHUNK = 5  # the chunk of the walk at n = 8 that holds the fault below
 
 
 def shards_with_a_fault(monkeypatch, one_stream, shards, image):
-    """Each shard's stream at n = 8, with sigma patched to ``image`` at the
-    eighth path of chunk ``BAD_CHUNK``, and the records of one stream."""
+    """Each shard's stream at n = 8 as the runner gives it in this process,
+    with sigma patched to ``image`` at the eighth path of chunk
+    ``BAD_CHUNK``, and the records of one stream."""
     bad = list(real_generate(8, AVOID_UVV))[BAD_CHUNK * verify._CHUNK + 7]
     monkeypatch.setattr(bijection, "sigma", lambda q: image(q) if q == bad else real_sigma(q))
-    return [list(verify._shard(8, k, shards)) for k in range(shards)], one_stream[8][:-1]
+    monkeypatch.setattr(verify, "_CPUS", 1)
+    jobs = [(8, f"sweep shard {k} at n=8", verify._shard, (8, k, shards)) for k in range(shards)]
+    with verify._run(jobs) as streams:
+        return [list(stream) for stream in streams], one_stream[8]
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
 def test_a_shard_ends_its_stream_with_the_exception_sigma_raised(monkeypatch, one_stream, shards):
-    # as a failure record with the exception's type and message, then None:
-    # a stream holds no exception object
+    # the runner ends the shard's records with the exception's type and
+    # message: a stream holds no exception object
     def image(q):
         raise AssertionError("sigma raised")
 
     streams, records = shards_with_a_fault(monkeypatch, one_stream, shards, image)
     for k, stream in enumerate(streams):
         if k == BAD_CHUNK % shards:
-            raised = (0, [], "AssertionError: sigma raised")
-            assert stream == records[k:BAD_CHUNK:shards] + [raised, None]
+            assert stream == records[k:BAD_CHUNK:shards] + ["AssertionError: sigma raised"]
         else:
-            assert stream == records[k::shards] + [None]
+            assert stream == records[k::shards]
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
@@ -647,11 +708,11 @@ def test_a_shard_stops_at_its_first_failure(monkeypatch, one_stream, shards):
     streams, records = shards_with_a_fault(monkeypatch, one_stream, shards, lambda q: real_sigma(q) + "h")
     for k, stream in enumerate(streams):
         if k == BAD_CHUNK % shards:
-            *earlier, (mapped, _, error), end = stream
+            *earlier, (mapped, _, error) = stream
             assert earlier == records[k:BAD_CHUNK:shards]
-            assert (mapped, error.endswith("changes the weight"), end) == (7, True, None)
+            assert (mapped, error.endswith("changes the weight")) == (7, True)
         else:
-            assert stream == records[k::shards] + [None]
+            assert stream == records[k::shards]
 
 
 real_grammar = bijection._grammar
