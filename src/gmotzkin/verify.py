@@ -21,7 +21,11 @@ proves it is, so it reads no weight sum.  It checks the images a chunk of
 paths at a time: each image test is one C-level transform of the chunk's
 images joined by newlines, and the first line where a transform misses its
 target names the failing path, so sigma maps each path once, and sigma_inv
-maps back only the images before the first failure.
+maps back only the images before the first failure.  It maps through the
+maps' one-pass cores, ``bijection._sigma`` and ``_sigma_inv``, which skip
+the public maps' input check: that check passes on every word the sweep
+maps, the walk's paths and the images that passed its own tests, so each
+core equals its public map there.
 
 Every exhaustive walk is a job of one runner, ``_run``: each weight sum of
 the oracle (criteria 1, 2 and 8), each shard of the sweep (criterion 4),
@@ -270,8 +274,8 @@ class Harness:
         member of the uvu-avoiding class of length n.  ``_check_chunk``
         holds the one definition of these tests, in order, with the message
         of each.  ``_classify`` and ``_grammar`` are read off ``bijection``
-        once per n, at call time, and sigma and sigma_inv once per shard,
-        when it starts.  The class size is the large Schroeder number
+        once per n, at call time, and the maps' cores once per shard, when
+        it starts.  The class size is the large Schroeder number
         S_n(1,1), ``formulas.schroder_weight(n)`` at (1, 1, 1): for n >= 1
         criterion 8 checks the oracle's weight sum of the class at c = b^2
         against S_n(a,b), and at a = b = 1 that sum counts each path once;
@@ -297,9 +301,20 @@ class Harness:
         chunk.  Each chunk gives a count, its fixed points in walk order and
         its first failure.
 
+        The sweep maps through ``bijection._sigma`` and ``_sigma_inv``, the
+        one-pass cores that the public ``sigma`` and ``sigma_inv`` call
+        after their one input check, ``paths._check_avoids``.  On every word
+        the sweep maps, that check passes, so each core equals its public
+        map there: sigma maps only the paths that ``generate(n, AVOID_UVV)``
+        yields, str words over udhv with no uvv, and sigma_inv maps back
+        only images before the chunk's first failure, each of which has
+        passed the sweep's own tests for the alphabet, for a path and for no
+        uvu.  So what the sweep proves of the cores holds of the public
+        maps, which criterion 5 and ``fixed_points`` call.
+
         The walk is cut into S = ``_shards(size)`` shards, each a job of
         the runner (``_sweep_all``): shard k maps the chunks i = k mod S,
-        reads sigma and sigma_inv when it starts and ends its stream after
+        reads the cores when it starts and ends its stream after
         its last record or its first failure (``_shard``), or the runner
         ends it with the text of what it raised; a stream holds only data.
         ``_merge`` reads the records in chunk order, taking chunk i's from
@@ -624,10 +639,12 @@ def _shard(n: int, shard: int, shards: int) -> Iterator[tuple[int, list[str], st
     """Shard ``shard`` of ``shards``, the stream of one job of the sweep:
     (count, fixed points, failure) for each chunk of the walk at n whose
     index is ``shard`` mod ``shards``, in walk order, from ``_check_chunk``
-    with the sigma and sigma_inv that ``bijection`` holds when the shard
-    starts, up to its first failure.  It walks the whole class and builds
-    every chunk, mapping only its own."""
-    sigma, sigma_inv = bijection.sigma, bijection.sigma_inv
+    with the one-pass cores ``bijection._sigma`` and ``_sigma_inv`` as
+    ``bijection`` holds them when the shard starts, up to its first
+    failure.  The cores skip the public maps' input check, which passes on
+    every word they map here (``Harness.sweep``).  It walks the whole class
+    and builds every chunk, mapping only its own."""
+    sigma, sigma_inv = bijection._sigma, bijection._sigma_inv
     walk = generate(n, AVOID_UVV)
     chunks = iter(lambda: list(islice(walk, _CHUNK)), [])
     for chunk in islice(chunks, shard, None, shards):

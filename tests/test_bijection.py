@@ -239,6 +239,14 @@ class TestSigma:
         for p in generate(n, AVOID_UVU):
             assert sigma_inv(p) == reference_sigma_inv(p)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_the_public_maps_equal_their_cores(self, n):
+        # verify's sweep maps through the cores, which skip the input check
+        for q in generate(n, AVOID_UVV):
+            assert sigma(q) == bijection._sigma(q)
+        for p in generate(n, AVOID_UVU):
+            assert sigma_inv(p) == bijection._sigma_inv(p)
+
     @pytest.mark.parametrize("tail", ["", "h"])
     @pytest.mark.parametrize("core", ["", "uv", "uuvv", "h", "udud", "uhv"])
     @pytest.mark.parametrize("j", range(1, 13))

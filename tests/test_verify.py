@@ -2,7 +2,10 @@
 
 The sweep is the exhaustive proof that sigma is a bijection onto the
 uvu-avoiding class; each test breaks one property that proof relies on and
-checks that the sweep names it.  The fault rows at n = 8 run the sweep in
+checks that the sweep names it.  The sweep maps through the one-pass cores
+``bijection._sigma`` and ``_sigma_inv``, so its fault tests patch those, and
+a patch that wraps a real map wraps a core: the public ``sigma`` calls the
+patched core, and wrapping it would recurse.  The fault rows at n = 8 run the sweep in
 one process and, on a host with two or three CPUs, in two and in three
 children, and expect the same detail and no child left behind; the shards'
 own streams are checked in one process, at up to four shards.  The job
@@ -48,8 +51,8 @@ from gmotzkin.polyring import ONE, VAR_A, VAR_B, VAR_C, ZERO, DivergenceError, P
 from gmotzkin.series import PowerSeries
 from gmotzkin.verify import Harness
 
-real_sigma = bijection.sigma
-real_sigma_inv = bijection.sigma_inv
+real_sigma = bijection._sigma
+real_sigma_inv = bijection._sigma_inv
 real_generate = verify.generate
 real_expand = verify.expand
 
@@ -62,24 +65,24 @@ def test_sweep_passes_on_the_real_bijection():
 
 
 def test_image_with_uvu(monkeypatch):
-    monkeypatch.setattr(bijection, "sigma", lambda q: "uvuv")
+    monkeypatch.setattr(bijection, "_sigma", lambda q: "uvuv")
     assert Harness().sweep(1).error == "sigma(uv) = uvuv contains uvu"
 
 
 def test_weight_change(monkeypatch):
-    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q) + "h")
+    monkeypatch.setattr(bijection, "_sigma", lambda q: real_sigma(q) + "h")
     assert Harness().sweep(1).error == "sigma(uv) = uvh changes the weight"
 
 
 def test_round_trip_failure(monkeypatch):
-    monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p) + "h")
+    monkeypatch.setattr(bijection, "_sigma_inv", lambda p: real_sigma_inv(p) + "h")
     assert Harness().sweep(1).error == "sigma_inv(sigma(uv)) = uvh"
 
 
 def test_image_outside_the_class(monkeypatch):
     # "u" + image keeps the weight and round-trips, but is not a path.
-    monkeypatch.setattr(bijection, "sigma", lambda q: "u" + real_sigma(q))
-    monkeypatch.setattr(bijection, "sigma_inv", lambda p: real_sigma_inv(p[1:]))
+    monkeypatch.setattr(bijection, "_sigma", lambda q: "u" + real_sigma(q))
+    monkeypatch.setattr(bijection, "_sigma_inv", lambda p: real_sigma_inv(p[1:]))
     error = Harness().sweep(1).error
     assert error == "sigma(uv) = uuv outside the uvu-avoiding class"
 
@@ -88,16 +91,16 @@ def test_image_below_the_axis(monkeypatch):
     # The reversed image keeps its steps, so its weight and x-length, but
     # "vu" starts with a drop below the axis; sigma_inv would raise on it,
     # so the sweep must test membership before the round trip.
-    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q)[::-1])
+    monkeypatch.setattr(bijection, "_sigma", lambda q: real_sigma(q)[::-1])
     error = Harness().sweep(1).error
     assert error == "sigma(uv) = vu outside the uvu-avoiding class"
 
 
 def test_image_with_a_character_outside_the_alphabet(monkeypatch):
     # "xv" has the weight and the x-length of "uv", but x is no step.
-    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q).replace("u", "x"))
+    monkeypatch.setattr(bijection, "_sigma", lambda q: real_sigma(q).replace("u", "x"))
     monkeypatch.setattr(
-        bijection, "sigma_inv", lambda p: real_sigma_inv(p.replace("x", "u"))
+        bijection, "_sigma_inv", lambda p: real_sigma_inv(p.replace("x", "u"))
     )
     error = Harness().sweep(1).error
     assert error == "sigma(uv) = xv outside the uvu-avoiding class"
@@ -245,8 +248,8 @@ def test_sweep_walks_the_uvv_class_once_and_the_uvu_class_never(monkeypatch):
 def walk_8():
     """The uvv-avoiding paths of length 8 in walk order, and sigma's image of
     each uvv-avoiding path of length <= 8 with its inverse: one walk and one
-    sigma per path, shared by the fault tests below, which patch sigma and
-    sigma_inv as lookups in these tables."""
+    sigma per path, shared by the fault tests below, which patch the cores
+    ``_sigma`` and ``_sigma_inv`` as lookups in these tables."""
     walks = [list(real_generate(n, AVOID_UVV)) for n in range(9)]
     images = {q: real_sigma(q) for walk in walks for q in walk}
     return walks[8], images, {p: q for q, p in images.items()}
@@ -348,9 +351,9 @@ def test_sweep_names_a_fault_of_sigma_past_the_first_chunk(monkeypatch, walk_8, 
     walk, images, inverse = walk_8
     bad = walk[index]
     monkeypatch.setattr(
-        bijection, "sigma", lambda q: IMAGE_FAULTS[fault](q, images[q]) if q == bad else images[q]
+        bijection, "_sigma", lambda q: IMAGE_FAULTS[fault](q, images[q]) if q == bad else images[q]
     )
-    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     for cpus in CPU_COUNTS:
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
@@ -366,8 +369,8 @@ def test_sweep_names_a_fault_of_sigma_past_the_first_chunk(monkeypatch, walk_8, 
 def test_sweep_names_a_failed_round_trip_past_the_first_chunk(monkeypatch, walk_8, index, detail):
     walk, images, inverse = walk_8
     p = images[walk[index]]
-    monkeypatch.setattr(bijection, "sigma", images.__getitem__)
-    monkeypatch.setattr(bijection, "sigma_inv", lambda w: inverse[w] + "h" if w == p else inverse[w])
+    monkeypatch.setattr(bijection, "_sigma", images.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma_inv", lambda w: inverse[w] + "h" if w == p else inverse[w])
     for cpus in CPU_COUNTS:
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
@@ -390,8 +393,8 @@ def test_sweep_names_the_failure_before_a_later_raise_in_its_chunk(monkeypatch, 
             raising_sigma(q)
         return images[q] + "h" if q == failing else images[q]
 
-    monkeypatch.setattr(bijection, "sigma", sigma)
-    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma", sigma)
+    monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     for cpus in CPU_COUNTS:
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
@@ -415,8 +418,8 @@ def test_sweep_names_the_least_of_faults_in_both_shards(monkeypatch, walk_8, fai
             raising_sigma(q)
         return images[q] + "h" if q == failing else images[q]
 
-    monkeypatch.setattr(bijection, "sigma", sigma)
-    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma", sigma)
+    monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     for cpus in CPU_COUNTS:
         assert criterion_4_at(monkeypatch, cpus) == ("bijection suite", False, detail)
 
@@ -477,8 +480,8 @@ def test_criterion_6_reads_the_sweep_that_raised(monkeypatch, walk_8):
     # the raise is n = 8's cached failure: criterion 6 runs no sweep job,
     # and counts the fixed points only up to n = 7
     walk, images, inverse = walk_8
-    monkeypatch.setattr(bijection, "sigma", lambda q: raise_two_args(q) if q == walk[FAR] else images[q])
-    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma", lambda q: raise_two_args(q) if q == walk[FAR] else images[q])
+    monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     monkeypatch.setattr(verify, "_CPUS", CPU_COUNTS[-1])
     runs = spy_runs(monkeypatch)
     harness = Harness(max_n=8)
@@ -501,8 +504,8 @@ CHILD_ENDED = "n=8: ChildProcessError: the child running sweep shard 1 at n=8 en
 def test_a_child_that_ends_without_its_records_fails_the_sweep(monkeypatch, walk_8):
     # at two CPUs only: on one, the sweep maps FAR in this process
     walk, images, inverse = walk_8
-    monkeypatch.setattr(bijection, "sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
-    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
+    monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     assert criterion_4_at(monkeypatch, 2) == ("bijection suite", False, CHILD_ENDED)
 
 
@@ -511,8 +514,8 @@ def test_criterion_6_reads_the_sweep_whose_child_ended(monkeypatch, walk_8):
     # the child's end is n = 8's cached failure: criterion 6 starts no
     # second run of n = 8's sweep
     walk, images, inverse = walk_8
-    monkeypatch.setattr(bijection, "sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
-    monkeypatch.setattr(bijection, "sigma_inv", inverse.__getitem__)
+    monkeypatch.setattr(bijection, "_sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
+    monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     monkeypatch.setattr(verify, "_CPUS", 2)
     runs = spy_runs(monkeypatch)
     harness = Harness(max_n=8)
@@ -681,7 +684,7 @@ def shards_with_a_fault(monkeypatch, one_stream, shards, image):
     with sigma patched to ``image`` at the eighth path of chunk
     ``BAD_CHUNK``, and the records of one stream."""
     bad = list(real_generate(8, AVOID_UVV))[BAD_CHUNK * verify._CHUNK + 7]
-    monkeypatch.setattr(bijection, "sigma", lambda q: image(q) if q == bad else real_sigma(q))
+    monkeypatch.setattr(bijection, "_sigma", lambda q: image(q) if q == bad else real_sigma(q))
     monkeypatch.setattr(verify, "_CPUS", 1)
     jobs = [(8, f"sweep shard {k} at n=8", verify._shard, (8, k, shards)) for k in range(shards)]
     with verify._run(jobs) as streams:
@@ -790,8 +793,8 @@ def test_fixed_points_that_lists_a_word_sigma_moves_fails_criterion_4(monkeypatc
     # onto the uvu class that moves two words of the grammar; hh, the
     # next path it fixes, meets uvh in the grammar's stream
     swap = {"uvh": "huv", "huv": "uvh"}
-    monkeypatch.setattr(bijection, "sigma", lambda q: swap.get(q, real_sigma(q)))
-    monkeypatch.setattr(bijection, "sigma_inv", lambda p: swap.get(p) or real_sigma_inv(p))
+    monkeypatch.setattr(bijection, "_sigma", lambda q: swap.get(q, real_sigma(q)))
+    monkeypatch.setattr(bijection, "_sigma_inv", lambda p: swap.get(p) or real_sigma_inv(p))
     result = Harness(max_n=2).criterion_4()
     assert not result.ok
     assert result.detail == "n=2: sigma fixes ('hh', 'A'), fixed_points lists ('uvh', 'A') there"
@@ -812,14 +815,14 @@ def test_image_count_differs_from_class_size(monkeypatch, change, count):
 
 
 def test_criterion_4_reports_the_sweep_error(monkeypatch):
-    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q) + "h")
+    monkeypatch.setattr(bijection, "_sigma", lambda q: real_sigma(q) + "h")
     result = Harness(max_n=2).criterion_4()
     assert not result.ok
     assert result.detail == "n=0: sigma() = h changes the weight"
 
 
 def test_criterion_6_reports_the_sweep_error(monkeypatch):
-    monkeypatch.setattr(bijection, "sigma", lambda q: real_sigma(q) + "h")
+    monkeypatch.setattr(bijection, "_sigma", lambda q: real_sigma(q) + "h")
     result = Harness(max_n=2).criterion_6()
     assert not result.ok
     assert result.detail == "n=0: sigma() = h changes the weight"
@@ -1406,7 +1409,7 @@ def test_a_check_that_raises_fails_its_criterion(monkeypatch):
 @pytest.mark.parametrize(
     "target,name,replacement,failed",
     [
-        (bijection, "sigma", raising_sigma, ["bijection suite", "sample bijection pair", "fixed points"]),
+        (bijection, "_sigma", raising_sigma, ["bijection suite", "sample bijection pair", "fixed points"]),
         (
             verify,
             "expand",
