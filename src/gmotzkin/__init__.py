@@ -21,7 +21,6 @@ from .enumeration import Constraints, generate, weight_sum
 from .bijection import (
     FixedPointCounts,
     fixed_points,
-    is_fixed_point,
     sigma,
     sigma_inv,
 )

@@ -77,13 +77,15 @@ grammar.  u is refused right after a uv; d closes only an empty level (ud);
 v closes an empty level (uv) or one whose K is in class A (u K v); h is
 allowed while length remains.  Depth first in step order, the walk yields
 each fixed point of length n once, in ``generate``'s order and with its
-class, and holds O(n) words at a time.  ``fixed_points`` tests each
-streamed word with ``is_fixed_point`` (a word that sigma moves raises
-AssertionError) and counts or lists them.  ``verify``'s criterion 4 reads
-the stream word for word, in order and by class, against the paths q with
-sigma(q) == q of its sweep over the whole uvv class for n <= 10, so sigma
-runs once per path there.  No word comes from the enumeration oracle, so
-this module imports no other route.
+class, and holds O(n) words at a time.  ``fixed_points``, the one
+fixed-point test, maps each streamed word through the core ``_sigma`` (a
+word that sigma moves raises AssertionError) and counts or lists them:
+every grammar word is a str over udhv with no uvv, so it passes
+``sigma``'s input check, and the core is ``sigma`` there.  ``verify``'s
+criterion 4 reads the stream word for word, in order and by class, against
+the paths q with sigma(q) == q of its sweep over the whole uvv class for n
+<= 10, so sigma runs once per path there.  No word comes from the
+enumeration oracle, so this module imports no other route.
 """
 
 from __future__ import annotations
@@ -223,11 +225,6 @@ def _sigma_inv(word: str) -> str:
     return "".join(images)
 
 
-def is_fixed_point(word: str) -> bool:
-    """True iff sigma fixes the (uvv-avoiding) path."""
-    return sigma(word) == word
-
-
 CLASS_A = "A"  # not primitive, does not end with uv (the empty path included)
 CLASS_B = "B"  # ends with uv
 CLASS_C = "C"  # primitive, does not end with uv
@@ -256,9 +253,16 @@ class FixedPointCounts(namedtuple("FixedPointCounts", "a b c paths", defaults=(N
 
 def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     """Count (and optionally list) the fixed points of length n: the words
-    of ``_grammar(n)``, each tested with ``is_fixed_point``.  The stream
+    of ``_grammar(n)``, each mapped by the core ``_sigma``.  The stream
     holds O(n) words at a time, so only a list of the paths grows with
     their number.
+
+    The core is exact here: ``sigma`` checks its input with
+    ``paths._check_avoids`` and then calls ``_sigma``, and every word that
+    ``_grammar`` yields passes that check.  It is a str over udhv, and it
+    has no uvv, since each uv in it is the unit uv and a v closes only an
+    empty level or one whose K, in class A, does not end in uv.  So
+    ``_sigma(word) == word`` exactly when ``sigma`` fixes the word.
 
     A word that sigma moves raises AssertionError naming it, also under
     ``python -O``.  That no fixed point is missed, and that the words are
@@ -272,7 +276,7 @@ def fixed_points(n: int, include_paths: bool = False) -> FixedPointCounts:
     counts = {CLASS_A: 0, CLASS_B: 0, CLASS_C: 0}
     found: list[str] = []
     for word, cls in _grammar(n):
-        if not is_fixed_point(word):
+        if _sigma(word) != word:
             raise AssertionError(f"sigma moves {word}, a word of the fixed-point grammar")
         counts[cls] += 1
         if include_paths:

@@ -28,8 +28,7 @@ maps, the walk's paths and the images that passed its own tests, so each
 core equals its public map there.
 
 Every exhaustive walk is a job of one runner, ``_run``: each weight sum of
-the oracle (criteria 1, 2 and 8), each shard of the sweep (criterion 4),
-the counts of ``bijection.fixed_points`` at each length (criterion 6) and
+the oracle (criteria 1, 2 and 8), each shard of the sweep (criterion 4) and
 the decompositions of each class and length (criterion 9).  A criterion
 hands the runner every job it needs at once, and only those, and checks
 each result here as it checks one computed here, so the verdict and every
@@ -310,7 +309,7 @@ class Harness:
         only images before the chunk's first failure, each of which has
         passed the sweep's own tests for the alphabet, for a path and for no
         uvu.  So what the sweep proves of the cores holds of the public
-        maps, which criterion 5 and ``fixed_points`` call.
+        maps, which criterion 5 calls.
 
         The walk is cut into S = ``_shards(size)`` shards, each a job of
         the runner (``_sweep_all``): shard k maps the chunks i = k mod S,
@@ -335,10 +334,11 @@ class Harness:
         are, so q is fixed iff it is in the grammar, and the stream is in
         order, distinct and rightly classed; the counts by class are then
         the grammar's too.  So sigma runs once per path of a sweep that
-        passes, and the words that ``fixed_points`` tests with sigma and
-        lists are the ones checked here.  A pair out of step does not stop
-        the walk, so the image checks and the count report first.  Every
-        length has the fixed point h^n, so a walk that meets none fails.
+        passes, and the words that ``fixed_points`` maps through sigma's
+        core and lists are the ones checked here.  A pair out of step does
+        not stop the walk, so the image checks and the count report first.
+        Every length has the fixed point h^n, so a walk that meets none
+        fails.
         """
         if n not in self._sweeps:
             self._sweep_all([n])
@@ -451,19 +451,15 @@ class Harness:
         relations are checked through that match.  For n <= all_nmax the
         counts of ``bijection.fixed_points(n)`` are read too: their total f
         as one more value, and their classes against the recurrence, so its
-        own counting is checked, not only the grammar that the sweep reads;
-        each length's count is a job of one runner call, as far as the
-        first sweep that failed.  That sweep reports its own error, not
-        counts it stopped short of."""
+        own counting is checked, not only the grammar that the sweep reads.
+        They are counted here, length by length, after that length's sweep
+        has passed, so the first sweep that failed reports its own error,
+        not counts it stopped short of, and a raise of ``fixed_points`` is
+        this criterion's failure, as ``_raised`` names it."""
         nmax = self.avoid_nmax
         f_series = self.series("F")
         f_seq, a_seq, b_seq, c_seq = formulas.fixed_point_sequences(nmax)
         self._sweep_all(range(nmax + 1))
-        swept = next((n for n in range(nmax + 1) if self._sweeps[n].error), nmax + 1)
-        counted = range(min(swept, self.all_nmax + 1))
-        fixed_points = _results(
-            [(n, f"fixed_points({n})", _value, (bijection.fixed_points, n)) for n in counted]
-        )
         for n in range(nmax + 1):
             rec = self.sweep(n)
             if rec.error:
@@ -476,9 +472,7 @@ class Harness:
             }
             classes = {"classes": (rec.a, rec.b, rec.c)}
             if n <= self.all_nmax:
-                counts = fixed_points[n]
-                if isinstance(counts, str):
-                    return counts
+                counts = bijection.fixed_points(n)
                 values["fixed_points"] = counts.f
                 classes["fixed_points classes"] = (counts.a, counts.b, counts.c)
             if n < len(FIXED_POINT_COUNTS):

@@ -14,7 +14,6 @@ from gmotzkin.bijection import (
     _classify,
     _grammar,
     fixed_points,
-    is_fixed_point,
     sigma,
     sigma_inv,
 )
@@ -282,13 +281,13 @@ class TestSigma:
 
 class TestFixedPoints:
     def test_known_fixed_points(self):
-        assert is_fixed_point("uhv")
-        assert is_fixed_point("hh")
-        assert not is_fixed_point("uudv")
+        assert sigma("uhv") == "uhv"
+        assert sigma("hh") == "hh"
+        assert sigma("uudv") != "uudv"
 
     def test_classification(self):
         for word, cls in (("huv", "B"), ("ud", "C"), ("uvh", "A"), ("", "A")):
-            assert is_fixed_point(word)
+            assert sigma(word) == word
             assert _classify(word) == cls
 
     def test_counts_small(self):
@@ -349,27 +348,36 @@ class TestFixedPoints:
         assert peak < 1_000_000
 
     def test_sigma_runs_once_per_fixed_point(self, monkeypatch):
+        # through the core, on each grammar word in turn; the public sigma,
+        # whose input check every grammar word passes, is never called
+        real_sigma = bijection._sigma
         calls = []
 
         def counting_sigma(word):
             calls.append(word)
-            return sigma(word)
+            return real_sigma(word)
 
-        monkeypatch.setattr(bijection, "sigma", counting_sigma)
-        assert fixed_points(7).f == 1478
+        monkeypatch.setattr(bijection, "_sigma", counting_sigma)
+        monkeypatch.setattr(bijection, "sigma", lambda word: pytest.fail("public sigma called"))
+        for n in range(8):
+            calls.clear()
+            assert fixed_points(n).f == FIXED_POINT_COUNTS[n]
+            assert calls == [word for word, _ in _grammar(n)]
         assert len(calls) == 1478
-        assert all(sigma(w) == w for w in calls)
+        assert all(real_sigma(w) == w for w in calls)
 
     def test_a_grammar_word_that_sigma_moves_raises(self, monkeypatch):
-        moved = "uhvh"  # the units u K v with K = h, then h
-
-        def moving_sigma(word):
-            return "uv" + word if word == moved else sigma(word)
-
-        monkeypatch.setattr(bijection, "sigma", moving_sigma)
-        assert fixed_points(2).f == 5
-        with pytest.raises(AssertionError, match=f"sigma moves {moved},"):
-            fixed_points(3)
+        # uhv is the unit u K v with K = h, and uhvh that unit, then h; the
+        # raise needs no assert, so it holds under python -O too
+        real_sigma = bijection._sigma
+        for n, moved in ((2, "uhv"), (3, "uhvh")):
+            monkeypatch.setattr(
+                bijection, "_sigma", lambda word, moved=moved: "uv" + word if word == moved else real_sigma(word)
+            )
+            assert fixed_points(n - 1).f == FIXED_POINT_COUNTS[n - 1]
+            with pytest.raises(AssertionError) as err:
+                fixed_points(n)
+            assert str(err.value) == f"sigma moves {moved}, a word of the fixed-point grammar"
 
     @pytest.mark.parametrize("n", range(11))
     def test_counts_equal_the_table_and_the_recurrences(self, n):
@@ -435,7 +443,6 @@ class TestLongPaths:
         assert q.count("h") == p.count("h")
         assert q.count("v") + 2 * q.count("d") == p.count("v") + 2 * p.count("d")
         assert sigma_inv(p) == q
-        assert is_fixed_point(q) == (p == q)
 
     @pytest.mark.parametrize("name", LONG_PATHS)
     def test_cli_round_trip(self, name, capsys):

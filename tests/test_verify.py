@@ -476,19 +476,45 @@ def sweep_jobs(max_n):
     ]
 
 
+def spy_counted(monkeypatch):
+    """The lengths that ``bijection.fixed_points`` is called at, in order."""
+    real_fixed_points = bijection.fixed_points
+    counted = []
+
+    def fixed_points(n):
+        counted.append(n)
+        return real_fixed_points(n)
+
+    monkeypatch.setattr(bijection, "fixed_points", fixed_points)
+    return counted
+
+
 def test_criterion_6_reads_the_sweep_that_raised(monkeypatch, walk_8):
-    # the raise is n = 8's cached failure: criterion 6 runs no sweep job,
-    # and counts the fixed points only up to n = 7
+    # the raise is n = 8's cached failure: criterion 6 runs no job, and
+    # counts the fixed points itself, only up to n = 7
     walk, images, inverse = walk_8
     monkeypatch.setattr(bijection, "_sigma", lambda q: raise_two_args(q) if q == walk[FAR] else images[q])
     monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     monkeypatch.setattr(verify, "_CPUS", CPU_COUNTS[-1])
-    runs = spy_runs(monkeypatch)
+    runs, counted = spy_runs(monkeypatch), spy_counted(monkeypatch)
     harness = Harness(max_n=8)
     assert harness.criterion_4() == ("bijection suite", False, "n=8: TwoArgs: bad at uuuuvdvvuvud")
     assert runs == [sweep_jobs(8)]
     assert harness.criterion_6() == ("fixed points", False, "n=8: TwoArgs: bad at uuuuvdvvuvud")
-    assert runs == [sweep_jobs(8), [f"fixed_points({n})" for n in range(8)]]
+    assert runs == [sweep_jobs(8)]
+    assert counted == list(range(8))
+
+
+def test_criterion_6_names_a_raise_of_fixed_points_on_every_cpu_count(monkeypatch):
+    # the counts are taken in this process after each sweep passed, so a
+    # raise at n = 7 is the criterion's failure, its type and message
+    real_fixed_points = bijection.fixed_points
+    monkeypatch.setattr(
+        bijection, "fixed_points", lambda n: raise_two_args(f"n={n}") if n == 7 else real_fixed_points(n)
+    )
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(verify, "_CPUS", cpus)
+        assert Harness(max_n=8).criterion_6() == ("fixed points", False, "TwoArgs: bad at n=7")
 
 
 @two_cpus
@@ -517,11 +543,12 @@ def test_criterion_6_reads_the_sweep_whose_child_ended(monkeypatch, walk_8):
     monkeypatch.setattr(bijection, "_sigma", lambda q: os._exit(1) if q == walk[FAR] else images[q])
     monkeypatch.setattr(bijection, "_sigma_inv", inverse.__getitem__)
     monkeypatch.setattr(verify, "_CPUS", 2)
-    runs = spy_runs(monkeypatch)
+    runs, counted = spy_runs(monkeypatch), spy_counted(monkeypatch)
     harness = Harness(max_n=8)
     assert harness.criterion_4() == ("bijection suite", False, CHILD_ENDED)
     assert harness.criterion_6() == ("fixed points", False, CHILD_ENDED)
-    assert runs == [sweep_jobs(8), [f"fixed_points({n})" for n in range(8)]]
+    assert runs == [sweep_jobs(8)]
+    assert counted == list(range(8))
 
 
 def test_the_sweep_forks_from_n_7_and_on_no_more_processes_than_cpus(monkeypatch):
@@ -596,14 +623,13 @@ def count_children(monkeypatch):
 
 def in_the_children(fault):
     """A patch that makes every job of the runner call ``fault`` when it
-    runs in a child: the oracle's weight sums, the counts of fixed points,
-    the decompositions' walks and the sweep's chunks."""
+    runs in a child: the oracle's weight sums, the decompositions' walks
+    and the sweep's chunks."""
     parent = os.getpid()
 
     def patch(monkeypatch):
         for module, name in (
             (verify, "weight_sum"),
-            (bijection, "fixed_points"),
             (verify, "_first_error"),
             (verify, "_check_chunk"),
         ):
